@@ -61,6 +61,7 @@ from .operators import (
     cutoff_M,
     flip_S,
     load_operator,
+    norm_and_defect,
     op_norm,
     save_operator,
 )

@@ -40,6 +40,7 @@ from .operators import (
     KernelOperator,
     compact_defect,
     cutoff_M,
+    norm_and_defect,
     op_norm,
 )
 from .testfun import BumpFactor, TestFunction, bump_fourier, l1_norm_F1
@@ -851,9 +852,8 @@ def _cond_compact_gamma3(field, cfg) -> dict:
     budget = cfg.rank_budget or g.lin.n // 8
     rows = {}
     for rho, lam in ((0.0, 1.0), (2.0, 0.5), (1.0, 1.0)):
-        A = field.pi(rho, lam, g.lin)
-        scale = max(op_norm(A), 1e-30)
-        d = compact_defect(A, budget)
+        norm, d = norm_and_defect(field.pi(rho, lam, g.lin), budget)
+        scale = max(norm, 1e-30)
         rows[f"pi({rho},{lam})"] = {"defect": d, "scale": scale,
                                     "passed": bool(d < cfg.compact_tol * scale)}
     return {"rank_budget": budget, "rows": rows,

@@ -8,6 +8,7 @@ logarithmic coordinates u = sigma*e^v, where it becomes the flat measure dv.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +29,27 @@ class QuadratureSpec:
             raise ValueError("need at least 2 quadrature nodes")
 
 
-def gauss_legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the interval [a, b]."""
+@functools.lru_cache(maxsize=1024)
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the interval [a, b], read-only.
+
+    The [-1, 1] rule is computed once per `n` and cached (it depends on
+    nothing else); each call applies the affine map mid + half*x, half*w to
+    the cached arrays, so the result is the same as recomputing the rule.
+    """
+    x, w = _unit_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+    nodes, weights = mid + half * x, half * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .errors import WindowTooSmall
 from .grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from .operators import KernelOperator
 from .testfun import TestFunction, bump_fourier, eval_hatF34, eval_hatF234
@@ -27,7 +26,6 @@ __all__ = [
     "vk_operator",
     "vk_adjoint",
     "interp_rows",
-    "pi_window_defect",
 ]
 
 
@@ -41,49 +39,47 @@ def _t_rule(f: TestFunction, osc: float, quad: QuadratureSpec):
 
 def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
                          grid: GridSpec, tquad: QuadratureSpec = QuadratureSpec(64),
-                         twist: bool = False,
-                         check_window: bool = False) -> KernelOperator:
+                         twist: bool = False) -> KernelOperator:
     """The generic representation applied to f, as a kernel on the linear grid.
 
     K(u, x) = integral of e^(t/2) e^(-i rho t)
               hatF34(t, e^t u - x, -(lam/2)(x + e^t u), lam) dt.
     With twist=True the composition with the flip automorphism is built
     instead (signs of the second and third slots reversed).
+
+    The integrand vanishes unless the second slot lies in the x-support of
+    f, so at each t-node hatF34 is evaluated only on that band: per row u,
+    the contiguous range of x found by bisection on the sorted nodes, widened
+    by one column.  Outside the band every term has the exact factor 0, so
+    the entries are the same as summing over the full n x n array.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
+    if grid.kind != "linear":
+        raise ValueError("kernel_pi_rho_lambda needs a linear grid")
     ts, ws = _t_rule(f, rho, tquad)
     u = grid.nodes
     x = grid.nodes
-    ent = np.zeros((grid.n, grid.n), dtype=complex)
+    n = grid.n
+    x0, x1 = f.support_box[1]
+    ent = np.zeros((n, n), dtype=complex)
+    flat = ent.reshape(-1)
     for t, w in zip(ts, ws):
         e = math.exp(t) * u
-        a = e[:, None] - x[None, :]
-        b = -(lam / 2.0) * (x[None, :] + e[:, None])
+        # columns with x0 <= e - x <= x1 (twisted: x0 <= x - e <= x1)
+        left, right = (e + x0, e + x1) if twist else (e - x1, e - x0)
+        start = np.maximum(np.searchsorted(x, left, "left") - 1, 0)
+        stop = np.minimum(np.searchsorted(x, right, "right") + 1, n)
+        width = stop - start
+        rows = np.repeat(np.arange(n), width)
+        cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(width) - width), width)
+        a = e[rows] - x[cols]
+        b = -(lam / 2.0) * (x[cols] + e[rows])
         if twist:
             a, b = -a, -b
-        ent += (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) \
+        flat[rows * n + cols] += (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) \
             * eval_hatF34(f, t, a, b, lam)
-    op = KernelOperator(grid, grid, ent, f"pi({rho},{lam})")
-    if check_window:
-        defect = pi_window_defect(f, rho, lam, grid, tquad)
-        if defect > 1e-6:
-            raise WindowTooSmall(f"window misses {defect:.2e} of the kernel mass")
-    return op
-
-
-def pi_window_defect(f: TestFunction, rho: float, lam: float,
-                     grid: GridSpec, tquad: QuadratureSpec = QuadratureSpec(64)) -> float:
-    """Relative Hilbert-Schmidt mass of the kernel outside the grid window."""
-    big = GridSpec.linear(1.5 * grid.half_width, (3 * grid.n) // 2)
-    B = kernel_pi_rho_lambda(f, rho, lam, big, tquad)
-    W = np.abs(B.weighted()) ** 2
-    total = float(np.sum(W))
-    if total == 0:
-        return 0.0
-    inside = np.abs(big.nodes) <= grid.half_width
-    inner = float(np.sum(W[np.ix_(inside, inside)]))
-    return math.sqrt(max(total - inner, 0.0) / total)
+    return KernelOperator(grid, grid, ent, f"pi({rho},{lam})")
 
 
 def kernel_pi_ell(f: TestFunction, mu: float, nu: float, grid: GridSpec,

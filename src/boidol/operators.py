@@ -22,6 +22,7 @@ __all__ = [
     "IntervalSpec",
     "op_norm",
     "compact_defect",
+    "norm_and_defect",
     "cutoff_M",
     "flip_S",
     "save_operator",
@@ -98,15 +99,29 @@ class KernelOperator:
         return op_norm(self, method, tol)
 
 
-def op_norm(A: KernelOperator, method: str = "SVD", tol: float = 1e-10) -> float:
-    """L^2 -> L^2 operator norm of the discretized kernel operator."""
+def _singular_values(A: KernelOperator) -> np.ndarray:
+    """Singular values of A.weighted(), largest first.
+
+    The one SVD path of this module: the operator norm is entry 0 and the
+    compact defect at rank r is entry r.  Non-finite entries raise; a zero
+    matrix gives zeros without running the SVD.
+    """
     W = A.weighted()
     if not np.all(np.isfinite(W)):
         raise ValueError("non-finite entries")
+    if not np.any(W):
+        return np.zeros(min(W.shape))
+    return np.linalg.svd(W, compute_uv=False)
+
+
+def op_norm(A: KernelOperator, method: str = "SVD", tol: float = 1e-10) -> float:
+    """L^2 -> L^2 operator norm of the discretized kernel operator."""
     if method == "SVD":
-        if W.size == 0 or not np.any(W):
-            return 0.0
-        return float(np.linalg.svd(W, compute_uv=False)[0])
+        sv = _singular_values(A)
+        return float(sv[0]) if sv.size else 0.0
+    W = A.weighted()
+    if not np.all(np.isfinite(W)):
+        raise ValueError("non-finite entries")
     if method == "PowerIteration":
         if not np.any(W):
             return 0.0
@@ -131,10 +146,14 @@ def op_norm(A: KernelOperator, method: str = "SVD", tol: float = 1e-10) -> float
 
 def compact_defect(A: KernelOperator, rank: int) -> float:
     """Distance (in operator norm) to the best rank-`rank` approximation."""
-    sv = np.linalg.svd(A.weighted(), compute_uv=False)
-    if rank >= len(sv):
-        return 0.0
-    return float(sv[rank])
+    return norm_and_defect(A, rank)[1]
+
+
+def norm_and_defect(A: KernelOperator, rank: int) -> tuple[float, float]:
+    """(op_norm(A), compact_defect(A, rank)) from one SVD."""
+    sv = _singular_values(A)
+    return (float(sv[0]) if sv.size else 0.0,
+            float(sv[rank]) if rank < len(sv) else 0.0)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boidol.grids import GridSpec, QuadratureSpec
+from boidol.grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from boidol.kernels import (
     character_value,
     interp_rows,
@@ -14,7 +14,13 @@ from boidol.kernels import (
     vk_operator,
 )
 from boidol.operators import flip_S, op_norm
-from boidol.testfun import TestFunction, default_test_function
+from boidol.testfun import (
+    BumpFactor,
+    SeparableTerm,
+    TestFunction,
+    default_test_function,
+    eval_hatF34,
+)
 
 F = default_test_function()
 ZERO = TestFunction(())
@@ -239,3 +245,39 @@ def test_norm_continuity_and_vanishing_at_infinity():
     assert diffs[-1] < op_norm(base)
     far = op_norm(kernel_pi_rho_lambda(F, 64.0, 1.0, LIN))
     assert far < 1e-2 * op_norm(base)
+
+
+def dense_pi_entries(f, rho, lam, grid, twist):
+    """The generic kernel by the dense t-loop: hatF34 on every (u, x) pair."""
+    t0, t1 = f.support_box[0]
+    ts, ws = gauss_legendre_rule(t0, t1, max(64, int(abs(rho) * (t1 - t0) / 2) + 32))
+    u = x = grid.nodes
+    ent = np.zeros((grid.n, grid.n), dtype=complex)
+    for t, w in zip(ts, ws):
+        e = math.exp(t) * u
+        a = e[:, None] - x[None, :]
+        b = -(lam / 2.0) * (x[None, :] + e[:, None])
+        if twist:
+            a, b = -a, -b
+        ent += (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) \
+            * eval_hatF34(f, t, a, b, lam)
+    return ent
+
+
+def test_banded_pi_kernel_equals_dense_t_loop():
+    """Two terms with off-centre x-bumps of unequal width: the band is the
+    union of both supports, and the banded kernel is the dense one exactly."""
+    g = TestFunction((
+        SeparableTerm(1.0, BumpFactor(0.0, 1.0), BumpFactor(0.7, 0.5),
+                      BumpFactor(0.0, 1.0), BumpFactor(0.0, 2.0)),
+        SeparableTerm(0.5 - 0.3j, BumpFactor(0.2, 0.8), BumpFactor(-1.5, 1.2),
+                      BumpFactor(0.3, 1.5), BumpFactor(0.1, 2.0)),
+    ))
+    for n in (64, 128):
+        grid = GridSpec.linear(L=6.0, n=n)
+        # rho = 200 raises the t-rule above the 64-node floor
+        for rho, lam in ((0.0, 1.0), (2.5, -0.7), (200.0, 1.3)):
+            for twist in (False, True):
+                got = kernel_pi_rho_lambda(g, rho, lam, grid, twist=twist).entries
+                assert np.any(got)
+                assert np.array_equal(got, dense_pi_entries(g, rho, lam, grid, twist))

@@ -10,6 +10,7 @@ from boidol.operators import (
     cutoff_M,
     flip_S,
     load_operator,
+    norm_and_defect,
     op_norm,
     save_operator,
 )
@@ -82,6 +83,8 @@ def test_compact_defect_examples():
     phi = bump_vec(LIN)
     R1 = KernelOperator(LIN, LIN, np.outer(phi, phi).astype(complex))
     assert compact_defect(R1, 1) < 1e-12
+    for B, rank in ((A, 1), (R1, 1), (A, LIN.n), (KernelOperator.zero(LIN), 2)):
+        assert norm_and_defect(B, rank) == (op_norm(B), compact_defect(B, rank))
 
 
 def test_cutoffs_partition_and_idempotence():

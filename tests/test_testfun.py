@@ -6,6 +6,7 @@ import pytest
 from boidol.errors import QuadratureUnderresolved, WindowTooSmall
 from boidol.grids import QuadratureSpec, gauss_legendre_rule
 from boidol.testfun import (
+    FOURIER_CUTOFF,
     BumpFactor,
     GridSpec4D,
     SeparableTerm,
@@ -75,6 +76,49 @@ def test_underresolved_quadrature_raises():
 
 def test_hard_zero_at_large_frequency():
     assert bump_fourier(BumpFactor(0, 1.0), 5000.0, QuadratureSpec(64)) == 0
+
+
+def scalar_bump_fourier(bump, al, quad):
+    """One alpha at a time, as the transform is defined."""
+    aw = abs(al) * bump.width
+    if aw >= FOURIER_CUTOFF:
+        return 0j
+    xs, ws = gauss_legendre_rule(*bump.support, max(quad.n, int(aw / 2) + 64))
+    return complex(np.sum(ws * bump(xs) * np.exp(-1j * al * xs)))
+
+
+def test_bump_fourier_equals_scalar_reference():
+    bump, quad = BumpFactor(0.7, 0.5), QuadratureSpec(128)
+    w = bump.width
+    # |alpha|*width on both sides of 130, where the node count first exceeds
+    # quad.n, and of two later node-count edges, then at and next to the cutoff
+    aws = [0.0, 1.0, 129.999, 130.0, 130.001, 131.0, 400.0 - 1e-9, 400.0,
+           800.0 + 1e-9, 1199.0, np.nextafter(FOURIER_CUTOFF, 0.0),
+           FOURIER_CUTOFF, 1300.0]
+    alphas = np.array([s * a / w for a in aws for s in (1.0, -1.0)])
+    want = np.array([scalar_bump_fourier(bump, al, quad) for al in alphas])
+    assert np.count_nonzero(want) == len(alphas) - 4  # the four past the cutoff
+    assert np.array_equal(bump_fourier(bump, alphas, quad), want)
+    grid = alphas.reshape(2, -1)
+    got = bump_fourier(bump, grid, quad)
+    assert got.shape == grid.shape
+    assert np.array_equal(got, want.reshape(2, -1))
+    for al, v in zip(alphas, want):
+        got = bump_fourier(bump, al, quad)
+        assert isinstance(got, complex) and got == v
+    with pytest.raises(ValueError):
+        bump_fourier(bump, np.array([1.0, np.nan]), quad)
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x1, w1 = gauss_legendre_rule(-1.0, 3.0, 97)
+    x2, w2 = gauss_legendre_rule(-1.0, 3.0, 97)
+    assert np.array_equal(x1, x2) and np.array_equal(w1, w2)
+    for arr in (x1, w1):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    x, w = np.polynomial.legendre.leggauss(97)
+    assert np.array_equal(x1, 1.0 + 2.0 * x) and np.array_equal(w1, 2.0 * w)
 
 
 def test_l1_norm_positive_and_homogeneous():
