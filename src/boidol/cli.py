@@ -283,6 +283,27 @@ def _converge_zero_tables(field, plans, grids, ks, cfg, pool):
     return tables
 
 
+class _InlinePool:
+    """The executor for --threads 1: `map` runs in the calling thread.
+
+    A one-worker pool adds nothing but a thread, and that thread's own
+    malloc arena kept about 36 MiB of freed operator memory resident in
+    `converge zero` at --grid-scale 2.
+    """
+
+    map = staticmethod(map)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def _pool(threads: int):
+    return _InlinePool() if threads == 1 else ThreadPoolExecutor(max_workers=threads)
+
+
 def cmd_converge(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
@@ -291,7 +312,7 @@ def cmd_converge(args) -> int:
     ks = cfg["ks"]
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
     plans = _build_plans(cfg, regime)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    with _pool(args.threads) as pool:
         if regime == "OmegaNonzero":
             tables = _converge_omega_tables(field, plans, grids, ks, cfg, pool)
         else:
@@ -347,7 +368,7 @@ def cmd_norms(args) -> int:
     f = _build_testfun(cfg)
     sample = default_sample(scale=scale)
     rows = []
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    with _pool(args.threads) as pool:
         def pi_norm(pt):
             rho, lam = pt
             return op_norm(kernel_pi_rho_lambda(f, rho, lam, grids.lin))

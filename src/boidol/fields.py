@@ -15,7 +15,7 @@ condition checker for membership in the limit C*-algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -600,8 +600,9 @@ def check_rate_envelope(f: TestFunction, plan: SequencePlan, ks,
             KernelOperator.zero(grids.plus),
             t_minus @ cutoff_M(IntervalSpec.le(-lam_r), grids.minus),
             grids.pair, "b")
-        dev_a = op_norm(A @ V @ m_pos - V @ big_plus)
-        dev_b = op_norm(A @ V @ m_neg - V @ big_minus)
+        AV = A @ V
+        dev_a = op_norm(AV @ m_pos - V @ big_plus)
+        dev_b = op_norm(AV @ m_neg - V @ big_minus)
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
@@ -944,13 +945,12 @@ def _cond_continuity_low(field, cfg) -> dict:
 def _cond_compact_gamma2(field, cfg) -> dict:
     g = cfg.grids
     budget = cfg.rank_budget or g.lin.n // 8
-    rows = {}
+    rows, scale = {}, None
     for lab in cfg.sample.gamma2:
         mu, nu = ell_params(lab)
         A = field.ell(mu, nu, g.lin)
-        scale = max(op_norm(field.ell(ell_params(cfg.sample.gamma2[0])[0],
-                                      ell_params(cfg.sample.gamma2[0])[1],
-                                      g.lin)), 1e-30)
+        if scale is None:  # the norm at the first sampled point
+            scale = max(op_norm(A), 1e-30)
         d = compact_defect(A, budget)
         rows[f"ell({mu},{nu})"] = {"defect": d,
                                    "passed": bool(d < cfg.compact_tol * scale)}
@@ -982,7 +982,33 @@ def _cond_two_dim_degeneration(field, cfg) -> dict:
     return {"tables": tables, "passed": all(t["passed"] for t in tables)}
 
 
-def dstar_report(field: OperatorField, cfg: DstarConfig) -> dict:
+def _cond_compact_condition(field, cfg) -> dict:
+    return compact_condition_check(field, cfg.sample.gamma0, cfg.sigma0,
+                                   cfg.grids, cfg.rank_budget, cfg.compact_tol)
+
+
+# Conditions whose every number is the same for the adjoint field: they read
+# only operator norms of values and of differences of values, singular
+# values, and |psi|, and sigma(A*) = sigma(A), |conj(psi)| = |psi|.
+_ADJOINT_INVARIANT_CHECKS = (
+    ("1_vanishing_at_infinity", _cond_vanishing),
+    ("2a_continuity_generic", _cond_continuity_gamma3),
+    ("2b_compact_generic", _cond_compact_gamma3),
+    ("3a_continuity_lower", _cond_continuity_low),
+    ("3b_compact_two_dim", _cond_compact_gamma2),
+)
+# Conditions that compare the field with an operator built from its values
+# (the limit constructions, with cutoffs on one side, and the extension
+# map); these constructions do not commute with the adjoint.
+_ADJOINT_SENSITIVE_CHECKS = (
+    ("2c_two_point_limit", _cond_sigma_omega),
+    ("2d_three_zone_limit", _cond_sigma_zero),
+    ("3c_two_dim_degeneration", _cond_two_dim_degeneration),
+    ("3d_compact_condition", _cond_compact_condition),
+)
+
+
+def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dict:
     """Aggregate pass/fail report for the limit C*-algebra conditions.
 
     Conditions: (1) vanishing at infinity; (2a) norm continuity on the
@@ -990,39 +1016,31 @@ def dstar_report(field: OperatorField, cfg: DstarConfig) -> dict:
     rescaled two-point compression; (2d) convergence to the three-zone
     construction; (3a) continuity on the lower strata; (3b) compactness on
     the two-dimensional stratum; (3c) half-line degeneration of the
-    two-dimensional points; (3d) the compact condition; (4) the same suite
-    for the adjoint field.  Errors are collected per condition.
+    two-dimensional points; (3d) the compact condition.  Errors are
+    collected per condition.
+
+    (4) repeats the suite for the adjoint field, as the nine verdicts and
+    their conjunction.  Only 2c, 2d, 3c and 3d are recomputed on
+    `field.adjoint()`, by a nested call restricted to them: 1, 2a, 2b, 3a
+    and 3b read only norms, singular values and |psi|, which the adjoint
+    leaves unchanged, so their verdicts are taken from the primal pass.
+    `_checks` is that restriction; the nested call keeps the adjoint pass a
+    `dstar_report` call of its own, which the benchmark tracer times.
     """
     conditions = {}
-    checks = [
-        ("1_vanishing_at_infinity", _cond_vanishing),
-        ("2a_continuity_generic", _cond_continuity_gamma3),
-        ("2b_compact_generic", _cond_compact_gamma3),
-        ("2c_two_point_limit", _cond_sigma_omega),
-        ("2d_three_zone_limit", _cond_sigma_zero),
-        ("3a_continuity_lower", _cond_continuity_low),
-        ("3b_compact_two_dim", _cond_compact_gamma2),
-        ("3c_two_dim_degeneration", _cond_two_dim_degeneration),
-    ]
-    for name, fn in checks:
+    # sorted by name, which is the order of the conditions
+    for name, fn in _checks or sorted(_ADJOINT_INVARIANT_CHECKS
+                                      + _ADJOINT_SENSITIVE_CHECKS):
         try:
             conditions[name] = fn(field, cfg)
         except Exception as exc:  # aggregated, never fail-fast
             conditions[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
-    try:
-        conditions["3d_compact_condition"] = compact_condition_check(
-            field, cfg.sample.gamma0, cfg.sigma0, cfg.grids,
-            cfg.rank_budget, cfg.compact_tol)
-    except Exception as exc:
-        conditions["3d_compact_condition"] = {
-            "passed": False, "error": f"{type(exc).__name__}: {exc}"}
-    if cfg.check_adjoint:
-        sub = replace(cfg, check_adjoint=False)
-        adj = dstar_report(field.adjoint(), sub)
-        conditions["4_adjoint"] = {
-            "passed": adj["passed"],
-            "conditions": {k: v.get("passed") for k, v in adj["conditions"].items()},
-        }
+    if cfg.check_adjoint and _checks is None:
+        adj = dstar_report(field.adjoint(), cfg,
+                           _checks=_ADJOINT_SENSITIVE_CHECKS)["conditions"]
+        verdicts = {k: adj.get(k, v).get("passed") for k, v in conditions.items()}
+        conditions["4_adjoint"] = {"passed": all(verdicts.values()),
+                                   "conditions": verdicts}
     passed = all(c.get("passed", False) for c in conditions.values())
     return {"field": field.label, "provenance": field.provenance,
             "config": cfg.describe(), "conditions": conditions,

@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import eval_legendre
 
 from .errors import AsymmetricGrid
 
@@ -29,9 +30,27 @@ class QuadratureSpec:
             raise ValueError("need at least 2 quadrature nodes")
 
 
+def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p = eval_legendre(n, x)
+    return p, n * (eval_legendre(n - 1, x) - x * p) / (1.0 - x * x)
+
+
 @functools.lru_cache(maxsize=1024)
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
+    # the non-negative nodes, ascending; the guesses are within 2e-3 of the
+    # roots, so three quadratically converging steps reach rounding level
+    k = np.arange((n + 1) // 2, 0, -1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(3):
+        p, dp = _legendre_with_derivative(n, x)
+        x = x - p / dp
+    if n % 2:
+        x[0] = 0.0
+    _, dp = _legendre_with_derivative(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    mirror = slice(None, 0, -1) if n % 2 else slice(None, None, -1)
+    x = np.concatenate([-x[mirror], x])
+    w = np.concatenate([w[mirror], w])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -41,8 +60,12 @@ def gauss_legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndar
     """Gauss-Legendre nodes and weights on the interval [a, b], read-only.
 
     The [-1, 1] rule is computed once per `n` and cached (it depends on
-    nothing else); each call applies the affine map mid + half*x, half*w to
-    the cached arrays, so the result is the same as recomputing the rule.
+    nothing else): three Newton steps on P_n from Tricomi's asymptotic
+    guesses on the non-negative half, weights 2 / ((1 - x^2) P_n'(x)^2),
+    then mirrored, so the nodes are exactly antisymmetric, the weights
+    exactly symmetric and x = 0 is a node for odd n.  This is O(n^2) work in
+    scipy's Legendre evaluation instead of an n x n eigenproblem.  Each call
+    applies the affine map mid + half*x, half*w to the cached arrays.
     """
     x, w = _unit_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -69,10 +69,25 @@ class KernelOperator:
                               np.conj(self.entries).T, f"({self.label})*")
 
     def compose(self, other: "KernelOperator") -> "KernelOperator":
-        """The operator self o other (integration over the middle grid)."""
+        """The operator self o other (integration over the middle grid).
+
+        The kernel is entries @ (w[:, None] * other.entries) with w the middle
+        grid's weights.  When `other` is a real multiplication operator
+        (square, real, every nonzero on the diagonal, as `cutoff_M` is), it
+        is formed as a column scaling in O(n^2) instead of an O(n^3)
+        product: the same products, with only exact zeros left out of each
+        sum, so the result is the same.  A complex diagonal takes the
+        product: BLAS may fuse its complex multiply-adds, which a column
+        scaling would not round the same way.
+        """
         if other.codomain.n != self.domain.n:
             raise ValueError("grid mismatch in composition")
-        ent = self.entries @ (self.domain.weights[:, None] * other.entries)
+        d = np.diagonal(other.entries)
+        if (other.domain.n == other.codomain.n and not np.any(d.imag)
+                and np.count_nonzero(other.entries) == np.count_nonzero(d)):
+            ent = self.entries * (self.domain.weights * d)[None, :]
+        else:
+            ent = self.entries @ (self.domain.weights[:, None] * other.entries)
         return KernelOperator(other.domain, self.codomain, ent,
                               f"{self.label}.{other.label}")
 

@@ -143,9 +143,10 @@ def test_converge_zero_small_grid(tmp_path):
     assert zone_vals[-1] < 0.1 * zone_vals[0]
 
 
-def test_converge_zero_independent_of_threads(tmp_path):
-    """The thread pool shares no mutable state: one and two threads write
-    the same artifact and exit with the same code."""
+@pytest.mark.parametrize("regime", ["omega", "zero"])
+def test_converge_independent_of_threads(tmp_path, regime):
+    """The thread pool shares no mutable state: one thread (run inline) and
+    two pool threads write the same artifact and exit with the same code."""
     cfg_path = write_cfg(tmp_path, {"grid": {"n": 192, "n_half": 144},
                                     "ks": [4, 8]})
     codes, docs = [], []
@@ -153,8 +154,8 @@ def test_converge_zero_independent_of_threads(tmp_path):
         out = tmp_path / f"threads{threads}"
         out.mkdir()
         codes.append(main(["--config", cfg_path, "--out", str(out),
-                           "--threads", str(threads), "converge", "zero"]))
-        docs.append((out / "converge_zero.json").read_text())
+                           "--threads", str(threads), "converge", regime]))
+        docs.append((out / f"converge_{regime}.json").read_text())
     assert codes[0] == codes[1]
     assert docs[0] == docs[1]
 

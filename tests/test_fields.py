@@ -5,6 +5,7 @@ import pytest
 
 from boidol.errors import NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
+    _ADJOINT_INVARIANT_CHECKS,
     DstarConfig,
     FieldGrids,
     PowerSeq,
@@ -317,3 +318,36 @@ def test_dstar_report_collects_errors_instead_of_raising():
 def test_dstar_zero_field_is_a_member():
     rep = dstar_report(zero_field(), small_config())
     assert rep["passed"]
+
+
+def _assert_close_tree(a, b, path="report"):
+    """Same structure and verdicts; numbers within 1e-12 rel or 1e-14 abs."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_close_tree(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close_tree(x, y, f"{path}[{i}]")
+    elif isinstance(a, (bool, str)) or a is None:
+        assert a == b, path
+    else:
+        assert abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 1e-14), path
+
+
+def test_adjoint_invariant_conditions_agree_on_the_adjoint_field():
+    cfg = small_config()
+    adj = FIELD.adjoint()
+    for name, fn in _ADJOINT_INVARIANT_CHECKS:
+        _assert_close_tree(fn(FIELD, cfg), fn(adj, cfg), name)
+
+
+def test_adjoint_pass_reuses_invariant_verdicts():
+    rep = dstar_report(tamper_spike_on_characters(FIELD),
+                       small_config(check_adjoint=True))
+    adj = rep["conditions"]["4_adjoint"]
+    assert set(adj["conditions"]) == set(rep["conditions"]) - {"4_adjoint"}
+    assert not rep["conditions"]["3a_continuity_lower"]["passed"]
+    assert adj["conditions"]["3a_continuity_lower"] is False
+    assert not adj["passed"] and not rep["passed"]

@@ -73,6 +73,29 @@ def test_compose_matches_weighted_product():
     assert np.allclose((A @ B).apply(xi), A.apply(B.apply(xi)))
     assert np.allclose((A @ B).weighted(), A.weighted() @ B.weighted())
 
+    def product(A, B):  # the dense formula, bypassing compose
+        return A.entries @ (A.domain.weights[:, None] * B.entries)
+
+    # multiplication operators are applied as column scalings, bit for bit
+    for grid in (LIN, PAIR):
+        C = KernelOperator(grid, LIN, rng.standard_normal((LIN.n, grid.n))
+                           + 1j * rng.standard_normal((LIN.n, grid.n)))
+        for spec in (IntervalSpec.ge(0.3), IntervalSpec.abs_le(1.5)):
+            M = cutoff_M(spec, grid)
+            assert 0 < np.count_nonzero(M.entries) < grid.n
+            assert np.array_equal((C @ M).entries, product(C, M))
+        vals = rng.standard_normal(grid.n)
+        vals[::3] = 0.0
+        for D in (KernelOperator.diagonal(grid, vals),
+                  KernelOperator.diagonal(grid, vals * (1.0 + 0.5j))):
+            assert np.array_equal((C @ D).entries, product(C, D))
+    # one off-diagonal nonzero: the dense path, which keeps it
+    B = KernelOperator.diagonal(LIN, np.arange(LIN.n, dtype=float))
+    B.entries[3, 5] = 2.0
+    got = (A @ B).entries
+    assert np.array_equal(got, product(A, B))
+    assert not np.allclose(got, A.entries * (LIN.weights * np.diagonal(B.entries)))
+
 
 def test_compact_defect_examples():
     vals = np.array([3.0, 2.0, 1.0] + [0.0] * (LIN.n - 3))

@@ -117,8 +117,20 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
     for arr in (x1, w1):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    x, w = np.polynomial.legendre.leggauss(97)
-    assert np.array_equal(x1, 1.0 + 2.0 * x) and np.array_equal(w1, 2.0 * w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 97, 333, 700, 1401])
+def test_gauss_legendre_rule_accuracy(n):
+    """Exact on polynomials of degree <= 2n-1, mirror-symmetric, and on the
+    nodes of the eigenvalue construction to within rounding."""
+    x, w = gauss_legendre_rule(-1.0, 1.0, n)
+    moments = w @ np.polynomial.legendre.legvander(x, 2 * n - 1)
+    moments[0] -= 2.0
+    assert np.max(np.abs(moments)) <= 1e-13
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 4.5e-16
 
 
 def test_l1_norm_positive_and_homogeneous():
