@@ -18,14 +18,10 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from . import fields as _fields
 from .errors import BoidolError, PlanInfeasible
 from .fields import (
     DstarConfig,

@@ -447,17 +447,16 @@ def _block_pair(a_plus: KernelOperator, a_minus: KernelOperator,
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                  grids: FieldGrids, use_omega_k: bool = False) -> KernelOperator:
+                  grids: FieldGrids) -> KernelOperator:
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
     composed with the cutoff beyond R_k |lam_k| on its half-line, and the
-    block is conjugated back to the line by the rescaling unitary.  With
-    use_omega_k the field is instead evaluated at the running invariant.
+    block is conjugated back to the line by the rescaling unitary.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
-    eps, om = plan.eps, (plan.w_k(k) if use_omega_k else abs(plan.omega))
+    eps, om = plan.eps, abs(plan.omega)
     rho_k, lam_k = plan.rho(k), plan.lam(k)
     lam_r = plan.Rk(k) * abs(lam_k)
     a_plus = field_on_L.tau(eps * om, -eps, grids.plus)

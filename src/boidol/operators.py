@@ -5,6 +5,13 @@ operator; application integrates against the domain measure, so the matrix
 acting on plain coefficient vectors is entries @ diag(weights_dom).  The
 L^2 -> L^2 operator norm is the largest singular value of the symmetrically
 weighted matrix W_cod^(1/2) entries W_dom^(1/2).
+
+Cutoffs, compressions and the rescaling unitaries leave many operators with
+whole rows or columns of exact zeros.  The two O(n^3) kernels, the SVD and
+the dense composition, work on the block of rows and columns holding a
+nonzero and treat the rest as the exact zeros they are: an exact zero adds
+nothing to a product and a zero row or column only appends zero singular
+values, so only the rounding of the smaller LAPACK or BLAS call differs.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricGrid, NoConvergence
+from .errors import AsymmetricGrid
 from .grids import GridSpec
 
 __all__ = [
@@ -79,15 +86,32 @@ class KernelOperator:
         sum, so the result is the same.  A complex diagonal takes the
         product: BLAS may fuse its complex multiply-adds, which a column
         scaling would not round the same way.
+
+        The product runs on the nonzero block only: the rows of self and the
+        columns of other that hold a nonzero, summed over the middle indices
+        where both self's column and other's row hold one.  Every product
+        left out has an exact zero factor, so the block is the dense product
+        up to the rounding of a smaller BLAS call, and every entry outside
+        it is an exact zero.  (A non-finite entry that meets only exact
+        zeros is left out with them.)  When nothing is dropped it is the
+        plain product.
         """
         if other.codomain.n != self.domain.n:
             raise ValueError("grid mismatch in composition")
-        d = np.diagonal(other.entries)
+        a, b, w = self.entries, other.entries, self.domain.weights
+        d = np.diagonal(b)
         if (other.domain.n == other.codomain.n and not np.any(d.imag)
-                and np.count_nonzero(other.entries) == np.count_nonzero(d)):
-            ent = self.entries * (self.domain.weights * d)[None, :]
+                and np.count_nonzero(b) == np.count_nonzero(d)):
+            ent = a * (w * d)[None, :]
         else:
-            ent = self.entries @ (self.domain.weights[:, None] * other.entries)
+            rows, cols = a.any(axis=1), b.any(axis=0)
+            mid = a.any(axis=0) & b.any(axis=1)
+            if rows.all() and cols.all() and mid.all():
+                ent = a @ (w[:, None] * b)
+            else:
+                ent = np.zeros((a.shape[0], b.shape[1]), np.result_type(a, w, b))
+                ent[np.ix_(rows, cols)] = (a[np.ix_(rows, mid)]
+                                           @ (w[mid, None] * b[np.ix_(mid, cols)]))
         return KernelOperator(other.domain, self.codomain, ent,
                               f"{self.label}.{other.label}")
 
@@ -110,53 +134,35 @@ class KernelOperator:
     def __neg__(self):
         return self * (-1.0)
 
-    def norm(self, method: str = "SVD", tol: float = 1e-10) -> float:
-        return op_norm(self, method, tol)
-
 
 def _singular_values(A: KernelOperator) -> np.ndarray:
-    """Singular values of A.weighted(), largest first.
+    """Singular values of A.weighted(), largest first, min(shape) of them.
 
     The one SVD path of this module: the operator norm is entry 0 and the
-    compact defect at rank r is entry r.  Non-finite entries raise; a zero
-    matrix gives zeros without running the SVD.
+    compact defect at rank r is entry r.  Non-finite entries raise.  The SVD
+    runs on the block of rows and columns that hold a nonzero, and the
+    result is padded with zeros: the singular values of a matrix are those
+    of that block plus zeros, so entry r is 0 exactly when the block has
+    rank <= r, and only the rounding of LAPACK on the smaller matrix
+    differs.  A zero matrix gives zeros without running the SVD.
     """
     W = A.weighted()
     if not np.all(np.isfinite(W)):
         raise ValueError("non-finite entries")
-    if not np.any(W):
-        return np.zeros(min(W.shape))
-    return np.linalg.svd(W, compute_uv=False)
+    sv = np.zeros(min(W.shape))
+    rows, cols = W.any(axis=1), W.any(axis=0)
+    if not rows.any():
+        return sv
+    block = W if rows.all() and cols.all() else W[np.ix_(rows, cols)]
+    s = np.linalg.svd(block, compute_uv=False)
+    sv[:s.size] = s
+    return sv
 
 
-def op_norm(A: KernelOperator, method: str = "SVD", tol: float = 1e-10) -> float:
+def op_norm(A: KernelOperator) -> float:
     """L^2 -> L^2 operator norm of the discretized kernel operator."""
-    if method == "SVD":
-        sv = _singular_values(A)
-        return float(sv[0]) if sv.size else 0.0
-    W = A.weighted()
-    if not np.all(np.isfinite(W)):
-        raise ValueError("non-finite entries")
-    if method == "PowerIteration":
-        if not np.any(W):
-            return 0.0
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(W.shape[1]) + 1j * rng.standard_normal(W.shape[1])
-        v /= np.linalg.norm(v)
-        Wh = np.conj(W).T
-        prev = 0.0
-        for _ in range(10_000):
-            u = Wh @ (W @ v)
-            s = np.linalg.norm(u)
-            if s == 0:
-                return 0.0
-            v = u / s
-            est = np.sqrt(s)
-            if abs(est - prev) <= tol * max(1.0, est):
-                return float(est)
-            prev = est
-        raise NoConvergence("power iteration did not converge")
-    raise ValueError(f"unknown method {method!r}")
+    sv = _singular_values(A)
+    return float(sv[0]) if sv.size else 0.0
 
 
 def compact_defect(A: KernelOperator, rank: int) -> float:

@@ -174,8 +174,8 @@ def test_criterion_03_limit_sets():
 
 
 def test_criterion_04_kernel_oracles():
-    oracle_tests.test_pi_rho_lambda_group_integral_oracle()
-    oracle_tests.test_pi_ell_group_integral_oracle()
+    assert oracle_tests.pi_rho_lambda_oracle_error() < 1e-3
+    assert oracle_tests.pi_ell_oracle_error() < 1e-3
     _report(4, "kernel oracles", True, "group-integral oracles within 1e-3")
 
 

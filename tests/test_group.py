@@ -164,3 +164,24 @@ def test_invalid_labels_rejected():
         TwoDim(0.0, 1)
     with pytest.raises(ValueError):
         OneDim("Z", 1)
+
+
+def test_lie_brackets_from_group_commutators():
+    """[T,X] = -X, [T,Y] = Y, [X,Y] = Z, as the module docstring states: the
+    commutator of exp(eps A) and exp(eps B) is exp(eps^2 [A,B] + O(eps^3))."""
+    eps = 1e-4
+    T, X, Y = (0, 1, 2)
+
+    def one_parameter(axis):
+        coords = [0.0] * 4
+        coords[axis] = eps
+        return GroupElement(*coords)
+
+    def bracket(a, b):
+        g, h = one_parameter(a), one_parameter(b)
+        c = group_mul(group_mul(g, h), group_mul(group_inv(g), group_inv(h)))
+        return np.array(tuple(c)) / eps ** 2
+
+    assert np.allclose(bracket(T, X), [0, -1, 0, 0], rtol=0, atol=1e-3)
+    assert np.allclose(bracket(T, Y), [0, 0, 1, 0], rtol=0, atol=1e-3)
+    assert np.allclose(bracket(X, Y), [0, 0, 0, 1], rtol=0, atol=1e-3)

@@ -50,14 +50,6 @@ def test_rank_one_norm():
     assert abs(op_norm(A) - l2(LIN, phi) * l2(LIN, psi)) < 1e-8
 
 
-def test_power_iteration_matches_svd():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        ent = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        A = KernelOperator(LIN, LIN, ent)
-        assert abs(op_norm(A, "SVD") - op_norm(A, "PowerIteration", 1e-12)) < 1e-8
-
-
 def test_adjoint_weighted_matrix_is_conjugate_transpose():
     rng = np.random.default_rng(12)
     ent = rng.standard_normal((PAIR.n, LIN.n)) + 1j * rng.standard_normal((PAIR.n, LIN.n))
@@ -86,15 +78,36 @@ def test_compose_matches_weighted_product():
             assert np.array_equal((C @ M).entries, product(C, M))
         vals = rng.standard_normal(grid.n)
         vals[::3] = 0.0
-        for D in (KernelOperator.diagonal(grid, vals),
-                  KernelOperator.diagonal(grid, vals * (1.0 + 0.5j))):
-            assert np.array_equal((C @ D).entries, product(C, D))
+        D = KernelOperator.diagonal(grid, vals)
+        assert np.array_equal((C @ D).entries, product(C, D))
+        # a complex diagonal takes the dense path on its nonzero block
+        D = KernelOperator.diagonal(grid, vals * (1.0 + 0.5j))
+        got, want = (C @ D).entries, product(C, D)
+        assert not np.any(got[:, vals == 0])
+        block = want[:, vals != 0]
+        assert np.max(np.abs(got[:, vals != 0] - block)) <= 1e-14 * np.max(np.abs(block))
     # one off-diagonal nonzero: the dense path, which keeps it
     B = KernelOperator.diagonal(LIN, np.arange(LIN.n, dtype=float))
     B.entries[3, 5] = 2.0
     got = (A @ B).entries
     assert np.array_equal(got, product(A, B))
     assert not np.allclose(got, A.entries * (LIN.weights * np.diagonal(B.entries)))
+    # zero rows, columns and inner indices on both sides: the nonzero block
+    # only, exact zeros elsewhere
+    P = KernelOperator(LIN, PAIR, rng.standard_normal((PAIR.n, LIN.n))
+                       + 1j * rng.standard_normal((PAIR.n, LIN.n)))
+    P.entries[::4] = 0.0
+    P.entries[:, 1::3] = 0.0
+    P.entries[1] = 1j * P.entries[1].imag  # purely imaginary rows count
+    Q = KernelOperator(PAIR, LIN, rng.standard_normal((LIN.n, PAIR.n)))
+    Q.entries[::5] = 0.0
+    Q.entries[:, 2::7] = 0.0
+    got, want = (P @ Q).entries, product(P, Q)
+    assert got.dtype == want.dtype
+    outside = np.ones(got.shape, bool)
+    outside[np.ix_(P.entries.any(axis=1), Q.entries.any(axis=0))] = False
+    assert np.count_nonzero(outside) and not np.any(got[outside])
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_compact_defect_examples():
@@ -108,6 +121,61 @@ def test_compact_defect_examples():
     assert compact_defect(R1, 1) < 1e-12
     for B, rank in ((A, 1), (R1, 1), (A, LIN.n), (KernelOperator.zero(LIN), 2)):
         assert norm_and_defect(B, rank) == (op_norm(B), compact_defect(B, rank))
+
+
+def _assert_singular_values_match_full_svd(A):
+    full = np.linalg.svd(A.weighted(), compute_uv=False)
+    tol = 1e-13 * full[0]
+    assert abs(op_norm(A) - full[0]) <= tol
+    for r in range(len(full) + 1):
+        want = full[r] if r < len(full) else 0.0
+        assert abs(compact_defect(A, r) - want) <= tol
+        norm, defect = norm_and_defect(A, r)
+        assert abs(norm - full[0]) <= tol and abs(defect - want) <= tol
+
+
+def test_singular_values_drop_zero_rows_and_columns():
+    rng = np.random.default_rng(15)
+
+    def cplx(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    for rank in (3, PAIR.n):  # below and above every small budget
+        ent = cplx(PAIR.n, rank) @ cplx(rank, LIN.n)
+        ent[1::3] = 0.0
+        ent[:, ::4] = 0.0
+        ent[:, 40:] = 0.0
+        ent[:, 5] = 1j * ent[:, 5].imag  # purely imaginary columns count
+        _assert_singular_values_match_full_svd(KernelOperator(LIN, PAIR, ent))
+        _assert_singular_values_match_full_svd(KernelOperator(PAIR, LIN, ent.T.copy()))
+    zero = KernelOperator.zero(LIN, PAIR)
+    _assert_singular_values_match_full_svd(zero)
+    assert op_norm(zero) == 0.0 and norm_and_defect(zero, 0) == (0.0, 0.0)
+    one = KernelOperator.zero(LIN, PAIR)
+    one.entries[5, 7] = -3.0j
+    _assert_singular_values_match_full_svd(one)
+    assert compact_defect(one, 1) == 0.0
+
+
+def test_singular_values_property_over_zero_masks():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        rows = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        cols = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ent = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        ent[~rows] = 0.0
+        ent[:, ~cols] = 0.0
+        dom = GridSpec.log_half_line(1, 2.0, n)
+        cod = GridSpec.log_half_line(-1, 3.0, m)
+        _assert_singular_values_match_full_svd(KernelOperator(dom, cod, ent))
+
+    check()
 
 
 def test_cutoffs_partition_and_idempotence():
