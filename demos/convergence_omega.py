@@ -34,7 +34,7 @@ def main():
               f"{plan.Rk(k):<8.3f} {dev:.6f}")
     print(f"\nfinal/initial deviation ratio: {devs[-1] / devs[0]:.3f}")
 
-    rate = check_rate_envelope(field.source, plan, ks, grids)
+    rate = check_rate_envelope(field, plan, ks, grids)
     print(f"fitted envelope constant C = {rate['C']:.5f}, "
           f"majorizes later indices: {rate['passed']}")
 

@@ -151,13 +151,6 @@ def _write_rows_csv(path: str, rows: list[dict], cfg_hash: str) -> None:
             writer.writerow(out)
 
 
-def _build_grids(cfg: dict, scale: int) -> FieldGrids:
-    g = cfg["grid"]
-    return FieldGrids(
-        GridSpec.linear(g["L"] * scale, g["n"] * scale),
-        GridSpec.log_pair(g["V"] * scale, g["n_half"] * scale))
-
-
 def _build_testfun(cfg: dict):
     spec = cfg["test_function"]
     if spec is None:
@@ -220,7 +213,6 @@ def cmd_orbits(args) -> int:
 
 
 def _converge_omega_tables(field, plans, grids, ks, cfg, pool):
-    f = field.source
     tables = []
     for name, plan in plans:
         def dev_at(k):
@@ -233,11 +225,11 @@ def _converge_omega_tables(field, plans, grids, ks, cfg, pool):
             row = {"k": k, "rho_k": plan.rho(k), "lambda_k": plan.lam(k),
                    "R_k": plan.Rk(k), "value": dev, "bound": None}
             rows.append(row)
-        rate = check_rate_envelope(f, plan, ks, grids)
+        rate = check_rate_envelope(field, plan, ks, grids)
         tables.append({
             "name": name, "plan": plan.describe(), "rows": rows,
-            "tail_rows": check_tail_cutoff(f, plan, ks, grids),
-            "small_zone_rows": check_small_zone(f, plan, ks, grids),
+            "tail_rows": check_tail_cutoff(field, plan, ks, grids),
+            "small_zone_rows": check_small_zone(field, plan, ks, grids),
             "rate_rows": rate["rows"], "rate_C": rate["C"],
             "rate_passed": rate["passed"],
             "passed": tends_to_zero(devs, cfg["decay_ratio"], cfg["wiggle"])
@@ -303,7 +295,9 @@ def _pool(threads: int):
 def cmd_converge(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
-    grids = _build_grids(cfg, args.grid_scale)
+    g = cfg["grid"]
+    grids = FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"],
+                               scale=args.grid_scale)
     field = fourier_field(_build_testfun(cfg))
     ks = cfg["ks"]
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
@@ -329,7 +323,8 @@ def cmd_dstar(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     scale = args.grid_scale
-    grids = _build_grids(cfg, scale)
+    g = cfg["grid"]
+    grids = FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"], scale=scale)
     field = fourier_field(_build_testfun(cfg))
     dcfg = DstarConfig(
         grids=grids, sample=default_sample(scale=scale),
@@ -360,7 +355,8 @@ def cmd_norms(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     scale = args.grid_scale
-    grids = _build_grids(cfg, scale)
+    g = cfg["grid"]
+    grids = FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"], scale=scale)
     f = _build_testfun(cfg)
     sample = default_sample(scale=scale)
     rows = []

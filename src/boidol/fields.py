@@ -536,13 +536,16 @@ def _plan_row(plan: SequencePlan, k: int) -> dict:
             "R_k": plan.Rk(k)}
 
 
-def check_tail_cutoff(f: TestFunction, plan: SequencePlan, ks,
-                     grids: FieldGrids) -> list[dict]:
-    """Norm of the generic operator beyond the rescaled tail cutoff."""
+def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
+                      grids: FieldGrids) -> list[dict]:
+    """Norm of the generic operator beyond the rescaled tail cutoff.
+
+    The generic operators are read from the field's cache.
+    """
     rows = []
     for k in ks:
         rho_k, lam_k = plan.rho(k), plan.lam(k)
-        A = kernel_pi_rho_lambda(f, rho_k, lam_k, grids.lin)
+        A = field.pi(rho_k, lam_k, grids.lin)
         V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
         M = cutoff_M(IntervalSpec.abs_ge(plan.Rk(k)), grids.pair)
         row = _plan_row(plan, k)
@@ -552,13 +555,16 @@ def check_tail_cutoff(f: TestFunction, plan: SequencePlan, ks,
     return rows
 
 
-def check_small_zone(f: TestFunction, plan: SequencePlan, ks,
-                      grids: FieldGrids) -> list[dict]:
-    """Norm of the generic operator compressed to the small zone."""
+def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
+                     grids: FieldGrids) -> list[dict]:
+    """Norm of the generic operator compressed to the small zone.
+
+    The generic operators are read from the field's cache.
+    """
     rows = []
     for k in ks:
         rho_k, lam_k = plan.rho(k), plan.lam(k)
-        A = kernel_pi_rho_lambda(f, rho_k, lam_k, grids.lin)
+        A = field.pi(rho_k, lam_k, grids.lin)
         V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
         M = cutoff_M(IntervalSpec.abs_le(plan.Rk(k) * abs(lam_k)), grids.pair)
         row = _plan_row(plan, k)
@@ -569,14 +575,15 @@ def check_small_zone(f: TestFunction, plan: SequencePlan, ks,
     return rows
 
 
-def check_rate_envelope(f: TestFunction, plan: SequencePlan, ks,
-                     grids: FieldGrids) -> dict:
+def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
+                        grids: FieldGrids) -> dict:
     """Half-line deviations against the rate envelope, with a fitted constant.
 
     Part (a) compares the generic operator on the positive half-line with the
     rescaled running two-parameter point; part (b) mirrors it.  The envelope
     |omega_k| / (R_k^2 |lam_k|) + 1/R_k majorizes both parts up to a constant
-    fitted on the first two indices.
+    fitted on the first two indices.  The generic operators and the two
+    half-line limit operators are read from the field's cache.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
@@ -586,12 +593,12 @@ def check_rate_envelope(f: TestFunction, plan: SequencePlan, ks,
         rho_k, lam_k = plan.rho(k), plan.lam(k)
         wk = plan.w_k(k)
         lam_r = plan.Rk(k) * abs(lam_k)
-        A = kernel_pi_rho_lambda(f, rho_k, lam_k, grids.lin)
+        A = field.pi(rho_k, lam_k, grids.lin)
         V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
         m_pos = cutoff_M(IntervalSpec.ge(0.0), grids.pair)
         m_neg = cutoff_M(IntervalSpec.le(0.0), grids.pair)
-        t_plus = kernel_tau(f, eps * wk, -eps, grids.plus)
-        t_minus = kernel_tau(f, -eps * wk, eps, grids.minus)
+        t_plus = field.tau(eps * wk, -eps, grids.plus)
+        t_minus = field.tau(-eps * wk, eps, grids.minus)
         big_plus = _block_pair(
             t_plus @ cutoff_M(IntervalSpec.ge(lam_r), grids.plus),
             KernelOperator.zero(grids.minus), grids.pair, "a")

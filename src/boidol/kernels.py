@@ -25,7 +25,6 @@ __all__ = [
     "character_value",
     "vk_operator",
     "vk_adjoint",
-    "interp_rows",
 ]
 
 
@@ -129,30 +128,6 @@ def character_value(f: TestFunction, tau: float,
         return 0.0 + 0.0j
     vals = eval_hatF234(f, ts, 0.0, 0.0, 0.0, quad)
     return complex(np.sum(ws * np.exp(-1j * tau * ts) * vals))
-
-
-def interp_rows(nodes: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation matrix on a uniform node set.
-
-    Row r reconstructs a function value at targets[r] from the four nearest
-    nodes; targets outside the node range give zero rows.
-    """
-    n = len(nodes)
-    h = nodes[1] - nodes[0]
-    out = np.zeros((len(targets), n))
-    pos = (targets - nodes[0]) / h
-    valid = (targets >= nodes[0] - 0.5 * h) & (targets <= nodes[-1] + 0.5 * h)
-    j0 = np.clip(np.floor(pos).astype(int) - 1, 0, n - 4)
-    for r in range(len(targets)):
-        if not valid[r]:
-            continue
-        j = j0[r]
-        xs = nodes[j:j + 4]
-        t = targets[r]
-        for m in range(4):
-            others = np.delete(xs, m)
-            out[r, j + m] = np.prod((t - others) / (xs[m] - others))
-    return out
 
 
 def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,

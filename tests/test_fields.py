@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,11 +9,15 @@ from boidol.fields import (
     _ADJOINT_INVARIANT_CHECKS,
     DstarConfig,
     FieldGrids,
+    OperatorField,
     PowerSeq,
     SequencePlan,
     Sigma0Config,
     SpectrumSample,
     check_dek_muk,
+    check_rate_envelope,
+    check_small_zone,
+    check_tail_cutoff,
     compact_condition_check,
     default_plan,
     default_sample,
@@ -33,7 +38,8 @@ from boidol.fields import (
 )
 from boidol.grids import GridSpec
 from boidol.group import Character, OneDim, TwoDim
-from boidol.operators import op_norm
+from boidol.kernels import kernel_pi_rho_lambda, kernel_tau, vk_operator
+from boidol.operators import IntervalSpec, KernelOperator, cutoff_M, op_norm
 from boidol.testfun import default_test_function
 
 F = default_test_function()
@@ -177,6 +183,86 @@ def test_sigma_k_zero_linear_in_the_field():
     one = sigma_k_zero(FIELD, 4, pz, GRIDS)
     two = sigma_k_zero(fourier_field(F.scaled(2.0)), 4, pz, GRIDS)
     assert np.allclose(two.entries, 2.0 * one.entries)
+
+
+# ---------------------------------------------------------------------------
+# the quantitative degeneration checks
+
+
+CHECK_KS = (4, 8, 16)
+
+
+def _omega_plan():
+    return default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1))
+
+
+def _reference_check_rows(plan, ks, grids):
+    """The tail, small-zone and rate rows built straight from the kernels."""
+    tail, small, rate = [], [], []
+    pair, eps = grids.pair, plan.eps
+    half = grids.plus.n
+    for k in ks:
+        rho_k, lam_k, R_k = plan.rho(k), plan.lam(k), plan.Rk(k)
+        wk, lam_r = plan.w_k(k), R_k * abs(lam_k)
+        base = {"k": k, "rho_k": rho_k, "lambda_k": lam_k, "R_k": R_k}
+        A = kernel_pi_rho_lambda(F, rho_k, lam_k, grids.lin)
+        V = vk_operator(rho_k, lam_k, pair, grids.lin)
+        AV = A @ V
+        tail.append({**base, "bound": None, "value": op_norm(
+            AV @ cutoff_M(IntervalSpec.abs_ge(R_k), pair))})
+        small.append({**base, "bound": None, "value": op_norm(
+            AV @ cutoff_M(IntervalSpec.abs_le(lam_r), pair))})
+        t_plus = kernel_tau(F, eps * wk, -eps, grids.plus)
+        t_minus = kernel_tau(F, -eps * wk, eps, grids.minus)
+        ent_plus = np.zeros((pair.n, pair.n), complex)
+        ent_plus[:half, :half] = (
+            t_plus @ cutoff_M(IntervalSpec.ge(lam_r), grids.plus)).entries
+        ent_minus = np.zeros((pair.n, pair.n), complex)
+        ent_minus[half:, half:] = (
+            t_minus @ cutoff_M(IntervalSpec.le(-lam_r), grids.minus)).entries
+        dev_a = op_norm(AV @ cutoff_M(IntervalSpec.ge(0.0), pair)
+                        - V @ KernelOperator(pair, pair, ent_plus))
+        dev_b = op_norm(AV @ cutoff_M(IntervalSpec.le(0.0), pair)
+                        - V @ KernelOperator(pair, pair, ent_minus))
+        rate.append({**base, "dev_a": dev_a, "dev_b": dev_b,
+                     "envelope_unit": abs(wk) / (R_k ** 2 * abs(lam_k)) + 1.0 / R_k})
+    C = max(max(r["dev_a"], r["dev_b"]) / r["envelope_unit"] for r in rate[:2])
+    for r in rate:
+        r["bound"] = 1.5 * C * r["envelope_unit"]
+    return tail, small, rate, C
+
+
+def test_degeneration_checks_equal_the_kernel_reference():
+    plan = _omega_plan()
+    field = fourier_field(F)
+    tail, small, rate, C = _reference_check_rows(plan, CHECK_KS, GRIDS)
+    assert check_tail_cutoff(field, plan, CHECK_KS, GRIDS) == tail
+    assert check_small_zone(field, plan, CHECK_KS, GRIDS) == small
+    got = check_rate_envelope(field, plan, CHECK_KS, GRIDS)
+    assert got["rows"] == rate and got["C"] == C
+    assert got["passed"] == all(max(r["dev_a"], r["dev_b"]) <= r["bound"]
+                                for r in rate[2:])
+
+
+def test_degeneration_checks_read_the_field_cache():
+    source = fourier_field(F)
+    builds = collections.Counter()
+
+    def provider(key):
+        builds[key[0]] += 1
+        return source.at(key)
+
+    field = OperatorField(provider, "FourierOf", "counting")
+    plan = _omega_plan()
+    for k in CHECK_KS:
+        field.pi(plan.rho(k), plan.lam(k), GRIDS.lin)
+        sigma_k_omega(field, k, plan, GRIDS)
+    assert builds["pi"] == len(CHECK_KS) and builds["tau"] == 2
+    before = dict(builds)
+    check_tail_cutoff(field, plan, CHECK_KS, GRIDS)
+    check_small_zone(field, plan, CHECK_KS, GRIDS)
+    check_rate_envelope(field, plan, CHECK_KS, GRIDS)
+    assert dict(builds) == before
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from boidol.grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from boidol.kernels import (
     character_value,
-    interp_rows,
     kernel_pi_ell,
     kernel_pi_rho_lambda,
     kernel_tau,
@@ -72,7 +71,12 @@ def pi_rho_lambda_oracle_error() -> float:
     g_b = inverse_bump_on(tm.b_b, zs)
     Zc = np.trapezoid(g_b * np.exp(-1j * lam * zs), zs)
     thetas = np.linspace(-40, 40, 6001)
-    G = np.trapezoid(g_a[None, :] * np.exp(1j * np.outer(thetas, ys)), ys, axis=1)
+    # G in row chunks: the one-shot 6001 x 16001 integrand takes 1.5 GiB a copy
+    G = np.empty(len(thetas), complex)
+    for i in range(0, len(thetas), 256):
+        th = thetas[i:i + 256]
+        G[i:i + 256] = np.trapezoid(g_a[None, :] * np.exp(1j * np.outer(th, ys)),
+                                    ys, axis=1)
 
     out = np.zeros(len(u), dtype=complex)
     for t, bt in zip(ts, tm.b_t(ts)):
@@ -234,17 +238,6 @@ def test_character_decay_and_linearity():
     assert abs(character_value(two, 1.3) - 2 * character_value(F, 1.3)) < 1e-12
     fine = character_value(F, 2.0, QuadratureSpec(128))
     assert abs(character_value(F, 2.0) - fine) < 1e-10
-
-
-def test_interp_rows_reproduces_cubics():
-    nodes = np.linspace(-3, 3, 41)
-    targets = np.array([-2.3, 0.17, 1.9])
-    P = interp_rows(nodes, targets)
-    for poly in (lambda s: s ** 3 - s, lambda s: 1 + s ** 2):
-        assert np.allclose(P @ poly(nodes), poly(targets), atol=1e-12)
-    # outside the range: zero rows
-    P2 = interp_rows(nodes, np.array([5.0]))
-    assert np.all(P2 == 0)
 
 
 def test_norm_continuity_and_vanishing_at_infinity():
