@@ -1,5 +1,9 @@
 import collections
+import gc
 import math
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from boidol.errors import NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
     _ADJOINT_INVARIANT_CHECKS,
+    _ADJOINT_SENSITIVE_CHECKS,
     DstarConfig,
     FieldGrids,
     OperatorField,
@@ -112,6 +117,80 @@ def test_adjoint_field():
     assert np.array_equal(adj.pi(0.5, 1.0, GRIDS.lin).entries,
                           np.conj(a.entries).T)
     assert adj.char(1.0) == np.conj(FIELD.char(1.0))
+
+
+def test_concurrent_reads_of_one_key_build_it_once():
+    builds = collections.Counter()
+
+    def slow(key):
+        builds[key] += 1
+        time.sleep(0.05)
+        return object()
+
+    field = OperatorField(slow)
+    got = [None] * 4
+
+    def read(i):
+        got[i] = field.at(("char", 1.0))
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert builds == {("char", 1.0): 1}
+    assert all(v is got[0] for v in got)
+
+
+def test_builds_of_distinct_keys_run_side_by_side():
+    # each build waits for the other at the barrier, so builds that ran one
+    # after the other would break it
+    meet = threading.Barrier(2, timeout=5.0)
+
+    def provider(key):
+        meet.wait()
+        return key[1]
+
+    field = OperatorField(provider)
+    got = {}
+
+    def read(tau):
+        got[tau] = field.char(tau)
+
+    threads = [threading.Thread(target=read, args=(tau,)) for tau in (1.0, 2.0)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    assert got == {1.0: 1.0, 2.0: 2.0}
+
+
+def test_failed_build_is_not_cached():
+    calls = []
+
+    def provider(key):
+        calls.append(key)
+        if len(calls) == 1:
+            raise RuntimeError("first build fails")
+        return 1.0
+
+    field = OperatorField(provider)
+    with pytest.raises(RuntimeError):
+        field.char(0.0)
+    assert field.char(0.0) == 1.0 and len(calls) == 2
+
+
+def test_view_reads_through_and_never_writes_to_its_base():
+    base = fourier_field(F)
+    cached = base.pi(0.0, 1.0, GRIDS.lin)
+    view = base.view()
+    assert view.pi(0.0, 1.0, GRIDS.lin) is cached
+    built = view.pi(0.5, 1.0, GRIDS.lin)
+    assert view.pi(0.5, 1.0, GRIDS.lin) is built
+    assert list(base._cache) == [("pi", 0.0, 1.0, GRIDS.lin)]
+    assert np.array_equal(built.entries, base.pi(0.5, 1.0, GRIDS.lin).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +516,47 @@ def test_adjoint_pass_reuses_invariant_verdicts():
     assert not rep["conditions"]["3a_continuity_lower"]["passed"]
     assert adj["conditions"]["3a_continuity_lower"] is False
     assert not adj["passed"] and not rep["passed"]
+
+
+def _counting_field(builds):
+    source = fourier_field(F)
+
+    def provider(key):
+        builds[key] += 1
+        return source.at(key)
+
+    return OperatorField(provider, "FourierOf", "counting")
+
+
+def test_adjoint_field_retains_nothing():
+    field = fourier_field(F)
+    adj = field.adjoint()
+    ref = weakref.ref(adj.pi(0.5, 1.0, GRIDS.lin))
+    gc.collect()
+    assert ref() is None
+    assert adj.pi(0.5, 1.0, GRIDS.lin) is not adj.pi(0.5, 1.0, GRIDS.lin)
+    assert list(field._cache) == [("pi", 0.5, 1.0, GRIDS.lin)]
+
+
+def test_report_keeps_only_what_the_adjoint_pass_reads():
+    cfg = small_config(check_adjoint=True)
+    field = fourier_field(F)
+    rep = dstar_report(field, cfg)
+    names = sorted(name for name, _ in
+                   _ADJOINT_INVARIANT_CHECKS + _ADJOINT_SENSITIVE_CHECKS)
+    assert list(rep["conditions"]) == names + ["4_adjoint"]
+    # read only by the adjoint-invariant conditions
+    for key in (("pi", 0.0, 1.0, GRIDS.lin), ("pi", 48.0, 1.0, GRIDS.lin),
+                ("ell", 0.7, 1.0, GRIDS.lin), ("ell", 1.3, -1.0, GRIDS.lin)):
+        assert key not in field._cache
+    sensitive = fourier_field(F)
+    dstar_report(sensitive, cfg, _checks=_ADJOINT_SENSITIVE_CHECKS)
+    assert field._cache.keys() == sensitive._cache.keys()
+
+
+def test_adjoint_pass_builds_nothing():
+    with_adj, without = collections.Counter(), collections.Counter()
+    rep = dstar_report(_counting_field(with_adj), small_config(check_adjoint=True))
+    dstar_report(_counting_field(without), small_config(check_adjoint=False))
+    assert "4_adjoint" in rep["conditions"]
+    assert with_adj == without

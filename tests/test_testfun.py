@@ -152,7 +152,10 @@ def test_l1_norm_against_brute_force():
     def inv_abs_integral(bump):
         ys = np.linspace(-500, 500, 20001)
         aa = np.linspace(*bump.support, 3001)
-        g = np.trapezoid(bump(aa)[None, :] * np.exp(1j * np.outer(ys, aa)), aa, axis=1)
+        # 1000 rows of the (ys, aa) table at a time: 48 MB instead of 960 MB
+        g = np.concatenate([
+            np.trapezoid(bump(aa)[None, :] * np.exp(1j * np.outer(rows, aa)), aa, axis=1)
+            for rows in np.array_split(ys, range(1000, len(ys), 1000))])
         return np.trapezoid(np.abs(g) / (2 * np.pi), ys)
 
     want = i_t * i_x * inv_abs_integral(tm.b_a) * inv_abs_integral(tm.b_b)
