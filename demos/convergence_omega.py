@@ -12,9 +12,8 @@ from boidol import (
     check_rate_envelope,
     default_plan,
     default_test_function,
+    deviation_rows,
     fourier_field,
-    op_norm,
-    sigma_k_omega,
 )
 
 
@@ -25,14 +24,12 @@ def main():
     ks = (4, 8, 16, 32, 64)
 
     print("k     rho_k   lambda_k   R_k      deviation")
-    devs = []
-    for k in ks:
-        A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-        dev = op_norm(A - sigma_k_omega(field, k, plan, grids))
-        devs.append(dev)
-        print(f"{k:<5d} {plan.rho(k):<7.1f} {plan.lam(k):<10.4f} "
-              f"{plan.Rk(k):<8.3f} {dev:.6f}")
-    print(f"\nfinal/initial deviation ratio: {devs[-1] / devs[0]:.3f}")
+    rows = deviation_rows(field, plan, ks, grids)
+    for r in rows:
+        print(f"{r['k']:<5d} {r['rho_k']:<7.1f} {r['lambda_k']:<10.4f} "
+              f"{r['R_k']:<8.3f} {r['value']:.6f}")
+    print(f"\nfinal/initial deviation ratio: "
+          f"{rows[-1]['value'] / rows[0]['value']:.3f}")
 
     rate = check_rate_envelope(field, plan, ks, grids)
     print(f"fitted envelope constant C = {rate['C']:.5f}, "

@@ -14,10 +14,9 @@ from boidol import (
     PowerSeq,
     default_plan,
     default_test_function,
+    deviation_rows,
     fourier_field,
-    op_norm,
-    s_k_zero,
-    sigma_k_zero,
+    zone_deviation_rows,
 )
 
 
@@ -27,21 +26,17 @@ def main():
     plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
 
     print("full deviation on the line:")
-    for k in (4, 8, 16, 32, 64):
-        A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-        dev = op_norm(A - sigma_k_zero(field, k, plan, grids))
-        print(f"  k={k:<4d} omega_k={plan.w_k(k):.4f}  deviation {dev:.6f}")
+    for r in deviation_rows(field, plan, (4, 8, 16, 32, 64), grids):
+        k = r["k"]
+        print(f"  k={k:<4d} omega_k={plan.w_k(k):.4f}  deviation {r['value']:.6f}")
 
     print("\nhalf-line three-zone deviations:")
-    eps = plan.eps
-    for k in (4, 64, 1024, 4 ** 7, 4 ** 9, 4 ** 10):
-        wk = plan.w_k(k)
-        dev_p = op_norm(field.tau(wk, -float(eps), grids.plus)
-                        - s_k_zero(field, k, plan, 1, grids))
-        dev_m = op_norm(field.tau(-wk, float(eps), grids.minus)
-                        - s_k_zero(field, k, plan, -1, grids))
+    ks = (4, 64, 1024, 4 ** 7, 4 ** 9, 4 ** 10)
+    for r in zone_deviation_rows(field, plan, ks, grids):
+        k = r["k"]
         exp = round(math.log(k, 4))
-        print(f"  k=4^{exp:<3d} ({k:>8d})  plus {dev_p:.6f}  minus {dev_m:.6f}")
+        print(f"  k=4^{exp:<3d} ({k:>8d})  plus {r['dev_plus']:.6f}  "
+              f"minus {r['dev_minus']:.6f}")
 
 
 if __name__ == "__main__":

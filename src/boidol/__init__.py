@@ -11,7 +11,6 @@ from .errors import (
     AsymmetricGrid,
     BoidolError,
     MissingLimitPoint,
-    NoConvergence,
     NotProperlyConverging,
     NyquistViolation,
     PlanInfeasible,
@@ -89,6 +88,7 @@ from .fields import (
     default_dstar_config,
     default_plan,
     default_sample,
+    deviation_rows,
     dstar_report,
     ell_params,
     fourier_field,
@@ -103,6 +103,7 @@ from .fields import (
     tends_to_zero,
     validate_plan,
     zero_field,
+    zone_deviation_rows,
 )
 
 __version__ = "0.1.0"

@@ -32,13 +32,12 @@ from .fields import (
     check_tail_cutoff,
     default_plan,
     default_sample,
+    deviation_rows,
     dstar_report,
     ell_params,
     fourier_field,
-    s_k_zero,
-    sigma_k_omega,
-    sigma_k_zero,
     tends_to_zero,
+    zone_deviation_rows,
 )
 from .grids import GridSpec
 from .kernels import kernel_pi_ell, kernel_pi_rho_lambda
@@ -57,7 +56,6 @@ from .testfun import default_test_function, from_json as testfun_from_json
 OUT_ENV = "BOIDOL_OUT"
 
 DEFAULT_CONFIG = {
-    "seed": 0,
     "grid": {"L": 12.0, "n": 512, "V": 6.0, "n_half": 384},
     "test_function": None,
     "sequences": [
@@ -215,16 +213,7 @@ def cmd_orbits(args) -> int:
 def _converge_omega_tables(field, plans, grids, ks, cfg, pool):
     tables = []
     for name, plan in plans:
-        def dev_at(k):
-            A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-            return op_norm(A - sigma_k_omega(field, k, plan, grids))
-
-        devs = list(pool.map(dev_at, ks))
-        rows = []
-        for k, dev in zip(ks, devs):
-            row = {"k": k, "rho_k": plan.rho(k), "lambda_k": plan.lam(k),
-                   "R_k": plan.Rk(k), "value": dev, "bound": None}
-            rows.append(row)
+        rows = deviation_rows(field, plan, ks, grids, map=pool.map)
         rate = check_rate_envelope(field, plan, ks, grids)
         tables.append({
             "name": name, "plan": plan.describe(), "rows": rows,
@@ -232,8 +221,8 @@ def _converge_omega_tables(field, plans, grids, ks, cfg, pool):
             "small_zone_rows": check_small_zone(field, plan, ks, grids),
             "rate_rows": rate["rows"], "rate_C": rate["C"],
             "rate_passed": rate["passed"],
-            "passed": tends_to_zero(devs, cfg["decay_ratio"], cfg["wiggle"])
-                      and rate["passed"],
+            "passed": tends_to_zero([r["value"] for r in rows], cfg["decay_ratio"],
+                                    cfg["wiggle"]) and rate["passed"],
         })
     return tables
 
@@ -241,32 +230,16 @@ def _converge_omega_tables(field, plans, grids, ks, cfg, pool):
 def _converge_zero_tables(field, plans, grids, ks, cfg, pool):
     tables = []
     for name, plan in plans:
-        def dev_at(k):
-            A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-            return op_norm(A - sigma_k_zero(field, k, plan, grids))
-
-        devs = list(pool.map(dev_at, ks))
-        rows = [{"k": k, "rho_k": plan.rho(k), "lambda_k": plan.lam(k),
-                 "R_k": plan.Rk(k), "value": dev, "bound": None}
-                for k, dev in zip(ks, devs)]
+        rows = deviation_rows(field, plan, ks, grids, map=pool.map)
         zone_ks = [k for k in (4, 64, 1024, 4 ** 7, 4 ** 9) if k >= min(ks)]
-        zone_rows = []
-        zone_devs = []
-        for k in zone_ks:
-            wk, eps = plan.w_k(k), plan.eps
-            dev_p = op_norm(field.tau(wk, -float(eps), grids.plus)
-                            - s_k_zero(field, k, plan, 1, grids))
-            dev_m = op_norm(field.tau(-wk, float(eps), grids.minus)
-                            - s_k_zero(field, k, plan, -1, grids))
-            zone_devs.append(max(dev_p, dev_m))
-            zone_rows.append({"k": k, "rho_k": plan.rho(k),
-                              "lambda_k": plan.lam(k), "R_k": plan.Rk(k),
-                              "value": max(dev_p, dev_m), "bound": None})
+        zone_rows = zone_deviation_rows(field, plan, zone_ks, grids)
         tables.append({
             "name": name, "plan": plan.describe(), "rows": rows,
             "three_zone_rows": zone_rows,
-            "passed": tends_to_zero(devs, cfg["slow_decay_ratio"], cfg["wiggle"])
-                      and tends_to_zero(zone_devs, cfg["decay_ratio"], cfg["wiggle"]),
+            "passed": tends_to_zero([r["value"] for r in rows],
+                                    cfg["slow_decay_ratio"], cfg["wiggle"])
+                      and tends_to_zero([r["value"] for r in zone_rows],
+                                        cfg["decay_ratio"], cfg["wiggle"]),
         })
     return tables
 

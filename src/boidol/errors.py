@@ -39,7 +39,3 @@ class PlanInfeasible(BoidolError):
 
 class NyquistViolation(BoidolError):
     """A sampled scalar field is too coarse for inverse Fourier synthesis."""
-
-
-class NoConvergence(BoidolError):
-    """An iterative solver exceeded its iteration cap."""

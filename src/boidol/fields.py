@@ -63,6 +63,8 @@ __all__ = [
     "sigma_k_omega",
     "s_k_zero",
     "sigma_k_zero",
+    "deviation_rows",
+    "zone_deviation_rows",
     "check_tail_cutoff",
     "check_small_zone",
     "check_rate_envelope",
@@ -107,11 +109,6 @@ class FieldGrids:
     @property
     def minus(self) -> GridSpec:
         return self.pair.parts[1]
-
-    def scaled(self, s: int) -> "FieldGrids":
-        return FieldGrids(
-            GridSpec.linear(self.lin.half_width * s, self.lin.n * s),
-            GridSpec.log_pair(self.pair.half_width * s, (self.pair.n // 2) * s))
 
 
 @dataclass(frozen=True)
@@ -590,9 +587,53 @@ def _plan_row(plan: SequencePlan, k: int) -> dict:
             "R_k": plan.Rk(k)}
 
 
-def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
-                      grids: FieldGrids) -> list[dict]:
-    """Norm of the generic operator beyond the rescaled tail cutoff.
+def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
+                   grids: FieldGrids, map=map) -> list[dict]:
+    """The deviations ||A_k - sigma_k|| of the generic operators, one row per k.
+
+    A_k is the field's generic operator at (rho_k, lam_k) and sigma_k the
+    limit approximation of the plan's regime: `sigma_k_omega` for
+    "OmegaNonzero", `sigma_k_zero` for "OmegaZero".  Each row is the plan
+    row of k with `value` the deviation and `bound` None.  `map` runs the
+    per-k work (a thread pool's `map` spreads it over threads); the rows
+    keep the order of `ks`.
+    """
+    # looked up here, not bound once, so a replaced module attribute is called
+    sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
+
+    def deviation(k):
+        A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
+        return op_norm(A - sigma(field, k, plan, grids))
+
+    return [{**_plan_row(plan, k), "value": dev, "bound": None}
+            for k, dev in zip(ks, map(deviation, ks))]
+
+
+def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
+                        grids: FieldGrids) -> list[dict]:
+    """The half-line deviations from the three-zone approximation, per k.
+
+    `dev_plus` is ||tau(w_k, -eps) - s_k(+1)|| on the positive half-line
+    model and `dev_minus` ||tau(-w_k, eps) - s_k(-1)|| on the negative one,
+    with s_k from `s_k_zero`; `value` is the larger of the two and `bound`
+    None.
+    """
+    eps = float(plan.eps)
+    rows = []
+    for k in ks:
+        wk = plan.w_k(k)
+        dev_p = op_norm(field.tau(wk, -eps, grids.plus)
+                        - s_k_zero(field, k, plan, 1, grids))
+        dev_m = op_norm(field.tau(-wk, eps, grids.minus)
+                        - s_k_zero(field, k, plan, -1, grids))
+        rows.append({**_plan_row(plan, k), "dev_plus": dev_p, "dev_minus": dev_m,
+                     "value": max(dev_p, dev_m), "bound": None})
+    return rows
+
+
+def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
+                          grids: FieldGrids, interval, bound) -> list[dict]:
+    """Rows of ||A_k V_k M||, M the cutoff to `interval(k)` on the log pair.
 
     The generic operators are read from the field's cache.
     """
@@ -601,32 +642,31 @@ def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
         rho_k, lam_k = plan.rho(k), plan.lam(k)
         A = field.pi(rho_k, lam_k, grids.lin)
         V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
-        M = cutoff_M(IntervalSpec.abs_ge(plan.Rk(k)), grids.pair)
-        row = _plan_row(plan, k)
-        row["value"] = op_norm(A @ V @ M)
-        row["bound"] = None
-        rows.append(row)
+        M = cutoff_M(interval(k), grids.pair)
+        rows.append({**_plan_row(plan, k), "value": op_norm(A @ V @ M),
+                     "bound": bound(k)})
     return rows
+
+
+def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
+                      grids: FieldGrids) -> list[dict]:
+    """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k."""
+    return _compressed_norm_rows(field, plan, ks, grids,
+                                 lambda k: IntervalSpec.abs_ge(plan.Rk(k)),
+                                 lambda k: None)
 
 
 def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
                      grids: FieldGrids) -> list[dict]:
-    """Norm of the generic operator compressed to the small zone.
+    """Norm of the generic operator compressed to |s| <= R_k |lam_k|.
 
-    The generic operators are read from the field's cache.
+    An "OmegaZero" plan bounds it by R_k sqrt|lam_k|.
     """
-    rows = []
-    for k in ks:
-        rho_k, lam_k = plan.rho(k), plan.lam(k)
-        A = field.pi(rho_k, lam_k, grids.lin)
-        V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
-        M = cutoff_M(IntervalSpec.abs_le(plan.Rk(k) * abs(lam_k)), grids.pair)
-        row = _plan_row(plan, k)
-        row["value"] = op_norm(A @ V @ M)
-        row["bound"] = (plan.Rk(k) * math.sqrt(abs(lam_k))
-                        if plan.regime == "OmegaZero" else None)
-        rows.append(row)
-    return rows
+    zero = plan.regime == "OmegaZero"
+    return _compressed_norm_rows(
+        field, plan, ks, grids,
+        lambda k: IntervalSpec.abs_le(plan.Rk(k) * abs(plan.lam(k))),
+        lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None)
 
 
 def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
@@ -935,24 +975,16 @@ def _cond_sigma_omega(field, cfg) -> dict:
         eps, om = plan.eps, abs(plan.omega)
         limit_scale = max(op_norm(field.tau(eps * om, -float(eps), g.plus)),
                           op_norm(field.tau(-eps * om, float(eps), g.minus)))
-        devs, rows = [], []
-        pi_first = None
-        for k in cfg.ks:
-            A = field.pi(plan.rho(k), plan.lam(k), g.lin)
-            if pi_first is None:
-                pi_first = op_norm(A)
-            dev = op_norm(A - sigma_k_omega(field, k, plan, g))
-            devs.append(dev)
-            row = _plan_row(plan, k)
-            row["value"], row["bound"] = dev, None
-            rows.append(row)
+        rows = deviation_rows(field, plan, cfg.ks, g)
+        pi_first = op_norm(field.pi(rows[0]["rho_k"], rows[0]["lambda_k"], g.lin))
         scale_ok = limit_scale >= 0.2 * pi_first
         tables.append({"plan": plan.describe(), "rows": rows,
                        "limit_scale": limit_scale,
                        "pi_first": pi_first,
                        "limit_scale_passed": bool(scale_ok),
                        "passed": bool(scale_ok and tends_to_zero(
-                           devs, cfg.decay_ratio, cfg.wiggle))})
+                           [r["value"] for r in rows], cfg.decay_ratio,
+                           cfg.wiggle))})
     return {"tables": tables, "passed": all(t["passed"] for t in tables)}
 
 
@@ -965,20 +997,12 @@ def _cond_sigma_zero(field, cfg) -> dict:
     fast quantitative decay is verified on the half-line models themselves
     (condition 3c), where far larger indices are cheap.
     """
-    g = cfg.grids
     tables = []
     for plan in cfg.plans_zero:
-        devs, rows = [], []
-        for k in cfg.ks:
-            A = field.pi(plan.rho(k), plan.lam(k), g.lin)
-            dev = op_norm(A - sigma_k_zero(field, k, plan, g))
-            devs.append(dev)
-            row = _plan_row(plan, k)
-            row["value"], row["bound"] = dev, None
-            rows.append(row)
+        rows = deviation_rows(field, plan, cfg.ks, cfg.grids)
         tables.append({"plan": plan.describe(), "rows": rows,
-                       "passed": tends_to_zero(devs, cfg.slow_decay_ratio,
-                                               cfg.wiggle)})
+                       "passed": tends_to_zero([r["value"] for r in rows],
+                                               cfg.slow_decay_ratio, cfg.wiggle)})
     return {"tables": tables, "passed": all(t["passed"] for t in tables)}
 
 
@@ -1019,25 +1043,12 @@ def _cond_compact_gamma2(field, cfg) -> dict:
 
 
 def _cond_two_dim_degeneration(field, cfg) -> dict:
-    g = cfg.grids
+    """Half-line degeneration toward the three zones, each half on its own."""
     tables = []
     for plan in cfg.plans_zero:
-        devs_p, devs_m, rows = [], [], []
-        for k in cfg.ks_tau:
-            wk = plan.w_k(k)
-            eps = plan.eps
-            left_p = field.tau(wk, -float(eps), g.plus)
-            left_m = field.tau(-wk, float(eps), g.minus)
-            dev_p = op_norm(left_p - s_k_zero(field, k, plan, 1, g))
-            dev_m = op_norm(left_m - s_k_zero(field, k, plan, -1, g))
-            devs_p.append(dev_p)
-            devs_m.append(dev_m)
-            row = _plan_row(plan, k)
-            row["value"], row["bound"] = max(dev_p, dev_m), None
-            row["dev_plus"], row["dev_minus"] = dev_p, dev_m
-            rows.append(row)
-        ok = (tends_to_zero(devs_p, cfg.decay_ratio, cfg.wiggle)
-              and tends_to_zero(devs_m, cfg.decay_ratio, cfg.wiggle))
+        rows = zone_deviation_rows(field, plan, cfg.ks_tau, cfg.grids)
+        ok = all(tends_to_zero([r[half] for r in rows], cfg.decay_ratio, cfg.wiggle)
+                 for half in ("dev_plus", "dev_minus"))
         tables.append({"plan": plan.describe(), "rows": rows, "passed": ok})
     return {"tables": tables, "passed": all(t["passed"] for t in tables)}
 

@@ -32,9 +32,6 @@ __all__ = [
     "orbit_point",
     "classify_dual_vector",
     "in_centre",
-    "in_heisenberg",
-    "in_subgroup_p",
-    "in_generic_stabilizer",
 ]
 
 ZERO_TOL = 1e-12
@@ -151,21 +148,6 @@ def automorphism_gamma(g: GroupElement) -> GroupElement:
 def in_centre(g: GroupElement, tol: float = ZERO_TOL) -> bool:
     """True iff g lies in the centre {(0,0,0,z)}."""
     return abs(g.t) <= tol and abs(g.x) <= tol and abs(g.y) <= tol
-
-
-def in_heisenberg(g: GroupElement, tol: float = ZERO_TOL) -> bool:
-    """True iff g lies in the Heisenberg factor {0} x R^3."""
-    return abs(g.t) <= tol
-
-
-def in_subgroup_p(g: GroupElement, tol: float = ZERO_TOL) -> bool:
-    """True iff g lies in the subgroup exp(span{T, Y, Z})."""
-    return abs(g.x) <= tol
-
-
-def in_generic_stabilizer(g: GroupElement, tol: float = ZERO_TOL) -> bool:
-    """Membership in the stabilizer exp(R T) exp(R Z) of a generic functional."""
-    return abs(g.x) <= tol and abs(g.y) <= tol
 
 
 def orbit_point(label: OrbitLabel, params: tuple[float, float] = (0.0, 0.0)) -> DualVector:

@@ -81,6 +81,24 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
     return KernelOperator(grid, grid, ent, f"pi({rho},{lam})")
 
 
+def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
+                      xquad: QuadratureSpec, sign: int, label: str) -> KernelOperator:
+    """K(x_i, x_j) = hatF234(sign (x_i - x_j), mu e^(sign x_j), nu e^(-sign x_j), 0).
+
+    sign (x_i - x_j) is computed as h*(sign (i - j)), so convolution kernels
+    are exactly Toeplitz and the diagonal shift is +0.0 for either sign.
+    """
+    x = grid.nodes
+    idx = np.arange(grid.n)
+    diff = grid.weights[0] * (sign * (idx[:, None] - idx[None, :]))
+    ent = np.zeros((grid.n, grid.n), dtype=complex)
+    for tm in f.terms:
+        col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), xquad)
+               * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
+        ent += tm.coeff * tm.b_t(diff) * col[None, :]
+    return KernelOperator(grid, grid, ent, label)
+
+
 def kernel_pi_ell(f: TestFunction, mu: float, nu: float, grid: GridSpec,
                   xquad: QuadratureSpec = QuadratureSpec(64)) -> KernelOperator:
     """The representation attached to (0, mu, nu, 0) in the L^2(R) model.
@@ -88,16 +106,7 @@ def kernel_pi_ell(f: TestFunction, mu: float, nu: float, grid: GridSpec,
     K(v, t) = hatF234(v - t, mu e^t, nu e^(-t), 0); for mu = nu = 0 this is
     a pure convolution kernel.
     """
-    t = grid.nodes
-    idx = np.arange(grid.n)
-    # v_i - t_j computed as h*(i - j) so convolution kernels are exactly Toeplitz
-    diff = grid.weights[0] * (idx[:, None] - idx[None, :])
-    ent = np.zeros((grid.n, grid.n), dtype=complex)
-    for tm in f.terms:
-        col = (bump_fourier(tm.b_x, mu * np.exp(t), xquad)
-               * tm.b_a(nu * np.exp(-t)) * tm.b_b(0.0))
-        ent += tm.coeff * tm.b_t(diff) * col[None, :]
-    return KernelOperator(grid, grid, ent, f"pi_ell({mu},{nu})")
+    return _near_convolution(f, mu, nu, grid, xquad, 1, f"pi_ell({mu},{nu})")
 
 
 def kernel_tau(f: TestFunction, mu: float, nu: float, grid: GridSpec,
@@ -109,15 +118,8 @@ def kernel_tau(f: TestFunction, mu: float, nu: float, grid: GridSpec,
     """
     if grid.kind != "log":
         raise ValueError("kernel_tau needs a log half-line grid")
-    v = grid.nodes
-    idx = np.arange(grid.n)
-    diff = grid.weights[0] * (idx[None, :] - idx[:, None])
-    ent = np.zeros((grid.n, grid.n), dtype=complex)
-    for tm in f.terms:
-        col = (bump_fourier(tm.b_x, mu * np.exp(-v), xquad)
-               * tm.b_a(nu * np.exp(v)) * tm.b_b(0.0))
-        ent += tm.coeff * tm.b_t(diff) * col[None, :]
-    return KernelOperator(grid, grid, ent, f"tau({mu},{nu},{grid.sigma:+d})")
+    return _near_convolution(f, mu, nu, grid, xquad, -1,
+                             f"tau({mu},{nu},{grid.sigma:+d})")
 
 
 def character_value(f: TestFunction, tau: float,

@@ -18,14 +18,13 @@ from boidol.fields import (
     check_dek_muk,
     default_dstar_config,
     default_plan,
+    deviation_rows,
     dstar_report,
     fourier_field,
-    s_k_zero,
-    sigma_k_omega,
-    sigma_k_zero,
     tamper_identity_at_half_line,
     tamper_spike_on_characters,
     tamper_zero_two_dim_limits,
+    zone_deviation_rows,
 )
 from boidol.group import (
     Character,
@@ -197,17 +196,18 @@ def test_criterion_06_moment_bound():
     _report(6, "deviation moment bound", ok, f"worst measured/bound {worst:.3f}")
 
 
-def _omega_devs(scale, ks):
-    g = GRIDS[scale]
-    devs = []
-    for k in ks:
-        A = FIELD.pi(PLAN_OMEGA.rho(k), PLAN_OMEGA.lam(k), g.lin)
-        devs.append(op_norm(A - sigma_k_omega(FIELD, k, PLAN_OMEGA, g)))
-    return devs
+def _devs(plan, scale, ks):
+    return [r["value"] for r in deviation_rows(FIELD, plan, ks, GRIDS[scale])]
+
+
+def _zone_devs(scale, ks):
+    """The plus and the minus half-line deviations along PLAN_ZERO."""
+    rows = zone_deviation_rows(FIELD, PLAN_ZERO, ks, GRIDS[scale])
+    return [r["dev_plus"] for r in rows], [r["dev_minus"] for r in rows]
 
 
 def test_criterion_07_omega_nonzero_theorem():
-    devs = _omega_devs(1, KS)
+    devs = _devs(PLAN_OMEGA, 1, KS)
     decreasing = all(b < a for a, b in zip(devs, devs[1:]))
     final_ok = devs[-1] < 0.1 * devs[0]
 
@@ -221,35 +221,13 @@ def test_criterion_07_omega_nonzero_theorem():
             f"final/initial {devs[-1] / devs[0]:.3f}, C {C:.4f}")
 
 
-def _zero_full_dev(scale, k):
-    g = GRIDS[scale]
-    A = FIELD.pi(PLAN_ZERO.rho(k), PLAN_ZERO.lam(k), g.lin)
-    return op_norm(A - sigma_k_zero(FIELD, k, PLAN_ZERO, g))
-
-
-def _zone_devs(scale, ks, half):
-    g = GRIDS[scale]
-    eps, out = PLAN_ZERO.eps, []
-    for k in ks:
-        wk = PLAN_ZERO.w_k(k)
-        if half == 1:
-            dev = op_norm(FIELD.tau(wk, -float(eps), g.plus)
-                          - s_k_zero(FIELD, k, PLAN_ZERO, 1, g))
-        else:
-            dev = op_norm(FIELD.tau(-wk, float(eps), g.minus)
-                          - s_k_zero(FIELD, k, PLAN_ZERO, -1, g))
-        out.append(dev)
-    return out
-
-
 def test_criterion_08_omega_zero_theorem():
     # the combined deviation has an intrinsic error floor ~sqrt(omega_k), so
     # on k <= 64 it decreases steadily; the stated 0.1x decay is carried by
     # the three-zone half-line deviations over their full index range
-    full = [_zero_full_dev(1, k) for k in KS]
+    full = _devs(PLAN_ZERO, 1, KS)
     decreasing = all(b < a for a, b in zip(full, full[1:]))
-    plus = _zone_devs(1, KS_TAU, 1)
-    minus = _zone_devs(1, KS_TAU, -1)
+    plus, minus = _zone_devs(1, KS_TAU)
     zones_ok = plus[-1] < 0.1 * plus[0] and minus[-1] < 0.1 * minus[0]
     _report(8, "omega zero degeneration", decreasing and zones_ok,
             f"full {full[-1] / full[0]:.3f}x, zones {plus[-1] / plus[0]:.3f}x")
@@ -307,9 +285,9 @@ def test_criterion_11_grid_refinement_stability():
         near = op_norm(FIELD.pi(0.0, 1.0, g.lin))
         far = op_norm(FIELD.pi(64.0, 1.0, g.lin))
         loose.append(
-            _omega_devs(scale, (4, 8, 16))
-            + [_zero_full_dev(scale, 4)]
-            + _zone_devs(scale, (4, 64, 1024), 1)
+            _devs(PLAN_OMEGA, scale, (4, 8, 16))
+            + _devs(PLAN_ZERO, scale, (4,))
+            + _zone_devs(scale, (4, 64, 1024))[0]
             + _ladder_diffs(scale, 0.0, deltas=(0.4, 0.1))
             + [far / near])
 

@@ -4,6 +4,7 @@ import math
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from boidol.fields import (
     compact_condition_check,
     default_plan,
     default_sample,
+    deviation_rows,
     dstar_report,
     ell_params,
     fourier_field,
@@ -40,12 +42,18 @@ from boidol.fields import (
     tends_to_zero,
     validate_plan,
     zero_field,
+    zone_deviation_rows,
 )
 from boidol.grids import GridSpec
 from boidol.group import Character, OneDim, TwoDim
 from boidol.kernels import kernel_pi_rho_lambda, kernel_tau, vk_operator
 from boidol.operators import IntervalSpec, KernelOperator, cutoff_M, op_norm
-from boidol.testfun import default_test_function
+from boidol.testfun import (
+    BumpFactor,
+    SeparableTerm,
+    TestFunction,
+    default_test_function,
+)
 
 F = default_test_function()
 GRIDS = FieldGrids.default(n_lin=128, n_half=96)
@@ -60,7 +68,7 @@ def test_field_grids_shapes_and_scaling():
     g = FieldGrids.default()
     assert g.lin.n == 512 and g.lin.half_width == 12.0
     assert g.pair.n == 768 and g.plus.sigma == 1 and g.minus.sigma == -1
-    g2 = g.scaled(2)
+    g2 = FieldGrids.default(scale=2)
     assert g2.lin.n == 1024 and g2.lin.half_width == 24.0
     assert g2.pair.half_width == 12.0 and g2.plus.n == 768
 
@@ -342,6 +350,51 @@ def test_degeneration_checks_read_the_field_cache():
     check_small_zone(field, plan, CHECK_KS, GRIDS)
     check_rate_envelope(field, plan, CHECK_KS, GRIDS)
     assert dict(builds) == before
+
+
+# an off-centre b_a makes the two half-line models differ
+F_ASYM = TestFunction((SeparableTerm(1.0, BumpFactor(0.0, 1.0), BumpFactor(0.0, 1.0),
+                                     BumpFactor(0.5, 1.0), BumpFactor(0.0, 2.0)),))
+ROW_KEYS = {"k", "rho_k", "lambda_k", "R_k", "value", "bound"}
+
+
+def _reference_deviation_rows(field, plan, ks, grids, zone=False):
+    """The deviation rows built loop by loop from the limit constructions."""
+    rows = []
+    for k in ks:
+        row = {"k": k, "rho_k": plan.rho(k), "lambda_k": plan.lam(k),
+               "R_k": plan.Rk(k), "bound": None}
+        A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
+        if zone:
+            wk, eps = plan.w_k(k), float(plan.eps)
+            row["dev_plus"] = op_norm(field.tau(wk, -eps, grids.plus)
+                                      - s_k_zero(field, k, plan, 1, grids))
+            row["dev_minus"] = op_norm(field.tau(-wk, eps, grids.minus)
+                                       - s_k_zero(field, k, plan, -1, grids))
+            row["value"] = max(row["dev_plus"], row["dev_minus"])
+        elif plan.regime == "OmegaNonzero":
+            row["value"] = op_norm(A - sigma_k_omega(field, k, plan, grids))
+        else:
+            row["value"] = op_norm(A - sigma_k_zero(field, k, plan, grids))
+        rows.append(row)
+    return rows
+
+
+def test_deviation_rows_match_explicit_loops():
+    field = fourier_field(F_ASYM)
+    plan_zero = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for plan in (_omega_plan(), plan_zero):
+            ref = _reference_deviation_rows(field, plan, CHECK_KS, GRIDS)
+            rows = deviation_rows(field, plan, CHECK_KS, GRIDS)
+            assert rows == ref
+            assert deviation_rows(field, plan, CHECK_KS, GRIDS, map=pool.map) == ref
+            assert all(set(row) == ROW_KEYS for row in rows)
+    zone_ks = (4, 64, 1024)
+    rows = zone_deviation_rows(field, plan_zero, zone_ks, GRIDS)
+    assert rows == _reference_deviation_rows(field, plan_zero, zone_ks, GRIDS, zone=True)
+    assert all(set(row) == ROW_KEYS | {"dev_plus", "dev_minus"} for row in rows)
+    assert all(row["dev_plus"] != row["dev_minus"] for row in rows)
 
 
 # ---------------------------------------------------------------------------
