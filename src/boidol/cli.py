@@ -115,7 +115,13 @@ def config_hash(cfg: dict) -> str:
 
 
 def _refinement_diagnostic() -> dict:
-    """A fixed, cheap two-resolution norm probe embedded in every output."""
+    """A fixed two-resolution norm probe embedded in every output.
+
+    It builds ell(1,1) on L=10 at n=200 and at n=400 and takes both norms on
+    every CLI call, whatever the configured grid: about 0.08 s in a fresh
+    process on a 2-core x86-64 host, most of it quadrature rules and
+    kernels that the call may not otherwise need.
+    """
     f = default_test_function()
     coarse = op_norm(kernel_pi_ell(f, 1.0, 1.0, GridSpec.linear(10.0, 200)))
     fine = op_norm(kernel_pi_ell(f, 1.0, 1.0, GridSpec.linear(10.0, 400)))
@@ -367,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default ${OUT_ENV} or '.')")
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=min(4, os.cpu_count() or 1),
+                        help="pool threads (default: 4, or fewer on fewer cores)")
     parser.add_argument("--grid-scale", type=int, choices=(1, 2, 4), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("orbits", help="limit-set classification tables")

@@ -4,19 +4,22 @@ Functions on the line are sampled on half-offset uniform windows (so the node
 u = 0 is never present and grids are exactly symmetric under u -> -u).  The
 multiplication-invariant measure du/|u| on a signed half-line is realized in
 logarithmic coordinates u = sigma*e^v, where it becomes the flat measure dv.
+
+Gauss-Legendre rules on [-1, 1] are kept in one cache shared by every caller;
+the rules a caller is missing are built together, in numpy, by one three-term
+recurrence over all their nodes.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre
 
 from .errors import AsymmetricGrid
 
-__all__ = ["QuadratureSpec", "GridSpec", "gauss_legendre_rule"]
+__all__ = ["QuadratureSpec", "GridSpec", "gauss_legendre_rule", "unit_rules"]
 
 
 @dataclass(frozen=True)
@@ -30,44 +33,117 @@ class QuadratureSpec:
             raise ValueError("need at least 2 quadrature nodes")
 
 
-def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = eval_legendre(n, x)
-    return p, n * (eval_legendre(n - 1, x) - x * p) / (1.0 - x * x)
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_RULES_LOCK = threading.Lock()
 
 
-@functools.lru_cache(maxsize=1024)
-def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the non-negative nodes, ascending; the guesses are within 2e-3 of the
-    # roots, so three quadratically converging steps reach rounding level
-    k = np.arange((n + 1) // 2, 0, -1)
-    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+def _legendre_pair(x: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) at each node, n = degree of the node's rule.
+
+    The degrees must be non-increasing along x, so the nodes still recurring
+    at step j (degree > j) are a prefix.  Each value comes from the same
+    elementwise operations whatever else is in the batch, so a rule does not
+    depend on the batch it was built in.
+    """
+    m, top = len(x), int(degree[0])
+    # active[j]: the number of nodes whose rule has degree >= j
+    active = np.searchsorted(-degree, -np.arange(top + 2), side="right")
+    prev, cur, tmp = np.ones(m), x.copy(), np.empty(m)  # P_0, P_1
+    pn, pn1 = np.empty(m), np.empty(m)
+    for j in range(1, top + 1):
+        k, done = active[j + 1], active[j]
+        pn[k:done], pn1[k:done] = cur[k:done], prev[k:done]
+        # P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}), into P_{j-1}'s buffer
+        t = np.multiply(x[:k], cur[:k], out=tmp[:k])
+        nxt = np.subtract(t, prev[:k], out=prev[:k])
+        nxt *= j / (j + 1)
+        nxt += t
+        prev, cur = cur, prev
+    return pn, pn1
+
+
+def _build_rules(ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The rules of the distinct degrees `ns`, from one recurrence over all
+    their nodes."""
+    ns = sorted(ns, reverse=True)
+    halves = [(n + 1) // 2 for n in ns]
+    # the non-negative nodes of each rule, ascending; Tricomi's guesses are
+    # within 2e-3 of the roots, so three quadratically converging Newton
+    # steps reach rounding level
+    guesses = []
+    for n, h in zip(ns, halves):
+        k = np.arange(h, 0, -1)
+        guesses.append((1.0 - (n - 1) / (8.0 * n ** 3))
+                       * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
+    x = np.concatenate(guesses)
+    degree = np.repeat(np.asarray(ns, dtype=float), halves)
+    starts = np.cumsum([0] + halves[:-1])
+
+    def derivative(x):
+        p, q = _legendre_pair(x, degree)
+        return p, degree * (q - x * p) / (1.0 - x * x)
+
     for _ in range(3):
-        p, dp = _legendre_with_derivative(n, x)
+        p, dp = derivative(x)
         x = x - p / dp
-    if n % 2:
-        x[0] = 0.0
-    _, dp = _legendre_with_derivative(n, x)
+    for n, s in zip(ns, starts):
+        if n % 2:
+            x[s] = 0.0
+    _, dp = derivative(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    mirror = slice(None, 0, -1) if n % 2 else slice(None, None, -1)
-    x = np.concatenate([-x[mirror], x])
-    w = np.concatenate([w[mirror], w])
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    rules = {}
+    for n, s, h in zip(ns, starts, halves):
+        xs, ws = x[s:s + h], w[s:s + h]
+        mirror = slice(None, 0, -1) if n % 2 else slice(None, None, -1)
+        xs = np.concatenate([-xs[mirror], xs])
+        ws = np.concatenate([ws[mirror], ws])
+        xs.flags.writeable = False
+        ws.flags.writeable = False
+        rules[n] = xs, ws
+    return rules
+
+
+def unit_rules(ns) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The read-only [-1, 1] Gauss-Legendre rules for the degrees `ns`.
+
+    Every degree not yet in the shared cache is built in one batch, so a
+    caller that needs many rules (as `bump_fourier` does) pays for one
+    recurrence over all their nodes.  The cache keeps every rule for the
+    life of the process and is bounded by the degrees its callers ask for:
+    `bump_fourier` asks for n <= max(quad.n, 663), so it holds at most
+    ~700 rules of 16n bytes each, a few MiB.  Threads may fill it at the
+    same time; a rule is built outside the lock and the first one stored
+    wins, and since every rule is computed the same way alone or in any
+    batch, which thread stores it does not matter.
+    """
+    ns = [int(n) for n in ns]
+    if any(n < 1 for n in ns):
+        raise ValueError("a Gauss-Legendre rule needs at least 1 node")
+    with _RULES_LOCK:
+        missing = {n for n in ns if n not in _RULES}
+    if missing:
+        built = _build_rules(missing)
+        with _RULES_LOCK:
+            for n, rule in built.items():
+                _RULES.setdefault(n, rule)
+    with _RULES_LOCK:
+        return [_RULES[n] for n in ns]
 
 
 def gauss_legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the interval [a, b], read-only.
 
-    The [-1, 1] rule is computed once per `n` and cached (it depends on
-    nothing else): three Newton steps on P_n from Tricomi's asymptotic
-    guesses on the non-negative half, weights 2 / ((1 - x^2) P_n'(x)^2),
-    then mirrored, so the nodes are exactly antisymmetric, the weights
-    exactly symmetric and x = 0 is a node for odd n.  This is O(n^2) work in
-    scipy's Legendre evaluation instead of an n x n eigenproblem.  Each call
-    applies the affine map mid + half*x, half*w to the cached arrays.
+    The [-1, 1] rule depends on `n` alone and comes from the cache shared
+    with `unit_rules` (built there as a batch of one if missing): three
+    Newton steps on P_n from Tricomi's asymptotic guesses on the
+    non-negative half, weights 2 / ((1 - x^2) P_n'(x)^2), then mirrored, so
+    the nodes are exactly antisymmetric, the weights exactly symmetric and
+    x = 0 is a node for odd n.  P_n and P_{n-1} come from the three-term
+    recurrence in numpy, O(n^2) work instead of an n x n eigenproblem.
+    Each call applies the affine map mid + half*x, half*w to the cached
+    arrays.
     """
-    x, w = _unit_rule(n)
+    (x, w), = unit_rules((n,))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes, weights = mid + half * x, half * w
     nodes.flags.writeable = False

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NotProperlyConverging, TargetNotInLimitSet
 from .group import (
@@ -285,6 +284,9 @@ def witness_distance(seq: OrbitSequence, target: DualVector, k: int,
         ok = True
     if not ok:
         raise TargetNotInLimitSet(f"{label} is not in the limit set {limits}")
+
+    # imported here so that only this refinement pulls in scipy
+    from scipy.optimize import minimize
 
     f = _orbit_distance_sq(rho_k, lam_k, target)
     x0 = np.asarray(_witness_guess(rho_k, lam_k, target, label), dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnderresolved, WindowTooSmall
-from .grids import QuadratureSpec, gauss_legendre_rule
+from .grids import QuadratureSpec, gauss_legendre_rule, unit_rules
 
 __all__ = [
     "BumpFactor",
@@ -120,8 +120,10 @@ def bump_fourier(bump: BumpFactor, alpha, quad: QuadratureSpec) -> np.ndarray:
     are exact zeros.  The alphas are grouped by node count and each group is
     one (alphas x nodes) array summed along the nodes: the same elementwise
     product and the same pairwise sum as one alpha at a time, so every
-    value equals the scalar computation bit for bit.  Nothing is kept
-    between calls.
+    value equals the scalar computation bit for bit.  The rules of all the
+    node counts are fetched first in one `unit_rules` call, which builds the
+    missing ones in one batch; apart from that shared rule cache nothing is
+    kept between calls.
     """
     if quad.n / (2.0 * bump.width) < 16:
         raise QuadratureUnderresolved(
@@ -136,7 +138,9 @@ def bump_fourier(bump: BumpFactor, alpha, quad: QuadratureSpec) -> np.ndarray:
     live = np.flatnonzero(aw < FOURIER_CUTOFF)
     counts = np.maximum(quad.n, (aw[live] / 2).astype(np.int64) + 64)
     lo, hi = bump.support
-    for n in np.unique(counts):
+    sizes = np.unique(counts)
+    unit_rules(sizes)
+    for n in sizes:
         idx = live[counts == n]
         xs, ws = gauss_legendre_rule(lo, hi, int(n))
         al = flat[idx]

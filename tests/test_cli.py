@@ -8,6 +8,7 @@ from boidol.cli import (
     DEFAULT_CONFIG,
     OUT_ENV,
     _merge,
+    build_parser,
     config_hash,
     load_config,
     main,
@@ -64,6 +65,14 @@ def test_config_hash_is_stable_and_key_order_free():
     b = config_hash({"a": [1, 2], "b": 1})
     assert a == b and len(a) == 64
     assert a != config_hash({"a": [1, 2], "b": 2})
+
+
+@pytest.mark.parametrize("cores", [None, 1, 2, 3, 4, 64])
+def test_threads_default_never_exceeds_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    threads = build_parser().parse_args(["dstar"]).threads
+    assert threads == min(4, cores or 1)
+    assert build_parser().parse_args(["--threads", "3", "dstar"]).threads == 3
 
 
 def test_config_error_surfaces_as_usage_error(tmp_path):

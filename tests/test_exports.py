@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +22,18 @@ def test_every_all_entry_is_defined(name):
     missing = [entry for entry in getattr(module, "__all__", ())
                if entry not in vars(module)]
     assert not missing, f"boidol.{name}.__all__ names undefined {missing}"
+
+
+def test_verdict_path_imports_no_scipy():
+    """Only `witness_distance` needs scipy; a fresh process that imports the
+    package and its command line must not load it."""
+    src = str(Path(boidol.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, boidol, boidol.cli; "
+            "print(boidol.__file__); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert Path(out[0]).resolve() == Path(boidol.__file__).resolve()
+    assert out[1] == "[]"

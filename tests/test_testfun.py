@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from boidol.errors import QuadratureUnderresolved, WindowTooSmall
-from boidol.grids import QuadratureSpec, gauss_legendre_rule
+from boidol import grids
+from boidol.grids import QuadratureSpec, gauss_legendre_rule, unit_rules
 from boidol.testfun import (
     FOURIER_CUTOFF,
     BumpFactor,
@@ -131,6 +134,48 @@ def test_gauss_legendre_rule_accuracy(n):
     if n % 2:
         assert x[n // 2] == 0.0
     assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 4.5e-16
+
+
+BATCH = (2, 3, 64, 97, 333, 700)
+
+
+def test_unit_rules_independent_of_batch_and_threads(monkeypatch):
+    """A rule is the same array whether built alone, in a batch in either
+    order, or while four threads fill the cache with overlapping batches."""
+    def fresh(ns):
+        monkeypatch.setattr(grids, "_RULES", {})
+        return dict(zip(ns, unit_rules(ns)))
+
+    alone = {n: fresh((n,))[n] for n in BATCH}
+    builds = [fresh(BATCH), fresh(BATCH[::-1])]
+    monkeypatch.setattr(grids, "_RULES", {})
+    batches = (BATCH[:4], BATCH[::-1], BATCH[2:], BATCH)
+    barrier = threading.Barrier(len(batches), timeout=5)
+    got = [None] * len(batches)
+
+    def fill(i):
+        barrier.wait()
+        got[i] = dict(zip(batches[i], unit_rules(batches[i])))
+
+    workers = [threading.Thread(target=fill, args=(i,)) for i in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers) and None not in got
+    assert sorted(grids._RULES) == sorted(BATCH)
+    for n, rule in zip(BATCH, unit_rules(BATCH)):
+        assert rule is grids._RULES[n]
+    for build in builds + got:
+        for n, (x, w) in build.items():
+            assert np.array_equal(x, alone[n][0]) and np.array_equal(w, alone[n][1])
+    with pytest.raises(ValueError):
+        unit_rules((0,))
 
 
 def test_l1_norm_positive_and_homogeneous():
