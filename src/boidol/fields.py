@@ -375,8 +375,8 @@ class SequencePlan:
             "I2+": IntervalSpec.left_open(s_edge, t_edge),
             "I3+": IntervalSpec.gt(t_edge),
             "J-": IntervalSpec.right_open(-s_edge, -lam_r),
-            "I2-": IntervalSpec.left_open(-t_edge, -s_edge),
-            "I3-": IntervalSpec.le(-t_edge),
+            "I2-": IntervalSpec.right_open(-t_edge, -s_edge),
+            "I3-": IntervalSpec.lt(-t_edge),
         }
 
     def describe(self) -> dict:
@@ -503,7 +503,7 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
-    composed with the cutoff beyond R_k |lam_k| on its half-line, and the
+    masked to the nodes beyond R_k |lam_k| on its half-line, and the
     block is conjugated back to the line by the rescaling unitary.  V_k is
     built once, as its adjoint map, and read back as that map's conjugate
     transpose, which restores its entries exactly.
@@ -517,7 +517,7 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     a_minus = field_on_L.tau(-eps * om, eps, grids.minus)
     m_plus = cutoff_M(IntervalSpec.ge(lam_r), grids.plus)
     m_minus = cutoff_M(IntervalSpec.le(-lam_r), grids.minus)
-    block = _block_pair(a_plus @ m_plus, a_minus @ m_minus, grids.pair,
+    block = _block_pair(a_plus.masked(m_plus), a_minus.masked(m_minus), grids.pair,
                         f"sigma_omega[{k}]")
     Vs = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair)
     return Vs.adjoint() @ block @ Vs
@@ -529,6 +529,9 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
     Zone one keeps the running two-parameter point, zone two the fully
     degenerate point, zone three the point displaced along the other axis.
+    Each zone's columns are copied from its operator; columns outside the
+    zones (|u| <= R_k |lam_k|) are exact zeros.  Zones that share a grid
+    node raise ZoneOverlap.
     """
     if plan.regime != "OmegaZero":
         raise ValueError("s_k_zero needs an OmegaZero plan")
@@ -553,19 +556,13 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
             (field_on_L.tau(0.0, 0.0, grid), zones["I2-"]),
             (field_on_L.tau(0.0, float(eps), grid), zones["I3-"]),
         ]
-    _check_zone_disjoint(grid, [spec for _, spec in pieces], k)
-    out = KernelOperator.zero(grid, label=f"s_zero[{k},{half:+d}]")
-    for op, spec in pieces:
-        out = out + (op @ cutoff_M(spec, grid))
-    return out
-
-
-def _check_zone_disjoint(grid: GridSpec, specs, k: int) -> None:
-    counts = np.zeros(grid.n, dtype=int)
-    for spec in specs:
-        counts += spec.indicator(grid.points).astype(int)
-    if np.any(counts > 1):
+    masks = [cutoff_M(spec, grid) for _, spec in pieces]
+    if np.any(np.sum(masks, axis=0) > 1):
         raise ZoneOverlap(f"zone indicators overlap on the grid at k={k}")
+    ent = np.zeros((grid.n, grid.n), complex)
+    for (op, _), keep in zip(pieces, masks):
+        ent[:, keep] = op.entries[:, keep]
+    return KernelOperator(grid, grid, ent, f"s_zero[{k},{half:+d}]")
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -633,7 +630,7 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
 
 def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
                           grids: FieldGrids, interval, bound) -> list[dict]:
-    """Rows of ||A_k V_k M||, M the cutoff to `interval(k)` on the log pair.
+    """Rows of ||A_k V_k M||, A_k V_k masked to `interval(k)` on the log pair.
 
     The generic operators are read from the field's cache.
     """
@@ -643,7 +640,7 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
         A = field.pi(rho_k, lam_k, grids.lin)
         V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
         M = cutoff_M(interval(k), grids.pair)
-        rows.append({**_plan_row(plan, k), "value": op_norm(A @ V @ M),
+        rows.append({**_plan_row(plan, k), "value": op_norm((A @ V).masked(M)),
                      "bound": bound(k)})
     return rows
 
@@ -694,15 +691,15 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
         t_plus = field.tau(eps * wk, -eps, grids.plus)
         t_minus = field.tau(-eps * wk, eps, grids.minus)
         big_plus = _block_pair(
-            t_plus @ cutoff_M(IntervalSpec.ge(lam_r), grids.plus),
+            t_plus.masked(cutoff_M(IntervalSpec.ge(lam_r), grids.plus)),
             KernelOperator.zero(grids.minus), grids.pair, "a")
         big_minus = _block_pair(
             KernelOperator.zero(grids.plus),
-            t_minus @ cutoff_M(IntervalSpec.le(-lam_r), grids.minus),
+            t_minus.masked(cutoff_M(IntervalSpec.le(-lam_r), grids.minus)),
             grids.pair, "b")
         AV = A @ V
-        dev_a = op_norm(AV @ m_pos - V @ big_plus)
-        dev_b = op_norm(AV @ m_neg - V @ big_minus)
+        dev_a = op_norm(AV.masked(m_pos) - V @ big_plus)
+        dev_b = op_norm(AV.masked(m_neg) - V @ big_minus)
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b

@@ -6,6 +6,11 @@ acting on plain coefficient vectors is entries @ diag(weights_dom).  The
 L^2 -> L^2 operator norm is the largest singular value of the symmetrically
 weighted matrix W_cod^(1/2) entries W_dom^(1/2).
 
+A cutoff (multiplication by the indicator of a region) is kept as its
+boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
+`KernelOperator.masked` applies it on the right, A o M, by keeping the
+columns it selects and zeroing the rest.
+
 Cutoffs, compressions and the rescaling unitaries leave many operators with
 whole rows or columns of exact zeros.  The two O(n^3) kernels, the SVD and
 the dense composition, work on the block of rows and columns holding a
@@ -58,12 +63,6 @@ class KernelOperator:
     def identity(grid: GridSpec, label: str = "id") -> "KernelOperator":
         return KernelOperator(grid, grid, np.diag(1.0 / grid.weights).astype(complex), label)
 
-    @staticmethod
-    def diagonal(grid: GridSpec, values: np.ndarray, label: str = "") -> "KernelOperator":
-        return KernelOperator(grid, grid,
-                              np.diag(np.asarray(values) / grid.weights).astype(complex),
-                              label)
-
     def apply(self, xi: np.ndarray) -> np.ndarray:
         return self.entries @ (self.domain.weights * xi)
 
@@ -79,14 +78,7 @@ class KernelOperator:
         """The operator self o other (integration over the middle grid).
 
         The kernel is entries @ (w[:, None] * other.entries) with w the middle
-        grid's weights.  When `other` is a real multiplication operator
-        (square, real, every nonzero on the diagonal, as `cutoff_M` is), it
-        is formed as a column scaling in O(n^2) instead of an O(n^3)
-        product: the same products, with only exact zeros left out of each
-        sum, so the result is the same.  A complex diagonal takes the
-        product: BLAS may fuse its complex multiply-adds, which a column
-        scaling would not round the same way.
-
+        grid's weights; a cutoff mask is applied with `masked`, not here.
         The product runs on the nonzero block only: the rows of self and the
         columns of other that hold a nonzero, summed over the middle indices
         where both self's column and other's row hold one.  Every product
@@ -99,21 +91,26 @@ class KernelOperator:
         if other.codomain.n != self.domain.n:
             raise ValueError("grid mismatch in composition")
         a, b, w = self.entries, other.entries, self.domain.weights
-        d = np.diagonal(b)
-        if (other.domain.n == other.codomain.n and not np.any(d.imag)
-                and np.count_nonzero(b) == np.count_nonzero(d)):
-            ent = a * (w * d)[None, :]
+        rows, cols = a.any(axis=1), b.any(axis=0)
+        mid = a.any(axis=0) & b.any(axis=1)
+        if rows.all() and cols.all() and mid.all():
+            ent = a @ (w[:, None] * b)
         else:
-            rows, cols = a.any(axis=1), b.any(axis=0)
-            mid = a.any(axis=0) & b.any(axis=1)
-            if rows.all() and cols.all() and mid.all():
-                ent = a @ (w[:, None] * b)
-            else:
-                ent = np.zeros((a.shape[0], b.shape[1]), np.result_type(a, w, b))
-                ent[np.ix_(rows, cols)] = (a[np.ix_(rows, mid)]
-                                           @ (w[mid, None] * b[np.ix_(mid, cols)]))
+            ent = np.zeros((a.shape[0], b.shape[1]), np.result_type(a, w, b))
+            ent[np.ix_(rows, cols)] = (a[np.ix_(rows, mid)]
+                                       @ (w[mid, None] * b[np.ix_(mid, cols)]))
         return KernelOperator(other.domain, self.codomain, ent,
                               f"{self.label}.{other.label}")
+
+    def masked(self, keep: np.ndarray) -> "KernelOperator":
+        """The operator self o M_keep, M_keep the cutoff to a `cutoff_M` mask.
+
+        Multiplying by an indicator on the right keeps the columns where
+        `keep` is true and sets the others to exact zeros; no product is
+        formed, so the kept entries are self's own.
+        """
+        return KernelOperator(self.domain, self.codomain,
+                              np.where(keep, self.entries, 0), f"{self.label}.M")
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -181,19 +178,14 @@ def norm_and_defect(A: KernelOperator, rank: int) -> tuple[float, float]:
 class IntervalSpec:
     """A cutoff region on the physical coordinate of a grid.
 
-    kinds: 'closed' [a,b]; 'left_open' (a,b]; 'right_open' [a,b);
-    'le' (-inf,b]; 'ge' [a,inf); 'lt' (-inf,b); 'gt' (a,inf);
-    'abs_le' {|u| <= b}; 'abs_ge' {|u| >= a}.  Boundary points belong to the
-    closed side.
+    kinds: 'left_open' (a,b]; 'right_open' [a,b); 'le' (-inf,b];
+    'ge' [a,inf); 'lt' (-inf,b); 'gt' (a,inf); 'abs_le' {|u| <= b};
+    'abs_ge' {|u| >= a}.  Boundary points belong to the closed side.
     """
 
     kind: str
     a: float = 0.0
     b: float = 0.0
-
-    @staticmethod
-    def closed(a, b):
-        return IntervalSpec("closed", a, b)
 
     @staticmethod
     def left_open(a, b):
@@ -228,8 +220,6 @@ class IntervalSpec:
         return IntervalSpec("abs_ge", a=a)
 
     def indicator(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "closed":
-            return (u >= self.a) & (u <= self.b)
         if self.kind == "left_open":
             return (u > self.a) & (u <= self.b)
         if self.kind == "right_open":
@@ -249,10 +239,10 @@ class IntervalSpec:
         raise ValueError(f"unknown interval kind {self.kind!r}")
 
 
-def cutoff_M(spec: IntervalSpec, grid: GridSpec) -> KernelOperator:
-    """Multiplication by the indicator of `spec` on the grid's physical coordinate."""
-    ind = spec.indicator(grid.points).astype(float)
-    return KernelOperator.diagonal(grid, ind, f"M[{spec.kind}]")
+def cutoff_M(spec: IntervalSpec, grid: GridSpec) -> np.ndarray:
+    """The cutoff to `spec` on the grid's physical coordinate, as the boolean
+    indicator vector of its nodes; apply it with `KernelOperator.masked`."""
+    return spec.indicator(grid.points)
 
 
 def flip_S(grid: GridSpec) -> KernelOperator:

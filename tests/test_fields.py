@@ -237,14 +237,20 @@ def test_plan_infeasible_names_the_violated_invariant():
 
 def test_zones_partition_the_tail_exactly():
     plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
-    z = plan.zones(8)
-    pts = GRIDS.plus.points
-    lam_r = plan.Rk(8) * abs(plan.lam(8))
-    counts = sum(z[name].indicator(pts).astype(int) for name in ("J+", "I2+", "I3+"))
-    assert np.array_equal(counts, (pts > lam_r).astype(int))
-    mpts = GRIDS.minus.points
-    mcounts = sum(z[name].indicator(mpts).astype(int) for name in ("J-", "I2-", "I3-"))
-    assert np.array_equal(mcounts, (mpts < -lam_r).astype(int))
+    mirror = {"J+": "J-", "I2+": "I2-", "I3+": "I3-"}
+    for k in (4, 8, 64):
+        z = plan.zones(k)
+        lam_r = plan.Rk(k) * abs(plan.lam(k))
+        aw = plan.w_k(k)
+        edges = np.array([lam_r, aw * plan.Sk(k), aw * plan.Tk(k)])
+        # grid nodes never sit on an edge, so the edges are added as points
+        pts = np.concatenate([GRIDS.plus.points, GRIDS.minus.points, edges, -edges])
+        ind = {name: spec.indicator(pts).astype(int) for name, spec in z.items()}
+        assert np.array_equal(sum(ind[name] for name in mirror), (pts > lam_r).astype(int))
+        assert np.array_equal(sum(ind[name] for name in mirror.values()),
+                              (pts < -lam_r).astype(int))
+        for plus, minus in mirror.items():
+            assert np.array_equal(ind[plus], z[minus].indicator(-pts).astype(int))
 
 
 def test_zone_edges_out_of_order_raise():
@@ -263,6 +269,22 @@ def test_sigma_constructions_check_regime():
         sigma_k_zero(FIELD, 4, pw, GRIDS)
     with pytest.raises(ValueError):
         s_k_zero(FIELD, 4, pz, 0, GRIDS)
+
+
+def test_s_k_zero_is_its_zone_operators_masked_to_their_zones():
+    pz = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    k, eps = 8, float(pz.eps)
+    wk, zones = pz.w_k(k), pz.zones(k)
+    lam_r = pz.Rk(k) * abs(pz.lam(k))
+    for half, grid, ops in (
+            (1, GRIDS.plus, {"J+": (wk, 0.0), "I2+": (0.0, 0.0), "I3+": (0.0, -eps)}),
+            (-1, GRIDS.minus, {"J-": (-wk, 0.0), "I2-": (0.0, 0.0), "I3-": (0.0, eps)})):
+        got = s_k_zero(FIELD, k, pz, half, GRIDS).entries
+        want = sum(FIELD.tau(mu, nu, grid).masked(cutoff_M(zones[name], grid)).entries
+                   for name, (mu, nu) in ops.items())
+        assert np.array_equal(got, want)
+        inner = np.abs(grid.points) <= lam_r
+        assert inner.any() and not np.any(got[:, inner])
 
 
 def test_sigma_k_zero_linear_in_the_field():
@@ -296,20 +318,20 @@ def _reference_check_rows(plan, ks, grids):
         V = vk_operator(rho_k, lam_k, pair, grids.lin)
         AV = A @ V
         tail.append({**base, "bound": None, "value": op_norm(
-            AV @ cutoff_M(IntervalSpec.abs_ge(R_k), pair))})
+            AV.masked(cutoff_M(IntervalSpec.abs_ge(R_k), pair)))})
         small.append({**base, "bound": None, "value": op_norm(
-            AV @ cutoff_M(IntervalSpec.abs_le(lam_r), pair))})
+            AV.masked(cutoff_M(IntervalSpec.abs_le(lam_r), pair)))})
         t_plus = kernel_tau(F, eps * wk, -eps, grids.plus)
         t_minus = kernel_tau(F, -eps * wk, eps, grids.minus)
         ent_plus = np.zeros((pair.n, pair.n), complex)
-        ent_plus[:half, :half] = (
-            t_plus @ cutoff_M(IntervalSpec.ge(lam_r), grids.plus)).entries
+        ent_plus[:half, :half] = t_plus.masked(
+            cutoff_M(IntervalSpec.ge(lam_r), grids.plus)).entries
         ent_minus = np.zeros((pair.n, pair.n), complex)
-        ent_minus[half:, half:] = (
-            t_minus @ cutoff_M(IntervalSpec.le(-lam_r), grids.minus)).entries
-        dev_a = op_norm(AV @ cutoff_M(IntervalSpec.ge(0.0), pair)
+        ent_minus[half:, half:] = t_minus.masked(
+            cutoff_M(IntervalSpec.le(-lam_r), grids.minus)).entries
+        dev_a = op_norm(AV.masked(cutoff_M(IntervalSpec.ge(0.0), pair))
                         - V @ KernelOperator(pair, pair, ent_plus))
-        dev_b = op_norm(AV @ cutoff_M(IntervalSpec.le(0.0), pair)
+        dev_b = op_norm(AV.masked(cutoff_M(IntervalSpec.le(0.0), pair))
                         - V @ KernelOperator(pair, pair, ent_minus))
         rate.append({**base, "dev_a": dev_a, "dev_b": dev_b,
                      "envelope_unit": abs(wk) / (R_k ** 2 * abs(lam_k)) + 1.0 / R_k})
@@ -322,10 +344,14 @@ def _reference_check_rows(plan, ks, grids):
 def test_degeneration_checks_equal_the_kernel_reference():
     plan = _omega_plan()
     field = fourier_field(F)
-    tail, small, rate, C = _reference_check_rows(plan, CHECK_KS, GRIDS)
-    assert check_tail_cutoff(field, plan, CHECK_KS, GRIDS) == tail
-    assert check_small_zone(field, plan, CHECK_KS, GRIDS) == small
-    got = check_rate_envelope(field, plan, CHECK_KS, GRIDS)
+    # at k >= 4 the tail cutoff misses the support of A_k V_k and reads 0;
+    # at k = 1 it does not, so a wrong radius or mask shows in the rows
+    ks = (1, *CHECK_KS)
+    tail, small, rate, C = _reference_check_rows(plan, ks, GRIDS)
+    assert tail[0]["value"] > 0
+    assert check_tail_cutoff(field, plan, ks, GRIDS) == tail
+    assert check_small_zone(field, plan, ks, GRIDS) == small
+    got = check_rate_envelope(field, plan, ks, GRIDS)
     assert got["rows"] == rate and got["C"] == C
     assert got["passed"] == all(max(r["dev_a"], r["dev_b"]) <= r["bound"]
                                 for r in rate[2:])

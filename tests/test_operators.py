@@ -68,26 +68,30 @@ def test_compose_matches_weighted_product():
     def product(A, B):  # the dense formula, bypassing compose
         return A.entries @ (A.domain.weights[:, None] * B.entries)
 
-    # multiplication operators are applied as column scalings, bit for bit
+    def diag(grid, vals):  # the multiplication operator by vals, as a kernel
+        return KernelOperator(grid, grid, np.diag(vals / grid.weights).astype(complex))
+
     for grid in (LIN, PAIR):
+        assert np.all(grid.weights * (1.0 / grid.weights) == 1.0)
         C = KernelOperator(grid, LIN, rng.standard_normal((LIN.n, grid.n))
                            + 1j * rng.standard_normal((LIN.n, grid.n)))
+        # a cutoff mask keeps C's columns bit for bit: the product with the
+        # indicator's kernel, whose kept terms are C's entries times 1
         for spec in (IntervalSpec.ge(0.3), IntervalSpec.abs_le(1.5)):
-            M = cutoff_M(spec, grid)
-            assert 0 < np.count_nonzero(M.entries) < grid.n
-            assert np.array_equal((C @ M).entries, product(C, M))
+            keep = cutoff_M(spec, grid)
+            assert 0 < np.count_nonzero(keep) < grid.n
+            assert np.array_equal(C.masked(keep).entries,
+                                  product(C, diag(grid, keep.astype(float))))
+        # a complex diagonal takes the product on its nonzero block
         vals = rng.standard_normal(grid.n)
         vals[::3] = 0.0
-        D = KernelOperator.diagonal(grid, vals)
-        assert np.array_equal((C @ D).entries, product(C, D))
-        # a complex diagonal takes the dense path on its nonzero block
-        D = KernelOperator.diagonal(grid, vals * (1.0 + 0.5j))
+        D = diag(grid, vals * (1.0 + 0.5j))
         got, want = (C @ D).entries, product(C, D)
         assert not np.any(got[:, vals == 0])
         block = want[:, vals != 0]
         assert np.max(np.abs(got[:, vals != 0] - block)) <= 1e-14 * np.max(np.abs(block))
-    # one off-diagonal nonzero: the dense path, which keeps it
-    B = KernelOperator.diagonal(LIN, np.arange(LIN.n, dtype=float))
+    # one off-diagonal nonzero: the product keeps it
+    B = diag(LIN, np.arange(LIN.n, dtype=float))
     B.entries[3, 5] = 2.0
     got = (A @ B).entries
     assert np.array_equal(got, product(A, B))
@@ -179,17 +183,24 @@ def test_singular_values_property_over_zero_masks():
 
 
 def test_cutoffs_partition_and_idempotence():
+    rng = np.random.default_rng(15)
+    C = KernelOperator(LIN, PAIR, rng.standard_normal((PAIR.n, LIN.n))
+                       + 1j * rng.standard_normal((PAIR.n, LIN.n)))
     delta = 2.0
     Mle = cutoff_M(IntervalSpec.abs_le(delta), LIN)
     Mge = cutoff_M(IntervalSpec.abs_ge(delta), LIN)
-    I = KernelOperator.identity(LIN)
-    # half-offset nodes never hit the boundary, so the two parts sum to id
-    assert np.allclose((Mle + Mge).entries, I.entries)
-    assert np.allclose((Mle @ Mle).entries, Mle.entries)
-    assert np.allclose(Mle.adjoint().entries, Mle.entries)
+    assert Mle.dtype == bool and Mle.shape == (LIN.n,)
+    # half-offset nodes never hit the boundary, so the two parts partition
+    assert np.array_equal(Mle ^ Mge, np.ones(LIN.n, bool))
+    assert np.array_equal((C.masked(Mle) + C.masked(Mge)).entries, C.entries)
+    assert np.array_equal(C.masked(Mle).masked(Mle).entries, C.masked(Mle).entries)
+    assert not np.any(C.masked(Mle).entries[:, ~Mle])
+    # the cutoff of the identity is self-adjoint
+    I = KernelOperator.identity(LIN).masked(Mle)
+    assert np.array_equal(I.adjoint().entries, I.entries)
     Mp = cutoff_M(IntervalSpec.ge(0.0), LIN)
     Mm = cutoff_M(IntervalSpec.le(0.0), LIN)
-    assert op_norm(Mp @ Mm) == 0.0
+    assert op_norm(C.masked(Mp).masked(Mm)) == 0.0
 
 
 def test_flip_is_involution_linear_and_pair():
