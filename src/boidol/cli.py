@@ -3,9 +3,12 @@
 Subcommands mirror the library's check suites: ``orbits`` classifies limit
 sets of configured parameter sequences, ``converge omega`` and ``converge
 zero`` run the operator-norm convergence tables for the two degeneration
-regimes, ``dstar`` produces the aggregate membership report (exit status
-nonzero iff a condition fails), and ``norms`` dumps raw kernel-norm tables
-over the documented spectrum sample.
+regimes, ``dstar`` produces the aggregate membership report, and ``norms``
+dumps raw kernel-norm tables over the documented spectrum sample.
+
+Exit status: 0 when every check passes, 1 when a condition or a convergence
+table fails, and 2 on an error: a usage or configuration error, a package
+error, or an internal one, whose traceback goes to stderr.
 
 All defaults live in code and are echoed into every output together with a
 hash of the effective configuration and a grid-refinement diagnostic, so
@@ -20,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import BoidolError, PlanInfeasible
@@ -399,6 +403,9 @@ def main(argv=None) -> int:
         return 2
     except BoidolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except Exception:  # an internal error, never a verdict
+        traceback.print_exc()
         return 2
 
 

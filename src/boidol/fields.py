@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import (
+    BoidolError,
     MissingLimitPoint,
     NyquistViolation,
     PlanInfeasible,
@@ -1084,8 +1085,11 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     rescaled two-point compression; (2d) convergence to the three-zone
     construction; (3a) continuity on the lower strata; (3b) compactness on
     the two-dimensional stratum; (3c) half-line degeneration of the
-    two-dimensional points; (3d) the compact condition.  Errors are
-    collected per condition, and the conditions are listed by name.
+    two-dimensional points; (3d) the compact condition.  The conditions are
+    listed by name.  A package error (`BoidolError`) or a failed LAPACK call
+    (`LinAlgError`) in a condition is recorded under its `error` key, with
+    `passed` false, and the other conditions still run; any other exception
+    is a bug, and propagates.
 
     (4) repeats the suite for the adjoint field, as the nine verdicts and
     their conjunction.  Only 2c, 2d, 3c and 3d are recomputed on
@@ -1107,7 +1111,7 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
         invariant = (name, fn) in _ADJOINT_INVARIANT_CHECKS
         try:
             conditions[name] = fn(field.view() if invariant else field, cfg)
-        except Exception as exc:  # aggregated, never fail-fast
+        except (BoidolError, np.linalg.LinAlgError) as exc:  # aggregated
             conditions[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
     conditions = dict(sorted(conditions.items()))
     if cfg.check_adjoint and _checks is None:

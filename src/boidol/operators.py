@@ -12,11 +12,19 @@ boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
 columns it selects and zeroing the rest.
 
 Cutoffs, compressions and the rescaling unitaries leave many operators with
-whole rows or columns of exact zeros.  The two O(n^3) kernels, the SVD and
-the dense composition, work on the block of rows and columns holding a
-nonzero and treat the rest as the exact zeros they are: an exact zero adds
-nothing to a product and a zero row or column only appends zero singular
-values, so only the rounding of the smaller LAPACK or BLAS call differs.
+whole rows or columns of exact zeros.  The singular-value routines and the
+dense composition work on the block of rows and columns holding a nonzero
+and treat the rest as the exact zeros they are: an exact zero adds nothing
+to a product and a zero row or column only appends zero singular values, so
+only the rounding of the smaller LAPACK or BLAS call differs.
+
+`op_norm` needs only the largest singular value.  It takes it from
+Golub-Kahan-Lanczos bidiagonalization of that block, with full
+reorthogonalization, from a fixed start vector: a few matrix-vector
+products instead of an O(n^3) SVD.  It stops once the residual of the top
+Ritz triple is at most 1e-14 of its value, and takes the full SVD when that
+has not happened after 64 steps.  `compact_defect` needs a whole spectrum
+and keeps the full SVD.
 """
 
 from __future__ import annotations
@@ -132,46 +140,141 @@ class KernelOperator:
         return self * (-1.0)
 
 
-def _singular_values(A: KernelOperator) -> np.ndarray:
-    """Singular values of A.weighted(), largest first, min(shape) of them.
+def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
+    """A.weighted() on the rows and columns that hold a nonzero, or None
+    when there are none.  Non-finite entries raise.
 
-    The one SVD path of this module: the operator norm is entry 0 and the
-    compact defect at rank r is entry r.  Non-finite entries raise.  The SVD
-    runs on the block of rows and columns that hold a nonzero, and the
-    result is padded with zeros: the singular values of a matrix are those
-    of that block plus zeros, so entry r is 0 exactly when the block has
-    rank <= r, and only the rounding of LAPACK on the smaller matrix
-    differs.  A zero matrix gives zeros without running the SVD.
+    The singular values of a matrix are those of this block plus zeros.
     """
     W = A.weighted()
     if not np.all(np.isfinite(W)):
         raise ValueError("non-finite entries")
-    sv = np.zeros(min(W.shape))
     rows, cols = W.any(axis=1), W.any(axis=0)
     if not rows.any():
-        return sv
-    block = W if rows.all() and cols.all() else W[np.ix_(rows, cols)]
-    s = np.linalg.svd(block, compute_uv=False)
-    sv[:s.size] = s
+        return None
+    return W if rows.all() and cols.all() else W[np.ix_(rows, cols)]
+
+
+def _singular_values(A: KernelOperator) -> np.ndarray:
+    """Singular values of A.weighted(), largest first, min(shape) of them.
+
+    The path of `compact_defect`, whose value at rank r is entry r.  The SVD
+    runs on the nonzero block and the result is padded with zeros, so entry
+    r is 0 exactly when the block has rank <= r, and only the rounding of
+    LAPACK on the smaller matrix differs.  A zero matrix gives zeros without
+    running the SVD.
+    """
+    sv = np.zeros(min(A.entries.shape))
+    block = _nonzero_block(A)
+    if block is not None:
+        s = np.linalg.svd(block, compute_uv=False)
+        sv[:s.size] = s
     return sv
 
 
+_LANCZOS_STEPS = 64
+_LANCZOS_TOL = 1e-14
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """A fixed pseudo-random vector in [-1, 1)^n: splitmix64 of 1..n.
+
+    Being pseudo-random, it is neither even nor odd under a reflection of
+    the nodes, so it meets a top singular vector of either parity.  It is
+    built without `numpy.random`, whose import alone costs several MiB.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(float) * 2.0 ** -52 - 1.0
+
+
+def _orthogonalized(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """x minus its projection on the orthonormal rows of Q, taken twice."""
+    for _ in range(2):
+        x = x - (Q.conj() @ x) @ Q
+    return x
+
+
+def _top_ritz(C: np.ndarray, coupling: float) -> tuple[float, float]:
+    """The largest singular value of the bidiagonal C and the residual of its
+    triple, `coupling` times the last entry of its left singular vector."""
+    X, s, _ = np.linalg.svd(C)
+    return float(s[0]), coupling * abs(X[-1, 0])
+
+
+def _lanczos_norm(W: np.ndarray) -> tuple[float | None, int]:
+    """(largest singular value of W, steps) by Golub-Kahan-Lanczos.
+
+    Step k extends W V = U B, with B upper bidiagonal (alpha on the
+    diagonal, beta above it), by one column of V and one of U, each
+    reorthogonalized against all the earlier ones.  After each new entry of
+    B, W and W^H map the bases built so far into each other through the
+    leading block of B, up to that entry times the next basis vector.  So
+    the top Ritz triple of that block has the entry times the last
+    component of one of its singular vectors as its residual:
+    beta_k |e_k^T x_1| for the square k x k block, and alpha_{k+1}
+    |e_{k+1}^T y_1| for the k x (k+1) one.  The Ritz value is returned once
+    that residual is at most `_LANCZOS_TOL` times it, and None after
+    `_LANCZOS_STEPS` steps without that, or when W kills the start vector.
+    An exhausted Krylov space gives a zero entry and so stops.
+    """
+    m, n = W.shape
+    dtype = np.result_type(W, 1.0)
+    U = np.zeros((_LANCZOS_STEPS, m), dtype)
+    V = np.zeros((_LANCZOS_STEPS + 1, n), dtype)
+    B = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS + 1))
+    v = _start_vector(n)
+    V[0] = v / np.linalg.norm(v)
+    for k in range(_LANCZOS_STEPS):
+        u = W @ V[k]
+        if k:
+            u -= B[k - 1, k] * U[k - 1]
+        u = _orthogonalized(u, U[:k])
+        B[k, k] = alpha = np.linalg.norm(u)
+        if k:
+            theta, res = _top_ritz(B[:k, :k + 1].T, alpha)
+            if res <= _LANCZOS_TOL * theta:
+                return theta, k + 1
+        elif alpha == 0.0:
+            return None, 1
+        U[k] = u / alpha
+        # W^H u as conj(conj(u) W): no conjugate copy of W
+        v = np.conj(np.conj(U[k]) @ W) - alpha * V[k]
+        v = _orthogonalized(v, V[:k + 1])
+        B[k, k + 1] = beta = np.linalg.norm(v)
+        theta, res = _top_ritz(B[:k + 1, :k + 1], beta)
+        if res <= _LANCZOS_TOL * theta:
+            return theta, k + 1
+        V[k + 1] = v / beta
+    return None, _LANCZOS_STEPS
+
+
 def op_norm(A: KernelOperator) -> float:
-    """L^2 -> L^2 operator norm of the discretized kernel operator."""
-    sv = _singular_values(A)
-    return float(sv[0]) if sv.size else 0.0
+    """L^2 -> L^2 operator norm of the discretized kernel operator: the
+    largest singular value of its nonzero block, by `_lanczos_norm`, or by
+    the full SVD when that has not converged."""
+    block = _nonzero_block(A)
+    if block is None:
+        return 0.0
+    sigma, _ = _lanczos_norm(block)
+    if sigma is None:
+        sigma = float(np.linalg.svd(block, compute_uv=False)[0])
+    return sigma
 
 
 def compact_defect(A: KernelOperator, rank: int) -> float:
     """Distance (in operator norm) to the best rank-`rank` approximation."""
-    return norm_and_defect(A, rank)[1]
+    sv = _singular_values(A)
+    return float(sv[rank]) if rank < len(sv) else 0.0
 
 
 def norm_and_defect(A: KernelOperator, rank: int) -> tuple[float, float]:
-    """(op_norm(A), compact_defect(A, rank)) from one SVD."""
-    sv = _singular_values(A)
-    return (float(sv[0]) if sv.size else 0.0,
-            float(sv[rank]) if rank < len(sv) else 0.0)
+    """(op_norm(A), compact_defect(A, rank)), each by its own path."""
+    return op_norm(A), compact_defect(A, rank)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from boidol import cli
 from boidol.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -13,6 +14,8 @@ from boidol.cli import (
     load_config,
     main,
 )
+from boidol.errors import MissingLimitPoint
+from boidol.fields import OperatorField
 
 SMALL = {
     "grid": {"n": 128, "n_half": 96},
@@ -190,6 +193,29 @@ def test_dstar_small_grid(tmp_path):
     assert (tmp_path / "dstar_3c_two_dim_degeneration_0.csv").exists()
     assert set(payload["conditions"]) >= {
         "1_vanishing_at_infinity", "3d_compact_condition", "4_adjoint"}
+
+
+@pytest.mark.parametrize("exc, code", [(MissingLimitPoint("no point"), 1),
+                                       (RuntimeError("boom"), 2)])
+def test_dstar_exit_code_tells_a_failed_condition_from_a_crash(
+        tmp_path, monkeypatch, capsys, exc, code):
+    """A package error inside a condition fails the condition (exit 1); any
+    other exception is an internal error: exit 2, traceback on stderr."""
+    def provider(key):
+        raise exc
+
+    monkeypatch.setattr(cli, "fourier_field",
+                        lambda f: OperatorField(provider, "Synthetic", "broken"))
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "dstar"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert "Traceback" in err and "RuntimeError: boom" in err
+        assert not (tmp_path / "dstar.json").exists()
+    else:
+        assert err == ""
+        payload = json.loads((tmp_path / "dstar.json").read_text())
+        assert not payload["passed"]
 
 
 def test_custom_test_function_inline(tmp_path):

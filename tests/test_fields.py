@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from boidol.errors import NyquistViolation, PlanInfeasible, ZoneOverlap
+from boidol.errors import MissingLimitPoint, NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
     _ADJOINT_INVARIANT_CHECKS,
     _ADJOINT_SENSITIVE_CHECKS,
@@ -550,13 +550,24 @@ def test_dstar_report_structure_and_pass():
     assert rep["passed"] and not failing
 
 
+def _raising_field(exc):
+    def provider(key):
+        raise exc
+    return OperatorField(provider, "Synthetic", "broken")
+
+
 def test_dstar_report_collects_errors_instead_of_raising():
-    broken = FIELD.tampered(
-        lambda key, val: (_ for _ in ()).throw(RuntimeError("boom"))
-        if key[0] == "pi" else val, "broken")
-    rep = dstar_report(broken, small_config())
-    assert not rep["passed"]
-    assert "error" in rep["conditions"]["1_vanishing_at_infinity"]
+    """A package error or a failed LAPACK call is recorded per condition, as
+    its `error`, and fails it; any other exception is a bug and propagates."""
+    for exc in (MissingLimitPoint("no such point"), np.linalg.LinAlgError("boom")):
+        rep = dstar_report(_raising_field(exc), small_config())
+        assert not rep["passed"]
+        for name, cond in rep["conditions"].items():
+            assert not cond["passed"], name
+            if name != "4_adjoint":
+                assert cond["error"] == f"{type(exc).__name__}: {exc}", name
+    with pytest.raises(RuntimeError, match="boom"):
+        dstar_report(_raising_field(RuntimeError("boom")), small_config())
 
 
 def test_dstar_zero_field_is_a_member():

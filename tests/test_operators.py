@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import boidol
 from boidol.errors import AsymmetricGrid
 from boidol.grids import GridSpec
 from boidol.operators import (
+    _LANCZOS_STEPS,
+    _lanczos_norm,
     IntervalSpec,
     KernelOperator,
     compact_defect,
@@ -180,6 +189,112 @@ def test_singular_values_property_over_zero_masks():
         _assert_singular_values_match_full_svd(KernelOperator(dom, cod, ent))
 
     check()
+
+
+def _cplx(rng, m, n):
+    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(_cplx(rng, n, n))[0]
+
+
+def _assert_lanczos_matches_svd(W):
+    """op_norm of the operator whose weighted matrix is W, against the SVD."""
+    grid = GridSpec.log_half_line(1, 2.0, W.shape[1])
+    cod = GridSpec.log_half_line(-1, 3.0, W.shape[0])
+    ent = W / np.sqrt(cod.weights)[:, None] / np.sqrt(grid.weights)[None, :]
+    A = KernelOperator(grid, cod, ent)
+    full = np.linalg.svd(A.weighted(), compute_uv=False)[0]
+    sigma, steps = _lanczos_norm(A.weighted())
+    assert sigma is not None and steps < _LANCZOS_STEPS
+    assert abs(sigma - full) <= 1e-13 * full
+    assert op_norm(A) == sigma
+
+
+def test_lanczos_norm_matches_full_svd():
+    rng = np.random.default_rng(21)
+    n = 120
+    # singular values 0.9^j: a gap, then a long geometric tail
+    B = _unitary(rng, n) @ np.diag(0.9 ** np.arange(n)) @ _unitary(rng, n)
+    # an exactly repeated top value, as the two half-lines give
+    Z = np.zeros_like(B)
+    _assert_lanczos_matches_svd(np.block([[B, Z], [Z, B]]))
+    # a near-degenerate top pair, sigma_2 = sigma_1 (1 - 1e-10)
+    sv = np.r_[1.0, 1.0 - 1e-10, 0.5 * 0.95 ** np.arange(n - 2)]
+    _assert_lanczos_matches_svd(_unitary(rng, n) @ np.diag(sv) @ _unitary(rng, n))
+    # rank one
+    _assert_lanczos_matches_svd(_cplx(rng, n, 1) @ _cplx(rng, 1, n + 7))
+    # tiny and large norms
+    for scale in (1e-12, 1e6):
+        _assert_lanczos_matches_svd(scale * B)
+    # one row, one column
+    _assert_lanczos_matches_svd(_cplx(rng, 1, n))
+    _assert_lanczos_matches_svd(_cplx(rng, n, 1))
+
+
+def test_op_norm_sees_odd_and_even_top_vectors():
+    """On a mirror-symmetric grid the top singular vector may be even or odd
+    under the reflection; a start vector of one parity would miss the other."""
+    for grid in (LIN, PAIR):
+        S = flip_S(grid)
+        bump = bump_vec(grid, 1.0, 1.5)
+        even, odd = bump + S.apply(bump), bump - S.apply(bump)
+        for top, low in ((even, odd), (odd, even)):
+            ent = (2.0 * np.outer(top, top) / l2(grid, top) ** 2
+                   + np.outer(low, low) / l2(grid, low) ** 2)
+            A = KernelOperator(grid, grid, ent.astype(complex))
+            assert abs(op_norm(A) - 2.0) <= 1e-13
+
+
+def test_lanczos_falls_back_to_full_svd_on_a_flat_spectrum():
+    """A square Gaussian matrix has no gap at the top of its spectrum, so 64
+    steps do not reach the residual; op_norm then returns the SVD's value."""
+    rng = np.random.default_rng(22)
+    W = _cplx(rng, 512, 512)
+    assert _lanczos_norm(W) == (None, _LANCZOS_STEPS)
+    grid = GridSpec.log_half_line(1, 2.0, 512)
+    A = KernelOperator(grid, grid, W / np.sqrt(np.outer(grid.weights, grid.weights)))
+    full = np.linalg.svd(A.weighted(), compute_uv=False)[0]
+    assert abs(op_norm(A) - full) <= 1e-13 * full
+
+
+def test_op_norm_is_deterministic_across_threads_and_adjoints():
+    rng = np.random.default_rng(23)
+    grid = GridSpec.linear(L=6.0, n=384)  # large enough for a multithreaded BLAS gemv
+    A = KernelOperator(grid, grid, _cplx(rng, grid.n, 12) @ _cplx(rng, 12, grid.n))
+    inline = op_norm(A)
+    got = [None] * 4
+
+    def run(i):
+        got[i] = [op_norm(A) for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert got == [[inline] * 5] * 4
+    assert abs(op_norm(A.adjoint()) - inline) <= 1e-13 * inline
+
+
+def test_op_norm_does_not_load_numpy_random():
+    """The start vector is built without numpy.random, which numpy loads
+    only on first use and which costs several MiB."""
+    src = str(Path(boidol.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, numpy as np, boidol.cli; "
+            "from boidol.grids import GridSpec; "
+            "from boidol.operators import KernelOperator, op_norm; "
+            "g = GridSpec.linear(6.0, 64); "
+            "x = np.cos(np.arange(64.0)); "
+            "print(op_norm(KernelOperator(g, g, np.outer(x, np.sin(x)) + 0j)) > 0); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["True", "False"]
 
 
 def test_cutoffs_partition_and_idempotence():
