@@ -110,8 +110,8 @@ def unit_rules(ns) -> list[tuple[np.ndarray, np.ndarray]]:
     caller that needs many rules (as `bump_fourier` does) pays for one
     recurrence over all their nodes.  The cache keeps every rule for the
     life of the process and is bounded by the degrees its callers ask for:
-    `bump_fourier` asks for n <= max(quad.n, 663), so it holds at most
-    ~700 rules of 16n bytes each, a few MiB.  Threads may fill it at the
+    `bump_fourier` asks for quad.n and the 11 multiples of 64 up to 704,
+    rules of 16n bytes each.  Threads may fill it at the
     same time; a rule is built outside the lock and the first one stored
     wins, and since every rule is computed the same way alone or in any
     batch, which thread stores it does not matter.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from .operators import KernelOperator
@@ -87,15 +88,22 @@ def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
 
     sign (x_i - x_j) is computed as h*(sign (i - j)), so convolution kernels
     are exactly Toeplitz and the diagonal shift is +0.0 for either sign.
+    b_t is evaluated once on the 2n - 1 offsets h*(sign m), m = i - j, and
+    the n x n matrix of its values is a strided view of that vector.
     """
+    n = grid.n
     x = grid.nodes
-    idx = np.arange(grid.n)
-    diff = grid.weights[0] * (sign * (idx[:, None] - idx[None, :]))
-    ent = np.zeros((grid.n, grid.n), dtype=complex)
+    offsets = grid.weights[0] * (sign * np.arange(1 - n, n))
+    ent = np.zeros((n, n), dtype=complex)
     for tm in f.terms:
         col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), xquad)
                * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
-        ent += tm.coeff * tm.b_t(diff) * col[None, :]
+        # toe[i, j] = b_t(offsets[n - 1 + i - j])
+        toe = sliding_window_view(tm.b_t(offsets), n)[:, ::-1]
+        # coeff * toe * col, in place: one n x n temporary
+        term = np.multiply(tm.coeff, toe, dtype=complex)
+        term *= col
+        ent += term
     return KernelOperator(grid, grid, ent, label)
 
 

@@ -114,15 +114,23 @@ def eval_hatF34(f: TestFunction, t, x, a, b):
 def bump_fourier(bump: BumpFactor, alpha, quad: QuadratureSpec) -> np.ndarray:
     """Forward transform integral of bump(x)*exp(-i*alpha*x) dx, vectorized.
 
-    Gauss-Legendre on the support interval with node count
-    max(quad.n, int(|alpha|*width/2) + 64), growing linearly in
-    |alpha|*width; values with |alpha|*width at or beyond the decay cutoff
-    are exact zeros.  The alphas are grouped by node count and each group is
-    one (alphas x nodes) array summed along the nodes: the same elementwise
-    product and the same pairwise sum as one alpha at a time, so every
-    value equals the scalar computation bit for bit.  The rules of all the
-    node counts are fetched first in one `unit_rules` call, which builds the
-    missing ones in one batch; apart from that shared rule cache nothing is
+    With the bump centred at c of width w, x = c + w*u turns it into
+    w e^(-i alpha c) times the transform of the unit mollifier phi at
+    alpha w.  phi is even and the Gauss-Legendre rule on [-1, 1] is exactly
+    symmetric, so the rule's sum folds onto the non-negative nodes u_j as
+    the real sum of g_j cos(alpha w u_j), g_j = 2 W_j phi(u_j) (the middle
+    node of an odd rule counted once).  g takes n/2 evaluations of phi on
+    the cached unit rule; the phase is applied only when c != 0.
+
+    The node count is max(quad.n, m), m = int(|alpha|*w/2) + 64 rounded up
+    to a multiple of 64: never fewer nodes than max(quad.n,
+    int(|alpha|*w/2) + 64), and below the decay cutoff, beyond which the
+    values are exact zeros, at most 11 degrees besides quad.n.  The alphas
+    are grouped by node count and each group is one real (alphas x nodes)
+    array summed along the nodes: the same elementwise product and the same
+    pairwise sum as one alpha at a time, so every value equals the scalar
+    computation bit for bit.  The rules of all the node counts are fetched
+    in one `unit_rules` call; apart from that shared rule cache nothing is
     kept between calls.
     """
     if quad.n / (2.0 * bump.width) < 16:
@@ -136,15 +144,21 @@ def bump_fourier(bump: BumpFactor, alpha, quad: QuadratureSpec) -> np.ndarray:
     out = np.zeros(flat.shape, dtype=complex)
     aw = np.abs(flat) * bump.width
     live = np.flatnonzero(aw < FOURIER_CUTOFF)
-    counts = np.maximum(quad.n, (aw[live] / 2).astype(np.int64) + 64)
-    lo, hi = bump.support
+    ladder = -(-((aw[live] / 2).astype(np.int64) + 64) // 64) * 64
+    counts = np.maximum(quad.n, ladder)
     sizes = np.unique(counts)
-    unit_rules(sizes)
-    for n in sizes:
+    for n, (u, ws) in zip(sizes, unit_rules(sizes)):
         idx = live[counts == n]
-        xs, ws = gauss_legendre_rule(lo, hi, int(n))
+        half = int(n) // 2
+        u = u[half:]
+        g = 2.0 * ws[half:] * BumpFactor(0.0, 1.0)(u)
+        if n % 2:
+            g[0] *= 0.5
         al = flat[idx]
-        out[idx] = np.sum(ws * bump(xs) * np.exp(-1j * al[:, None] * xs), axis=1)
+        vals = bump.width * np.sum(g * np.cos((al * bump.width)[:, None] * u), axis=1)
+        if bump.centre:
+            vals = vals * np.exp(-1j * al * bump.centre)
+        out[idx] = vals
     return complex(out[0]) if scalar else out.reshape(alpha.shape)
 
 
@@ -153,7 +167,7 @@ def eval_hatF234(f: TestFunction, t, a, b, c,
     """hatF234(t, a, b, c): Fourier transform of hatF34 in its x slot.
 
     For separable terms the x-integral factorizes into a per-term bump
-    transform, cached per (term, a).
+    transform, `bump_fourier` of the term's b_x at a.
     """
     t = np.asarray(t, dtype=float)
     total = None

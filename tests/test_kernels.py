@@ -18,6 +18,7 @@ from boidol.testfun import (
     BumpFactor,
     SeparableTerm,
     TestFunction,
+    bump_fourier,
     default_test_function,
     eval_hatF34,
 )
@@ -34,10 +35,26 @@ def l2(grid, xi):
     return float(np.sqrt(np.sum(grid.weights * np.abs(xi) ** 2)))
 
 
+def trapezoid_fourier(vals, nodes, freqs, sign, rows=256):
+    """Trapezoid rule for the integral of vals(s) e^(sign i w s) ds over the
+    uniform `nodes`, at each w in `freqs`: real cos and sin matvecs over
+    chunks of `rows` frequencies, so no (freqs x nodes) complex table."""
+    tw = np.full(len(nodes), nodes[1] - nodes[0])
+    tw[[0, -1]] *= 0.5
+    wv = tw * vals
+    parts = np.stack([wv.real, wv.imag], axis=1)
+    out = np.empty(len(freqs), complex)
+    for i in range(0, len(freqs), rows):
+        arg = np.outer(freqs[i:i + rows], nodes)
+        c, s = np.cos(arg) @ parts, np.sin(arg) @ parts
+        # (cos + i sign sin) (re + i im)
+        out[i:i + rows] = (c[:, 0] - sign * s[:, 1]) + 1j * (c[:, 1] + sign * s[:, 0])
+    return out
+
+
 def inverse_bump_on(bump, ys):
     aa = np.linspace(*bump.support, 2001)
-    vals = np.trapezoid(bump(aa)[None, :] * np.exp(1j * np.outer(ys, aa)), aa, axis=1)
-    return vals / (2 * np.pi)
+    return trapezoid_fourier(bump(aa), aa, ys, 1) / (2 * np.pi)
 
 
 def test_zero_function_gives_zero_operators():
@@ -71,12 +88,7 @@ def pi_rho_lambda_oracle_error() -> float:
     g_b = inverse_bump_on(tm.b_b, zs)
     Zc = np.trapezoid(g_b * np.exp(-1j * lam * zs), zs)
     thetas = np.linspace(-40, 40, 6001)
-    # G in row chunks: the one-shot 6001 x 16001 integrand takes 1.5 GiB a copy
-    G = np.empty(len(thetas), complex)
-    for i in range(0, len(thetas), 256):
-        th = thetas[i:i + 256]
-        G[i:i + 256] = np.trapezoid(g_a[None, :] * np.exp(1j * np.outer(th, ys)),
-                                    ys, axis=1)
+    G = trapezoid_fourier(g_a, ys, thetas, 1)
 
     out = np.zeros(len(u), dtype=complex)
     for t, bt in zip(ts, tm.b_t(ts)):
@@ -114,18 +126,13 @@ def pi_ell_oracle_error() -> float:
     g_a = inverse_bump_on(tm.b_a, ys)
     g_b = inverse_bump_on(tm.b_b, ys)
     Zb = np.trapezoid(g_b, ys)
-    thetas = np.linspace(0, 4.0e5, 400001)
-    H = np.trapezoid(g_a[None, :] * np.exp(-1j * np.outer(thetas[:2], ys)), ys, axis=1)
 
     def H_at(th):
         # b_a factor via Riemann transform on demand (theta can be huge but
         # the factor vanishes once theta leaves the bump support)
-        th = np.asarray(th)
         out = np.zeros(th.shape, complex)
         small = np.abs(th) <= 50.0
-        if np.any(small):
-            out[small] = np.trapezoid(
-                g_a[None, :] * np.exp(-1j * np.outer(th[small], ys)), ys, axis=1)
+        out[small] = trapezoid_fourier(g_a, ys, th[small], -1)
         return out
 
     out = np.zeros(len(v), dtype=complex)
@@ -268,15 +275,19 @@ def dense_pi_entries(f, rho, lam, grid, twist):
     return ent
 
 
+# two terms with off-centre bumps of unequal width
+TWO_TERMS = TestFunction((
+    SeparableTerm(1.0, BumpFactor(0.0, 1.0), BumpFactor(0.7, 0.5),
+                  BumpFactor(0.0, 1.0), BumpFactor(0.0, 2.0)),
+    SeparableTerm(0.5 - 0.3j, BumpFactor(0.2, 0.8), BumpFactor(-1.5, 1.2),
+                  BumpFactor(0.3, 1.5), BumpFactor(0.1, 2.0)),
+))
+
+
 def test_banded_pi_kernel_equals_dense_t_loop():
     """Two terms with off-centre x-bumps of unequal width: the band is the
     union of both supports, and the banded kernel is the dense one exactly."""
-    g = TestFunction((
-        SeparableTerm(1.0, BumpFactor(0.0, 1.0), BumpFactor(0.7, 0.5),
-                      BumpFactor(0.0, 1.0), BumpFactor(0.0, 2.0)),
-        SeparableTerm(0.5 - 0.3j, BumpFactor(0.2, 0.8), BumpFactor(-1.5, 1.2),
-                      BumpFactor(0.3, 1.5), BumpFactor(0.1, 2.0)),
-    ))
+    g = TWO_TERMS
     for n in (64, 128):
         grid = GridSpec.linear(L=6.0, n=n)
         # rho = 200 raises the t-rule above the 64-node floor
@@ -285,3 +296,32 @@ def test_banded_pi_kernel_equals_dense_t_loop():
                 got = kernel_pi_rho_lambda(g, rho, lam, grid, twist=twist).entries
                 assert np.any(got)
                 assert np.array_equal(got, dense_pi_entries(g, rho, lam, grid, twist))
+
+
+def dense_near_convolution(f, mu, nu, grid, sign):
+    """coeff * b_t(h sign (i - j)) * col[j], summed over the terms, with b_t
+    evaluated on the full n x n array of offsets."""
+    x, h = grid.nodes, grid.weights[0]
+    i = np.arange(grid.n)
+    ent = np.zeros((grid.n, grid.n), dtype=complex)
+    for tm in f.terms:
+        col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), QuadratureSpec(64))
+               * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
+        ent += tm.coeff * tm.b_t(h * sign * (i[:, None] - i[None, :])) * col[None, :]
+    return ent
+
+
+@pytest.mark.parametrize("n", [64, 254, 384])
+def test_near_convolution_kernels_equal_dense_reference(n):
+    """The Toeplitz view of b_t gives the entries of the dense n x n
+    evaluation exactly, for pi_ell on the line and tau on both half-lines."""
+    for mu, nu in ((0.0, 0.0), (1.0, 0.5), (-0.3, 2.0)):
+        got = kernel_pi_ell(TWO_TERMS, mu, nu, GridSpec.linear(6.0, n)).entries
+        assert np.any(got)
+        assert np.array_equal(
+            got, dense_near_convolution(TWO_TERMS, mu, nu, GridSpec.linear(6.0, n), 1))
+        for sigma in (1, -1):
+            grid = GridSpec.log_half_line(sigma, 6.0, n)
+            got = kernel_tau(TWO_TERMS, mu, nu, grid).entries
+            assert np.any(got)
+            assert np.array_equal(got, dense_near_convolution(TWO_TERMS, mu, nu, grid, -1))

@@ -82,7 +82,7 @@ def test_hard_zero_at_large_frequency():
 
 
 def scalar_bump_fourier(bump, al, quad):
-    """One alpha at a time, as the transform is defined."""
+    """The plain complex sum on max(quad.n, int(|alpha|*width/2) + 64) nodes."""
     aw = abs(al) * bump.width
     if aw >= FOURIER_CUTOFF:
         return 0j
@@ -90,17 +90,48 @@ def scalar_bump_fourier(bump, al, quad):
     return complex(np.sum(ws * bump(xs) * np.exp(-1j * al * xs)))
 
 
-def test_bump_fourier_equals_scalar_reference():
-    bump, quad = BumpFactor(0.7, 0.5), QuadratureSpec(128)
+def folded_bump_fourier(bump, al, quad):
+    """One alpha at a time: the cosine sum over the non-negative nodes of the
+    unit rule on the ladder, times the phase of the centre."""
     w = bump.width
-    # |alpha|*width on both sides of 130, where the node count first exceeds
-    # quad.n, and of two later node-count edges, then at and next to the cutoff
-    aws = [0.0, 1.0, 129.999, 130.0, 130.001, 131.0, 400.0 - 1e-9, 400.0,
-           800.0 + 1e-9, 1199.0, np.nextafter(FOURIER_CUTOFF, 0.0),
-           FOURIER_CUTOFF, 1300.0]
+    aw = abs(al) * w
+    if aw >= FOURIER_CUTOFF:
+        return 0j
+    # int(|alpha|*width/2) + 64 rounded up to a multiple of 64, at least quad.n
+    n = max(quad.n, -(-(int(aw / 2) + 64) // 64) * 64)
+    (u, ws), = unit_rules((n,))
+    u = u[n // 2:]
+    g = 2.0 * ws[n // 2:] * np.exp(-1.0 / (1.0 - u ** 2))
+    if n % 2:
+        g[0] *= 0.5
+    val = w * np.sum(g * np.cos((np.array([al]) * w)[:, None] * u), axis=1)
+    if bump.centre:
+        val = val * np.exp(-1j * np.array([al]) * bump.centre)
+    return complex(val[0])
+
+
+def test_bump_fourier_equals_scalar_reference():
+    # an off-centre bump on a rule above the floor, the centred default, and
+    # an odd quad.n, whose rule has a middle node
+    for bump, quad in ((BumpFactor(0.7, 0.5), QuadratureSpec(128)),
+                       (BumpFactor(0.0, 1.0), QuadratureSpec(64)),
+                       (BumpFactor(0.3, 1.0), QuadratureSpec(97))):
+        check_bump_fourier_against_scalar(bump, quad)
+
+
+def check_bump_fourier_against_scalar(bump, quad):
+    w = bump.width
+    # |alpha|*width on both sides of the ladder's edges 2 + 128 k, where the
+    # node count steps up by 64 (quad.n swallows the first ones), then at and
+    # next to the cutoff
+    aws = [0.0, 1.0, 2.0 - 1e-9, 2.0, 129.999, 130.0, 130.001, 131.0,
+           258.0 - 1e-9, 258.0, 386.0, 514.0 - 1e-9, 1026.0, 1199.0,
+           np.nextafter(FOURIER_CUTOFF, 0.0), FOURIER_CUTOFF, 1300.0]
     alphas = np.array([s * a / w for a in aws for s in (1.0, -1.0)])
-    want = np.array([scalar_bump_fourier(bump, al, quad) for al in alphas])
+    want = np.array([folded_bump_fourier(bump, al, quad) for al in alphas])
     assert np.count_nonzero(want) == len(alphas) - 4  # the four past the cutoff
+    plain = np.array([scalar_bump_fourier(bump, al, quad) for al in alphas])
+    assert np.max(np.abs(want - plain)) <= 1e-11 * abs(want[0])
     assert np.array_equal(bump_fourier(bump, alphas, quad), want)
     grid = alphas.reshape(2, -1)
     got = bump_fourier(bump, grid, quad)
@@ -111,6 +142,37 @@ def test_bump_fourier_equals_scalar_reference():
         assert isinstance(got, complex) and got == v
     with pytest.raises(ValueError):
         bump_fourier(bump, np.array([1.0, np.nan]), quad)
+
+
+@pytest.mark.parametrize("bump", [BumpFactor(0.0, 1.0), BumpFactor(0.7, 0.5)])
+def test_bump_fourier_no_less_accurate_than_plain_sum(bump):
+    """Against a 2048-node complex sum, the folded sum on the ladder is
+    within rounding of the plain complex sum, whose node count is never
+    larger."""
+    quad = QuadratureSpec(64)
+    xs, ws = gauss_legendre_rule(*bump.support, 2048)
+    fx = ws * bump(xs)
+
+    def ref(al):
+        return complex(np.sum(fx * np.exp(-1j * al * xs)))
+
+    peak = abs(ref(0.0))
+    for aw in (0.5, 1.999, 2.0, 17.3, 129.999, 130.0, 300.3, 611.7, 1001.9, 1199.0):
+        for al in (aw / bump.width, -aw / bump.width):
+            want = ref(al)
+            new = abs(bump_fourier(bump, al, quad) - want)
+            old = abs(scalar_bump_fourier(bump, al, quad) - want)
+            assert new <= old + 5e-15 * peak, (aw, al, new, old)
+
+
+def test_bump_fourier_builds_few_rules(monkeypatch):
+    """One call over alphas spanning [0, cutoff) asks the rule cache for at
+    most 11 degrees: the ladder, not one degree per node count."""
+    monkeypatch.setattr(grids, "_RULES", {})
+    bump = BumpFactor(0.0, 1.0)
+    bump_fourier(bump, np.linspace(0.0, FOURIER_CUTOFF, 5000, endpoint=False),
+                 QuadratureSpec(64))
+    assert len(grids._RULES) <= 11
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
