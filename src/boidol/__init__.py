@@ -11,6 +11,7 @@ from .errors import (
     AsymmetricGrid,
     BoidolError,
     MissingLimitPoint,
+    NonFiniteOperator,
     NotProperlyConverging,
     NyquistViolation,
     PlanInfeasible,

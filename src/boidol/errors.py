@@ -37,5 +37,9 @@ class PlanInfeasible(BoidolError):
     """A sequence plan violates one of its defining limit conditions."""
 
 
+class NonFiniteOperator(BoidolError):
+    """An operator handed to a norm or singular-value routine holds a NaN or inf."""
+
+
 class NyquistViolation(BoidolError):
     """A sampled scalar field is too coarse for inverse Fourier synthesis."""

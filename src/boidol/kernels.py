@@ -47,30 +47,45 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
     With twist=True the composition with the flip automorphism is built
     instead (signs of the second and third slots reversed).
 
-    The integrand vanishes unless the second slot lies in the x-support of
-    f, so at each t-node hatF34 is evaluated only on that band: per row u,
-    the contiguous range of x found by bisection on the sorted nodes, widened
-    by one column.  Outside the band every term has the exact factor 0, so
-    the entries are the same as summing over the full n x n array.
+    hatF34 vanishes unless every slot lies in the support box of f.  For
+    lam outside the b-support the kernel is zero and no t-node is visited.
+    Otherwise, at each t-node hatF34 is evaluated only on a band: per row u,
+    the x with the second slot in the x-support and the third slot in the
+    a-support, that is e^t u - x in [x0, x1] and x + e^t u in
+    [-2 a1/lam, -2 a0/lam] (ends swapped for lam < 0, both slots negated
+    under twist).  The band is the contiguous range of x found by bisection
+    on the sorted nodes, widened by one column on each side, and no columns
+    where the widened range is empty.  Outside the band every term has the
+    exact factor 0, so the entries are the same as summing over the full
+    n x n array, bit for bit.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
     if grid.kind != "linear":
         raise ValueError("kernel_pi_rho_lambda needs a linear grid")
-    ts, ws = _t_rule(f, rho, tquad)
     u = grid.nodes
     x = grid.nodes
     n = grid.n
-    x0, x1 = f.support_box[1]
+    (x0, x1), (a0, a1), (b0, b1) = f.support_box[1:]
+    if not b0 < lam < b1:
+        return KernelOperator.zero(grid, label=f"pi({rho},{lam})")
+    # x + e with a0 <= -(lam/2)(x + e) <= a1 (twisted: the negated range)
+    c0, c1 = sorted((-2.0 * a1 / lam, -2.0 * a0 / lam))
+    if twist:
+        c0, c1 = -c1, -c0
+    ts, ws = _t_rule(f, rho, tquad)
     ent = np.zeros((n, n), dtype=complex)
     flat = ent.reshape(-1)
     for t, w in zip(ts, ws):
         e = math.exp(t) * u
-        # columns with x0 <= e - x <= x1 (twisted: x0 <= x - e <= x1)
+        # columns with x0 <= e - x <= x1 (twisted: x0 <= x - e <= x1) and
+        # c0 <= x + e <= c1
         left, right = (e + x0, e + x1) if twist else (e - x1, e - x0)
+        left = np.maximum(left, c0 - e)
+        right = np.minimum(right, c1 - e)
         start = np.maximum(np.searchsorted(x, left, "left") - 1, 0)
         stop = np.minimum(np.searchsorted(x, right, "right") + 1, n)
-        width = stop - start
+        width = np.maximum(stop - start, 0)
         rows = np.repeat(np.arange(n), width)
         cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(width) - width), width)
         a = e[rows] - x[cols]

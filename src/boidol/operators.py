@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricGrid
+from .errors import AsymmetricGrid, NonFiniteOperator
 from .grids import GridSpec
 
 __all__ = [
@@ -142,13 +142,13 @@ class KernelOperator:
 
 def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
     """A.weighted() on the rows and columns that hold a nonzero, or None
-    when there are none.  Non-finite entries raise.
+    when there are none.  Non-finite entries raise `NonFiniteOperator`.
 
     The singular values of a matrix are those of this block plus zeros.
     """
     W = A.weighted()
     if not np.all(np.isfinite(W)):
-        raise ValueError("non-finite entries")
+        raise NonFiniteOperator(f"non-finite entries in {A.label or 'operator'}")
     rows, cols = W.any(axis=1), W.any(axis=0)
     if not rows.any():
         return None

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from boidol import cli
@@ -15,7 +16,8 @@ from boidol.cli import (
     main,
 )
 from boidol.errors import MissingLimitPoint
-from boidol.fields import OperatorField
+from boidol.fields import OperatorField, fourier_field
+from boidol.operators import KernelOperator
 
 SMALL = {
     "grid": {"n": 128, "n_half": 96},
@@ -216,6 +218,28 @@ def test_dstar_exit_code_tells_a_failed_condition_from_a_crash(
         assert err == ""
         payload = json.loads((tmp_path / "dstar.json").read_text())
         assert not payload["passed"]
+
+
+def test_dstar_records_a_non_finite_operator_as_a_failed_condition(tmp_path, monkeypatch):
+    """One NaN in pi(48, 1), which only condition 1 reads: that condition
+    records a `NonFiniteOperator` error, the others still run, and the
+    command exits 1 (a failed condition), not 2."""
+    def transform(key, val):
+        if key[:3] == ("pi", 48.0, 1.0):
+            entries = val.entries.copy()
+            entries[0, 0] = np.nan
+            return KernelOperator(val.domain, val.codomain, entries, val.label)
+        return val
+
+    monkeypatch.setattr(cli, "fourier_field", lambda f: fourier_field(f).tampered(transform))
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "dstar"]) == 1
+    conditions = json.loads((tmp_path / "dstar.json").read_text())["conditions"]
+    errors = {k: v["error"] for k, v in conditions.items() if "error" in v}
+    assert list(errors) == ["1_vanishing_at_infinity"]
+    assert errors["1_vanishing_at_infinity"].startswith("NonFiniteOperator: ")
+    assert sorted(k for k, v in conditions.items() if not v["passed"]) == [
+        "1_vanishing_at_infinity", "4_adjoint"]
 
 
 def test_custom_test_function_inline(tmp_path):

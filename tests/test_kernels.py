@@ -290,12 +290,68 @@ def test_banded_pi_kernel_equals_dense_t_loop():
     g = TWO_TERMS
     for n in (64, 128):
         grid = GridSpec.linear(L=6.0, n=n)
-        # rho = 200 raises the t-rule above the 64-node floor
-        for rho, lam in ((0.0, 1.0), (2.5, -0.7), (200.0, 1.3)):
+        # rho = 200 raises the t-rule above the 64-node floor; at lam = 1.9
+        # the a-slot bound cuts most rows, and at lam = 2.05 only the second
+        # term's b_b is nonzero
+        for rho, lam in ((0.0, 1.0), (2.5, -0.7), (200.0, 1.3), (0.0, 1.9),
+                         (0.5, 2.05)):
             for twist in (False, True):
                 got = kernel_pi_rho_lambda(g, rho, lam, grid, twist=twist).entries
                 assert np.any(got)
                 assert np.array_equal(got, dense_pi_entries(g, rho, lam, grid, twist))
+
+
+class RecordingHatF34:
+    """Stands in for `eval_hatF34` in `boidol.kernels`: evaluates it and
+    keeps each call's arguments and values."""
+
+    def __init__(self):
+        self.log = []
+
+    def __call__(self, f, t, a, b, lam):
+        vals = eval_hatF34(f, t, a, b, lam)
+        self.log.append((t, a, b, vals))
+        return vals
+
+
+@pytest.mark.parametrize("lam", [3.0, -2.5])
+def test_pi_kernel_outside_b_support_is_zero_without_evaluation(monkeypatch, lam):
+    """lam outside the b-support (-2, 2.1) of TWO_TERMS: the zero kernel,
+    and no t-node visited."""
+    rec = RecordingHatF34()
+    monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
+    for twist in (False, True):
+        A = kernel_pi_rho_lambda(TWO_TERMS, 0.5, lam, GridSpec.linear(6.0, 64),
+                                 twist=twist)
+        assert A.entries.shape == (64, 64) and not np.any(A.entries)
+    assert rec.log == []
+
+
+@pytest.mark.parametrize("rho, lam, twist", [(0.0, 1.0, False), (2.0, 0.5, False),
+                                             (0.0, 1.0, True)])
+def test_pi_kernel_band_is_tight(monkeypatch, rho, lam, twist):
+    """At each t-node the band holds the points whose second and third slots
+    lie in the support box and at most two widening columns per row it
+    reaches.  The nonzero values are those points less the ones where a
+    bump underflows to 0 near its support's edge."""
+    rec = RecordingHatF34()
+    monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
+    grid = GridSpec.linear(L=8.0, n=128)
+    kernel_pi_rho_lambda(F, rho, lam, grid, twist=twist)
+    assert len(rec.log) == 64
+    (x0, x1), (a0, a1) = F.support_box[1:3]
+    sign = -1.0 if twist else 1.0
+    points = in_box = nonzero = rows = 0
+    for t, a, b, vals in rec.log:
+        points += a.size
+        in_box += np.count_nonzero((x0 <= a) & (a <= x1) & (a0 <= b) & (b <= a1))
+        nonzero += np.count_nonzero(vals)
+        # row u from a = e^t u - x and b = -(lam/2)(x + e^t u), signs flipped
+        # under twist
+        u = sign * (a - 2.0 * b / lam) / 2.0 * math.exp(-t)
+        rows += np.unique(np.rint((u - grid.nodes[0]) / grid.weights[0])).size
+    assert 0 < nonzero <= in_box
+    assert points <= in_box + 2 * rows
 
 
 def dense_near_convolution(f, mu, nu, grid, sign):
