@@ -61,7 +61,6 @@ from .operators import (
     cutoff_M,
     flip_S,
     load_operator,
-    norm_and_defect,
     op_norm,
     save_operator,
 )

@@ -6,6 +6,11 @@ zero`` run the operator-norm convergence tables for the two degeneration
 regimes, ``dstar`` produces the aggregate membership report, and ``norms``
 dumps raw kernel-norm tables over the documented spectrum sample.
 
+``converge`` and ``dstar`` build one `DstarConfig` from the config, and the
+``converge`` tables and verdicts are those of the report's conditions: 2c
+with the rate envelope for ``omega``, 2d with 3c for ``zero``.  Every
+command runs in one thread; ``--threads`` is accepted and ignored.
+
 Exit status: 0 when every check passes, 1 when a condition or a convergence
 table fails, and 2 on an error: a usage or configuration error, a package
 error, or an internal one, whose traceback goes to stderr.
@@ -24,24 +29,24 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .errors import BoidolError, PlanInfeasible
 from .fields import (
     DstarConfig,
     FieldGrids,
     PowerSeq,
+    _cond_sigma_omega,
+    _cond_sigma_zero,
+    _cond_two_dim_degeneration,
     check_rate_envelope,
     check_small_zone,
     check_tail_cutoff,
     default_plan,
     default_sample,
-    deviation_rows,
     dstar_report,
     ell_params,
     fourier_field,
-    tends_to_zero,
-    zone_deviation_rows,
 )
 from .grids import GridSpec
 from .kernels import kernel_pi_ell, kernel_pi_rho_lambda
@@ -76,6 +81,11 @@ DEFAULT_CONFIG = {
     "slow_decay_ratio": 0.75,
     "wiggle": 1.1,
 }
+
+# The k of the 3c rows in `converge zero`, those not below the least of "ks".
+# Kept apart from `DstarConfig.ks_tau`, which runs on to 4^10, because the
+# benchmark references pin the five rows these give.
+_CONVERGE_ZONE_KS = (4, 64, 1024, 4 ** 7, 4 ** 9)
 
 
 class ConfigError(BoidolError):
@@ -122,9 +132,10 @@ def _refinement_diagnostic() -> dict:
     """A fixed two-resolution norm probe embedded in every output.
 
     It builds ell(1,1) on L=10 at n=200 and at n=400 and takes both norms on
-    every CLI call, whatever the configured grid: about 0.08 s in a fresh
-    process on a 2-core x86-64 host, most of it quadrature rules and
-    kernels that the call may not otherwise need.
+    every CLI call, whatever the configured grid.  In a fresh process on a
+    2-core x86-64 host (OpenBLAS) it took 0.05-0.09 s in 13 of 15 runs and
+    0.33-0.35 s in the other two, most of it quadrature rules and kernels
+    that the call may not otherwise need.
     """
     f = default_test_function()
     coarse = op_norm(kernel_pi_ell(f, 1.0, 1.0, GridSpec.linear(10.0, 200)))
@@ -173,14 +184,9 @@ def _seq(doc: dict) -> PowerSeq:
     return PowerSeq(float(doc["coeff"]), float(doc["exponent"]))
 
 
-def _build_plans(cfg: dict, regime: str) -> list[tuple[str, object]]:
-    plans = []
-    for doc in cfg["sequences"]:
-        if doc["regime"] != regime:
-            continue
-        plans.append((doc["name"],
-                      default_plan(regime, _seq(doc["rho"]), _seq(doc["lambda"]))))
-    return plans
+def _build_plans(cfg: dict, regime: str) -> tuple:
+    return tuple(default_plan(regime, _seq(doc["rho"]), _seq(doc["lambda"]))
+                 for doc in cfg["sequences"] if doc["regime"] == regime)
 
 
 def _out_dir(args) -> str:
@@ -220,76 +226,56 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-def _converge_omega_tables(field, plans, grids, ks, cfg, pool):
-    tables = []
-    for name, plan in plans:
-        rows = deviation_rows(field, plan, ks, grids, map=pool.map)
-        rate = check_rate_envelope(field, plan, ks, grids)
-        tables.append({
-            "name": name, "plan": plan.describe(), "rows": rows,
-            "tail_rows": check_tail_cutoff(field, plan, ks, grids),
-            "small_zone_rows": check_small_zone(field, plan, ks, grids),
-            "rate_rows": rate["rows"], "rate_C": rate["C"],
-            "rate_passed": rate["passed"],
-            "passed": tends_to_zero([r["value"] for r in rows], cfg["decay_ratio"],
-                                    cfg["wiggle"]) and rate["passed"],
-        })
-    return tables
+def _field_setup(args):
+    """(config, output directory, DstarConfig, field) of a verdict command.
 
-
-def _converge_zero_tables(field, plans, grids, ks, cfg, pool):
-    tables = []
-    for name, plan in plans:
-        rows = deviation_rows(field, plan, ks, grids, map=pool.map)
-        zone_ks = [k for k in (4, 64, 1024, 4 ** 7, 4 ** 9) if k >= min(ks)]
-        zone_rows = zone_deviation_rows(field, plan, zone_ks, grids)
-        tables.append({
-            "name": name, "plan": plan.describe(), "rows": rows,
-            "three_zone_rows": zone_rows,
-            "passed": tends_to_zero([r["value"] for r in rows],
-                                    cfg["slow_decay_ratio"], cfg["wiggle"])
-                      and tends_to_zero([r["value"] for r in zone_rows],
-                                        cfg["decay_ratio"], cfg["wiggle"]),
-        })
-    return tables
-
-
-class _InlinePool:
-    """The executor for --threads 1: `map` runs in the calling thread.
-
-    A one-worker pool adds nothing but a thread, and that thread's own
-    malloc arena kept about 36 MiB of freed operator memory resident in
-    `converge zero` at --grid-scale 2.
+    `converge` and `dstar` both read their grids, plans and decision
+    parameters from this one `DstarConfig`.
     """
-
-    map = staticmethod(map)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _pool(threads: int):
-    return _InlinePool() if threads == 1 else ThreadPoolExecutor(max_workers=threads)
+    cfg = load_config(args.config)
+    out = _out_dir(args)
+    scale = args.grid_scale
+    g = cfg["grid"]
+    dcfg = DstarConfig(
+        grids=FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"], scale=scale),
+        sample=default_sample(scale=scale),
+        plans_omega=_build_plans(cfg, "OmegaNonzero"),
+        plans_zero=_build_plans(cfg, "OmegaZero"),
+        ks=tuple(cfg["ks"]),
+        decay_ratio=cfg["decay_ratio"],
+        slow_decay_ratio=cfg["slow_decay_ratio"],
+        wiggle=cfg["wiggle"])
+    return cfg, out, dcfg, fourier_field(_build_testfun(cfg))
 
 
 def cmd_converge(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    g = cfg["grid"]
-    grids = FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"],
-                               scale=args.grid_scale)
-    field = fourier_field(_build_testfun(cfg))
-    ks = cfg["ks"]
+    """The 2c tables with the tail, small-zone and rate-envelope rows
+    (`omega`), or the 2d tables with the 3c rows at `_CONVERGE_ZONE_KS`
+    (`zero`); a table passes when both of its conditions pass."""
+    cfg, out, dcfg, field = _field_setup(args)
+    g, ks = dcfg.grids, dcfg.ks
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
-    plans = _build_plans(cfg, regime)
-    with _pool(args.threads) as pool:
-        if regime == "OmegaNonzero":
-            tables = _converge_omega_tables(field, plans, grids, ks, cfg, pool)
-        else:
-            tables = _converge_zero_tables(field, plans, grids, ks, cfg, pool)
+    names = [doc["name"] for doc in cfg["sequences"] if doc["regime"] == regime]
+    tables = []
+    if regime == "OmegaNonzero":
+        for name, plan, table in zip(names, dcfg.plans_omega,
+                                     _cond_sigma_omega(field, dcfg)["tables"]):
+            rate = check_rate_envelope(field, plan, ks, g)
+            tables.append({
+                **table, "name": name,
+                "tail_rows": check_tail_cutoff(field, plan, ks, g),
+                "small_zone_rows": check_small_zone(field, plan, ks, g),
+                "rate_rows": rate["rows"], "rate_C": rate["C"],
+                "rate_passed": rate["passed"],
+                "passed": table["passed"] and rate["passed"]})
+    else:
+        zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_ZONE_KS
+                                              if k >= min(ks)))
+        for name, slow, fast in zip(names, _cond_sigma_zero(field, dcfg)["tables"],
+                                    _cond_two_dim_degeneration(field, zone_cfg)["tables"]):
+            tables.append({"name": name, "plan": slow["plan"], "rows": slow["rows"],
+                           "three_zone_rows": fast["rows"],
+                           "passed": slow["passed"] and fast["passed"]})
     prov = _provenance(cfg, args.grid_scale)
     payload = {"regime": args.regime, "tables": tables,
                "passed": all(t["passed"] for t in tables), **prov}
@@ -303,22 +289,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_dstar(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    scale = args.grid_scale
-    g = cfg["grid"]
-    grids = FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"], scale=scale)
-    field = fourier_field(_build_testfun(cfg))
-    dcfg = DstarConfig(
-        grids=grids, sample=default_sample(scale=scale),
-        plans_omega=tuple(p for _, p in _build_plans(cfg, "OmegaNonzero")),
-        plans_zero=tuple(p for _, p in _build_plans(cfg, "OmegaZero")),
-        ks=tuple(cfg["ks"]),
-        decay_ratio=cfg["decay_ratio"],
-        slow_decay_ratio=cfg["slow_decay_ratio"],
-        wiggle=cfg["wiggle"])
+    cfg, out, dcfg, field = _field_setup(args)
     report = dstar_report(field, dcfg)
-    prov = _provenance(cfg, scale)
+    prov = _provenance(cfg, args.grid_scale)
     payload = {**report, **prov}
     _write_json(os.path.join(out, "dstar.json"), payload)
     for name in ("2c_two_point_limit", "2d_three_zone_limit",
@@ -342,21 +315,14 @@ def cmd_norms(args) -> int:
     grids = FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"], scale=scale)
     f = _build_testfun(cfg)
     sample = default_sample(scale=scale)
-    rows = []
-    with _pool(args.threads) as pool:
-        def pi_norm(pt):
-            rho, lam = pt
-            return op_norm(kernel_pi_rho_lambda(f, rho, lam, grids.lin))
-
-        for (rho, lam), val in zip(sample.gamma3,
-                                   pool.map(pi_norm, sample.gamma3)):
-            rows.append({"stratum": "gamma3", "point": f"pi({rho},{lam})",
-                         "norm": val})
-        for lab in sample.gamma2 + sample.gamma1:
-            mu, nu = ell_params(lab)
-            rows.append({"stratum": "gamma2" if lab in sample.gamma2 else "gamma1",
-                         "point": f"ell({mu},{nu})",
-                         "norm": op_norm(kernel_pi_ell(f, mu, nu, grids.lin))})
+    rows = [{"stratum": "gamma3", "point": f"pi({rho},{lam})",
+             "norm": op_norm(kernel_pi_rho_lambda(f, rho, lam, grids.lin))}
+            for rho, lam in sample.gamma3]
+    for lab in sample.gamma2 + sample.gamma1:
+        mu, nu = ell_params(lab)
+        rows.append({"stratum": "gamma2" if lab in sample.gamma2 else "gamma1",
+                     "point": f"ell({mu},{nu})",
+                     "norm": op_norm(kernel_pi_ell(f, mu, nu, grids.lin))})
     prov = _provenance(cfg, scale)
     path = os.path.join(out, "norms.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -377,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default ${OUT_ENV} or '.')")
-    parser.add_argument("--threads", type=int, default=min(4, os.cpu_count() or 1),
-                        help="pool threads (default: 4, or fewer on fewer cores)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: every command runs in one thread")
     parser.add_argument("--grid-scale", type=int, choices=(1, 2, 4), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("orbits", help="limit-set classification tables")

@@ -42,7 +42,6 @@ from .operators import (
     KernelOperator,
     compact_defect,
     cutoff_M,
-    norm_and_defect,
     op_norm,
 )
 from .testfun import BumpFactor, TestFunction, bump_fourier, l1_norm_F1
@@ -586,15 +585,13 @@ def _plan_row(plan: SequencePlan, k: int) -> dict:
 
 
 def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
-                   grids: FieldGrids, map=map) -> list[dict]:
+                   grids: FieldGrids) -> list[dict]:
     """The deviations ||A_k - sigma_k|| of the generic operators, one row per k.
 
     A_k is the field's generic operator at (rho_k, lam_k) and sigma_k the
     limit approximation of the plan's regime: `sigma_k_omega` for
     "OmegaNonzero", `sigma_k_zero` for "OmegaZero".  Each row is the plan
-    row of k with `value` the deviation and `bound` None.  `map` runs the
-    per-k work (a thread pool's `map` spreads it over threads); the rows
-    keep the order of `ks`.
+    row of k with `value` the deviation and `bound` None.
     """
     # looked up here, not bound once, so a replaced module attribute is called
     sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
@@ -603,8 +600,8 @@ def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
         A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
         return op_norm(A - sigma(field, k, plan, grids))
 
-    return [{**_plan_row(plan, k), "value": dev, "bound": None}
-            for k, dev in zip(ks, map(deviation, ks))]
+    return [{**_plan_row(plan, k), "value": deviation(k), "bound": None}
+            for k in ks]
 
 
 def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
@@ -951,8 +948,9 @@ def _cond_compact_gamma3(field, cfg) -> dict:
     budget = cfg.rank_budget or g.lin.n // 8
     rows = {}
     for rho, lam in ((0.0, 1.0), (2.0, 0.5), (1.0, 1.0)):
-        norm, d = norm_and_defect(field.pi(rho, lam, g.lin), budget)
-        scale = max(norm, 1e-30)
+        A = field.pi(rho, lam, g.lin)
+        scale = max(op_norm(A), 1e-30)
+        d = compact_defect(A, budget)
         rows[f"pi({rho},{lam})"] = {"defect": d, "scale": scale,
                                     "passed": bool(d < cfg.compact_tol * scale)}
     return {"rank_budget": budget, "rows": rows,

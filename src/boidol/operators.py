@@ -42,7 +42,6 @@ __all__ = [
     "IntervalSpec",
     "op_norm",
     "compact_defect",
-    "norm_and_defect",
     "cutoff_M",
     "flip_S",
     "save_operator",
@@ -270,11 +269,6 @@ def compact_defect(A: KernelOperator, rank: int) -> float:
     """Distance (in operator norm) to the best rank-`rank` approximation."""
     sv = _singular_values(A)
     return float(sv[rank]) if rank < len(sv) else 0.0
-
-
-def norm_and_defect(A: KernelOperator, rank: int) -> tuple[float, float]:
-    """(op_norm(A), compact_defect(A, rank)), each by its own path."""
-    return op_norm(A), compact_defect(A, rank)
 
 
 @dataclass(frozen=True)

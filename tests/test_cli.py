@@ -16,8 +16,22 @@ from boidol.cli import (
     main,
 )
 from boidol.errors import MissingLimitPoint
-from boidol.fields import OperatorField, fourier_field
+from boidol.fields import (
+    _ADJOINT_SENSITIVE_CHECKS,
+    DstarConfig,
+    FieldGrids,
+    OperatorField,
+    PowerSeq,
+    default_plan,
+    default_sample,
+    dstar_report,
+    fourier_field,
+    s_k_zero,
+    tends_to_zero,
+    zone_deviation_rows,
+)
 from boidol.operators import KernelOperator
+from boidol.testfun import default_test_function
 
 SMALL = {
     "grid": {"n": 128, "n_half": 96},
@@ -74,9 +88,10 @@ def test_config_hash_is_stable_and_key_order_free():
 
 @pytest.mark.parametrize("cores", [None, 1, 2, 3, 4, 64])
 def test_threads_default_never_exceeds_cores(monkeypatch, cores):
+    """Every command runs in one thread whatever the core count, and
+    `--threads N` still parses: it is accepted and ignored."""
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    threads = build_parser().parse_args(["dstar"]).threads
-    assert threads == min(4, cores or 1)
+    assert build_parser().parse_args(["dstar"]).threads == 1
     assert build_parser().parse_args(["--threads", "3", "dstar"]).threads == 3
 
 
@@ -157,21 +172,116 @@ def test_converge_zero_small_grid(tmp_path):
     assert zone_vals[-1] < 0.1 * zone_vals[0]
 
 
-@pytest.mark.parametrize("regime", ["omega", "zero"])
-def test_converge_independent_of_threads(tmp_path, regime):
-    """The thread pool shares no mutable state: one thread (run inline) and
-    two pool threads write the same artifact and exit with the same code."""
-    cfg_path = write_cfg(tmp_path, {"grid": {"n": 192, "n_half": 144},
-                                    "ks": [4, 8]})
-    codes, docs = [], []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
-        out.mkdir()
-        codes.append(main(["--config", cfg_path, "--out", str(out),
-                           "--threads", str(threads), "converge", regime]))
-        docs.append((out / f"converge_{regime}.json").read_text())
-    assert codes[0] == codes[1]
-    assert docs[0] == docs[1]
+THREADS_CFG = {"grid": {"n": 192, "n_half": 144}, "ks": [4, 8]}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """`small_run(command, threads)`: (exit code, artifact text) of one CLI
+    call on THREADS_CFG, `command` "omega", "zero" or "norms"; each call
+    runs once per module."""
+    root = tmp_path_factory.mktemp("small_run")
+    cfg_path = write_cfg(root, THREADS_CFG)
+    done = {}
+
+    def run(command, threads):
+        if (command, threads) not in done:
+            out = root / f"{command}-threads{threads}"
+            out.mkdir()
+            argv, artifact = ((["norms"], "norms.json") if command == "norms" else
+                              (["converge", command], f"converge_{command}.json"))
+            code = main(["--config", cfg_path, "--out", str(out),
+                         "--threads", str(threads), *argv])
+            done[command, threads] = code, (out / artifact).read_text()
+        return done[command, threads]
+
+    return run
+
+
+@pytest.mark.parametrize("command", ["omega", "zero", "norms"])
+def test_converge_independent_of_threads(small_run, command):
+    """`--threads` is ignored: the commands that once mapped their work over
+    a thread pool write the same artifact and exit with the same code under
+    one and two threads."""
+    assert small_run(command, 1) == small_run(command, 2)
+
+
+def _small_report():
+    """The field and config of THREADS_CFG, built without the CLI, and
+    its 2c and 2d conditions."""
+    dcfg = DstarConfig(
+        grids=FieldGrids.default(n_lin=192, n_half=144), sample=default_sample(),
+        plans_omega=(default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1)),),
+        plans_zero=(default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1)),),
+        ks=(4, 8))
+    field = fourier_field(default_test_function())
+    checks = tuple(c for c in _ADJOINT_SENSITIVE_CHECKS
+                   if c[0] in ("2c_two_point_limit", "2d_three_zone_limit"))
+    return field, dcfg, dstar_report(field, dcfg, _checks=checks)["conditions"]
+
+
+def _halves_decay(rows):
+    """Condition 3c's rule: each half-line deviation tends to zero."""
+    return all(tends_to_zero([r[half] for r in rows], 0.1, 1.1)
+               for half in ("dev_plus", "dev_minus"))
+
+
+def test_converge_tables_are_the_report_conditions(small_run):
+    """`converge omega` is 2c with the rate envelope, `converge zero` is 2d
+    with 3c at the converge zone ks, rows and verdicts alike."""
+    field, dcfg, conditions = _small_report()
+    (omega_code, omega), (zero_code, zero) = small_run("omega", 1), small_run("zero", 1)
+    omega, zero = json.loads(omega)["tables"], json.loads(zero)["tables"]
+    [two_c] = conditions["2c_two_point_limit"]["tables"]
+    [two_d] = conditions["2d_three_zone_limit"]["tables"]
+    assert [t["name"] for t in omega] == ["omega-one"]
+    assert [t["name"] for t in zero] == ["omega-zero"]
+    assert omega[0]["rows"] == two_c["rows"]
+    assert omega[0]["limit_scale_passed"] == two_c["limit_scale_passed"]
+    assert omega[0]["passed"] == (two_c["passed"] and omega[0]["rate_passed"])
+    assert zero[0]["rows"] == two_d["rows"]
+    zone_ks = [k for k in cli._CONVERGE_ZONE_KS if k >= 4]
+    zone_rows = zone_deviation_rows(field, dcfg.plans_zero[0], zone_ks, dcfg.grids)
+    assert zero[0]["three_zone_rows"] == zone_rows
+    assert zero[0]["passed"] == (two_d["passed"] and _halves_decay(zone_rows))
+    assert omega_code == (0 if omega[0]["passed"] else 1)
+    assert zero_code == (0 if zero[0]["passed"] else 1)
+
+
+def test_converge_zero_fails_when_one_half_line_stalls(tmp_path, monkeypatch):
+    """A fixed rank-one term on the running target tau(-w_k, eps) of the
+    negative half-line stops that half's deviation from decaying, while the
+    larger of the two halves still falls below 0.1 of its first value.  3c
+    asks each half to decay, so `converge zero` exits 1; the 2d rows, which
+    never read that target, are unchanged.  `slow_decay_ratio` is raised so
+    that 2d passes at ks 4 and 8 and only 3c can fail the table."""
+    field, dcfg, conditions = _small_report()
+    g, plan = dcfg.grids, dcfg.plans_zero[0]
+    eps, wk = float(plan.eps), plan.w_k(4)
+    dev = (field.tau(-wk, eps, g.minus) - s_k_zero(field, 4, plan, -1, g)).weighted()
+    u, sv, vh = np.linalg.svd(dev)
+    root_w = np.sqrt(g.minus.weights)
+    # minus the top singular pair of the first deviation, scaled so that the
+    # deviation at the last k sits between 0.1 of the two halves' first values
+    rank_one = (-0.096 * sv[0]) * np.outer(u[:, 0] / root_w, vh[0] / root_w)
+
+    def transform(key, val):
+        if key[0] == "tau" and key[1] < 0 and key[2] == eps and key[3] == g.minus:
+            return KernelOperator(val.domain, val.codomain, val.entries + rank_one,
+                                  val.label)
+        return val
+
+    monkeypatch.setattr(cli, "fourier_field", lambda f: fourier_field(f).tampered(transform))
+    cfg_path = write_cfg(tmp_path, {**THREADS_CFG, "slow_decay_ratio": 0.9})
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "zero"]) == 1
+    [table] = json.loads((tmp_path / "converge_zero.json").read_text())["tables"]
+    zone_rows = table["three_zone_rows"]
+    assert tends_to_zero([r["value"] for r in zone_rows], 0.1, 1.1)  # the max
+    assert tends_to_zero([r["dev_plus"] for r in zone_rows], 0.1, 1.1)
+    assert not tends_to_zero([r["dev_minus"] for r in zone_rows], 0.1, 1.1)
+    assert table["rows"] == conditions["2d_three_zone_limit"]["tables"][0]["rows"]
+    assert tends_to_zero([r["value"] for r in table["rows"]], 0.9, 1.1)  # 2d
+    assert not table["passed"]
 
 
 def test_converge_infeasible_plan_exit_code(tmp_path):

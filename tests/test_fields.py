@@ -4,7 +4,6 @@ import math
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -409,13 +408,10 @@ def _reference_deviation_rows(field, plan, ks, grids, zone=False):
 def test_deviation_rows_match_explicit_loops():
     field = fourier_field(F_ASYM)
     plan_zero = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for plan in (_omega_plan(), plan_zero):
-            ref = _reference_deviation_rows(field, plan, CHECK_KS, GRIDS)
-            rows = deviation_rows(field, plan, CHECK_KS, GRIDS)
-            assert rows == ref
-            assert deviation_rows(field, plan, CHECK_KS, GRIDS, map=pool.map) == ref
-            assert all(set(row) == ROW_KEYS for row in rows)
+    for plan in (_omega_plan(), plan_zero):
+        rows = deviation_rows(field, plan, CHECK_KS, GRIDS)
+        assert rows == _reference_deviation_rows(field, plan, CHECK_KS, GRIDS)
+        assert all(set(row) == ROW_KEYS for row in rows)
     zone_ks = (4, 64, 1024)
     rows = zone_deviation_rows(field, plan_zero, zone_ks, GRIDS)
     assert rows == _reference_deviation_rows(field, plan_zero, zone_ks, GRIDS, zone=True)

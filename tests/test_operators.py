@@ -19,7 +19,6 @@ from boidol.operators import (
     cutoff_M,
     flip_S,
     load_operator,
-    norm_and_defect,
     op_norm,
     save_operator,
 )
@@ -132,8 +131,6 @@ def test_compact_defect_examples():
     phi = bump_vec(LIN)
     R1 = KernelOperator(LIN, LIN, np.outer(phi, phi).astype(complex))
     assert compact_defect(R1, 1) < 1e-12
-    for B, rank in ((A, 1), (R1, 1), (A, LIN.n), (KernelOperator.zero(LIN), 2)):
-        assert norm_and_defect(B, rank) == (op_norm(B), compact_defect(B, rank))
 
 
 def _assert_singular_values_match_full_svd(A):
@@ -143,8 +140,6 @@ def _assert_singular_values_match_full_svd(A):
     for r in range(len(full) + 1):
         want = full[r] if r < len(full) else 0.0
         assert abs(compact_defect(A, r) - want) <= tol
-        norm, defect = norm_and_defect(A, r)
-        assert abs(norm - full[0]) <= tol and abs(defect - want) <= tol
 
 
 def test_singular_values_drop_zero_rows_and_columns():
@@ -163,7 +158,7 @@ def test_singular_values_drop_zero_rows_and_columns():
         _assert_singular_values_match_full_svd(KernelOperator(PAIR, LIN, ent.T.copy()))
     zero = KernelOperator.zero(LIN, PAIR)
     _assert_singular_values_match_full_svd(zero)
-    assert op_norm(zero) == 0.0 and norm_and_defect(zero, 0) == (0.0, 0.0)
+    assert op_norm(zero) == 0.0
     one = KernelOperator.zero(LIN, PAIR)
     one.entries[5, 7] = -3.0j
     _assert_singular_values_match_full_svd(one)
