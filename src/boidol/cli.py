@@ -251,7 +251,12 @@ def _field_setup(args):
 def cmd_converge(args) -> int:
     """The 2c tables with the tail, small-zone and rate-envelope rows
     (`omega`), or the 2d tables with the 3c rows at `_CONVERGE_ZONE_KS`
-    (`zero`); a table passes when both of its conditions pass."""
+    (`zero`); a table passes when both of its conditions pass.
+
+    `zero` runs 2d on the field, which keeps the k-independent limit points
+    and the running points 2d shares with 3c, and then 3c through
+    `field.view(keep=False)`: nothing reads 3c's other running points again,
+    so each is freed when its row ends."""
     cfg, out, dcfg, field = _field_setup(args)
     g, ks = dcfg.grids, dcfg.ks
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
@@ -271,8 +276,10 @@ def cmd_converge(args) -> int:
     else:
         zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_ZONE_KS
                                               if k >= min(ks)))
-        for name, slow, fast in zip(names, _cond_sigma_zero(field, dcfg)["tables"],
-                                    _cond_two_dim_degeneration(field, zone_cfg)["tables"]):
+        slow_tables = _cond_sigma_zero(field, dcfg)["tables"]
+        fast_tables = _cond_two_dim_degeneration(field.view(keep=False),
+                                                 zone_cfg)["tables"]
+        for name, slow, fast in zip(names, slow_tables, fast_tables):
             tables.append({"name": name, "plan": slow["plan"], "rows": slow["rows"],
                            "three_zone_rows": fast["rows"],
                            "passed": slow["passed"] and fast["passed"]})

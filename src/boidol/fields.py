@@ -35,7 +35,6 @@ from .kernels import (
     kernel_pi_rho_lambda,
     kernel_tau,
     vk_adjoint,
-    vk_operator,
 )
 from .operators import (
     IntervalSpec,
@@ -170,10 +169,12 @@ class OperatorField:
 
     A field keeps every value its provider builds, so each key is built
     once: a thread that asks for a key another thread is building waits for
-    that build, while builds of distinct keys run side by side.  Two derived
+    that build, while builds of distinct keys run side by side.  Derived
     fields keep less.  `adjoint()` keeps nothing: each read conjugates its
     base's value.  `view()` keeps only what its base has not cached, so the
-    operators read through a view are freed with the view.
+    operators read through a view are freed with the view, and
+    `view(keep=False)` keeps nothing at all: a value its base has not cached
+    is built on each read and freed as soon as its reader lets it go.
     """
 
     def __init__(self, provider, provenance: str = "Synthetic", label: str = "field"):
@@ -241,13 +242,14 @@ class OperatorField:
         out._cache = None
         return out
 
-    def view(self) -> "OperatorField":
+    def view(self, keep: bool = True) -> "OperatorField":
         """A read-through view of this field.
 
         A read returns this field's cached value when it has one; otherwise
-        this field's provider builds the value and the view keeps it, never
-        this field.  A provider that reads another field still fills that
-        field's cache.
+        this field's provider builds the value, never cached by this field.
+        The view keeps it when `keep` is true, and otherwise keeps nothing,
+        as `adjoint()` does, so each read of such a key builds it again.  A
+        provider that reads another field still fills that field's cache.
         """
         base = self
 
@@ -257,7 +259,10 @@ class OperatorField:
                     return base._cache[key]
             return base._provider(key)
 
-        return OperatorField(provider, self.provenance, self.label)
+        out = OperatorField(provider, self.provenance, self.label)
+        if not keep:
+            out._cache = None
+        return out
 
     def tampered(self, transform, label: str = "tampered") -> "OperatorField":
         base = self
@@ -489,13 +494,37 @@ def default_plan(regime: str, rho_seq, lambda_seq,
 # the limit approximations
 
 
-def _block_pair(a_plus: KernelOperator, a_minus: KernelOperator,
-                pair: GridSpec, label: str) -> KernelOperator:
-    half = pair.parts[0].n
-    ent = np.zeros((pair.n, pair.n), complex)
-    ent[:half, :half] = a_plus.entries
-    ent[half:, half:] = a_minus.entries
-    return KernelOperator(pair, pair, ent, label)
+def _vk_adjoint_halves(rho_k: float, lam_k: float,
+                       grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
+    """The adjoints (V+*, V-*) of V_k's two sign halves, V_k = [V+ | V-].
+
+    V+ maps the plus half-line model into L^2(R) and is nonzero only on the
+    s > 0 rows, V- maps the minus one and is nonzero only on the s < 0 rows
+    (see `vk_operator`).  Their adjoints are the plus and minus rows of
+    `vk_adjoint`, read as views; `.adjoint()` restores V+ and V- exactly.
+    """
+    Vs = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair)
+    h = grids.plus.n
+    return (KernelOperator(grids.lin, grids.plus, Vs.entries[:h]),
+            KernelOperator(grids.lin, grids.minus, Vs.entries[h:]))
+
+
+def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
+                        rho_k: float, lam_k: float, grids: FieldGrids,
+                        label: str) -> KernelOperator:
+    """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
+    and b_minus on the minus one.
+
+    The block of the two is diagonal in the sign of u, and V_k maps each sign
+    of u to the same sign of s, so the result is V+ b_plus V+* on the s > 0
+    rows and columns plus V- b_minus V-* on the s < 0 ones: two products over
+    half-line grids, one half after the other, and no product meets the
+    block's zero off-diagonal.
+    """
+    plus, minus = ((vs.adjoint() @ b @ vs).entries for vs, b in
+                   zip(_vk_adjoint_halves(rho_k, lam_k, grids), (b_plus, b_minus)))
+    plus += minus  # disjoint supports: this copies minus's block into plus
+    return KernelOperator(grids.lin, grids.lin, plus, label)
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -503,10 +532,9 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
-    masked to the nodes beyond R_k |lam_k| on its half-line, and the
-    block is conjugated back to the line by the rescaling unitary.  V_k is
-    built once, as its adjoint map, and read back as that map's conjugate
-    transpose, which restores its entries exactly.
+    masked to the nodes beyond R_k |lam_k| on its half-line, and the block
+    of the two is conjugated back to the line by the rescaling unitary, one
+    sign half of V_k at a time (`_conjugated_to_line`).
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
@@ -517,10 +545,8 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     a_minus = field_on_L.tau(-eps * om, eps, grids.minus)
     m_plus = cutoff_M(IntervalSpec.ge(lam_r), grids.plus)
     m_minus = cutoff_M(IntervalSpec.le(-lam_r), grids.minus)
-    block = _block_pair(a_plus.masked(m_plus), a_minus.masked(m_minus), grids.pair,
-                        f"sigma_omega[{k}]")
-    Vs = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair)
-    return Vs.adjoint() @ block @ Vs
+    return _conjugated_to_line(a_plus.masked(m_plus), a_minus.masked(m_minus),
+                               rho_k, lam_k, grids, f"sigma_omega[{k}]")
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -567,12 +593,11 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
                  grids: FieldGrids) -> KernelOperator:
-    """Both three-zone halves conjugated back to the line."""
-    s_plus = s_k_zero(field_on_L, k, plan, 1, grids)
-    s_minus = s_k_zero(field_on_L, k, plan, -1, grids)
-    block = _block_pair(s_plus, s_minus, grids.pair, f"sigma_zero[{k}]")
-    Vs = vk_adjoint(plan.rho(k), plan.lam(k), grids.lin, grids.pair)
-    return Vs.adjoint() @ block @ Vs
+    """Both three-zone halves conjugated back to the line, each by its own
+    sign half of V_k (`_conjugated_to_line`)."""
+    return _conjugated_to_line(s_k_zero(field_on_L, k, plan, 1, grids),
+                               s_k_zero(field_on_L, k, plan, -1, grids),
+                               plan.rho(k), plan.lam(k), grids, f"sigma_zero[{k}]")
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +655,18 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
                           grids: FieldGrids, interval, bound) -> list[dict]:
     """Rows of ||A_k V_k M||, A_k V_k masked to `interval(k)` on the log pair.
 
-    The generic operators are read from the field's cache.
+    A_k V_k is [A_k V+ | A_k V-], one product per sign half of V_k.  The
+    generic operators are read from the field's cache.
     """
     rows = []
     for k in ks:
         rho_k, lam_k = plan.rho(k), plan.lam(k)
         A = field.pi(rho_k, lam_k, grids.lin)
-        V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
+        AV = KernelOperator(grids.pair, grids.lin, np.concatenate(
+            [(A @ vs.adjoint()).entries
+             for vs in _vk_adjoint_halves(rho_k, lam_k, grids)], axis=1))
         M = cutoff_M(interval(k), grids.pair)
-        rows.append({**_plan_row(plan, k), "value": op_norm((A @ V).masked(M)),
+        rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": bound(k)})
     return rows
 
@@ -668,11 +696,16 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
                         grids: FieldGrids) -> dict:
     """Half-line deviations against the rate envelope, with a fitted constant.
 
-    Part (a) compares the generic operator on the positive half-line with the
-    rescaled running two-parameter point; part (b) mirrors it.  The envelope
-    |omega_k| / (R_k^2 |lam_k|) + 1/R_k majorizes both parts up to a constant
-    fitted on the first two indices.  The generic operators and the two
-    half-line limit operators are read from the field's cache.
+    Part (a), `dev_a`, compares the generic operator on the positive
+    half-line with the rescaled running two-parameter point there:
+    ||A_k V+ - V+ tau(eps w_k, -eps) M||, with V+ the plus half of V_k and M
+    the cutoff to u >= R_k |lam_k| on the plus half-line model.  Part (b),
+    `dev_b`, mirrors it on the minus half, with V- and tau(-eps w_k, eps)
+    cut to u <= -R_k |lam_k|.  Each part is an operator from its own
+    half-line model, so no product meets the other half's zero columns.
+    The envelope |omega_k| / (R_k^2 |lam_k|) + 1/R_k majorizes both parts
+    up to a constant fitted on the first two indices.  The generic operators
+    and the two half-line limit operators are read from the field's cache.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
@@ -683,21 +716,14 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
         wk = plan.w_k(k)
         lam_r = plan.Rk(k) * abs(lam_k)
         A = field.pi(rho_k, lam_k, grids.lin)
-        V = vk_operator(rho_k, lam_k, grids.pair, grids.lin)
-        m_pos = cutoff_M(IntervalSpec.ge(0.0), grids.pair)
-        m_neg = cutoff_M(IntervalSpec.le(0.0), grids.pair)
-        t_plus = field.tau(eps * wk, -eps, grids.plus)
-        t_minus = field.tau(-eps * wk, eps, grids.minus)
-        big_plus = _block_pair(
-            t_plus.masked(cutoff_M(IntervalSpec.ge(lam_r), grids.plus)),
-            KernelOperator.zero(grids.minus), grids.pair, "a")
-        big_minus = _block_pair(
-            KernelOperator.zero(grids.plus),
-            t_minus.masked(cutoff_M(IntervalSpec.le(-lam_r), grids.minus)),
-            grids.pair, "b")
-        AV = A @ V
-        dev_a = op_norm(AV.masked(m_pos) - V @ big_plus)
-        dev_b = op_norm(AV.masked(m_neg) - V @ big_minus)
+        v_plus, v_minus = (vs.adjoint()
+                           for vs in _vk_adjoint_halves(rho_k, lam_k, grids))
+        b_plus = field.tau(eps * wk, -eps, grids.plus).masked(
+            cutoff_M(IntervalSpec.ge(lam_r), grids.plus))
+        b_minus = field.tau(-eps * wk, eps, grids.minus).masked(
+            cutoff_M(IntervalSpec.le(-lam_r), grids.minus))
+        dev_a = op_norm(A @ v_plus - v_plus @ b_plus)
+        dev_b = op_norm(A @ v_minus - v_minus @ b_minus)
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b

@@ -167,6 +167,12 @@ def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
     w = ln(|lambda_k| s).  Between orthonormal cell bases this matrix is a
     compression of a unitary, so its operator norm never exceeds one and
     its conjugate transpose discretizes the adjoint map exactly.
+
+    V_k maps each sign of u to the same sign of s: the plus-half columns
+    are nonzero only on the s > 0 rows and the minus-half columns only on
+    the s < 0 rows.  The s < 0 rows are the s > 0 rows mirrored, so with r
+    = n/2 and h the half size, entries[:r, h:] equals entries[r:, :h][::-1]
+    bit for bit.
     """
     if lambda_k == 0:
         raise ValueError("lambda_k must be nonzero")

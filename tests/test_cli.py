@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 
@@ -282,6 +283,79 @@ def test_converge_zero_fails_when_one_half_line_stalls(tmp_path, monkeypatch):
     assert table["rows"] == conditions["2d_three_zone_limit"]["tables"][0]["rows"]
     assert tends_to_zero([r["value"] for r in table["rows"]], 0.9, 1.1)  # 2d
     assert not table["passed"]
+
+
+def test_converge_zero_fails_when_the_generic_points_are_perturbed(tmp_path, monkeypatch):
+    """The negative control of 2d: a fixed rank-one term, of norm 50 times
+    the first deviation, on the zero plan's generic points pi(rho_k, lam_k)
+    keeps their deviation from sigma_k from decaying, so 2d fails.  3c never
+    reads a generic point, so its rows are those of the unperturbed run and
+    it passes, and `converge zero` exits 1 where the unperturbed run exits 0."""
+    cfg_path = write_cfg(tmp_path, SMALL)
+
+    def table(out):
+        code = main(["--config", cfg_path, "--out", str(tmp_path / out), "converge", "zero"])
+        [table] = json.loads((tmp_path / out / "converge_zero.json").read_text())["tables"]
+        return code, table
+
+    code, clean = table("clean")
+    assert code == 0 and clean["passed"]
+    g = FieldGrids.default(n_lin=SMALL["grid"]["n"], n_half=SMALL["grid"]["n_half"])
+    plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    generic = {(plan.rho(k), plan.lam(k)) for k in SMALL["ks"]}
+    phi = np.exp(-g.lin.nodes ** 2)
+    phi /= np.sqrt(np.sum(g.lin.weights * phi ** 2))
+    # the kernel c phi(u) phi(x) has operator norm c
+    rank_one = (50.0 * clean["rows"][0]["value"]) * np.outer(phi, phi)
+
+    def transform(key, val):
+        if key[0] == "pi" and key[1:3] in generic:
+            return KernelOperator(val.domain, val.codomain, val.entries + rank_one,
+                                  val.label)
+        return val
+
+    monkeypatch.setattr(cli, "fourier_field", lambda f: fourier_field(f).tampered(transform))
+    code, perturbed = table("perturbed")
+    assert code == 1 and not perturbed["passed"]
+    assert not tends_to_zero([r["value"] for r in perturbed["rows"]], 0.75, 1.1)
+    assert perturbed["three_zone_rows"] == clean["three_zone_rows"]
+    assert _halves_decay(perturbed["three_zone_rows"])
+
+
+def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch):
+    """`converge zero` runs 3c last, through a view that keeps nothing: the
+    field's cache then holds none of 3c's running points tau(+-w_k, -+eps),
+    each of them was built exactly once, and so was every other key.  The
+    k-independent limit points that 2d read stay cached."""
+    builds, made = collections.Counter(), []
+
+    def counting_field(f):
+        build = fourier_field(f)._provider  # builds without caching
+
+        def provider(key):
+            builds[key] += 1
+            return build(key)
+
+        made.append(OperatorField(provider, "FourierOf", "counting"))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "fourier_field", counting_field)
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "zero"]) == 0
+    [field] = made
+    g = FieldGrids.default(n_lin=SMALL["grid"]["n"], n_half=SMALL["grid"]["n_half"])
+    plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    eps = float(plan.eps)
+    zone_ks = [k for k in cli._CONVERGE_ZONE_KS if k >= min(SMALL["ks"])]
+    running = [key for k in zone_ks
+               for key in (("tau", plan.w_k(k), -eps, g.plus),
+                           ("tau", -plan.w_k(k), eps, g.minus))]
+    assert len(running) == 2 * len(zone_ks) == 10
+    assert not any(key in field._cache for key in running)
+    assert all(builds[key] == 1 for key in running)
+    assert set(builds.values()) == {1}
+    assert ("tau", 0.0, 0.0, g.plus) in field._cache
+    assert ("tau", 0.0, -eps, g.plus) in field._cache
 
 
 def test_converge_infeasible_plan_exit_code(tmp_path):

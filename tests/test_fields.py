@@ -200,6 +200,18 @@ def test_view_reads_through_and_never_writes_to_its_base():
     assert np.array_equal(built.entries, base.pi(0.5, 1.0, GRIDS.lin).entries)
 
 
+def test_keep_nothing_view_reads_through_and_retains_nothing():
+    base = fourier_field(F)
+    cached = base.pi(0.0, 1.0, GRIDS.lin)
+    view = base.view(keep=False)
+    assert view.pi(0.0, 1.0, GRIDS.lin) is cached
+    ref = weakref.ref(view.pi(0.5, 1.0, GRIDS.lin))
+    gc.collect()
+    assert ref() is None
+    assert view.pi(0.5, 1.0, GRIDS.lin) is not view.pi(0.5, 1.0, GRIDS.lin)
+    assert list(base._cache) == [("pi", 0.0, 1.0, GRIDS.lin)]
+
+
 # ---------------------------------------------------------------------------
 # plans
 
@@ -250,6 +262,54 @@ def test_zones_partition_the_tail_exactly():
                               (pts < -lam_r).astype(int))
         for plus, minus in mirror.items():
             assert np.array_equal(ind[plus], z[minus].indicator(-pts).astype(int))
+
+
+def _zone_marker_field():
+    """A field whose three zone operators are constant: 1 at the running
+    points tau(+-w_k, 0), 2 at tau(0, 0) and 4 at tau(0, -+eps)."""
+
+    def provider(key):
+        _, mu, nu, grid = key
+        mark = 1.0 if mu != 0.0 else 2.0 if nu == 0.0 else 4.0
+        return KernelOperator(grid, grid, np.full((grid.n, grid.n), mark, complex))
+
+    return OperatorField(provider)
+
+
+def test_zones_are_disjoint_and_cover_the_tail_over_random_plans():
+    """Over random valid "OmegaZero" plans, ks and half-line grids, the
+    three zone masks of `s_k_zero` are disjoint and their union is exactly
+    {|u| > R_k |lam_k|} on each half grid: on the marker field every column
+    of s_k_zero carries the mark of its one zone there and 0 elsewhere."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    field = _zone_marker_field()
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        rho = PowerSeq(data.draw(st.floats(0.25, 4.0)), data.draw(st.floats(0.0, 1.0)))
+        lam = PowerSeq(data.draw(st.sampled_from((1.0, -1.0)))
+                       * data.draw(st.floats(0.25, 4.0)), -data.draw(st.floats(0.5, 2.0)))
+        try:
+            plan = default_plan("OmegaZero", rho, lam)
+        except PlanInfeasible:
+            hyp.reject()
+        k = 2 ** data.draw(st.integers(2, 20))
+        grids = FieldGrids.default(n_lin=16, V=data.draw(st.floats(1.0, 12.0)),
+                                   n_half=data.draw(st.integers(4, 96)))
+        lam_r = plan.Rk(k) * abs(plan.lam(k))
+        zones = plan.zones(k)
+        for half, grid, names in ((1, grids.plus, ("J+", "I2+", "I3+")),
+                                  (-1, grids.minus, ("J-", "I2-", "I3-"))):
+            masks = [cutoff_M(zones[name], grid) for name in names]
+            tail = np.abs(grid.points) > lam_r
+            assert np.array_equal(np.sum(masks, axis=0), tail.astype(int))
+            marks = s_k_zero(field, k, plan, half, grids).entries
+            want = sum(mark * m for mark, m in zip((1.0, 2.0, 4.0), masks))
+            assert np.array_equal(marks, np.broadcast_to(want, marks.shape))
+
+    check()
 
 
 def test_zone_edges_out_of_order_raise():

@@ -237,6 +237,34 @@ def test_vk_zero_phase_is_real():
     assert np.abs(V.entries.imag).max() == 0.0
 
 
+def test_vk_property_contraction_sign_support_and_mirror():
+    """Over random (rho_k, lambda_k != 0) and grids: ||V_k|| <= 1, the plus
+    half's columns vanish on the s < 0 rows and the minus half's on the
+    s > 0 rows, and the minus half is the plus half with its rows mirrored,
+    bit for bit."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        lin = GridSpec.linear(data.draw(st.floats(0.5, 16.0)),
+                              2 * data.draw(st.integers(1, 64)))
+        pair = GridSpec.log_pair(data.draw(st.floats(0.25, 8.0)),
+                                 data.draw(st.integers(1, 48)))
+        rho_k = data.draw(st.floats(-64.0, 64.0))
+        lam_k = (data.draw(st.sampled_from((1.0, -1.0)))
+                 * 10.0 ** data.draw(st.floats(-4.0, 2.0)))
+        V = vk_operator(rho_k, lam_k, pair, lin)
+        assert op_norm(V) <= 1.0 + 1e-12
+        r, h = lin.n // 2, pair.parts[0].n
+        ent = V.entries
+        assert not np.any(ent[:r, :h]) and not np.any(ent[r:, h:])
+        assert ent[:r, h:].tobytes() == ent[r:, :h][::-1].tobytes()
+
+    check()
+
+
 def test_character_decay_and_linearity():
     v0 = abs(character_value(F, 0.0))
     for tau in (500.0, 1000.0):
