@@ -255,8 +255,8 @@ def cmd_converge(args) -> int:
 
     `zero` runs 2d on the field, which keeps the k-independent limit points
     and the running points 2d shares with 3c, and then 3c through
-    `field.view(keep=False)`: nothing reads 3c's other running points again,
-    so each is freed when its row ends."""
+    `field.view()`: nothing reads 3c's other running points again, so each
+    is freed when its row ends."""
     cfg, out, dcfg, field = _field_setup(args)
     g, ks = dcfg.grids, dcfg.ks
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
@@ -277,8 +277,7 @@ def cmd_converge(args) -> int:
         zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_ZONE_KS
                                               if k >= min(ks)))
         slow_tables = _cond_sigma_zero(field, dcfg)["tables"]
-        fast_tables = _cond_two_dim_degeneration(field.view(keep=False),
-                                                 zone_cfg)["tables"]
+        fast_tables = _cond_two_dim_degeneration(field.view(), zone_cfg)["tables"]
         for name, slow, fast in zip(names, slow_tables, fast_tables):
             tables.append({"name": name, "plan": slow["plan"], "rows": slow["rows"],
                            "three_zone_rows": fast["rows"],

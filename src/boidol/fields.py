@@ -170,11 +170,10 @@ class OperatorField:
     A field keeps every value its provider builds, so each key is built
     once: a thread that asks for a key another thread is building waits for
     that build, while builds of distinct keys run side by side.  Derived
-    fields keep less.  `adjoint()` keeps nothing: each read conjugates its
-    base's value.  `view()` keeps only what its base has not cached, so the
-    operators read through a view are freed with the view, and
-    `view(keep=False)` keeps nothing at all: a value its base has not cached
-    is built on each read and freed as soon as its reader lets it go.
+    fields keep nothing.  `adjoint()` conjugates its base's value on each
+    read.  `view()` reads its base's cached value, or builds the value
+    without caching it anywhere, so it is freed as soon as its reader lets
+    it go.
     """
 
     def __init__(self, provider, provenance: str = "Synthetic", label: str = "field"):
@@ -242,13 +241,12 @@ class OperatorField:
         out._cache = None
         return out
 
-    def view(self, keep: bool = True) -> "OperatorField":
-        """A read-through view of this field.
+    def view(self) -> "OperatorField":
+        """A read-through view of this field, cached nowhere.
 
         A read returns this field's cached value when it has one; otherwise
-        this field's provider builds the value, never cached by this field.
-        The view keeps it when `keep` is true, and otherwise keeps nothing,
-        as `adjoint()` does, so each read of such a key builds it again.  A
+        this field's provider builds the value, which neither this field nor
+        the view keeps, so each read of such a key builds it again.  A
         provider that reads another field still fills that field's cache.
         """
         base = self
@@ -260,8 +258,7 @@ class OperatorField:
             return base._provider(key)
 
         out = OperatorField(provider, self.provenance, self.label)
-        if not keep:
-            out._cache = None
+        out._cache = None
         return out
 
     def tampered(self, transform, label: str = "tampered") -> "OperatorField":
@@ -494,19 +491,19 @@ def default_plan(regime: str, rho_seq, lambda_seq,
 # the limit approximations
 
 
-def _vk_adjoint_halves(rho_k: float, lam_k: float,
-                       grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
-    """The adjoints (V+*, V-*) of V_k's two sign halves, V_k = [V+ | V-].
+def _vk_halves(rho_k: float, lam_k: float,
+               grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
+    """V_k's two sign halves (V+, V-), V_k = [V+ | V-].
 
     V+ maps the plus half-line model into L^2(R) and is nonzero only on the
     s > 0 rows, V- maps the minus one and is nonzero only on the s < 0 rows
-    (see `vk_operator`).  Their adjoints are the plus and minus rows of
-    `vk_adjoint`, read as views; `.adjoint()` restores V+ and V- exactly.
+    (see `vk_operator`).  They are the column blocks of the conjugate
+    transpose of `vk_adjoint`, which restores V_k's entries exactly.
     """
-    Vs = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair)
+    V = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint().entries
     h = grids.plus.n
-    return (KernelOperator(grids.lin, grids.plus, Vs.entries[:h]),
-            KernelOperator(grids.lin, grids.minus, Vs.entries[h:]))
+    return (KernelOperator(grids.plus, grids.lin, V[:, :h]),
+            KernelOperator(grids.minus, grids.lin, V[:, h:]))
 
 
 def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
@@ -521,8 +518,8 @@ def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
     half-line grids, one half after the other, and no product meets the
     block's zero off-diagonal.
     """
-    plus, minus = ((vs.adjoint() @ b @ vs).entries for vs, b in
-                   zip(_vk_adjoint_halves(rho_k, lam_k, grids), (b_plus, b_minus)))
+    plus, minus = ((v @ b @ v.adjoint()).entries for v, b in
+                   zip(_vk_halves(rho_k, lam_k, grids), (b_plus, b_minus)))
     plus += minus  # disjoint supports: this copies minus's block into plus
     return KernelOperator(grids.lin, grids.lin, plus, label)
 
@@ -663,8 +660,7 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
         rho_k, lam_k = plan.rho(k), plan.lam(k)
         A = field.pi(rho_k, lam_k, grids.lin)
         AV = KernelOperator(grids.pair, grids.lin, np.concatenate(
-            [(A @ vs.adjoint()).entries
-             for vs in _vk_adjoint_halves(rho_k, lam_k, grids)], axis=1))
+            [(A @ v).entries for v in _vk_halves(rho_k, lam_k, grids)], axis=1))
         M = cutoff_M(interval(k), grids.pair)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": bound(k)})
@@ -716,8 +712,7 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
         wk = plan.w_k(k)
         lam_r = plan.Rk(k) * abs(lam_k)
         A = field.pi(rho_k, lam_k, grids.lin)
-        v_plus, v_minus = (vs.adjoint()
-                           for vs in _vk_adjoint_halves(rho_k, lam_k, grids))
+        v_plus, v_minus = _vk_halves(rho_k, lam_k, grids)
         b_plus = field.tau(eps * wk, -eps, grids.plus).masked(
             cutoff_M(IntervalSpec.ge(lam_r), grids.plus))
         b_minus = field.tau(-eps * wk, eps, grids.minus).masked(
@@ -1125,16 +1120,18 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
 
     Only what the adjoint pass reads again stays in the field's cache.  The
     four recomputed conditions run first, on the field itself, and the
-    uncached adjoint field conjugates their operators on read.  Each of the
-    other five then runs on its own `field.view()`: it reads the characters
-    already cached, and the operators only it reads are freed when it ends.
+    uncached adjoint field conjugates their operators on read.  The other
+    five then run on `field.view()`: they read the characters already
+    cached, and each operator only they read is freed as soon as its reader
+    lets it go.  No one of the five reads such an operator twice, so a view
+    per condition that kept its values would save no build.
     """
     conditions = {}
+    view = field.view()
     for name, fn in _checks or _ADJOINT_SENSITIVE_CHECKS + _ADJOINT_INVARIANT_CHECKS:
-        # no name binds the view, so it is freed as soon as its check returns
         invariant = (name, fn) in _ADJOINT_INVARIANT_CHECKS
         try:
-            conditions[name] = fn(field.view() if invariant else field, cfg)
+            conditions[name] = fn(view if invariant else field, cfg)
         except (BoidolError, np.linalg.LinAlgError) as exc:  # aggregated
             conditions[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
     conditions = dict(sorted(conditions.items()))

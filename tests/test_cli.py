@@ -325,8 +325,10 @@ def test_converge_zero_fails_when_the_generic_points_are_perturbed(tmp_path, mon
 def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch):
     """`converge zero` runs 3c last, through a view that keeps nothing: the
     field's cache then holds none of 3c's running points tau(+-w_k, -+eps),
-    each of them was built exactly once, and so was every other key.  The
-    k-independent limit points that 2d read stay cached."""
+    nor its running points tau(+-w_k, 0) at the ks 2d does not read, each
+    of them was built exactly once, and so was every other key.  The
+    k-independent limit points and the running points that 2d read stay
+    cached."""
     builds, made = collections.Counter(), []
 
     def counting_field(f):
@@ -350,12 +352,16 @@ def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch
     running = [key for k in zone_ks
                for key in (("tau", plan.w_k(k), -eps, g.plus),
                            ("tau", -plan.w_k(k), eps, g.minus))]
-    assert len(running) == 2 * len(zone_ks) == 10
+    running += [key for k in zone_ks if k not in SMALL["ks"]
+                for key in (("tau", plan.w_k(k), 0.0, g.plus),
+                            ("tau", -plan.w_k(k), 0.0, g.minus))]
+    assert len(running) == 10 + 2 * len(set(zone_ks) - set(SMALL["ks"])) == 18
     assert not any(key in field._cache for key in running)
     assert all(builds[key] == 1 for key in running)
     assert set(builds.values()) == {1}
     assert ("tau", 0.0, 0.0, g.plus) in field._cache
     assert ("tau", 0.0, -eps, g.plus) in field._cache
+    assert ("tau", plan.w_k(4), 0.0, g.plus) in field._cache
 
 
 def test_converge_infeasible_plan_exit_code(tmp_path):
