@@ -78,7 +78,6 @@ from .fields import (
     OperatorField,
     PowerSeq,
     SequencePlan,
-    Sigma0Config,
     SpectrumSample,
     check_dek_muk,
     check_rate_envelope,

@@ -15,9 +15,10 @@ Exit status: 0 when every check passes, 1 when a condition or a convergence
 table fails, and 2 on an error: a usage or configuration error, a package
 error, or an internal one, whose traceback goes to stderr.
 
-All defaults live in code and are echoed into every output together with a
-hash of the effective configuration and a grid-refinement diagnostic, so
-each artifact is self-describing.
+Every JSON artifact records the effective CLI config (`DEFAULT_CONFIG`
+merged with the config file), its SHA-256 hash, the grid scale and a
+grid-refinement diagnostic; every CSV file starts with the hash.  The
+report's thresholds are constants of `boidol.fields` and are not recorded.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "check_small_zone",
     "check_rate_envelope",
     "check_dek_muk",
-    "Sigma0Config",
     "sigma0_apply",
     "compact_condition_check",
     "DstarConfig",
@@ -524,26 +523,35 @@ def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
     return KernelOperator(grids.lin, grids.lin, plus, label)
 
 
+def _two_point_block(field: OperatorField, plan: SequencePlan, k: int, w: float,
+                     grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
+    """The masked half-line pair at invariant w: tau(eps w, -eps) on the plus
+    half-line model cut to u >= R_k |lam_k|, and tau(-eps w, eps) on the
+    minus one cut to u <= -R_k |lam_k|."""
+    eps = plan.eps
+    lam_r = plan.Rk(k) * abs(plan.lam(k))
+    # both values first: no masked copy is alive while the other is built
+    a_plus = field.tau(eps * w, -eps, grids.plus)
+    a_minus = field.tau(-eps * w, eps, grids.minus)
+    return (a_plus.masked(cutoff_M(IntervalSpec.ge(lam_r), grids.plus)),
+            a_minus.masked(cutoff_M(IntervalSpec.le(-lam_r), grids.minus)))
+
+
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
                   grids: FieldGrids) -> KernelOperator:
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
-    masked to the nodes beyond R_k |lam_k| on its half-line, and the block
-    of the two is conjugated back to the line by the rescaling unitary, one
-    sign half of V_k at a time (`_conjugated_to_line`).
+    masked to the nodes beyond R_k |lam_k| on its half-line
+    (`_two_point_block` at |omega|), and the block of the two is conjugated
+    back to the line by the rescaling unitary, one sign half of V_k at a
+    time (`_conjugated_to_line`).
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
-    eps, om = plan.eps, abs(plan.omega)
-    rho_k, lam_k = plan.rho(k), plan.lam(k)
-    lam_r = plan.Rk(k) * abs(lam_k)
-    a_plus = field_on_L.tau(eps * om, -eps, grids.plus)
-    a_minus = field_on_L.tau(-eps * om, eps, grids.minus)
-    m_plus = cutoff_M(IntervalSpec.ge(lam_r), grids.plus)
-    m_minus = cutoff_M(IntervalSpec.le(-lam_r), grids.minus)
-    return _conjugated_to_line(a_plus.masked(m_plus), a_minus.masked(m_minus),
-                               rho_k, lam_k, grids, f"sigma_omega[{k}]")
+    b_plus, b_minus = _two_point_block(field_on_L, plan, k, abs(plan.omega), grids)
+    return _conjugated_to_line(b_plus, b_minus, plan.rho(k), plan.lam(k), grids,
+                               f"sigma_omega[{k}]")
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -560,25 +568,16 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
         raise ValueError("s_k_zero needs an OmegaZero plan")
     if half not in (1, -1):
         raise ValueError("half must be +1 or -1")
-    eps = plan.eps
-    wk = plan.w_k(k)
+    wk, eps = plan.w_k(k), float(plan.eps)
     zones = plan.zones(k)
+    grid, side = (grids.plus, "+") if half == 1 else (grids.minus, "-")
     # zone three keeps the unit-displacement realization of the half-line
     # point: it is the one the rescaled generic operators actually approach
-    if half == 1:
-        grid = grids.plus
-        pieces = [
-            (field_on_L.tau(wk, 0.0, grid), zones["J+"]),
-            (field_on_L.tau(0.0, 0.0, grid), zones["I2+"]),
-            (field_on_L.tau(0.0, -float(eps), grid), zones["I3+"]),
-        ]
-    else:
-        grid = grids.minus
-        pieces = [
-            (field_on_L.tau(-wk, 0.0, grid), zones["J-"]),
-            (field_on_L.tau(0.0, 0.0, grid), zones["I2-"]),
-            (field_on_L.tau(0.0, float(eps), grid), zones["I3-"]),
-        ]
+    pieces = [
+        (field_on_L.tau(half * wk, 0.0, grid), zones["J" + side]),
+        (field_on_L.tau(0.0, 0.0, grid), zones["I2" + side]),
+        (field_on_L.tau(0.0, -half * eps, grid), zones["I3" + side]),
+    ]
     masks = [cutoff_M(spec, grid) for _, spec in pieces]
     if np.any(np.sum(masks, axis=0) > 1):
         raise ZoneOverlap(f"zone indicators overlap on the grid at k={k}")
@@ -697,28 +696,23 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     ||A_k V+ - V+ tau(eps w_k, -eps) M||, with V+ the plus half of V_k and M
     the cutoff to u >= R_k |lam_k| on the plus half-line model.  Part (b),
     `dev_b`, mirrors it on the minus half, with V- and tau(-eps w_k, eps)
-    cut to u <= -R_k |lam_k|.  Each part is an operator from its own
-    half-line model, so no product meets the other half's zero columns.
-    The envelope |omega_k| / (R_k^2 |lam_k|) + 1/R_k majorizes both parts
-    up to a constant fitted on the first two indices.  The generic operators
-    and the two half-line limit operators are read from the field's cache.
+    cut to u <= -R_k |lam_k|: the pair is `_two_point_block` at w_k.  Each
+    part is an operator from its own half-line model, so no product meets
+    the other half's zero columns.  The envelope |omega_k| / (R_k^2 |lam_k|)
+    + 1/R_k majorizes both parts up to a constant fitted on the first two
+    indices.  The generic operators and the two half-line limit operators
+    are read from the field's cache.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
-    eps = plan.eps
     rows = []
     for k in ks:
         rho_k, lam_k = plan.rho(k), plan.lam(k)
         wk = plan.w_k(k)
-        lam_r = plan.Rk(k) * abs(lam_k)
         A = field.pi(rho_k, lam_k, grids.lin)
-        v_plus, v_minus = _vk_halves(rho_k, lam_k, grids)
-        b_plus = field.tau(eps * wk, -eps, grids.plus).masked(
-            cutoff_M(IntervalSpec.ge(lam_r), grids.plus))
-        b_minus = field.tau(-eps * wk, eps, grids.minus).masked(
-            cutoff_M(IntervalSpec.le(-lam_r), grids.minus))
-        dev_a = op_norm(A @ v_plus - v_plus @ b_plus)
-        dev_b = op_norm(A @ v_minus - v_minus @ b_minus)
+        # one norm per sign half; no half outlives its row
+        dev_a, dev_b = (op_norm(A @ v - v @ b) for v, b in zip(
+            _vk_halves(rho_k, lam_k, grids), _two_point_block(field, plan, k, wk, grids)))
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
@@ -759,35 +753,52 @@ def tends_to_zero(values, ratio: float = 0.1, wiggle: float = 1.1,
 
 
 # ---------------------------------------------------------------------------
+# the report's fixed thresholds
+
+# 1: every far norm stays below this share of the reference norm
+_FAR_FACTOR = 0.02
+# 2a, 3a: the last step of a continuity ladder over these deltas stays
+# within this share of the first
+_LADDER_DELTAS = (0.4, 0.2, 0.1, 0.05)
+_LADDER_RATIO = 0.35
+# 3a: no step between neighbouring characters exceeds this share of max |psi|
+_CHAR_JUMP = 0.15
+# 2b, 3b, 3d: the compact defect beyond the rank budget stays below this
+# (times the norm scale in 2b and 3b)
+_COMPACT_TOL = 1e-3
+
+
+def _rank_budget(grids: FieldGrids) -> int:
+    """The rank budget of the compactness conditions: n/8 of the line grid."""
+    return grids.lin.n // 8
+
+
+# ---------------------------------------------------------------------------
 # the extension map and the compact condition
 
 
-@dataclass(frozen=True)
-class Sigma0Config:
-    """The fixed positive product window of the extension map.
-
-    q(x, y) = qx(x) qy(y) / Z with Z chosen so the plane integral is one;
-    only its normalized Fourier transform enters the kernels.
-    """
-
-    qx: BumpFactor = dataclass_field(default_factory=lambda: BumpFactor(0.0, 1.0))
-    qy: BumpFactor = dataclass_field(default_factory=lambda: BumpFactor(0.0, 1.0))
-    quad: QuadratureSpec = dataclass_field(default_factory=lambda: QuadratureSpec(64))
-
-    def qhat(self, alpha, beta):
-        z = (bump_fourier(self.qx, 0.0, self.quad)
-             * bump_fourier(self.qy, 0.0, self.quad))
-        return (bump_fourier(self.qx, alpha, self.quad)
-                * bump_fourier(self.qy, beta, self.quad)) / z
+# The extension map's product window q(x, y) = phi(x) phi(y) / Z, phi the
+# unit bump on both axes and Z making the plane integral one; only its
+# normalized Fourier transform enters the kernels.
+_WINDOW = BumpFactor(0.0, 1.0)
+_WINDOW_QUAD = QuadratureSpec(64)
 
 
-def sigma0_apply(psi: np.ndarray, taus: np.ndarray, q: Sigma0Config,
-                 target, grid: GridSpec) -> KernelOperator:
+def _qhat(alpha, beta):
+    z = (bump_fourier(_WINDOW, 0.0, _WINDOW_QUAD)
+         * bump_fourier(_WINDOW, 0.0, _WINDOW_QUAD))
+    return (bump_fourier(_WINDOW, alpha, _WINDOW_QUAD)
+            * bump_fourier(_WINDOW, beta, _WINDOW_QUAD)) / z
+
+
+def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target,
+                 grid: GridSpec) -> KernelOperator:
     """Extend a scalar field on the character line to a two-parameter point.
 
     The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
-    transform of the sampled scalar field; the window factor tends to one in
-    the non-degenerate direction, so the operator reproduces the convolution
+    transform of the sampled scalar field and qhat the normalized transform
+    of the fixed product window; the window factor tends to one in the
+    non-degenerate direction, so the operator reproduces the convolution
     behaviour of the line model there.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -808,28 +819,26 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, q: Sigma0Config,
     d = h * np.arange(-(n - 1), n)
     f_d = (dtau / (2.0 * math.pi)) * (np.exp(1j * np.outer(d, taus)) @ psi)
     t = grid.nodes
-    qcol = q.qhat(mu * np.exp(t), nu * np.exp(-t))
+    qcol = _qhat(mu * np.exp(t), nu * np.exp(-t))
     ent = f_d[(n - 1) + np.arange(n)[:, None] - np.arange(n)[None, :]] * qcol[None, :]
     return KernelOperator(grid, grid, ent, f"sigma0({mu},{nu})")
 
 
 def compact_condition_check(field: OperatorField, taus: np.ndarray,
-                            q: Sigma0Config, grids: FieldGrids,
-                            rank_budget: int = None, tol: float = 1e-3) -> dict:
+                            grids: FieldGrids) -> dict:
     """Compact-defect of field minus extension at the four half-line points."""
-    if rank_budget is None:
-        rank_budget = grids.lin.n // 8
+    budget = _rank_budget(grids)
     psi = np.array([field.char(tau) for tau in taus])
     points = (OneDim("X", 1), OneDim("X", -1), OneDim("Y", 1), OneDim("Y", -1))
     rows = []
     for label in points:
         mu, nu = ell_params(label)
-        D = field.ell(mu, nu, grids.lin) - sigma0_apply(psi, taus, q, label, grids.lin)
-        defect = compact_defect(D, rank_budget)
+        D = field.ell(mu, nu, grids.lin) - sigma0_apply(psi, taus, label, grids.lin)
+        defect = compact_defect(D, budget)
         rows.append({"axis": label.axis, "sigma": label.sigma,
                      "mu": mu, "nu": nu, "defect": defect,
-                     "passed": bool(defect < tol)})
-    return {"rank_budget": rank_budget, "tol": tol, "rows": rows,
+                     "passed": bool(defect < _COMPACT_TOL)})
+    return {"rank_budget": budget, "tol": _COMPACT_TOL, "rows": rows,
             "passed": all(r["passed"] for r in rows)}
 
 
@@ -886,36 +895,10 @@ class DstarConfig:
     plans_zero: tuple = ()
     ks: tuple = (4, 8, 16, 32, 64)
     ks_tau: tuple = (4, 16, 64, 256, 1024, 4096, 4 ** 7, 4 ** 8, 4 ** 9, 4 ** 10)
-    far_factor: float = 0.02
-    ladder_ratio: float = 0.35
-    ladder_deltas: tuple = (0.4, 0.2, 0.1, 0.05)
-    char_jump_factor: float = 0.15
     decay_ratio: float = 0.1
     slow_decay_ratio: float = 0.75
     wiggle: float = 1.1
-    compact_tol: float = 1e-3
-    rank_budget: int = None
-    sigma0: Sigma0Config = dataclass_field(default_factory=Sigma0Config)
     check_adjoint: bool = True
-
-    def describe(self) -> dict:
-        return {
-            "lin": {"L": self.grids.lin.half_width, "n": self.grids.lin.n},
-            "log_pair": {"V": self.grids.pair.half_width, "n": self.grids.pair.n},
-            "ks": list(self.ks),
-            "ks_tau": list(self.ks_tau),
-            "slow_decay_ratio": self.slow_decay_ratio,
-            "far_factor": self.far_factor,
-            "ladder_ratio": self.ladder_ratio,
-            "ladder_deltas": list(self.ladder_deltas),
-            "char_jump_factor": self.char_jump_factor,
-            "decay_ratio": self.decay_ratio,
-            "wiggle": self.wiggle,
-            "compact_tol": self.compact_tol,
-            "rank_budget": self.rank_budget,
-            "plans": [p.describe() for p in
-                      tuple(self.plans_omega) + tuple(self.plans_zero)],
-        }
 
 
 def default_dstar_config(scale: int = 1, check_adjoint: bool = True) -> DstarConfig:
@@ -930,10 +913,14 @@ def default_dstar_config(scale: int = 1, check_adjoint: bool = True) -> DstarCon
         check_adjoint=check_adjoint)
 
 
-def _ladder(values, cfg: DstarConfig) -> dict:
-    first, last = float(values[0]), float(values[-1])
-    passed = last <= max(cfg.ladder_ratio * first, 1e-10)
-    return {"values": [float(v) for v in values], "passed": bool(passed)}
+def _ladder(at, base: float) -> dict:
+    """The continuity ladder ||at(base + d) - at(base)|| over the fixed
+    deltas; it passes when its last step is within the ladder ratio of its
+    first."""
+    ref = at(base)
+    values = [float(op_norm(at(base + d) - ref)) for d in _LADDER_DELTAS]
+    passed = values[-1] <= max(_LADDER_RATIO * values[0], 1e-10)
+    return {"values": values, "passed": bool(passed)}
 
 
 def _cond_vanishing(field, cfg) -> dict:
@@ -949,31 +936,27 @@ def _cond_vanishing(field, cfg) -> dict:
         "char(-15)": abs(field.char(-15.0)),
     }
     scale = max(ref, max(abs(field.char(t)) for t in (0.0, 1.0)), 1e-30)
-    passed = all(v < cfg.far_factor * scale for v in far.values())
+    passed = all(v < _FAR_FACTOR * scale for v in far.values())
     return {"reference": ref, "far_norms": far, "passed": bool(passed)}
 
 
 def _cond_continuity_gamma3(field, cfg) -> dict:
     g = cfg.grids
-    out = {}
-    for rho0, lam0 in ((0.0, 1.0), (1.0, 0.5)):
-        base = field.pi(rho0, lam0, g.lin)
-        vals = [op_norm(field.pi(rho0 + d, lam0, g.lin) - base)
-                for d in cfg.ladder_deltas]
-        out[f"({rho0},{lam0})"] = _ladder(vals, cfg)
+    out = {f"({rho0},{lam0})": _ladder(lambda rho: field.pi(rho, lam0, g.lin), rho0)
+           for rho0, lam0 in ((0.0, 1.0), (1.0, 0.5))}
     return {"ladders": out, "passed": all(v["passed"] for v in out.values())}
 
 
 def _cond_compact_gamma3(field, cfg) -> dict:
     g = cfg.grids
-    budget = cfg.rank_budget or g.lin.n // 8
+    budget = _rank_budget(g)
     rows = {}
     for rho, lam in ((0.0, 1.0), (2.0, 0.5), (1.0, 1.0)):
         A = field.pi(rho, lam, g.lin)
         scale = max(op_norm(A), 1e-30)
         d = compact_defect(A, budget)
         rows[f"pi({rho},{lam})"] = {"defect": d, "scale": scale,
-                                    "passed": bool(d < cfg.compact_tol * scale)}
+                                    "passed": bool(d < _COMPACT_TOL * scale)}
     return {"rank_budget": budget, "rows": rows,
             "passed": all(r["passed"] for r in rows.values())}
 
@@ -1025,17 +1008,13 @@ def _cond_sigma_zero(field, cfg) -> dict:
 
 def _cond_continuity_low(field, cfg) -> dict:
     g = cfg.grids
-    ladders = {}
-    for om0 in (0.7, 1.3):
-        base = field.ell(om0, 1.0, g.lin)
-        vals = [op_norm(field.ell(om0 + d, 1.0, g.lin) - base)
-                for d in cfg.ladder_deltas]
-        ladders[f"two-dim({om0})"] = _ladder(vals, cfg)
+    ladders = {f"two-dim({om0})": _ladder(lambda om: field.ell(om, 1.0, g.lin), om0)
+               for om0 in (0.7, 1.3)}
     taus = cfg.sample.gamma0
     psi = np.array([field.char(t) for t in taus])
     steps = np.abs(np.diff(psi))
     scale = max(float(np.max(np.abs(psi))), 1e-30)
-    char_ok = bool(np.max(steps) <= cfg.char_jump_factor * scale)
+    char_ok = bool(np.max(steps) <= _CHAR_JUMP * scale)
     out = {"ladders": ladders,
            "char_max_step": float(np.max(steps)), "char_scale": scale,
            "char_passed": char_ok}
@@ -1045,7 +1024,7 @@ def _cond_continuity_low(field, cfg) -> dict:
 
 def _cond_compact_gamma2(field, cfg) -> dict:
     g = cfg.grids
-    budget = cfg.rank_budget or g.lin.n // 8
+    budget = _rank_budget(g)
     rows, scale = {}, None
     for lab in cfg.sample.gamma2:
         mu, nu = ell_params(lab)
@@ -1054,7 +1033,7 @@ def _cond_compact_gamma2(field, cfg) -> dict:
             scale = max(op_norm(A), 1e-30)
         d = compact_defect(A, budget)
         rows[f"ell({mu},{nu})"] = {"defect": d,
-                                   "passed": bool(d < cfg.compact_tol * scale)}
+                                   "passed": bool(d < _COMPACT_TOL * scale)}
     return {"rank_budget": budget, "rows": rows,
             "passed": all(r["passed"] for r in rows.values())}
 
@@ -1071,8 +1050,7 @@ def _cond_two_dim_degeneration(field, cfg) -> dict:
 
 
 def _cond_compact_condition(field, cfg) -> dict:
-    return compact_condition_check(field, cfg.sample.gamma0, cfg.sigma0,
-                                   cfg.grids, cfg.rank_budget, cfg.compact_tol)
+    return compact_condition_check(field, cfg.sample.gamma0, cfg.grids)
 
 
 # Conditions whose every number is the same for the adjoint field: they read
@@ -1143,5 +1121,4 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
                                    "conditions": verdicts}
     passed = all(c.get("passed", False) for c in conditions.values())
     return {"field": field.label, "provenance": field.provenance,
-            "config": cfg.describe(), "conditions": conditions,
-            "passed": bool(passed)}
+            "conditions": conditions, "passed": bool(passed)}

@@ -28,6 +28,10 @@ __all__ = [
     "vk_adjoint",
 ]
 
+# the t-quadrature of the generic kernel and the characters, and the
+# x-quadrature of the near-convolution kernels
+_QUAD = QuadratureSpec(64)
+
 
 def _t_rule(f: TestFunction, osc: float, quad: QuadratureSpec):
     (t0, t1) = f.support_box[0]
@@ -38,8 +42,7 @@ def _t_rule(f: TestFunction, osc: float, quad: QuadratureSpec):
 
 
 def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
-                         grid: GridSpec, tquad: QuadratureSpec = QuadratureSpec(64),
-                         twist: bool = False) -> KernelOperator:
+                         grid: GridSpec, twist: bool = False) -> KernelOperator:
     """The generic representation applied to f, as a kernel on the linear grid.
 
     K(u, x) = integral of e^(t/2) e^(-i rho t)
@@ -73,7 +76,7 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
     c0, c1 = sorted((-2.0 * a1 / lam, -2.0 * a0 / lam))
     if twist:
         c0, c1 = -c1, -c0
-    ts, ws = _t_rule(f, rho, tquad)
+    ts, ws = _t_rule(f, rho, _QUAD)
     ent = np.zeros((n, n), dtype=complex)
     flat = ent.reshape(-1)
     for t, w in zip(ts, ws):
@@ -98,7 +101,7 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
 
 
 def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
-                      xquad: QuadratureSpec, sign: int, label: str) -> KernelOperator:
+                      sign: int, label: str) -> KernelOperator:
     """K(x_i, x_j) = hatF234(sign (x_i - x_j), mu e^(sign x_j), nu e^(-sign x_j), 0).
 
     sign (x_i - x_j) is computed as h*(sign (i - j)), so convolution kernels
@@ -111,7 +114,7 @@ def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
     offsets = grid.weights[0] * (sign * np.arange(1 - n, n))
     ent = np.zeros((n, n), dtype=complex)
     for tm in f.terms:
-        col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), xquad)
+        col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), _QUAD)
                * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
         # toe[i, j] = b_t(offsets[n - 1 + i - j])
         toe = sliding_window_view(tm.b_t(offsets), n)[:, ::-1]
@@ -122,18 +125,18 @@ def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
     return KernelOperator(grid, grid, ent, label)
 
 
-def kernel_pi_ell(f: TestFunction, mu: float, nu: float, grid: GridSpec,
-                  xquad: QuadratureSpec = QuadratureSpec(64)) -> KernelOperator:
+def kernel_pi_ell(f: TestFunction, mu: float, nu: float,
+                  grid: GridSpec) -> KernelOperator:
     """The representation attached to (0, mu, nu, 0) in the L^2(R) model.
 
     K(v, t) = hatF234(v - t, mu e^t, nu e^(-t), 0); for mu = nu = 0 this is
     a pure convolution kernel.
     """
-    return _near_convolution(f, mu, nu, grid, xquad, 1, f"pi_ell({mu},{nu})")
+    return _near_convolution(f, mu, nu, grid, 1, f"pi_ell({mu},{nu})")
 
 
-def kernel_tau(f: TestFunction, mu: float, nu: float, grid: GridSpec,
-               xquad: QuadratureSpec = QuadratureSpec(64)) -> KernelOperator:
+def kernel_tau(f: TestFunction, mu: float, nu: float,
+               grid: GridSpec) -> KernelOperator:
     """The half-line model on L^2(R_sigma, du/|u|) in log coordinates.
 
     K(v_i, v_j) = hatF234(v_j - v_i, mu e^(-v_j), nu e^(v_j), 0); the same
@@ -141,12 +144,12 @@ def kernel_tau(f: TestFunction, mu: float, nu: float, grid: GridSpec,
     """
     if grid.kind != "log":
         raise ValueError("kernel_tau needs a log half-line grid")
-    return _near_convolution(f, mu, nu, grid, xquad, -1,
+    return _near_convolution(f, mu, nu, grid, -1,
                              f"tau({mu},{nu},{grid.sigma:+d})")
 
 
 def character_value(f: TestFunction, tau: float,
-                    quad: QuadratureSpec = QuadratureSpec(64)) -> complex:
+                    quad: QuadratureSpec = _QUAD) -> complex:
     """Scalar value of the character representation at tau."""
     ts, ws = _t_rule(f, tau, quad)
     if len(ts) == 0:

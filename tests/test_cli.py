@@ -1,6 +1,10 @@
 import collections
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from boidol.fields import (
     FieldGrids,
     OperatorField,
     PowerSeq,
+    default_dstar_config,
     default_plan,
     default_sample,
     dstar_report,
@@ -66,6 +71,56 @@ def test_merge_rejects_unknown_field_with_path():
 def test_merge_rejects_wrong_shape():
     with pytest.raises(ConfigError, match="expected an object"):
         _merge(DEFAULT_CONFIG, {"grid": [1, 2]})
+
+
+def test_merge_fuzzed_overrides_keep_siblings_and_name_unknown_paths():
+    """A random override of known keys, nested ones included, replaces
+    exactly those values and keeps every sibling; one unknown key, at the
+    top or inside "grid", raises `ConfigError` naming its path."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    leaf = st.one_of(st.integers(-10, 10), st.floats(allow_nan=False),
+                     st.lists(st.integers(1, 64), max_size=4))
+
+    def override(defaults):
+        return st.fixed_dictionaries({}, optional={
+            key: override(val) if isinstance(val, dict) else leaf
+            for key, val in defaults.items()})
+
+    def expect(defaults, over):
+        return {key: expect(val, over[key]) if isinstance(val, dict) and key in over
+                else over.get(key, val) for key, val in defaults.items()}
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        over = data.draw(override(DEFAULT_CONFIG))
+        assert _merge(DEFAULT_CONFIG, over) == expect(DEFAULT_CONFIG, over)
+        nested = data.draw(st.booleans())
+        known = DEFAULT_CONFIG["grid"] if nested else DEFAULT_CONFIG
+        name = data.draw(st.text(min_size=1, max_size=8).filter(lambda s: s not in known))
+        (over.setdefault("grid", {}) if nested else over)[name] = data.draw(leaf)
+        path = ("config.grid." if nested else "config.") + name
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown field")):
+            _merge(DEFAULT_CONFIG, over)
+
+    check()
+
+
+def test_cli_defaults_agree_with_the_library_defaults(tmp_path):
+    """`boidol dstar` with no config checks the configuration criterion 10
+    reads from `default_dstar_config()`."""
+    args = build_parser().parse_args(["--out", str(tmp_path), "dstar"])
+    _, _, ours, _ = cli._field_setup(args)
+    lib = default_dstar_config()
+    for name in ("lin", "pair"):
+        a, b = getattr(ours.grids, name), getattr(lib.grids, name)
+        assert (a.kind, a.n, a.half_width) == (b.kind, b.n, b.half_width), name
+    for name in ("plans_omega", "plans_zero"):
+        assert ([p.describe() for p in getattr(ours, name)]
+                == [p.describe() for p in getattr(lib, name)]), name
+    for name in ("ks", "decay_ratio", "slow_decay_ratio", "wiggle"):
+        assert getattr(ours, name) == getattr(lib, name), name
 
 
 def test_load_config_missing_file():
@@ -448,3 +503,43 @@ def test_custom_test_function_inline(tmp_path):
     base_rows = json.loads((tmp_path / "base" / "norms.json").read_text())["rows"]
     for got, ref in zip(doubled["rows"], base_rows):
         assert abs(got["norm"] - 2.0 * ref["norm"]) < 1e-9 * max(1.0, ref["norm"])
+
+
+# ---------------------------------------------------------------------------
+# the benchmark harness
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+_TRACED_CONVERGE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import boidol.cli
+from tracer import Tracer
+from workloads import WORKLOADS
+tracer = Tracer()
+tracer.install()
+rc = boidol.cli.main(sys.argv[2:])
+calls = tracer.calls()
+print(json.dumps({"rc": rc, "unreached": [
+    name for name in WORKLOADS["converge-omega-k256"]["reached"] if not calls.get(name)]}))
+"""
+
+
+def test_benchmark_harness_binds_to_the_package(tmp_path):
+    """The harness's self-test passes; in a fresh process its tracer finds a
+    binding for every name it wraps, and a traced `converge omega` on the
+    small config records a call of every name that workload must reach."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["--config", write_cfg(tmp_path, SMALL), "--out", str(tmp_path),
+            "converge", "omega"]
+    # the two processes run side by side
+    procs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for cmd in ([sys.executable, str(BENCH / "selftest.py")],
+                         [sys.executable, "-c", _TRACED_CONVERGE, str(BENCH), *argv])]
+    (_, self_err), (traced_out, traced_err) = [p.communicate(timeout=120) for p in procs]
+    assert procs[0].returncode == 0, self_err
+    assert procs[1].returncode == 0, traced_err
+    assert json.loads(traced_out.splitlines()[-1]) == {"rc": 0, "unreached": []}

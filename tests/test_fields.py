@@ -17,7 +17,6 @@ from boidol.fields import (
     OperatorField,
     PowerSeq,
     SequencePlan,
-    Sigma0Config,
     SpectrumSample,
     check_dek_muk,
     check_rate_envelope,
@@ -497,7 +496,7 @@ def test_dek_muk_moment_bound():
 def test_sigma0_pure_convolution_at_origin():
     taus = default_sample().gamma0
     psi = np.exp(-0.5 * taus ** 2)
-    A = sigma0_apply(psi, taus, Sigma0Config(), (0.0, 0.0), GRIDS.lin)
+    A = sigma0_apply(psi, taus, (0.0, 0.0), GRIDS.lin)
     e = A.entries
     assert np.allclose(e[1:, 1:], e[:-1, :-1])  # Toeplitz
     # against the closed-form inverse transform of the Gaussian
@@ -516,21 +515,21 @@ def test_sigma0_nyquist_guard():
     taus = np.linspace(-16, 16, 33)  # spacing 1: too coarse for L = 12 shifts
     psi = np.ones_like(taus)
     with pytest.raises(NyquistViolation):
-        sigma0_apply(psi, taus, Sigma0Config(), (0.0, 0.0), GRIDS.lin)
+        sigma0_apply(psi, taus, (0.0, 0.0), GRIDS.lin)
 
 
 def test_sigma0_norm_bound():
     taus = default_sample().gamma0
     psi = np.array([FIELD.char(t) for t in taus])
-    A = sigma0_apply(psi, taus, Sigma0Config(), (1.0, 1.0), GRIDS.lin)
-    conv = sigma0_apply(psi, taus, Sigma0Config(), (0.0, 0.0), GRIDS.lin)
+    A = sigma0_apply(psi, taus, (1.0, 1.0), GRIDS.lin)
+    conv = sigma0_apply(psi, taus, (0.0, 0.0), GRIDS.lin)
     # the window factor has modulus at most one
     assert op_norm(A) <= op_norm(conv) * (1 + 1e-6)
 
 
 def test_compact_condition_on_fourier_field():
     sample = default_sample()
-    out = compact_condition_check(FIELD, sample.gamma0, Sigma0Config(), GRIDS)
+    out = compact_condition_check(FIELD, sample.gamma0, GRIDS)
     assert out["passed"]
     assert out["rank_budget"] == GRIDS.lin.n // 8
     assert len(out["rows"]) == 4
@@ -620,6 +619,40 @@ def test_dstar_report_collects_errors_instead_of_raising():
 def test_dstar_zero_field_is_a_member():
     rep = dstar_report(zero_field(), small_config())
     assert rep["passed"]
+
+
+def _replace_at(point, new):
+    """A tampering that replaces the value at ("pi"|"ell", a, b) by new(value, grid)."""
+    def transform(key, val):
+        return new(val, key[3]) if key[:3] == point else val
+    return transform
+
+
+_BUMP = np.exp(-GRIDS.lin.nodes ** 2)
+
+
+# one tampering per condition, each of a point only that condition reads
+_NEGATIVE_CONTROLS = {
+    # pi(64, 1) carries the reference norm of pi(0, 1)
+    "1_vanishing_at_infinity":
+        _replace_at(("pi", 64.0, 1.0), lambda val, g: FIELD.pi(0.0, 1.0, g)),
+    # the last rung of the ladder at (0, 1) jumps by a fixed rank-one term
+    "2a_continuity_generic":
+        _replace_at(("pi", 0.05, 1.0), lambda val, g: val + KernelOperator(
+            g, g, 0.01 * np.outer(_BUMP, _BUMP).astype(complex))),
+    "2b_compact_generic":
+        _replace_at(("pi", 2.0, 0.5), lambda val, g: val + 0.01 * KernelOperator.identity(g)),
+    # 3a reads ell(1.3 + d, 1), never this point
+    "3b_compact_two_dim":
+        _replace_at(("ell", 1.3, -1.0), lambda val, g: val + 0.01 * KernelOperator.identity(g)),
+}
+
+
+@pytest.mark.parametrize("condition", sorted(_NEGATIVE_CONTROLS))
+def test_negative_control_fails_its_own_condition_only(condition):
+    rep = dstar_report(FIELD.tampered(_NEGATIVE_CONTROLS[condition]), small_config())
+    assert sorted(k for k, v in rep["conditions"].items() if not v["passed"]) == [condition]
+    assert not any("error" in v for v in rep["conditions"].values())
 
 
 def _assert_close_tree(a, b, path="report"):

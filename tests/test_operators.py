@@ -186,6 +186,33 @@ def test_singular_values_property_over_zero_masks():
     check()
 
 
+def test_weighted_adjoint_identity_property():
+    """<A x, y>_w = <x, A* y>_w, each inner product weighted by its own
+    grid, over random kernels between linear, log and log-pair grids."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    grid = st.one_of(
+        st.builds(GridSpec.linear, st.floats(0.5, 20.0), st.integers(1, 24).map(lambda k: 2 * k)),
+        st.builds(GridSpec.log_half_line, st.sampled_from((1, -1)), st.floats(0.5, 12.0),
+                  st.integers(1, 48)),
+        st.builds(GridSpec.log_pair, st.floats(0.5, 12.0), st.integers(1, 24)))
+
+    def inner(grid, u, v):
+        return np.sum(grid.weights * u * np.conj(v))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(grid, grid, st.integers(0, 2 ** 32 - 1))
+    def check(dom, cod, seed):
+        rng = np.random.default_rng(seed)
+        A = KernelOperator(dom, cod, _cplx(rng, cod.n, dom.n))
+        x, y = _cplx(rng, 1, dom.n)[0], _cplx(rng, 1, cod.n)[0]
+        lhs, rhs = inner(cod, A.apply(x), y), inner(dom, x, A.adjoint().apply(y))
+        scale = np.linalg.norm(A.weighted()) * l2(dom, x) * l2(cod, y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    check()
+
+
 def _cplx(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
