@@ -94,8 +94,8 @@ class ConfigError(BoidolError):
 
 
 def _merge(defaults, override, path="config"):
-    if override is None:
-        return defaults
+    if override is None and defaults is not None:
+        raise ConfigError(f"{path}: null is not allowed here")
     if isinstance(defaults, dict):
         if not isinstance(override, dict):
             raise ConfigError(f"{path}: expected an object")

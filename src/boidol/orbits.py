@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
 from .errors import NotProperlyConverging, TargetNotInLimitSet
 from .group import (
     Character,
@@ -45,6 +43,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-6
 DEFAULT_KMAX = 10_000
+# Bounds of the damped Newton refinement in `witness_distance`.
+_NEWTON_ITERATIONS = 50
+_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,35 @@ def closure_gamma1(axis: str, sigma: int) -> Gamma1WithGamma0:
 
 
 def _orbit_distance_sq(rho_k: float, lam_k: float, target: DualVector):
+    """f(x, y), the squared distance from `target` to the point (x, y) of the
+    orbit Gen(rho_k, lam_k), and the Newton step of f at (x, y).
+
+    With e = T*-residual, u = x/lam_k, v = y/lam_k and w = e/lam_k, half the
+    gradient is (e*v + x - tX, e*u + y - tY) and half the Hessian is
+    [[v^2 + 1, u*v + w], [u*v + w, u^2 + 1]].  The step -H^{-1} grad f is
+    written with the u^2*v and u*v^2 products already cancelled, which keeps
+    it accurate when lam_k is small and u, v are large.
+    """
     tT, tX, tY, tZ = target
     om_k = rho_k * lam_k
+    dZ2 = (lam_k - tZ) ** 2
 
-    def f(p):
-        x, y = p
-        dT = (om_k + x * y) / lam_k - tT
-        return dT * dT + (x - tX) ** 2 + (y - tY) ** 2 + (lam_k - tZ) ** 2
+    def f(x, y):
+        e = (om_k + x * y) / lam_k - tT
+        return e * e + (x - tX) ** 2 + (y - tY) ** 2 + dZ2
 
-    return f
+    def newton_step(x, y):
+        e = (om_k + x * y) / lam_k - tT
+        u, v, w = x / lam_k, y / lam_k, e / lam_k
+        rx, ry = x - tX, y - tY
+        s = u * rx - v * ry
+        det = 1.0 + u * u + v * v - w * (2.0 * u * v + w)
+        if not det > 0.0:  # H is not positive definite: take no step
+            return 0.0, 0.0
+        return (-(u * s + rx + e * (v - w * u) - w * ry) / det,
+                -(ry - v * s + e * (u - w * v) - w * rx) / det)
+
+    return f, newton_step
 
 
 def _witness_guess(rho_k: float, lam_k: float, target: DualVector,
@@ -263,8 +284,10 @@ def witness_distance(seq: OrbitSequence, target: DualVector, k: int,
 
     The target must lie on an orbit of the sequence's limit set; otherwise
     TargetNotInLimitSet is raised.  The distance is computed from a
-    closed-form witness followed by a bounded local refinement over the
-    orbit's free coordinates (x, y).
+    closed-form witness followed by a damped Newton descent over the orbit's
+    free coordinates (x, y): a step is taken only when it lowers the squared
+    distance, halving it up to `_HALVINGS` times, and the descent stops when
+    no halving lowers it, so the result never exceeds the witness's distance.
     """
     if seq.kind != "Gamma3":
         raise ValueError("witness_distance requires a Gamma3 sequence")
@@ -285,13 +308,17 @@ def witness_distance(seq: OrbitSequence, target: DualVector, k: int,
     if not ok:
         raise TargetNotInLimitSet(f"{label} is not in the limit set {limits}")
 
-    # imported here so that only this refinement pulls in scipy
-    from scipy.optimize import minimize
-
-    f = _orbit_distance_sq(rho_k, lam_k, target)
-    x0 = np.asarray(_witness_guess(rho_k, lam_k, target, label), dtype=float)
-    best = f(x0)
-    res = minimize(f, x0, method="Nelder-Mead",
-                   options={"maxfev": 200, "xatol": 1e-12, "fatol": 1e-30})
-    best = min(best, float(res.fun))
+    f, newton_step = _orbit_distance_sq(rho_k, lam_k, target)
+    x, y = _witness_guess(rho_k, lam_k, target, label)
+    best = f(x, y)
+    for _ in range(_NEWTON_ITERATIONS):
+        dx, dy = newton_step(x, y)
+        for _ in range(_HALVINGS):
+            fx = f(x + dx, y + dy)
+            if fx < best:
+                break
+            dx, dy = 0.5 * dx, 0.5 * dy
+        else:
+            break
+        x, y, best = x + dx, y + dy, fx
     return math.sqrt(max(best, 0.0))

@@ -73,6 +73,25 @@ def test_merge_rejects_wrong_shape():
         _merge(DEFAULT_CONFIG, {"grid": [1, 2]})
 
 
+def test_merge_rejects_null_where_the_default_is_not_null(tmp_path):
+    """An explicit null would merge to the default and leave the artifact's
+    hash equal to a default run's; it is an error at every key but
+    "test_function", whose default is null."""
+    for over, path in (({"decay_ratio": None}, "config.decay_ratio"),
+                       ({"ks": None}, "config.ks"),
+                       ({"grid": None}, "config.grid"),
+                       ({"grid": {"n": None}}, "config.grid.n")):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: null")):
+            _merge(DEFAULT_CONFIG, over)
+    cfg = load_config(write_cfg(tmp_path, {"test_function": None}))
+    assert cfg == DEFAULT_CONFIG
+    bad = write_cfg(tmp_path, {"decay_ratio": None, "ks": None, "grid": None}, "bad.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", bad, "--out", str(tmp_path), "orbits"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "orbits.json").exists()
+
+
 def test_merge_fuzzed_overrides_keep_siblings_and_name_unknown_paths():
     """A random override of known keys, nested ones included, replaces
     exactly those values and keeps every sibling; one unknown key, at the

@@ -24,16 +24,18 @@ def test_every_all_entry_is_defined(name):
     assert not missing, f"boidol.{name}.__all__ names undefined {missing}"
 
 
-def test_verdict_path_imports_no_scipy():
-    """Only `witness_distance` needs scipy; a fresh process that imports the
-    package and its command line must not load it."""
+def test_verdict_path_imports_no_scipy(tmp_path):
+    """No module of the package needs scipy: a fresh process that imports the
+    package and runs `boidol orbits` on the default config loads none."""
     src = str(Path(boidol.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, boidol, boidol.cli; "
+    code = ("import sys, boidol; from boidol.cli import main; "
             "print(boidol.__file__); "
+            f"print(main(['--out', {str(tmp_path)!r}, 'orbits'])); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert Path(out[0]).resolve() == Path(boidol.__file__).resolve()
-    assert out[1] == "[]"
+    assert out[-2:] == ["0", "[]"]
+    assert (tmp_path / "orbits.json").exists()

@@ -185,3 +185,45 @@ def test_lie_brackets_from_group_commutators():
     assert np.allclose(bracket(T, X), [0, -1, 0, 0], rtol=0, atol=1e-3)
     assert np.allclose(bracket(T, Y), [0, 0, 1, 0], rtol=0, atol=1e-3)
     assert np.allclose(bracket(X, Y), [0, 0, 0, 1], rtol=0, atol=1e-3)
+
+
+def test_group_axioms_property():
+    """Associativity, the identity and both inverses, on hypothesis-drawn
+    elements with every coordinate in [-2, 2]."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    element = st.builds(GroupElement, coord, coord, coord, coord)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(element, element, element)
+    def check(a, b, c):
+        assert close(group_mul(group_mul(a, b), c), group_mul(a, group_mul(b, c)))
+        assert group_mul(a, IDENTITY) == a and group_mul(IDENTITY, a) == a
+        assert close(group_mul(a, group_inv(a)), IDENTITY)
+        assert close(group_mul(group_inv(a), a), IDENTITY)
+
+    check()
+
+
+def test_classify_orbit_point_round_trip_property():
+    """classify_dual_vector(orbit_point(label, params)) gives back the label,
+    on hypothesis-drawn labels of all four strata."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sign = st.sampled_from((-1, 1))
+    away = st.floats(0.2, 3.0)
+    label = st.one_of(
+        st.builds(lambda rho, lam, s: Gen(rho, s * lam), st.floats(-3.0, 3.0), away, sign),
+        st.builds(lambda om, s, sig: TwoDim(s * om, sig), away, sign, sign),
+        st.builds(OneDim, st.sampled_from(("X", "Y")), sign),
+        st.builds(Character, st.floats(-3.0, 3.0)))
+    param = st.floats(-1.5, 1.5)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(label, param, param)
+    def check(lab, a, b):
+        got = classify_dual_vector(orbit_point(lab, (a, b)))
+        assert labels_match(got, lab), (lab, (a, b), got)
+
+    check()

@@ -3,7 +3,15 @@ import math
 import pytest
 
 from boidol.errors import NotProperlyConverging, TargetNotInLimitSet
-from boidol.group import Character, DualVector, Gen, OneDim, TwoDim, orbit_point
+from boidol.group import (
+    Character,
+    DualVector,
+    Gen,
+    OneDim,
+    TwoDim,
+    classify_dual_vector,
+    orbit_point,
+)
 from boidol.orbits import (
     AtInfinity,
     Gamma1PairUnionGamma0,
@@ -12,6 +20,8 @@ from boidol.orbits import (
     OrbitSequence,
     SinglePoint,
     TwoPoints,
+    _orbit_distance_sq,
+    _witness_guess,
     closure_gamma1,
     limit_set_gamma2,
     limit_set_gamma3,
@@ -102,6 +112,29 @@ def test_witness_distance_gamma1_target():
     ds = [witness_distance(SEQ_OMEGA0, target, k) for k in (10, 100, 1000)]
     assert ds[0] > ds[1] > ds[2]
     assert ds[2] < 1.1e-3
+
+
+# Witness distances of the Nelder-Mead refinement the Newton descent replaced,
+# at k = 10 and k = 1000, one target of each kind.
+PINNED_WITNESS = [
+    (SEQ_OMEGA1, TwoDim(1.0, -1), (0.1, 0.001)),
+    (SEQ_OMEGA0, OneDim("X", 1), (0.10000957177445327, 0.0010000000000009999)),
+    (SEQ_OMEGA0, Character(0.5), (0.43588989435406733, 0.04471017781221631)),
+    (SEQ_HAUSDORFF, Gen(1.0, 2.0), (0.10000000000000009, 0.0009999999999998899)),
+]
+
+
+@pytest.mark.parametrize("seq, label, pinned", PINNED_WITNESS,
+                         ids=[type(label).__name__ for _, label, _ in PINNED_WITNESS])
+def test_witness_distance_pinned_and_never_above_the_guess(seq, label, pinned):
+    target = orbit_point(label)
+    for k, want in zip((10, 1000), pinned):
+        got = witness_distance(seq, target, k)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        rho, lam = seq.generator(k)
+        f, _ = _orbit_distance_sq(rho, lam, target)
+        guess = _witness_guess(rho, lam, target, classify_dual_vector(target, tol=1e-6))
+        assert got <= math.sqrt(f(*guess))
 
 
 def test_witness_distance_own_orbit_point():

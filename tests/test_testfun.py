@@ -269,6 +269,21 @@ def test_l1_norm_against_brute_force():
     assert abs(v - want) < 0.01 * want
 
 
+def test_l1_norm_multi_pair_path_with_a_zero_term():
+    """A second term with a distinct (b_a, b_b) pair sends `l1_norm_F1` down
+    its 2-d path, one n_yz x n_yz matrix per (t, x) cell; with coefficient 0
+    it must give the single-term value.  The grid is small because that path
+    took 12-13 s and peaked at 562 MiB at n_tx = 8 and n_yz = 4096."""
+    grid = GridSpec4D(n_tx=4, n_yz=256)
+    tm = F.terms[0]
+    # same (t, x) bumps, so the (t, x) box and its nodes are unchanged
+    two = TestFunction(F.terms + (SeparableTerm(0.0, tm.b_t, tm.b_x, tm.b_b, tm.b_a),))
+    assert (tm.b_b, tm.b_a) != (tm.b_a, tm.b_b)
+    single = l1_norm_F1(F, grid)
+    assert single > 0
+    assert abs(l1_norm_F1(two, grid) - single) <= 1e-12 * single
+
+
 def test_l1_norm_window_too_small():
     with pytest.raises(WindowTooSmall):
         l1_norm_F1(F, GridSpec4D(n_tx=32, n_yz=256, yz_half_width=20.0))
