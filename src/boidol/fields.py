@@ -492,17 +492,21 @@ def default_plan(regime: str, rho_seq, lambda_seq,
 
 def _vk_halves(rho_k: float, lam_k: float,
                grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
-    """V_k's two sign halves (V+, V-), V_k = [V+ | V-].
+    """V_k's two sign halves (V+, V-), V_k = [V+ | V-], as their nonzero
+    blocks.
 
-    V+ maps the plus half-line model into L^2(R) and is nonzero only on the
-    s > 0 rows, V- maps the minus one and is nonzero only on the s < 0 rows
-    (see `vk_operator`).  They are the column blocks of the conjugate
-    transpose of `vk_adjoint`, which restores V_k's entries exactly.
+    V+ maps a window of the plus half-line model's cells into a window of
+    the s > 0 linear cells, and V- maps the same window of the minus one's
+    cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
+    conjugate transpose of `vk_adjoint`, which restores `vk_operator`'s
+    entries exactly, and V- is V+ with its rows reversed, a view.
     """
-    V = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint().entries
-    h = grids.plus.n
-    return (KernelOperator(grids.plus, grids.lin, V[:, :h]),
-            KernelOperator(grids.minus, grids.lin, V[:, h:]))
+    plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
+    rows, cols, n = plus.codomain, plus.domain, grids.lin.n
+    minus = KernelOperator(grids.minus.window(cols.start, cols.start + cols.n),
+                           grids.lin.window(n - rows.start - rows.n, n - rows.start),
+                           plus.entries[::-1])
+    return plus, minus
 
 
 def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
@@ -512,15 +516,21 @@ def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
     and b_minus on the minus one.
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
-    of u to the same sign of s, so the result is V+ b_plus V+* on the s > 0
-    rows and columns plus V- b_minus V-* on the s < 0 ones: two products over
-    half-line grids, one half after the other, and no product meets the
-    block's zero off-diagonal.
+    of u to the same sign of s, so the result has two diagonal blocks and
+    zeros elsewhere: V+ b_plus V+* on the s > 0 rows and columns V+ reaches,
+    and V- b_minus V-* on the mirrored s < 0 ones.  Each is a product of
+    V_k's nonzero block of that sign (`_vk_halves`) with b's block on the
+    log cells the half reaches, so b's other cells, which V_k never reaches,
+    enter no product.  The n x n result is allocated once both products are
+    done, so no product's temporaries are alive next to it, and the two
+    blocks are written into it.
     """
-    plus, minus = ((v @ b @ v.adjoint()).entries for v, b in
-                   zip(_vk_halves(rho_k, lam_k, grids), (b_plus, b_minus)))
-    plus += minus  # disjoint supports: this copies minus's block into plus
-    return KernelOperator(grids.lin, grids.lin, plus, label)
+    blocks = [(v.codomain.cells, (v @ b.restricted(v.domain, v.domain) @ v.adjoint()).entries)
+              for v, b in zip(_vk_halves(rho_k, lam_k, grids), (b_plus, b_minus))]
+    ent = np.zeros((grids.lin.n, grids.lin.n), complex)
+    for cells, block in blocks:
+        ent[cells, cells] = block
+    return KernelOperator(grids.lin, grids.lin, ent, label)
 
 
 def _two_point_block(field: OperatorField, plan: SequencePlan, k: int, w: float,
@@ -651,16 +661,23 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
                           grids: FieldGrids, interval, bound) -> list[dict]:
     """Rows of ||A_k V_k M||, A_k V_k masked to `interval(k)` on the log pair.
 
-    A_k V_k is [A_k V+ | A_k V-], one product per sign half of V_k.  The
-    generic operators are read from the field's cache.
+    A_k V_k is [A_k V+ | A_k V-]: each half is the product of A_k's block
+    of columns on the linear cells that half reaches with its nonzero block
+    (`_vk_halves`), so it is an operator from the window of log cells the
+    half reaches.  V_k's zero columns would only append zero columns, which
+    add nothing to the norm.  The generic operators are read from the
+    field's cache.
     """
     rows = []
     for k in ks:
         rho_k, lam_k = plan.rho(k), plan.lam(k)
         A = field.pi(rho_k, lam_k, grids.lin)
-        AV = KernelOperator(grids.pair, grids.lin, np.concatenate(
-            [(A @ v).entries for v in _vk_halves(rho_k, lam_k, grids)], axis=1))
-        M = cutoff_M(interval(k), grids.pair)
+        halves = _vk_halves(rho_k, lam_k, grids)
+        cells = halves[0].domain
+        window = grids.pair.window(cells.start, cells.start + cells.n)
+        AV = KernelOperator(window, grids.lin, np.concatenate(
+            [(A.restricted(v.codomain) @ v).entries for v in halves], axis=1))
+        M = cutoff_M(interval(k), window)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": bound(k)})
     return rows
@@ -687,6 +704,22 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
         lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None)
 
 
+def _half_deviation(A: KernelOperator, v: KernelOperator,
+                    b: KernelOperator) -> KernelOperator:
+    """A V - V b for one sign half V of V_k, given as its nonzero block, and
+    b on that half's whole half-line model.
+
+    A V is A's block of columns on the linear cells V reaches times V, on
+    the log cells V reaches; V b is V times b's rows on those cells, on the
+    linear cells V reaches.  The difference is written as -V b, then A V
+    added, which is A V - V b entry by entry.
+    """
+    ent = np.zeros((A.codomain.n, b.domain.n), complex)
+    ent[v.codomain.cells] -= (v @ b.restricted(codomain=v.domain)).entries
+    ent[:, v.domain.cells] += (A.restricted(v.codomain) @ v).entries
+    return KernelOperator(b.domain, A.codomain, ent)
+
+
 def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
                         grids: FieldGrids) -> dict:
     """Half-line deviations against the rate envelope, with a fitted constant.
@@ -711,7 +744,7 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
         wk = plan.w_k(k)
         A = field.pi(rho_k, lam_k, grids.lin)
         # one norm per sign half; no half outlives its row
-        dev_a, dev_b = (op_norm(A @ v - v @ b) for v, b in zip(
+        dev_a, dev_b = (op_norm(_half_deviation(A, v, b)) for v, b in zip(
             _vk_halves(rho_k, lam_k, grids), _two_point_block(field, plan, k, wk, grids)))
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)

@@ -161,6 +161,9 @@ class GridSpec:
     kind 'logpair':  the direct sum of the sigma=+1 and sigma=-1 log grids
                      (a discretization of L^2(R, du/|u|)); vectors are the
                      plus-half samples followed by the minus-half samples.
+
+    `start` is 0 except on a `window`, where it is the index of the window's
+    first cell in the grid it was cut from (in each half, for a logpair).
     """
 
     kind: str
@@ -170,6 +173,7 @@ class GridSpec:
     weights: np.ndarray
     sigma: int = 0
     parts: tuple = field(default=None, repr=False)
+    start: int = 0
 
     @staticmethod
     def linear(L: float = 12.0, n: int = 512) -> "GridSpec":
@@ -198,6 +202,26 @@ class GridSpec:
             np.concatenate([plus.weights, minus.weights]),
             parts=(plus, minus),
         )
+
+    def window(self, start: int, stop: int) -> "GridSpec":
+        """The cells start, ..., stop - 1 as a grid of their own, with their
+        nodes and weights, for the rows or columns of an operator block.  On
+        a logpair grid it takes those cells of each half."""
+        if self.kind == "logpair":
+            parts = tuple(p.window(start, stop) for p in self.parts)
+            return GridSpec("logpair", self.half_width, 2 * (stop - start),
+                            np.concatenate([p.nodes for p in parts]),
+                            np.concatenate([p.weights for p in parts]),
+                            parts=parts, start=start)
+        return GridSpec(self.kind, self.half_width, stop - start,
+                        self.nodes[start:stop], self.weights[start:stop],
+                        self.sigma, start=self.start + start)
+
+    @property
+    def cells(self) -> slice:
+        """The slice of a window's cells in the grid it was cut from (in
+        each half, for a logpair)."""
+        return slice(self.start, self.start + self.n)
 
     @property
     def points(self) -> np.ndarray:

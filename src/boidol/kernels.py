@@ -160,7 +160,8 @@ def character_value(f: TestFunction, tau: float,
 
 def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
                 lin_grid: GridSpec) -> KernelOperator:
-    """The rescaling unitary from L^2(R, du/|u|) to L^2(R, ds).
+    """The plus sign half of the rescaling unitary from L^2(R, du/|u|) to
+    L^2(R, ds), as its nonzero block.
 
     (V_k eta)(s) = |s|^(-1/2) eta(|lambda_k| s) exp(i rho_k ln|lambda_k s|).
 
@@ -171,11 +172,16 @@ def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
     compression of a unitary, so its operator norm never exceeds one and
     its conjugate transpose discretizes the adjoint map exactly.
 
-    V_k maps each sign of u to the same sign of s: the plus-half columns
-    are nonzero only on the s > 0 rows and the minus-half columns only on
-    the s < 0 rows.  The s < 0 rows are the s > 0 rows mirrored, so with r
-    = n/2 and h the half size, entries[:r, h:] equals entries[r:, :h][::-1]
-    bit for bit.
+    V_k maps each sign of u to the same sign of s: V_k = [V+ | V-], with V+
+    nonzero only on the s > 0 rows and V- only on the s < 0 rows, and V- is
+    V+ with its rows mirrored (row n - 1 - i of V- is row i of V+, bit for
+    bit).  Only V+ is built, and only on its nonzero block: the operator
+    returned maps the window of plus-half log cells that some s > 0 cell
+    meets to the window of s > 0 linear cells that meet a log cell
+    (`GridSpec.window` of `log_pair.parts[0]` and of `lin_grid`).  Every
+    entry of V+ outside the two windows is an exact zero.  Both windows are
+    contiguous, because the cell edges in w increase with s, and both are
+    empty when no cell meets the log window.
     """
     if lambda_k == 0:
         raise ValueError("lambda_k must be nonzero")
@@ -195,9 +201,9 @@ def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
 
     v_left = plus.nodes[0] - 0.5 * h_log  # = -V
     v_right = plus.nodes[-1] + 0.5 * h_log  # = +V
-    ent = np.zeros((n, log_pair.n), dtype=complex)
     scale = 1.0 / (h_lin * h_log)
-    for i in range(n // 2, n):  # positive s rows; negative rows mirrored
+    rows, cols, vals = [], [], []
+    for i in range(n // 2, n):  # positive s rows
         s = lin_grid.nodes[i]
         lo, hi = s - 0.5 * h_lin, s + 0.5 * h_lin
         w_hi = math.log(al * hi)
@@ -213,21 +219,27 @@ def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
             e1 = min(b, v_left + (j + 1) * h_log)
             if e1 <= e0:
                 continue
-            val = (antider(e1) - antider(e0)) * scale
-            ent[i, j] = val
-            ent[n - 1 - i, half + j] = val
-    return KernelOperator(log_pair, lin_grid, ent, f"V({rho_k},{lambda_k})")
+            rows.append(i)
+            cols.append(j)
+            vals.append((antider(e1) - antider(e0)) * scale)
+    r0, r1 = (rows[0], rows[-1] + 1) if rows else (n // 2, n // 2)
+    c0, c1 = (min(cols), max(cols) + 1) if cols else (0, 0)
+    ent = np.zeros((r1 - r0, c1 - c0), dtype=complex)
+    ent[np.asarray(rows, int) - r0, np.asarray(cols, int) - c0] = vals
+    return KernelOperator(plus.window(c0, c1), lin_grid.window(r0, r1), ent,
+                          f"V({rho_k},{lambda_k})")
 
 
 def vk_adjoint(rho_k: float, lambda_k: float, lin_grid: GridSpec,
                log_pair: GridSpec) -> KernelOperator:
-    """The adjoint rescaling map,
+    """The adjoint rescaling map of the plus sign half,
 
     (V_k* xi)(u) = (|u|^(1/2)/sqrt|lambda_k|) exp(-i rho_k ln|u|) xi(u/|lambda_k|),
 
-    realized as the conjugate transpose of the cell-Galerkin forward map so
-    that adjointness holds exactly at matrix level.
+    for u > 0, as the conjugate transpose of `vk_operator`'s block, so that
+    adjointness holds exactly at matrix level: it maps the same window of
+    s > 0 linear cells back to the same window of plus-half log cells.
     """
     A = vk_operator(rho_k, lambda_k, log_pair, lin_grid).adjoint()
-    return KernelOperator(lin_grid, log_pair, A.entries,
+    return KernelOperator(A.domain, A.codomain, A.entries,
                           f"V*({rho_k},{lambda_k})")

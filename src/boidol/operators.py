@@ -119,6 +119,18 @@ class KernelOperator:
         return KernelOperator(self.domain, self.codomain,
                               np.where(keep, self.entries, 0), f"{self.label}.M")
 
+    def restricted(self, domain: GridSpec = None,
+                   codomain: GridSpec = None) -> "KernelOperator":
+        """self between cell windows of its linear or log grids
+        (`GridSpec.window`; None keeps the grid), as a view of its entries:
+        the block of self on those rows and columns.  A window is placed by
+        its `start`, so self's own grids may be windows of the same grid."""
+        domain = self.domain if domain is None else domain
+        codomain = self.codomain if codomain is None else codomain
+        r, c = codomain.start - self.codomain.start, domain.start - self.domain.start
+        return KernelOperator(domain, codomain,
+                              self.entries[r:r + codomain.n, c:c + domain.n], self.label)
+
     def __matmul__(self, other):
         return self.compose(other)
 
@@ -144,14 +156,29 @@ def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
     when there are none.  Non-finite entries raise `NonFiniteOperator`.
 
     The singular values of a matrix are those of this block plus zeros.
+    The rows and columns are found on A's own entries: the weights are
+    positive, so they make no entry zero or nonzero, and a NaN or an inf
+    counts as nonzero, so it always lands in the block, where finiteness is
+    checked.  Only the block is copied, or, when nothing is trimmed, the
+    matrix is copied once with its codomain weights applied; the copy is
+    scaled in place, codomain weights first and then domain weights, the
+    order of `weighted()`, so every entry is bit for bit that of
+    `weighted()`.
     """
-    W = A.weighted()
-    if not np.all(np.isfinite(W)):
-        raise NonFiniteOperator(f"non-finite entries in {A.label or 'operator'}")
-    rows, cols = W.any(axis=1), W.any(axis=0)
+    E = A.entries
+    rows, cols = E.any(axis=1), E.any(axis=0)
     if not rows.any():
         return None
-    return W if rows.all() and cols.all() else W[np.ix_(rows, cols)]
+    root_cod, root_dom = np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights)
+    if rows.all() and cols.all():
+        W = root_cod[:, None] * E
+    else:
+        W = E[np.ix_(rows, cols)]
+        W *= root_cod[rows, None]
+    W *= root_dom[cols]
+    if not np.isfinite(W).all():
+        raise NonFiniteOperator(f"non-finite entries in {A.label or 'operator'}")
+    return W
 
 
 def _singular_values(A: KernelOperator) -> np.ndarray:
@@ -173,6 +200,9 @@ def _singular_values(A: KernelOperator) -> np.ndarray:
 
 _LANCZOS_STEPS = 64
 _LANCZOS_TOL = 1e-14
+# rows of the Lanczos bases at the start; they double when full, up to
+# _LANCZOS_STEPS, so a run of k steps holds O(k) basis vectors
+_LANCZOS_FIRST_ROWS = 16
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -196,6 +226,13 @@ def _orthogonalized(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
     for _ in range(2):
         x = x - (Q.conj() @ x) @ Q
     return x
+
+
+def _grown(Q: np.ndarray, rows: int) -> np.ndarray:
+    """Q with zero rows appended up to `rows` rows."""
+    out = np.zeros((rows, Q.shape[1]), Q.dtype)
+    out[:len(Q)] = Q
+    return out
 
 
 def _top_ritz(C: np.ndarray, coupling: float) -> tuple[float, float]:
@@ -223,12 +260,14 @@ def _lanczos_norm(W: np.ndarray) -> tuple[float | None, int]:
     """
     m, n = W.shape
     dtype = np.result_type(W, 1.0)
-    U = np.zeros((_LANCZOS_STEPS, m), dtype)
-    V = np.zeros((_LANCZOS_STEPS + 1, n), dtype)
+    U = np.zeros((_LANCZOS_FIRST_ROWS, m), dtype)
+    V = np.zeros((_LANCZOS_FIRST_ROWS + 1, n), dtype)
     B = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS + 1))
     v = _start_vector(n)
     V[0] = v / np.linalg.norm(v)
     for k in range(_LANCZOS_STEPS):
+        if k == len(U):
+            U, V = _grown(U, 2 * k), _grown(V, 2 * k + 1)
         u = W @ V[k]
         if k:
             u -= B[k - 1, k] * U[k - 1]

@@ -529,7 +529,7 @@ def test_custom_test_function_inline(tmp_path):
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-_TRACED_CONVERGE = """
+_TRACED_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import boidol.cli
@@ -537,28 +537,36 @@ from tracer import Tracer
 from workloads import WORKLOADS
 tracer = Tracer()
 tracer.install()
-rc = boidol.cli.main(sys.argv[2:])
+rc = boidol.cli.main(sys.argv[3:])
 calls = tracer.calls()
-print(json.dumps({"rc": rc, "unreached": [
-    name for name in WORKLOADS["converge-omega-k256"]["reached"] if not calls.get(name)]}))
+print(json.dumps({"rc": rc, "workloads": sorted(WORKLOADS), "unreached": [
+    name for name in WORKLOADS[sys.argv[2]]["reached"] if not calls.get(name)]}))
 """
 
 
 def test_benchmark_harness_binds_to_the_package(tmp_path):
     """The harness's self-test passes; in a fresh process its tracer finds a
-    binding for every name it wraps, and a traced `converge omega` on the
-    small config records a call of every name that workload must reach."""
+    binding for every name it wraps, and a traced run of each workload's
+    command on the small config records a call of every name that workload
+    must reach.  The test reads `bench/` and writes nothing there."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    argv = ["--config", write_cfg(tmp_path, SMALL), "--out", str(tmp_path),
-            "converge", "omega"]
-    # the two processes run side by side
+    cfg = write_cfg(tmp_path, SMALL)
+    commands = {"dstar": ["dstar"], "converge-omega-k256": ["converge", "omega"],
+                "converge-zero-x2": ["converge", "zero"]}
+    runs = [[sys.executable, str(BENCH / "selftest.py")]]
+    for name, command in commands.items():
+        out = tmp_path / name
+        out.mkdir()
+        runs.append([sys.executable, "-c", _TRACED_RUN, str(BENCH), name,
+                     "--config", cfg, "--out", str(out), *command])
+    # the processes run side by side
     procs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True)
-             for cmd in ([sys.executable, str(BENCH / "selftest.py")],
-                         [sys.executable, "-c", _TRACED_CONVERGE, str(BENCH), *argv])]
-    (_, self_err), (traced_out, traced_err) = [p.communicate(timeout=120) for p in procs]
-    assert procs[0].returncode == 0, self_err
-    assert procs[1].returncode == 0, traced_err
-    assert json.loads(traced_out.splitlines()[-1]) == {"rc": 0, "unreached": []}
+                              stderr=subprocess.PIPE, text=True) for cmd in runs]
+    results = [p.communicate(timeout=120) for p in procs]
+    assert procs[0].returncode == 0, results[0][1]
+    for name, proc, (out, err) in zip(commands, procs[1:], results[1:]):
+        assert proc.returncode == 0, err
+        assert json.loads(out.splitlines()[-1]) == {
+            "rc": 0, "workloads": sorted(commands), "unreached": []}, name

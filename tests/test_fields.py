@@ -3,6 +3,7 @@ import gc
 import math
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -44,14 +45,15 @@ from boidol.fields import (
 )
 from boidol.grids import GridSpec
 from boidol.group import Character, OneDim, TwoDim
-from boidol.kernels import kernel_pi_rho_lambda, kernel_tau, vk_operator
-from boidol.operators import IntervalSpec, KernelOperator, cutoff_M, op_norm
+from boidol.kernels import kernel_pi_rho_lambda, kernel_tau
+from boidol.operators import IntervalSpec, KernelOperator, compact_defect, cutoff_M, op_norm
 from boidol.testfun import (
     BumpFactor,
     SeparableTerm,
     TestFunction,
     default_test_function,
 )
+from test_kernels import vk_dense
 
 F = default_test_function()
 GRIDS = FieldGrids.default(n_lin=128, n_half=96)
@@ -355,7 +357,8 @@ def _omega_plan():
 
 
 def _reference_check_rows(plan, ks, grids):
-    """The tail, small-zone and rate rows built straight from the kernels."""
+    """The tail, small-zone and rate rows built straight from the kernels,
+    with V_k as the dense n x 2 n_half matrix."""
     tail, small, rate = [], [], []
     pair, eps = grids.pair, plan.eps
     half = grids.plus.n
@@ -364,7 +367,7 @@ def _reference_check_rows(plan, ks, grids):
         wk, lam_r = plan.w_k(k), R_k * abs(lam_k)
         base = {"k": k, "rho_k": rho_k, "lambda_k": lam_k, "R_k": R_k}
         A = kernel_pi_rho_lambda(F, rho_k, lam_k, grids.lin)
-        V = vk_operator(rho_k, lam_k, pair, grids.lin)
+        V = vk_dense(rho_k, lam_k, pair, grids.lin)
         AV = A @ V
         tail.append({**base, "bound": None, "value": op_norm(
             AV.masked(cutoff_M(IntervalSpec.abs_ge(R_k), pair)))})
@@ -467,6 +470,44 @@ def test_deviation_rows_match_explicit_loops():
     assert rows == _reference_deviation_rows(field, plan_zero, zone_ks, GRIDS, zone=True)
     assert all(set(row) == ROW_KEYS | {"dev_plus", "dev_minus"} for row in rows)
     assert all(row["dev_plus"] != row["dev_minus"] for row in rows)
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of memory traced by tracemalloc during the call, in
+    bytes above what was traced when it began)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_limit_constructions_and_norms_stay_under_a_memory_cap():
+    """At n = 512, n_half = 384, with every field value already cached:
+    sigma_k_omega and sigma_k_zero at k = 4 and 64 peak at no more than
+    3.5 n^2 complex entries (the n x n result is one; a dense
+    n x 2 n_half V_k would add 1.5), and op_norm and compact_defect of each
+    deviation A_k - sigma_k at no more than the bytes of its nonzero block
+    plus 1 MiB (a weighted copy of the whole matrix would add n^2)."""
+    grids = FieldGrids.default(n_lin=512, n_half=384)
+    n = grids.lin.n
+    field = fourier_field(F)
+    plans = ((sigma_k_omega, _omega_plan()),
+             (sigma_k_zero, default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))))
+    for k in (4, 64):
+        for sigma, plan in plans:
+            A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
+            sigma(field, k, plan, grids)  # fills the cache
+            S, peak = _traced_peak(lambda: sigma(field, k, plan, grids))
+            assert peak <= 3.5 * n * n * 16, (sigma.__name__, k, peak / (n * n * 16))
+            D = A - S
+            del S
+            block = int(D.entries.any(axis=1).sum() * D.entries.any(axis=0).sum()) * 16
+            for measure in (op_norm, lambda op: compact_defect(op, 64)):
+                _, peak = _traced_peak(lambda: measure(D))
+                assert peak <= block + 2 ** 20, (sigma.__name__, k, peak - block)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +672,23 @@ def _replace_at(point, new):
 _BUMP = np.exp(-GRIDS.lin.nodes ** 2)
 
 
+def _stalled_running_target():
+    """A tampering that adds one fixed rank-one term, of norm 0.05, to the
+    running target tau(-w_k, eps) of the minus half-line at each k of the
+    small config's `ks_tau`.  That half's deviation then rises from 0.036
+    to 0.050 over those ks, where it fell from 0.020 to 0.00067, so 3c
+    fails; only 3c reads these points."""
+    cfg = small_config()
+    plan = cfg.plans_zero[0]
+    targets = {("tau", -plan.w_k(k), float(plan.eps), GRIDS.minus) for k in cfg.ks_tau}
+    bump = np.exp(-GRIDS.minus.nodes ** 2)
+    term = KernelOperator(GRIDS.minus, GRIDS.minus, 0.04 * np.outer(bump, bump).astype(complex))
+
+    def transform(key, val):
+        return val + term if key in targets else val
+    return transform
+
+
 # one tampering per condition, each of a point only that condition reads
 _NEGATIVE_CONTROLS = {
     # pi(64, 1) carries the reference norm of pi(0, 1)
@@ -645,6 +703,7 @@ _NEGATIVE_CONTROLS = {
     # 3a reads ell(1.3 + d, 1), never this point
     "3b_compact_two_dim":
         _replace_at(("ell", 1.3, -1.0), lambda val, g: val + 0.01 * KernelOperator.identity(g)),
+    "3c_two_dim_degeneration": _stalled_running_target(),
 }
 
 

@@ -13,7 +13,7 @@ from boidol.kernels import (
     vk_adjoint,
     vk_operator,
 )
-from boidol.operators import flip_S, op_norm
+from boidol.operators import KernelOperator, flip_S, op_norm
 from boidol.testfun import (
     BumpFactor,
     SeparableTerm,
@@ -192,9 +192,81 @@ def test_intertwining_flip_exact():
         assert np.abs(lhs - G.entries).max() <= 1e-12 * scale
 
 
+def _embedded(plus, pair, lin):
+    """V_k = [V+ | V-] as the dense n x 2 n_half matrix, from V+'s nonzero
+    block `plus`: the block on its cells in the plus columns, and its rows
+    mirrored (s -> -s) on the same cells of the minus columns."""
+    ent = np.zeros((lin.n, pair.n), complex)
+    rows, cols, n, h = plus.codomain.cells, plus.domain.cells, lin.n, pair.n // 2
+    ent[rows, cols] = plus.entries
+    ent[n - rows.stop:n - rows.start, h + cols.start:h + cols.stop] = plus.entries[::-1]
+    return ent
+
+
+def vk_dense(rho_k, lam_k, pair, lin):
+    """V_k as a dense operator, embedded from `vk_operator`'s block."""
+    V = vk_operator(rho_k, lam_k, pair, lin)
+    return KernelOperator(pair, lin, _embedded(V, pair, lin), V.label)
+
+
+def vk_adjoint_dense(rho_k, lam_k, lin, pair):
+    """V_k* as a dense operator, embedded from `vk_adjoint`'s block."""
+    Vs = vk_adjoint(rho_k, lam_k, lin, pair)
+    return KernelOperator(lin, pair, np.conj(_embedded(Vs.adjoint(), pair, lin)).T,
+                          Vs.label)
+
+
+def vk_cell_galerkin_reference(rho_k, lam_k, pair, lin):
+    """The dense cell-Galerkin matrix of V_k, built over all n x 2 n_half
+    cells: entry (i, j) of the plus columns integrates |s|^(1/2) e^(i rho w)
+    over the overlap in w = ln(|lam_k| s) of linear cell i and log cell j,
+    and row n - 1 - i of the minus columns repeats it."""
+    plus, _ = pair.parts
+    half, n = plus.n, lin.n
+    h_log, h_lin = plus.weights[0], lin.weights[0]
+    al, c = abs(lam_k), 0.5 + 1j * rho_k
+
+    def antider(w):
+        return np.exp(c * w) / (c * math.sqrt(al))
+
+    v_left, v_right = plus.nodes[0] - 0.5 * h_log, plus.nodes[-1] + 0.5 * h_log
+    ent = np.zeros((n, pair.n), dtype=complex)
+    for i in range(n // 2, n):
+        s = lin.nodes[i]
+        lo, hi = s - 0.5 * h_lin, s + 0.5 * h_lin
+        w_lo = math.log(al * lo) if lo > 0 else -math.inf
+        a, b = max(w_lo, v_left), min(math.log(al * hi), v_right)
+        for j in range(half):
+            e0 = max(a, v_left + j * h_log)
+            e1 = min(b, v_left + (j + 1) * h_log)
+            if e1 > e0:
+                val = (antider(e1) - antider(e0)) / (h_lin * h_log)
+                ent[i, j] = val
+                ent[n - 1 - i, half + j] = val
+    return ent
+
+
+def test_vk_blocks_embed_into_the_dense_cell_galerkin_matrix():
+    """V+'s block from `vk_operator`, and its rows mirrored for V-, embed
+    into the dense cell-Galerkin matrix bit for bit; the block of
+    `vk_adjoint` is its conjugate transpose on the same windows, and each
+    window is tight: its first and last row and column hold a nonzero."""
+    lin = GridSpec.linear(L=8.0, n=128)
+    for rho_k, lam_k in ((3.0, 0.5), (0.0, 0.5), (-7.5, -0.05), (64.0, 40.0)):
+        V = vk_operator(rho_k, lam_k, PAIR, lin)
+        want = vk_cell_galerkin_reference(rho_k, lam_k, PAIR, lin)
+        assert _embedded(V, PAIR, lin).tobytes() == want.tobytes()
+        Vs = vk_adjoint(rho_k, lam_k, lin, PAIR)
+        assert Vs.domain == V.codomain and Vs.codomain == V.domain
+        assert np.conj(Vs.entries).T.tobytes() == V.entries.tobytes()
+        nz = V.entries != 0
+        assert nz[[0, -1]].any(axis=1).all() and nz[:, [0, -1]].any(axis=0).all()
+        assert np.count_nonzero(want) == 2 * np.count_nonzero(nz)
+
+
 def test_flip_commutes_with_vk_exact():
     lin = GridSpec.linear(L=8.0, n=128)
-    V = vk_operator(3.0, 0.5, PAIR, lin)
+    V = vk_dense(3.0, 0.5, PAIR, lin)
     Slin = flip_S(lin)
     Spair = flip_S(PAIR)
     lhs = (Slin @ V).entries
@@ -215,8 +287,8 @@ def test_vk_isometry_and_adjoint_formula():
     lin = GridSpec.linear(L=8.0, n=512)
     pair = GridSpec.log_pair(V=6.0, n=384)
     rho_k, lam_k = 3.0, 0.5
-    V = vk_operator(rho_k, lam_k, pair, lin)
-    Vs = vk_adjoint(rho_k, lam_k, lin, pair)
+    V = vk_dense(rho_k, lam_k, pair, lin)
+    Vs = vk_adjoint_dense(rho_k, lam_k, lin, pair)
     eta = eta_bump(pair)
     out = V.apply(eta)
     assert abs(l2(lin, out) / l2(pair, eta) - 1.0) < 1e-3
@@ -233,7 +305,7 @@ def test_vk_isometry_and_adjoint_formula():
 
 def test_vk_zero_phase_is_real():
     lin = GridSpec.linear(L=8.0, n=128)
-    V = vk_operator(0.0, 0.5, PAIR, lin)
+    V = vk_dense(0.0, 0.5, PAIR, lin)
     assert np.abs(V.entries.imag).max() == 0.0
 
 
@@ -241,7 +313,8 @@ def test_vk_property_contraction_sign_support_and_mirror():
     """Over random (rho_k, lambda_k != 0) and grids: ||V_k|| <= 1, the plus
     half's columns vanish on the s < 0 rows and the minus half's on the
     s > 0 rows, and the minus half is the plus half with its rows mirrored,
-    bit for bit."""
+    bit for bit; V_k embedded from V+'s block is the dense cell-Galerkin
+    matrix, bit for bit."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -255,12 +328,14 @@ def test_vk_property_contraction_sign_support_and_mirror():
         rho_k = data.draw(st.floats(-64.0, 64.0))
         lam_k = (data.draw(st.sampled_from((1.0, -1.0)))
                  * 10.0 ** data.draw(st.floats(-4.0, 2.0)))
-        V = vk_operator(rho_k, lam_k, pair, lin)
+        V = vk_dense(rho_k, lam_k, pair, lin)
         assert op_norm(V) <= 1.0 + 1e-12
         r, h = lin.n // 2, pair.parts[0].n
         ent = V.entries
         assert not np.any(ent[:r, :h]) and not np.any(ent[r:, h:])
         assert ent[:r, h:].tobytes() == ent[r:, :h][::-1].tobytes()
+        want = vk_cell_galerkin_reference(rho_k, lam_k, pair, lin)
+        assert ent.tobytes() == want.tobytes()
 
     check()
 

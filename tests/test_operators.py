@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import boidol
-from boidol.errors import AsymmetricGrid
+from boidol.errors import AsymmetricGrid, NonFiniteOperator
 from boidol.grids import GridSpec
 from boidol.operators import (
     _LANCZOS_STEPS,
     _lanczos_norm,
+    _nonzero_block,
     IntervalSpec,
     KernelOperator,
     compact_defect,
@@ -163,6 +164,31 @@ def test_singular_values_drop_zero_rows_and_columns():
     one.entries[5, 7] = -3.0j
     _assert_singular_values_match_full_svd(one)
     assert compact_defect(one, 1) == 0.0
+
+
+def test_nonzero_block_is_the_weighted_block_bit_for_bit():
+    """`_nonzero_block` is A.weighted() on the rows and columns that hold a
+    nonzero, bit for bit, whether it trims or not, on grids of uneven
+    weights; a lone NaN or inf lands in the block and raises."""
+    rng = np.random.default_rng(31)
+
+    def grid(n):
+        return GridSpec("linear", 1.0, n, np.arange(n, dtype=float), rng.uniform(0.1, 3.0, n))
+
+    dom, cod = grid(40), grid(30)
+    ent = rng.standard_normal((30, 40)) + 1j * rng.standard_normal((30, 40))
+    for trim in (False, True):
+        if trim:
+            ent[::3] = 0.0
+            ent[:, 5:9] = 0.0
+        A = KernelOperator(dom, cod, ent)
+        want = A.weighted()[np.ix_(ent.any(axis=1), ent.any(axis=0))]
+        assert _nonzero_block(A).tobytes() == want.tobytes()
+    for bad in (np.nan, np.inf):
+        lone = np.zeros((30, 40), complex)
+        lone[7, 3] = bad
+        with pytest.raises(NonFiniteOperator), np.errstate(invalid="ignore"):
+            op_norm(KernelOperator(dom, cod, lone))
 
 
 def test_singular_values_property_over_zero_masks():
