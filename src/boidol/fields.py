@@ -169,7 +169,8 @@ class OperatorField:
     A field keeps every value its provider builds, so each key is built
     once: a thread that asks for a key another thread is building waits for
     that build, while builds of distinct keys run side by side.  Derived
-    fields keep nothing.  `adjoint()` conjugates its base's value on each
+    fields keep nothing of their base's, except that a `scope()` keeps what
+    it builds itself.  `adjoint()` conjugates its base's value on each
     read.  `view()` reads its base's cached value, or builds the value
     without caching it anywhere, so it is freed as soon as its reader lets
     it go.
@@ -259,6 +260,21 @@ class OperatorField:
         out = OperatorField(provider, self.provenance, self.label)
         out._cache = None
         return out
+
+    def scope(self) -> "OperatorField":
+        """A caching field that reads through this one, for one reader.
+
+        An operator is read as through `view()`, and the scope keeps it, so
+        it is built at most once while the scope lives and freed with the
+        scope.  A character, a complex scalar, is read through this field's
+        `at`, so this field keeps it for every later reader.
+        """
+        base, view = self, self.view()
+
+        def provider(key):
+            return base.at(key) if key[0] == "char" else view.at(key)
+
+        return OperatorField(provider, self.provenance, self.label)
 
     def tampered(self, transform, label: str = "tampered") -> "OperatorField":
         base = self
@@ -509,24 +525,27 @@ def _vk_halves(rho_k: float, lam_k: float,
     return plus, minus
 
 
-def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
-                        rho_k: float, lam_k: float, grids: FieldGrids,
+def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
                         label: str) -> KernelOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
-    and b_minus on the minus one.
+    and b_minus on the minus one, with (b_plus, b_minus) = pair(halves) and
+    halves V_k's two sign halves (`_vk_halves`).
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
     of u to the same sign of s, so the result has two diagonal blocks and
     zeros elsewhere: V+ b_plus V+* on the s > 0 rows and columns V+ reaches,
     and V- b_minus V-* on the mirrored s < 0 ones.  Each is a product of
-    V_k's nonzero block of that sign (`_vk_halves`) with b's block on the
-    log cells the half reaches, so b's other cells, which V_k never reaches,
-    enter no product.  The n x n result is allocated once both products are
-    done, so no product's temporaries are alive next to it, and the two
-    blocks are written into it.
+    V_k's nonzero block of that sign with b's block on the log cells the
+    half reaches, so b's other cells, which V_k never reaches, enter no
+    product; `pair` may give each b as that block alone.  The n x n result
+    is allocated once both products are done and V_k's block is dropped, so
+    neither a product's temporaries nor V_k is alive next to it, and the
+    two blocks are written into it.
     """
+    halves = _vk_halves(rho_k, lam_k, grids)
     blocks = [(v.codomain.cells, (v @ b.restricted(v.domain, v.domain) @ v.adjoint()).entries)
-              for v, b in zip(_vk_halves(rho_k, lam_k, grids), (b_plus, b_minus))]
+              for v, b in zip(halves, pair(halves))]
+    del halves
     ent = np.zeros((grids.lin.n, grids.lin.n), complex)
     for cells, block in blocks:
         ent[cells, cells] = block
@@ -534,17 +553,28 @@ def _conjugated_to_line(b_plus: KernelOperator, b_minus: KernelOperator,
 
 
 def _two_point_block(field: OperatorField, plan: SequencePlan, k: int, w: float,
-                     grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
-    """The masked half-line pair at invariant w: tau(eps w, -eps) on the plus
-    half-line model cut to u >= R_k |lam_k|, and tau(-eps w, eps) on the
-    minus one cut to u <= -R_k |lam_k|."""
+                     grids: FieldGrids, halves: tuple[KernelOperator, KernelOperator],
+                     square: bool) -> tuple[KernelOperator, KernelOperator]:
+    """The masked half-line pair at invariant w, on the log cells V_k
+    reaches: tau(eps w, -eps) on the plus half-line model cut to
+    u >= R_k |lam_k|, and tau(-eps w, eps) on the minus one cut to
+    u <= -R_k |lam_k|.
+
+    Each value is first cut to the rows of the log window its sign half of
+    V_k reaches (`halves`, from `_vk_halves`), and with `square` to that
+    window's columns too, and only then masked, so the masked copy holds
+    only those rows, or that block: the entries are the same as masking the
+    whole value and cutting after.
+    """
     eps = plan.eps
     lam_r = plan.Rk(k) * abs(plan.lam(k))
-    # both values first: no masked copy is alive while the other is built
-    a_plus = field.tau(eps * w, -eps, grids.plus)
-    a_minus = field.tau(-eps * w, eps, grids.minus)
-    return (a_plus.masked(cutoff_M(IntervalSpec.ge(lam_r), grids.plus)),
-            a_minus.masked(cutoff_M(IntervalSpec.le(-lam_r), grids.minus)))
+    pair = ((field.tau(eps * w, -eps, grids.plus), IntervalSpec.ge(lam_r)),
+            (field.tau(-eps * w, eps, grids.minus), IntervalSpec.le(-lam_r)))
+    out = []
+    for v, (a, spec) in zip(halves, pair):
+        cols = v.domain if square else a.domain
+        out.append(a.restricted(cols, v.domain).masked(cutoff_M(spec, cols)))
+    return tuple(out)
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -552,16 +582,18 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
-    masked to the nodes beyond R_k |lam_k| on its half-line
-    (`_two_point_block` at |omega|), and the block of the two is conjugated
-    back to the line by the rescaling unitary, one sign half of V_k at a
-    time (`_conjugated_to_line`).
+    masked to the nodes beyond R_k |lam_k| on its half-line and kept only
+    on the block of log cells V_k reaches (`_two_point_block` at |omega|),
+    and the block of the two is conjugated back to the line by the
+    rescaling unitary, one sign half of V_k at a time
+    (`_conjugated_to_line`).
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
-    b_plus, b_minus = _two_point_block(field_on_L, plan, k, abs(plan.omega), grids)
-    return _conjugated_to_line(b_plus, b_minus, plan.rho(k), plan.lam(k), grids,
-                               f"sigma_omega[{k}]")
+    return _conjugated_to_line(
+        lambda halves: _two_point_block(field_on_L, plan, k, abs(plan.omega), grids,
+                                        halves, square=True),
+        plan.rho(k), plan.lam(k), grids, f"sigma_omega[{k}]")
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -601,9 +633,10 @@ def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
                  grids: FieldGrids) -> KernelOperator:
     """Both three-zone halves conjugated back to the line, each by its own
     sign half of V_k (`_conjugated_to_line`)."""
-    return _conjugated_to_line(s_k_zero(field_on_L, k, plan, 1, grids),
-                               s_k_zero(field_on_L, k, plan, -1, grids),
-                               plan.rho(k), plan.lam(k), grids, f"sigma_zero[{k}]")
+    return _conjugated_to_line(
+        lambda halves: (s_k_zero(field_on_L, k, plan, 1, grids),
+                        s_k_zero(field_on_L, k, plan, -1, grids)),
+        plan.rho(k), plan.lam(k), grids, f"sigma_zero[{k}]")
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +740,8 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
 def _half_deviation(A: KernelOperator, v: KernelOperator,
                     b: KernelOperator) -> KernelOperator:
     """A V - V b for one sign half V of V_k, given as its nonzero block, and
-    b on that half's whole half-line model.
+    b from that half's whole half-line model, given on at least the rows V
+    reaches.
 
     A V is A's block of columns on the linear cells V reaches times V, on
     the log cells V reaches; V b is V times b's rows on those cells, on the
@@ -744,8 +778,9 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
         wk = plan.w_k(k)
         A = field.pi(rho_k, lam_k, grids.lin)
         # one norm per sign half; no half outlives its row
+        halves = _vk_halves(rho_k, lam_k, grids)
         dev_a, dev_b = (op_norm(_half_deviation(A, v, b)) for v, b in zip(
-            _vk_halves(rho_k, lam_k, grids), _two_point_block(field, plan, k, wk, grids)))
+            halves, _two_point_block(field, plan, k, wk, grids, halves, square=False)))
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
@@ -1107,6 +1142,16 @@ _ADJOINT_SENSITIVE_CHECKS = (
 )
 
 
+def _condition(fn, field: OperatorField, cfg: DstarConfig) -> dict:
+    """One condition's result; a package error (`BoidolError`) or a failed
+    LAPACK call (`LinAlgError`) is recorded under its `error` key, with
+    `passed` false, and any other exception is a bug, and propagates."""
+    try:
+        return fn(field, cfg)
+    except (BoidolError, np.linalg.LinAlgError) as exc:  # aggregated
+        return {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dict:
     """Aggregate pass/fail report for the limit C*-algebra conditions.
 
@@ -1116,40 +1161,52 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     construction; (3a) continuity on the lower strata; (3b) compactness on
     the two-dimensional stratum; (3c) half-line degeneration of the
     two-dimensional points; (3d) the compact condition.  The conditions are
-    listed by name.  A package error (`BoidolError`) or a failed LAPACK call
-    (`LinAlgError`) in a condition is recorded under its `error` key, with
-    `passed` false, and the other conditions still run; any other exception
-    is a bug, and propagates.
+    listed by name.  A package error or a failed LAPACK call in a condition
+    is recorded as its `error` (`_condition`), and the other conditions
+    still run.
 
     (4) repeats the suite for the adjoint field, as the nine verdicts and
-    their conjunction.  Only 2c, 2d, 3c and 3d are recomputed on
-    `field.adjoint()`, by a nested call restricted to them: 1, 2a, 2b, 3a
-    and 3b read only norms, singular values and |psi|, which the adjoint
-    leaves unchanged, so their verdicts are taken from the primal pass.
-    `_checks` is that restriction; the nested call keeps the adjoint pass a
-    `dstar_report` call of its own, which the benchmark tracer times.
+    their conjunction.  Only 2c, 2d, 3c and 3d are recomputed on the
+    adjoint: 1, 2a, 2b, 3a and 3b read only norms, singular values and
+    |psi|, which the adjoint leaves unchanged, so their verdicts are taken
+    from the primal pass.
 
-    Only what the adjoint pass reads again stays in the field's cache.  The
-    four recomputed conditions run first, on the field itself, and the
-    uncached adjoint field conjugates their operators on read.  The other
-    five then run on `field.view()`: they read the characters already
-    cached, and each operator only they read is freed as soon as its reader
-    lets it go.  No one of the five reads such an operator twice, so a view
-    per condition that kept its values would save no build.
+    Each of 2c, 2d, 3c and 3d runs on its own `field.scope()`, and its
+    adjoint runs straight after it on the scope's `adjoint()`, which
+    conjugates the scope's operators on read and so builds nothing.  The
+    scope is dropped before the next condition, so the operators held at
+    once are those of one condition, never of all four; only the half-line
+    values that 2d and 3c both read (10 on the default config) are built
+    twice.  The
+    characters, which 3d and 3a both read, stay cached in the field.  The
+    other five conditions then run on `field.view()`: no one of them reads
+    an operator the field has not cached twice, so a view per condition
+    that kept its values would save no build.  The report adds only
+    characters to the field's cache.
+
+    Each adjoint run is a nested call restricted to its condition:
+    `_checks` is that restriction, run on the given field itself with no
+    scope and no adjoint pass.  The nested call keeps the adjoint pass a
+    `dstar_report` call of its own, which the benchmark tracer times.
     """
-    conditions = {}
-    view = field.view()
-    for name, fn in _checks or _ADJOINT_SENSITIVE_CHECKS + _ADJOINT_INVARIANT_CHECKS:
-        invariant = (name, fn) in _ADJOINT_INVARIANT_CHECKS
-        try:
-            conditions[name] = fn(view if invariant else field, cfg)
-        except (BoidolError, np.linalg.LinAlgError) as exc:  # aggregated
-            conditions[name] = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+    conditions, adjoint = {}, {}
+    if _checks is not None:
+        for name, fn in _checks:
+            conditions[name] = _condition(fn, field, cfg)
+    else:
+        for name, fn in _ADJOINT_SENSITIVE_CHECKS:
+            scope = field.scope()
+            conditions[name] = _condition(fn, scope, cfg)
+            if cfg.check_adjoint:
+                adjoint[name] = dstar_report(scope.adjoint(), cfg, _checks=(
+                    (name, fn),))["conditions"][name]
+            del scope  # its operators go before the next condition's
+        view = field.view()
+        for name, fn in _ADJOINT_INVARIANT_CHECKS:
+            conditions[name] = _condition(fn, view, cfg)
     conditions = dict(sorted(conditions.items()))
     if cfg.check_adjoint and _checks is None:
-        adj = dstar_report(field.adjoint(), cfg,
-                           _checks=_ADJOINT_SENSITIVE_CHECKS)["conditions"]
-        verdicts = {k: adj.get(k, v).get("passed") for k, v in conditions.items()}
+        verdicts = {k: adjoint.get(k, v).get("passed") for k, v in conditions.items()}
         conditions["4_adjoint"] = {"passed": all(verdicts.values()),
                                    "conditions": verdicts}
     passed = all(c.get("passed", False) for c in conditions.values())

@@ -79,6 +79,7 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
     ts, ws = _t_rule(f, rho, _QUAD)
     ent = np.zeros((n, n), dtype=complex)
     flat = ent.reshape(-1)
+    row_at = n * np.arange(n)  # each row's first flat index
     for t, w in zip(ts, ws):
         e = math.exp(t) * u
         # columns with x0 <= e - x <= x1 (twisted: x0 <= x - e <= x1) and
@@ -89,14 +90,18 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
         start = np.maximum(np.searchsorted(x, left, "left") - 1, 0)
         stop = np.minimum(np.searchsorted(x, right, "right") + 1, n)
         width = np.maximum(stop - start, 0)
-        rows = np.repeat(np.arange(n), width)
-        cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(width) - width), width)
-        a = e[rows] - x[cols]
-        b = -(lam / 2.0) * (x[cols] + e[rows])
+        # the band's points row by row: per-row values repeated over the
+        # row's width, plus the running position inside the band
+        shift = start - (np.cumsum(width) - width)
+        pos = np.arange(width.sum())
+        cols = pos + np.repeat(shift, width)
+        er, xc = np.repeat(e, width), x[cols]
+        a = er - xc
+        b = -(lam / 2.0) * (xc + er)
         if twist:
             a, b = -a, -b
-        flat[rows * n + cols] += (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) \
-            * eval_hatF34(f, t, a, b, lam)
+        flat[pos + np.repeat(row_at + shift, width)] += \
+            (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) * eval_hatF34(f, t, a, b, lam)
     return KernelOperator(grid, grid, ent, f"pi({rho},{lam})")
 
 
@@ -111,17 +116,24 @@ def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
     """
     n = grid.n
     x = grid.nodes
-    offsets = grid.weights[0] * (sign * np.arange(1 - n, n))
-    ent = np.zeros((n, n), dtype=complex)
+    # the offsets h*(sign m) from m = n - 1 down to 1 - n
+    offsets = grid.weights[0] * (sign * np.arange(n - 1, -n, -1))
+    ent = None
     for tm in f.terms:
         col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), _QUAD)
                * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
-        # toe[i, j] = b_t(offsets[n - 1 + i - j])
-        toe = sliding_window_view(tm.b_t(offsets), n)[:, ::-1]
+        # toe[i, j] = b_t(offsets[n - 1 - i + j]): row i is a contiguous
+        # slice of the values
+        toe = sliding_window_view(tm.b_t(offsets), n)[::-1]
         # coeff * toe * col, in place: one n x n temporary
         term = np.multiply(tm.coeff, toe, dtype=complex)
         term *= col
-        ent += term
+        if ent is None:
+            ent = term
+        else:
+            ent += term
+    if ent is None:
+        ent = np.zeros((n, n), dtype=complex)
     return KernelOperator(grid, grid, ent, label)
 
 

@@ -400,11 +400,15 @@ def flip_S(grid: GridSpec) -> KernelOperator:
 
 
 def _grid_meta(g: GridSpec) -> dict:
-    return {"kind": g.kind, "half_width": g.half_width, "n": g.n, "sigma": g.sigma}
+    return {"kind": g.kind, "half_width": g.half_width, "n": g.n, "sigma": g.sigma,
+            "start": g.start}
 
 
 def save_operator(A: KernelOperator, path: str) -> None:
-    """Self-describing dump: JSON header plus binary arrays in one .npz file."""
+    """Self-describing dump: JSON header plus binary arrays in one .npz file.
+
+    The header records each grid's `start`, so a block between cell windows
+    (`GridSpec.window`) loads placed at the same cells."""
     header = json.dumps({
         "format": "boidol-operator-v1",
         "label": A.label,
@@ -419,12 +423,16 @@ def save_operator(A: KernelOperator, path: str) -> None:
 
 
 def _rebuild_grid(meta: dict, nodes: np.ndarray, weights: np.ndarray) -> GridSpec:
+    # a header written before windows were saved has no start: a whole grid
+    start = meta.get("start", 0)
     g = GridSpec(meta["kind"], meta["half_width"], meta["n"], nodes, weights,
-                 sigma=meta["sigma"])
+                 sigma=meta["sigma"], start=start)
     if g.kind == "logpair":
         half = g.n // 2
-        parts = (GridSpec("log", g.half_width, half, nodes[:half], weights[:half], 1),
-                 GridSpec("log", g.half_width, half, nodes[half:], weights[half:], -1))
+        parts = (GridSpec("log", g.half_width, half, nodes[:half], weights[:half], 1,
+                          start=start),
+                 GridSpec("log", g.half_width, half, nodes[half:], weights[half:], -1,
+                          start=start))
         object.__setattr__(g, "parts", parts)
     return g
 

@@ -51,11 +51,16 @@ class BumpFactor:
             raise ValueError("width must be positive")
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        r = (s - self.centre) / self.width
-        out = np.zeros_like(r)
-        inside = np.abs(r) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+        """exp(-1/max(0, 1 - r^2)), r = (s - c)/w, over whole arrays: for
+        |r| < 1 this is the mollifier, and elsewhere (|r| >= 1, inf or NaN)
+        the max is +0.0, so the exponent is -inf and the value an exact 0."""
+        r = np.asarray(s, dtype=float)
+        if self.centre != 0:
+            r = r - self.centre
+        if self.width != 1:
+            r = r / self.width
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.exp(-1.0 / np.fmax(0.0, 1.0 - r * r))
         return out if out.ndim else float(out)
 
     @property

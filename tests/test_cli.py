@@ -540,7 +540,8 @@ tracer.install()
 rc = boidol.cli.main(sys.argv[3:])
 calls = tracer.calls()
 print(json.dumps({"rc": rc, "workloads": sorted(WORKLOADS), "unreached": [
-    name for name in WORKLOADS[sys.argv[2]]["reached"] if not calls.get(name)]}))
+    name for name in WORKLOADS[sys.argv[2]]["reached"] if not calls.get(name)],
+    "adjoint_s": tracer.layer_metrics(0.0)["fields.dstar_report.adjoint_s"]}))
 """
 
 
@@ -548,7 +549,9 @@ def test_benchmark_harness_binds_to_the_package(tmp_path):
     """The harness's self-test passes; in a fresh process its tracer finds a
     binding for every name it wraps, and a traced run of each workload's
     command on the small config records a call of every name that workload
-    must reach.  The test reads `bench/` and writes nothing there."""
+    must reach.  The traced `dstar` run times its adjoint pass
+    (`fields.dstar_report.adjoint_s`, the nested `dstar_report` calls) above
+    zero.  The test reads `bench/` and writes nothing there."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -568,5 +571,7 @@ def test_benchmark_harness_binds_to_the_package(tmp_path):
     assert procs[0].returncode == 0, results[0][1]
     for name, proc, (out, err) in zip(commands, procs[1:], results[1:]):
         assert proc.returncode == 0, err
-        assert json.loads(out.splitlines()[-1]) == {
-            "rc": 0, "workloads": sorted(commands), "unreached": []}, name
+        result = json.loads(out.splitlines()[-1])
+        adjoint_s = result.pop("adjoint_s")
+        assert result == {"rc": 0, "workloads": sorted(commands), "unreached": []}, name
+        assert (adjoint_s > 0) == (name == "dstar"), (name, adjoint_s)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import boidol
 from boidol.errors import AsymmetricGrid, NonFiniteOperator
 from boidol.grids import GridSpec
+from boidol.kernels import vk_operator
 from boidol.operators import (
     _LANCZOS_STEPS,
     _lanczos_norm,
@@ -394,3 +396,29 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(B.entries, A.entries)
     assert B.domain == A.domain and B.codomain == A.codomain
     assert abs(op_norm(A) - op_norm(B)) == 0.0
+
+
+def test_save_load_keeps_a_window_block_at_its_cells(tmp_path):
+    """V_k's nonzero block at k = 64 on the default grid lies between cell
+    windows; it loads with the same `start`s, so `restricted` reads it from
+    the same cells of a whole-grid operator.  A header without `start`
+    loads as a whole grid."""
+    lin, pair = GridSpec.linear(12.0, 512), GridSpec.log_pair(6.0, 384)
+    V = vk_operator(64.0, 1.0 / 64.0, pair, lin)
+    path = str(tmp_path / "vk.npz")
+    save_operator(V, path)
+    W = load_operator(path)
+    assert (W.codomain.start, W.domain.start) == (V.codomain.start, V.domain.start) == (259, 0)
+    assert W.codomain.cells == V.codomain.cells and W.domain.cells == V.domain.cells
+    whole = np.zeros((lin.n, pair.parts[0].n), complex)
+    whole[V.codomain.cells, V.domain.cells] = V.entries
+    whole = KernelOperator(pair.parts[0], lin, whole)
+    assert np.array_equal(whole.restricted(W.domain, W.codomain).entries, W.entries)
+    with np.load(path) as d:
+        arrays = dict(d)
+    header = json.loads(str(arrays["header"]))
+    for grid in ("domain", "codomain"):
+        del header[grid]["start"]
+    arrays["header"] = np.array(json.dumps(header))
+    np.savez(path, **arrays)
+    assert load_operator(path).codomain.start == 0

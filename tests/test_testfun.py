@@ -37,6 +37,37 @@ def test_origin_value():
     assert abs(eval_hatF34(F, 0, 0, 0, 0) - math.exp(-1) ** 4) < 1e-15
 
 
+def _masked_bump(bump, s):
+    """The mollifier by its defining formula, evaluated on |r| < 1 only."""
+    s = np.asarray(s, dtype=float)
+    r = (s - bump.centre) / bump.width
+    out = np.zeros_like(r)
+    inside = np.abs(r) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("bump", [BumpFactor(0.0, 1.0), BumpFactor(0.0, 2.0),
+                                  BumpFactor(0.7, 0.5), BumpFactor(-0.3, 1.0)])
+def test_bump_factor_equals_its_masked_formula(bump):
+    """The whole-array bump equals, bit for bit, the formula evaluated only
+    inside the support: at NaN, at +-inf, exactly on and next to the edges
+    |r| = 1, at the centre and on a fine sweep; a scalar gives a float."""
+    c, w = bump.centre, bump.width
+    edges = [c - w, c + w]
+    s = np.concatenate([
+        [np.nan, np.inf, -np.inf, c, 1e300, -1e300], edges,
+        [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)],
+        np.linspace(c - 1.5 * w, c + 1.5 * w, 4001)])
+    got, want = bump(s), _masked_bump(bump, s)
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got) > 0
+    for x in s[:12]:
+        value = bump(x)
+        assert isinstance(value, float) and value == _masked_bump(bump, x)
+    assert bump(s.reshape(-1, 1)).shape == (s.size, 1)
+
+
 def test_linearity():
     g = TestFunction(F.terms + (SeparableTerm(2.0 - 1.0j, BumpFactor(0.2, 0.5),
                                               BumpFactor(0, 1), BumpFactor(0, 1),
