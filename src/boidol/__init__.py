@@ -57,6 +57,7 @@ from .testfun import (
 from .operators import (
     IntervalSpec,
     KernelOperator,
+    ToeplitzOperator,
     compact_defect,
     cutoff_M,
     flip_S,

@@ -83,10 +83,10 @@ DEFAULT_CONFIG = {
     "wiggle": 1.1,
 }
 
-# The k of the 3c rows in `converge zero`, those not below the least of "ks".
-# Kept apart from `DstarConfig.ks_tau`, which runs on to 4^10, because the
-# benchmark references pin the five rows these give.
-_CONVERGE_ZONE_KS = (4, 64, 1024, 4 ** 7, 4 ** 9)
+# The ks_tau of the 3c rows in `converge zero`, those not below the least of
+# "ks".  Kept apart from `DstarConfig.ks_tau`, which runs on to 4^10,
+# because the benchmark references pin the five rows these give.
+_CONVERGE_KS_TAU = (4, 64, 1024, 4 ** 7, 4 ** 9)
 
 
 class ConfigError(BoidolError):
@@ -251,13 +251,12 @@ def _field_setup(args):
 
 def cmd_converge(args) -> int:
     """The 2c tables with the tail, small-zone and rate-envelope rows
-    (`omega`), or the 2d tables with the 3c rows at `_CONVERGE_ZONE_KS`
+    (`omega`), or the 2d tables with the 3c rows at `_CONVERGE_KS_TAU`
     (`zero`); a table passes when both of its conditions pass.
 
-    `zero` runs 2d on the field, which keeps the k-independent limit points
-    and the running points 2d shares with 3c, and then 3c through
-    `field.view()`: nothing reads 3c's other running points again, so each
-    is freed when its row ends."""
+    `zero` runs 2d and then 3c through `field.view()`, which keeps nothing:
+    each generic operator is freed when its 2d row ends, and each half-line
+    value, O(n), is built again where a later row reads it."""
     cfg, out, dcfg, field = _field_setup(args)
     g, ks = dcfg.grids, dcfg.ks
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
@@ -275,9 +274,9 @@ def cmd_converge(args) -> int:
                 "rate_passed": rate["passed"],
                 "passed": table["passed"] and rate["passed"]})
     else:
-        zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_ZONE_KS
+        zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_KS_TAU
                                               if k >= min(ks)))
-        slow_tables = _cond_sigma_zero(field, dcfg)["tables"]
+        slow_tables = _cond_sigma_zero(field.view(), dcfg)["tables"]
         fast_tables = _cond_two_dim_degeneration(field.view(), zone_cfg)["tables"]
         for name, slow, fast in zip(names, slow_tables, fast_tables):
             tables.append({"name": name, "plan": slow["plan"], "rows": slow["rows"],

@@ -15,8 +15,7 @@ condition checker for membership in the limit C*-algebra.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,23 +163,25 @@ class OperatorField:
 
     Evaluation keys are tuples: ("pi", rho, lam, grid) and
     ("ell", mu, nu, grid) on linear grids, ("tau", mu, nu, grid) on log
-    half-line grids, and ("char", tau) giving a complex scalar.
+    half-line grids, and ("char", tau) giving a complex scalar.  On the
+    Fourier field a generic value is a dense `KernelOperator` (n^2 complex
+    entries) and an "ell" or "tau" value a `ToeplitzOperator`, which holds
+    O(n): on the default grid 4 MiB against 12-16 KiB, so the scopes of
+    `dstar_report` hold 20 MiB for 2c or 2d (five generic values each) and
+    0.5 MiB for 3c's 44 half-line values.
 
     A field keeps every value its provider builds, so each key is built
-    once: a thread that asks for a key another thread is building waits for
-    that build, while builds of distinct keys run side by side.  Derived
-    fields keep nothing of their base's, except that a `scope()` keeps what
-    it builds itself.  `adjoint()` conjugates its base's value on each
-    read.  `view()` reads its base's cached value, or builds the value
-    without caching it anywhere, so it is freed as soon as its reader lets
-    it go.
+    once.  A field is not thread-safe: it is read from one thread, as every
+    command does.  A build that raises caches nothing.  Derived fields keep
+    nothing of their base's, except that a `scope()` keeps what it builds
+    itself.  `adjoint()` conjugates its base's value on each read.
+    `view()` reads its base's cached value, or builds the value without
+    caching it anywhere, so it is freed as soon as its reader lets it go.
     """
 
     def __init__(self, provider, provenance: str = "Synthetic", label: str = "field"):
         self._provider = provider
         self._cache: dict = {}  # None: every read calls the provider
-        self._building: dict = {}  # key -> Event set when its build ends
-        self._lock = threading.Lock()
         self.provenance = provenance
         self.label = label
 
@@ -188,27 +189,9 @@ class OperatorField:
         cache = self._cache
         if cache is None:
             return self._provider(key)
-        while True:
-            with self._lock:
-                if key in cache:
-                    return cache[key]
-                done = self._building.get(key)
-                if done is None:
-                    done = self._building[key] = threading.Event()
-                    break
-            done.wait()  # after a failed build the waiter builds it itself
-        try:
-            value = self._provider(key)
-        except BaseException:
-            with self._lock:
-                del self._building[key]
-            done.set()
-            raise
-        with self._lock:
-            cache[key] = value
-            del self._building[key]
-        done.set()
-        return value
+        if key not in cache:
+            cache[key] = self._provider(key)
+        return cache[key]
 
     def pi(self, rho: float, lam: float, grid: GridSpec) -> KernelOperator:
         return self.at(("pi", float(rho), float(lam), grid))
@@ -225,9 +208,10 @@ class OperatorField:
     def adjoint(self) -> "OperatorField":
         """The pointwise adjoint field, cached nowhere.
 
-        Each read conjugate-transposes the base's value (O(n^2)), or
-        conjugates it at a character, so the adjoint's operators live only
-        as long as their reader holds them.
+        Each read takes the adjoint of the base's value (O(n^2) for a dense
+        one, O(n) for a `ToeplitzOperator`), or conjugates it at a
+        character, so the adjoint's operators live only as long as their
+        reader holds them.
         """
         base = self
 
@@ -252,9 +236,8 @@ class OperatorField:
         base = self
 
         def provider(key):
-            with base._lock:
-                if base._cache and key in base._cache:
-                    return base._cache[key]
+            if base._cache and key in base._cache:
+                return base._cache[key]
             return base._provider(key)
 
         out = OperatorField(provider, self.provenance, self.label)
@@ -528,8 +511,8 @@ def _vk_halves(rho_k: float, lam_k: float,
 def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
                         label: str) -> KernelOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
-    and b_minus on the minus one, with (b_plus, b_minus) = pair(halves) and
-    halves V_k's two sign halves (`_vk_halves`).
+    and b_minus on the minus one, (b_plus, b_minus) = pair, one sign half of
+    V_k at a time (`_vk_halves`).
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
     of u to the same sign of s, so the result has two diagonal blocks and
@@ -537,14 +520,14 @@ def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
     and V- b_minus V-* on the mirrored s < 0 ones.  Each is a product of
     V_k's nonzero block of that sign with b's block on the log cells the
     half reaches, so b's other cells, which V_k never reaches, enter no
-    product; `pair` may give each b as that block alone.  The n x n result
-    is allocated once both products are done and V_k's block is dropped, so
-    neither a product's temporaries nor V_k is alive next to it, and the
-    two blocks are written into it.
+    product, and of a `ToeplitzOperator` b only that block is made dense.
+    The n x n result is allocated once both products are done and V_k's
+    block is dropped, so neither a product's temporaries nor V_k is alive
+    next to it, and the two blocks are written into it.
     """
     halves = _vk_halves(rho_k, lam_k, grids)
     blocks = [(v.codomain.cells, (v @ b.restricted(v.domain, v.domain) @ v.adjoint()).entries)
-              for v, b in zip(halves, pair(halves))]
+              for v, b in zip(halves, pair)]
     del halves
     ent = np.zeros((grids.lin.n, grids.lin.n), complex)
     for cells, block in blocks:
@@ -552,29 +535,17 @@ def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
     return KernelOperator(grids.lin, grids.lin, ent, label)
 
 
-def _two_point_block(field: OperatorField, plan: SequencePlan, k: int, w: float,
-                     grids: FieldGrids, halves: tuple[KernelOperator, KernelOperator],
-                     square: bool) -> tuple[KernelOperator, KernelOperator]:
-    """The masked half-line pair at invariant w, on the log cells V_k
-    reaches: tau(eps w, -eps) on the plus half-line model cut to
-    u >= R_k |lam_k|, and tau(-eps w, eps) on the minus one cut to
-    u <= -R_k |lam_k|.
-
-    Each value is first cut to the rows of the log window its sign half of
-    V_k reaches (`halves`, from `_vk_halves`), and with `square` to that
-    window's columns too, and only then masked, so the masked copy holds
-    only those rows, or that block: the entries are the same as masking the
-    whole value and cutting after.
-    """
+def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
+                    grids: FieldGrids) -> tuple:
+    """The masked half-line pair at invariant w: tau(eps w, -eps) on the
+    plus half-line model cut to u >= R_k |lam_k|, and tau(-eps w, eps) on
+    the minus one cut to u <= -R_k |lam_k|."""
     eps = plan.eps
     lam_r = plan.Rk(k) * abs(plan.lam(k))
-    pair = ((field.tau(eps * w, -eps, grids.plus), IntervalSpec.ge(lam_r)),
-            (field.tau(-eps * w, eps, grids.minus), IntervalSpec.le(-lam_r)))
-    out = []
-    for v, (a, spec) in zip(halves, pair):
-        cols = v.domain if square else a.domain
-        out.append(a.restricted(cols, v.domain).masked(cutoff_M(spec, cols)))
-    return tuple(out)
+    return (field.tau(eps * w, -eps, grids.plus).masked(
+                cutoff_M(IntervalSpec.ge(lam_r), grids.plus)),
+            field.tau(-eps * w, eps, grids.minus).masked(
+                cutoff_M(IntervalSpec.le(-lam_r), grids.minus)))
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -582,17 +553,16 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
-    masked to the nodes beyond R_k |lam_k| on its half-line and kept only
-    on the block of log cells V_k reaches (`_two_point_block` at |omega|),
-    and the block of the two is conjugated back to the line by the
-    rescaling unitary, one sign half of V_k at a time
-    (`_conjugated_to_line`).
+    masked to the nodes beyond R_k |lam_k| on its half-line
+    (`_two_point_pair` at |omega|), and the pair is conjugated back to the
+    line by the rescaling unitary, one sign half of V_k at a time
+    (`_conjugated_to_line`), which reads each limit value only on the
+    block of log cells V_k reaches.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
     return _conjugated_to_line(
-        lambda halves: _two_point_block(field_on_L, plan, k, abs(plan.omega), grids,
-                                        halves, square=True),
+        _two_point_pair(field_on_L, plan, k, abs(plan.omega), grids),
         plan.rho(k), plan.lam(k), grids, f"sigma_omega[{k}]")
 
 
@@ -602,9 +572,12 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
     Zone one keeps the running two-parameter point, zone two the fully
     degenerate point, zone three the point displaced along the other axis.
-    Each zone's columns are copied from its operator; columns outside the
-    zones (|u| <= R_k |lam_k|) are exact zeros.  Zones that share a grid
-    node raise ZoneOverlap.
+    The result is the sum of the three operators each masked to its zone,
+    so each zone's columns are its operator's, and the columns outside the
+    zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's
+    `ToeplitzOperator` values the sum is one too, O(n), and only the blocks
+    its readers compose are ever dense.  Zones that share a grid node raise
+    ZoneOverlap.
     """
     if plan.regime != "OmegaZero":
         raise ValueError("s_k_zero needs an OmegaZero plan")
@@ -623,19 +596,18 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
     masks = [cutoff_M(spec, grid) for _, spec in pieces]
     if np.any(np.sum(masks, axis=0) > 1):
         raise ZoneOverlap(f"zone indicators overlap on the grid at k={k}")
-    ent = np.zeros((grid.n, grid.n), complex)
-    for (op, _), keep in zip(pieces, masks):
-        ent[:, keep] = op.entries[:, keep]
-    return KernelOperator(grid, grid, ent, f"s_zero[{k},{half:+d}]")
+    (one, _), (two, _), (three, _) = pieces
+    total = one.masked(masks[0]) + two.masked(masks[1]) + three.masked(masks[2])
+    return replace(total, label=f"s_zero[{k},{half:+d}]")
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
                  grids: FieldGrids) -> KernelOperator:
     """Both three-zone halves conjugated back to the line, each by its own
-    sign half of V_k (`_conjugated_to_line`)."""
+    sign half of V_k (`_conjugated_to_line`).  On the field's structured
+    values only each half's block on V_k's log window is made dense."""
     return _conjugated_to_line(
-        lambda halves: (s_k_zero(field_on_L, k, plan, 1, grids),
-                        s_k_zero(field_on_L, k, plan, -1, grids)),
+        (s_k_zero(field_on_L, k, plan, 1, grids), s_k_zero(field_on_L, k, plan, -1, grids)),
         plan.rho(k), plan.lam(k), grids, f"sigma_zero[{k}]")
 
 
@@ -675,7 +647,9 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     `dev_plus` is ||tau(w_k, -eps) - s_k(+1)|| on the positive half-line
     model and `dev_minus` ||tau(-w_k, eps) - s_k(-1)|| on the negative one,
     with s_k from `s_k_zero`; `value` is the larger of the two and `bound`
-    None.
+    None.  On the field's `ToeplitzOperator` values each difference is one
+    too, with each term's column factors subtracted, and `op_norm` reads it
+    through FFTs: no n_half x n_half array is formed.
     """
     eps = float(plan.eps)
     rows = []
@@ -740,8 +714,7 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
 def _half_deviation(A: KernelOperator, v: KernelOperator,
                     b: KernelOperator) -> KernelOperator:
     """A V - V b for one sign half V of V_k, given as its nonzero block, and
-    b from that half's whole half-line model, given on at least the rows V
-    reaches.
+    b on that half's whole half-line model.
 
     A V is A's block of columns on the linear cells V reaches times V, on
     the log cells V reaches; V b is V times b's rows on those cells, on the
@@ -763,7 +736,7 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     ||A_k V+ - V+ tau(eps w_k, -eps) M||, with V+ the plus half of V_k and M
     the cutoff to u >= R_k |lam_k| on the plus half-line model.  Part (b),
     `dev_b`, mirrors it on the minus half, with V- and tau(-eps w_k, eps)
-    cut to u <= -R_k |lam_k|: the pair is `_two_point_block` at w_k.  Each
+    cut to u <= -R_k |lam_k|: the pair is `_two_point_pair` at w_k.  Each
     part is an operator from its own half-line model, so no product meets
     the other half's zero columns.  The envelope |omega_k| / (R_k^2 |lam_k|)
     + 1/R_k majorizes both parts up to a constant fitted on the first two
@@ -780,7 +753,7 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
         # one norm per sign half; no half outlives its row
         halves = _vk_halves(rho_k, lam_k, grids)
         dev_a, dev_b = (op_norm(_half_deviation(A, v, b)) for v, b in zip(
-            halves, _two_point_block(field, plan, k, wk, grids, halves, square=False)))
+            halves, _two_point_pair(field, plan, k, wk, grids)))
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
@@ -1173,15 +1146,16 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
 
     Each of 2c, 2d, 3c and 3d runs on its own `field.scope()`, and its
     adjoint runs straight after it on the scope's `adjoint()`, which
-    conjugates the scope's operators on read and so builds nothing.  The
-    scope is dropped before the next condition, so the operators held at
-    once are those of one condition, never of all four; only the half-line
-    values that 2d and 3c both read (10 on the default config) are built
-    twice.  The
-    characters, which 3d and 3a both read, stay cached in the field.  The
-    other five conditions then run on `field.view()`: no one of them reads
-    an operator the field has not cached twice, so a view per condition
-    that kept its values would save no build.  The report adds only
+    takes the adjoint of the scope's operators on read and so builds
+    nothing.  The scope is dropped before the next condition, so the
+    operators held at once are those of one condition, never of all four;
+    only the half-line values that 2d and 3c both read (10 on the default
+    config) are built twice.  The characters, which 3d and 3a both read,
+    stay cached in the field.  3a and 3b then share one scope, which holds
+    O(n) per two-dimensional value, so the values both read, ell(0.7, 1)
+    and ell(1.3, 1), are built once.  Conditions 1, 2a and 2b run on
+    `field.view()`: their generic values are n^2 each, and keeping them
+    would save only pi(0, 1)'s two rebuilds.  The report adds only
     characters to the field's cache.
 
     Each adjoint run is a nested call restricted to its condition:
@@ -1201,9 +1175,9 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
                 adjoint[name] = dstar_report(scope.adjoint(), cfg, _checks=(
                     (name, fn),))["conditions"][name]
             del scope  # its operators go before the next condition's
-        view = field.view()
+        view, lower = field.view(), field.scope()  # lower: 3a and 3b
         for name, fn in _ADJOINT_INVARIANT_CHECKS:
-            conditions[name] = _condition(fn, view, cfg)
+            conditions[name] = _condition(fn, lower if name[0] == "3" else view, cfg)
     conditions = dict(sorted(conditions.items()))
     if cfg.check_adjoint and _checks is None:
         verdicts = {k: adjoint.get(k, v).get("passed") for k, v in conditions.items()}

@@ -12,7 +12,6 @@ recurrence over all their nodes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ class QuadratureSpec:
 
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_RULES_LOCK = threading.Lock()
 
 
 def _legendre_pair(x: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,23 +109,17 @@ def unit_rules(ns) -> list[tuple[np.ndarray, np.ndarray]]:
     recurrence over all their nodes.  The cache keeps every rule for the
     life of the process and is bounded by the degrees its callers ask for:
     `bump_fourier` asks for quad.n and the 11 multiples of 64 up to 704,
-    rules of 16n bytes each.  Threads may fill it at the
-    same time; a rule is built outside the lock and the first one stored
-    wins, and since every rule is computed the same way alone or in any
-    batch, which thread stores it does not matter.
+    rules of 16n bytes each.  Every rule is computed the same way alone or
+    in any batch, so the cache's contents do not depend on the order of the
+    calls that filled it.
     """
     ns = [int(n) for n in ns]
     if any(n < 1 for n in ns):
         raise ValueError("a Gauss-Legendre rule needs at least 1 node")
-    with _RULES_LOCK:
-        missing = {n for n in ns if n not in _RULES}
+    missing = {n for n in ns if n not in _RULES}
     if missing:
-        built = _build_rules(missing)
-        with _RULES_LOCK:
-            for n, rule in built.items():
-                _RULES.setdefault(n, rule)
-    with _RULES_LOCK:
-        return [_RULES[n] for n in ns]
+        _RULES.update(_build_rules(missing))
+    return [_RULES[n] for n in ns]
 
 
 def gauss_legendre_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

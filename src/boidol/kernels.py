@@ -2,8 +2,9 @@
 
 All operators are built directly from the test function's partial Fourier
 data: the generic representations as oscillatory t-integrals on a linear
-grid, the two-dimensional and half-line representations as near-convolution
-kernels, and the characters as scalars.  The rescaling unitary V_k and its
+grid (dense), the two-dimensional and half-line representations as
+near-convolution kernels kept as their Toeplitz terms, and the characters
+as scalars.  The rescaling unitary V_k and its
 adjoint connect the half-line models to the linear model along a
 degenerating parameter sequence.
 """
@@ -13,10 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import GridSpec, QuadratureSpec, gauss_legendre_rule
-from .operators import KernelOperator
+from .operators import KernelOperator, ToeplitzOperator
 from .testfun import TestFunction, bump_fourier, eval_hatF34, eval_hatF234
 
 __all__ = [
@@ -106,39 +106,28 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
 
 
 def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
-                      sign: int, label: str) -> KernelOperator:
+                      sign: int, label: str) -> ToeplitzOperator:
     """K(x_i, x_j) = hatF234(sign (x_i - x_j), mu e^(sign x_j), nu e^(-sign x_j), 0).
 
-    sign (x_i - x_j) is computed as h*(sign (i - j)), so convolution kernels
-    are exactly Toeplitz and the diagonal shift is +0.0 for either sign.
-    b_t is evaluated once on the 2n - 1 offsets h*(sign m), m = i - j, and
-    the n x n matrix of its values is a strided view of that vector.
+    The kernel is sum_t coeff_t T(b_t) diag(col_t), T(b)[i, j] =
+    b[n - 1 - i + j], and is kept as those terms (`ToeplitzOperator`): per
+    term, b_t evaluated once on the 2n - 1 offsets h*(sign m), m = n - 1
+    down to 1 - n, and the column factor col_t, O(n) memory.  sign (x_i -
+    x_j) is computed as h*(sign (i - j)), so the kernel is exactly Toeplitz
+    and the diagonal shift is +0.0 for either sign.  `entries` gives the
+    n x n matrix, each row a contiguous slice of the samples.
     """
-    n = grid.n
     x = grid.nodes
-    # the offsets h*(sign m) from m = n - 1 down to 1 - n
-    offsets = grid.weights[0] * (sign * np.arange(n - 1, -n, -1))
-    ent = None
-    for tm in f.terms:
-        col = (bump_fourier(tm.b_x, mu * np.exp(sign * x), _QUAD)
-               * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
-        # toe[i, j] = b_t(offsets[n - 1 - i + j]): row i is a contiguous
-        # slice of the values
-        toe = sliding_window_view(tm.b_t(offsets), n)[::-1]
-        # coeff * toe * col, in place: one n x n temporary
-        term = np.multiply(tm.coeff, toe, dtype=complex)
-        term *= col
-        if ent is None:
-            ent = term
-        else:
-            ent += term
-    if ent is None:
-        ent = np.zeros((n, n), dtype=complex)
-    return KernelOperator(grid, grid, ent, label)
+    offsets = grid.weights[0] * (sign * np.arange(grid.n - 1, -grid.n, -1))
+    terms = tuple((tm.coeff, tm.b_t(offsets),
+                   bump_fourier(tm.b_x, mu * np.exp(sign * x), _QUAD)
+                   * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
+                  for tm in f.terms)
+    return ToeplitzOperator.near_convolution(grid, terms, label)
 
 
 def kernel_pi_ell(f: TestFunction, mu: float, nu: float,
-                  grid: GridSpec) -> KernelOperator:
+                  grid: GridSpec) -> ToeplitzOperator:
     """The representation attached to (0, mu, nu, 0) in the L^2(R) model.
 
     K(v, t) = hatF234(v - t, mu e^t, nu e^(-t), 0); for mu = nu = 0 this is
@@ -148,7 +137,7 @@ def kernel_pi_ell(f: TestFunction, mu: float, nu: float,
 
 
 def kernel_tau(f: TestFunction, mu: float, nu: float,
-               grid: GridSpec) -> KernelOperator:
+               grid: GridSpec) -> ToeplitzOperator:
     """The half-line model on L^2(R_sigma, du/|u|) in log coordinates.
 
     K(v_i, v_j) = hatF234(v_j - v_i, mu e^(-v_j), nu e^(v_j), 0); the same

@@ -1,15 +1,28 @@
 """Measure-aware kernel operators on discretized L^2 spaces.
 
-A KernelOperator stores the kernel values K(u_i, x_j) of an integral
-operator; application integrates against the domain measure, so the matrix
-acting on plain coefficient vectors is entries @ diag(weights_dom).  The
-L^2 -> L^2 operator norm is the largest singular value of the symmetrically
-weighted matrix W_cod^(1/2) entries W_dom^(1/2).
+An operator maps its `domain` grid to its `codomain` grid by a kernel
+K(u_i, x_j); application integrates against the domain measure, so the
+matrix acting on plain coefficient vectors is entries @ diag(weights_dom).
+The L^2 -> L^2 operator norm is the largest singular value of the
+symmetrically weighted matrix W_cod^(1/2) entries W_dom^(1/2).
+
+A `KernelOperator` stores the kernel as a dense matrix, `entries`.  A
+`ToeplitzOperator` keeps near-convolution kernels as their terms, each
+diag(l) T(b) diag(r) with T(b) Toeplitz: 2n - 1 samples of b and O(n)
+factors.  Its `adjoint`, `masked`, `restricted`, sums and differences stay
+structured, and its `entries` property builds the dense matrix on each
+read, bit for bit what the same operations give on the dense kernel.  The
+package reads that copy only where a dense routine needs it: the SVD of
+`compact_defect`, `compose` (`@`), through which the limit constructions
+read the blocks on V_k's log window, and `+` or `-` with a dense operator.
+Both kinds have `domain`, `codomain`, `label`, `entries`, `nbytes`,
+`apply`, `weighted`, `adjoint`, `masked`, `restricted`, `compose`, `+`
+and `-`.
 
 A cutoff (multiplication by the indicator of a region) is kept as its
 boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
-`KernelOperator.masked` applies it on the right, A o M, by keeping the
-columns it selects and zeroing the rest.
+`masked` applies it on the right, A o M, by keeping the columns it selects
+and zeroing the rest.
 
 Cutoffs, compressions and the rescaling unitaries leave many operators with
 whole rows or columns of exact zeros.  The singular-value routines and the
@@ -19,26 +32,30 @@ to a product and a zero row or column only appends zero singular values, so
 only the rounding of the smaller LAPACK or BLAS call differs.
 
 `op_norm` needs only the largest singular value.  It takes it from
-Golub-Kahan-Lanczos bidiagonalization of that block, with full
-reorthogonalization, from a fixed start vector: a few matrix-vector
-products instead of an O(n^3) SVD.  It stops once the residual of the top
-Ritz triple is at most 1e-14 of its value, and takes the full SVD when that
-has not happened after 64 steps.  `compact_defect` needs a whole spectrum
-and keeps the full SVD.
+Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization, from
+a fixed start vector: a few products with the weighted operator and its
+adjoint instead of an O(n^3) SVD, from the nonzero block of a dense
+operator or by FFTs for a `ToeplitzOperator`.  It stops once the residual
+of the top Ritz triple is at most 1e-14 of its value, and takes the full
+SVD when that has not happened after 64 steps.  `compact_defect` needs a
+whole spectrum and keeps the full SVD.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AsymmetricGrid, NonFiniteOperator
 from .grids import GridSpec
 
 __all__ = [
     "KernelOperator",
+    "ToeplitzOperator",
     "IntervalSpec",
     "op_norm",
     "compact_defect",
@@ -69,6 +86,10 @@ class KernelOperator:
     @staticmethod
     def identity(grid: GridSpec, label: str = "id") -> "KernelOperator":
         return KernelOperator(grid, grid, np.diag(1.0 / grid.weights).astype(complex), label)
+
+    @property
+    def nbytes(self) -> int:
+        return self.entries.nbytes
 
     def apply(self, xi: np.ndarray) -> np.ndarray:
         return self.entries @ (self.domain.weights * xi)
@@ -151,6 +172,242 @@ class KernelOperator:
         return self * (-1.0)
 
 
+class _Part(NamedTuple):
+    """One near-convolution kernel sum_t coeff_t T(b_t) diag(col_t) on an
+    n-cell grid, T(b)[i, j] = b[n - 1 - i + j], with (coeff, b, col) per
+    term in `terms`, as its block on an operator's windows: conjugate-
+    transposed when `adjoint`, zero outside the `rows` and `cols` masks
+    (None keeps all), times `sign`."""
+
+    terms: tuple
+    adjoint: bool = False
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    sign: float = 1.0
+
+    def kernel_block(self, rows: slice, cols: slice) -> np.ndarray:
+        """The kernel on the given cells: coeff * T(b) * col per term, T(b)
+        a strided view of b, summed in term order."""
+        ent = None
+        for coeff, b, col in self.terms:
+            term = np.multiply(coeff, sliding_window_view(b, len(col))[::-1][rows, cols],
+                               dtype=complex)
+            term *= col[cols]
+            if ent is None:
+                ent = term
+            else:
+                ent += term
+        if ent is None:
+            ent = np.zeros((rows.stop - rows.start, cols.stop - cols.start), complex)
+        return ent
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """This part without its sign on the given cells of its operator."""
+        out = (np.conj(self.kernel_block(cols, rows)).T if self.adjoint
+               else self.kernel_block(rows, cols))
+        if self.cols is not None:
+            out = np.where(self.cols, out, 0)
+        if self.rows is not None:
+            out = np.where(self.rows[:, None], out, 0)
+        return out
+
+
+class _Toeplitz:
+    """T[i, j] = s[mu - 1 - i + j] (mu rows) and its adjoint by FFTs of
+    length len(s) + 1: each product is a window of a linear convolution with
+    s or its reverse, which that circular one holds without wrapping."""
+
+    def __init__(self, s: np.ndarray, mu: int):
+        self.mu, self.pu, self.size = mu, len(s) - mu + 1, len(s) + 1
+        self.forward = np.fft.fft(s[::-1], self.size)
+        self.backward = np.fft.fft(s, self.size)
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        y = np.fft.ifft(self.forward * np.fft.fft(x, self.size))
+        return y[self.pu - 1:self.pu - 1 + self.mu]
+
+    def hdot(self, y: np.ndarray) -> np.ndarray:
+        z = np.fft.ifft(self.backward * np.fft.fft(np.conj(y), self.size))
+        return np.conj(z[self.mu - 1:self.mu - 1 + self.pu])
+
+
+class _Products:
+    """The sum of diag(l) op diag(r) over `terms` (op, adjoint, l, r), op a
+    `_Toeplitz` or with adjoint its adjoint, on the columns `keep`: a matrix
+    that `_lanczos_norm` reads through W @ v and u @ W."""
+
+    __array_ufunc__ = None  # u @ W with an ndarray u calls __rmatmul__
+    dtype = np.dtype(complex)
+
+    def __init__(self, terms: list, m: int, keep: np.ndarray):
+        self.terms, self.keep = terms, keep
+        self.shape = (m, int(np.count_nonzero(keep)))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        x = np.zeros(len(self.keep), complex)
+        x[self.keep] = v
+        return sum(l * (t.hdot(r * x) if adjoint else t.dot(r * x))
+                   for t, adjoint, l, r in self.terms)
+
+    def __rmatmul__(self, u: np.ndarray) -> np.ndarray:
+        # u @ W = conj(W^H conj(u)), W^H = sum of diag(conj r) op^H diag(conj l)
+        y = np.conj(u)
+        z = sum(np.conj(r) * (t.dot(np.conj(l) * y) if adjoint else t.hdot(np.conj(l) * y))
+                for t, adjoint, l, r in self.terms)
+        return np.conj(z[self.keep])
+
+
+@dataclass(frozen=True, eq=False)
+class ToeplitzOperator:
+    """A sum of near-convolution kernels (`_Part`s) between cell windows of
+    one grid, kept as their terms: O(n) memory each.
+
+    `adjoint`, `masked`, `restricted`, and `+` and `-` with another one give
+    operators of this kind; `compose` (`@`), `weighted`, and `+` and `-`
+    with a dense operator go through `entries`; `op_norm` uses FFTs.
+    """
+
+    domain: GridSpec
+    codomain: GridSpec
+    parts: tuple
+    label: str = ""
+
+    @staticmethod
+    def near_convolution(grid: GridSpec, terms, label: str = "") -> "ToeplitzOperator":
+        """sum_t coeff_t T(b_t) diag(col_t) on the whole grid, from (coeff,
+        b, col) per term: b the 2n - 1 samples, T(b)[i, j] = b[n - 1 - i + j],
+        and col the n column factors."""
+        return ToeplitzOperator(grid, grid, (_Part(tuple(terms)),), label)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense kernel, built on each read: each part only on this
+        operator's windows, the parts added in order, so bit for bit the
+        entries the same operations give on the dense kernels (up to the
+        sign of an exact zero)."""
+        rows, cols = self.codomain.cells, self.domain.cells
+        ent = None
+        for p in self.parts:
+            block = p.block(rows, cols)
+            if ent is None:
+                ent = block if p.sign > 0 else -block
+            elif p.sign > 0:
+                ent += block
+            else:
+                ent -= block
+        return ent
+
+    @property
+    def nbytes(self) -> int:
+        arrays = {id(a): a.nbytes for p in self.parts
+                  for a in (p.rows, p.cols, *(x for _, b, col in p.terms for x in (b, col)))
+                  if a is not None}
+        return sum(arrays.values())
+
+    def dense(self) -> KernelOperator:
+        return KernelOperator(self.domain, self.codomain, self.entries, self.label)
+
+    def apply(self, xi: np.ndarray) -> np.ndarray:
+        products = self._products(np.ones(self.codomain.n), self.domain.weights)
+        if products is None:
+            return np.zeros(self.codomain.n, complex)
+        return products @ xi[products.keep]
+
+    def weighted(self) -> np.ndarray:
+        return self.dense().weighted()
+
+    def _with_parts(self, parts, domain=None, codomain=None, label=None) -> "ToeplitzOperator":
+        """These parts between the given windows (default: self's)."""
+        return ToeplitzOperator(domain or self.domain, codomain or self.codomain,
+                                tuple(parts), self.label if label is None else label)
+
+    def adjoint(self) -> "ToeplitzOperator":
+        return self._with_parts((p._replace(adjoint=not p.adjoint, rows=p.cols, cols=p.rows)
+                            for p in self.parts), self.codomain, self.domain,
+                           f"({self.label})*")
+
+    def masked(self, keep: np.ndarray) -> "ToeplitzOperator":
+        return self._with_parts((p._replace(cols=keep if p.cols is None else p.cols & keep)
+                            for p in self.parts), label=f"{self.label}.M")
+
+    def restricted(self, domain: GridSpec = None,
+                   codomain: GridSpec = None) -> "ToeplitzOperator":
+        """As `KernelOperator.restricted`, each mask cut to the windows."""
+        domain, codomain = domain or self.domain, codomain or self.codomain
+        r, c = codomain.start - self.codomain.start, domain.start - self.domain.start
+
+        def cut(mask, at, size):
+            return None if mask is None else mask[at:at + size]
+
+        return self._with_parts((p._replace(rows=cut(p.rows, r, codomain.n),
+                                       cols=cut(p.cols, c, domain.n))
+                            for p in self.parts), domain, codomain)
+
+    def compose(self, other) -> KernelOperator:
+        return self.dense().compose(other)
+
+    def __matmul__(self, other):
+        return self.compose(other)
+
+    def __add__(self, other):
+        if isinstance(other, ToeplitzOperator) and (other.domain, other.codomain) == (
+                self.domain, self.codomain):
+            return self._with_parts(self.parts + other.parts)
+        return self.dense() + other
+
+    def __sub__(self, other):
+        if isinstance(other, ToeplitzOperator):
+            return self + other._with_parts(p._replace(sign=-p.sign) for p in other.parts)
+        return self.dense() - other
+
+    def _products(self, left: np.ndarray, right: np.ndarray) -> "_Products | None":
+        """diag(left) self diag(right) as `_Products` on the columns where a
+        term's right factor is nonzero, or None when there are none.
+
+        A term is diag(l) op diag(r), op a Toeplitz block or its adjoint;
+        the kernel's column factor is in r, or in l for an adjoint.  Terms
+        with the same block and the same other factor are merged, the ones
+        holding the column factor summed with their signs, so a difference
+        of two kernels with one symbol is one term with r1 - r2, not a
+        difference of two rounded products.  Non-finite factors or samples
+        raise `NonFiniteOperator`.
+        """
+        m, p = self.codomain.n, self.domain.n
+        rows, cols = self.codomain.cells, self.domain.cells
+        groups = {}
+        for part in self.parts:
+            for coeff, b, col in part.terms:
+                # the block's first row and column and its height in the
+                # kernel, whose rows are this operator's columns for an adjoint
+                r0, c0, mu = ((cols.start, rows.start, p) if part.adjoint
+                              else (rows.start, cols.start, m))
+                d = len(col) - mu - r0 + c0
+                s = b[d:d + m + p - 1]
+                if part.adjoint:
+                    l, r = part.sign * np.conj(coeff * col[rows]) * left, right
+                else:
+                    l, r = left, (part.sign * coeff) * col[cols] * right
+                if part.rows is not None:
+                    l = np.where(part.rows, l, 0)
+                if part.cols is not None:
+                    r = np.where(part.cols, r, 0)
+                key = (part.adjoint, mu, s.tobytes(), (r if part.adjoint else l).tobytes())
+                if key not in groups:
+                    groups[key] = [s, l, r]
+                elif part.adjoint:
+                    groups[key][1] = groups[key][1] + l
+                else:
+                    groups[key][2] = groups[key][2] + r
+        terms, keep = [], np.zeros(p, bool)
+        for (adjoint, mu, _, _), (s, l, r) in groups.items():
+            if not (np.isfinite(s).all() and np.isfinite(l).all() and np.isfinite(r).all()):
+                raise NonFiniteOperator(f"non-finite entries in {self.label or 'operator'}")
+            if np.any(l) and np.any(r) and np.any(s):
+                keep |= r != 0
+                terms.append((_Toeplitz(s, mu), adjoint, l, r))
+        return _Products(terms, m, keep) if terms else None
+
+
 def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
     """A.weighted() on the rows and columns that hold a nonzero, or None
     when there are none.  Non-finite entries raise `NonFiniteOperator`.
@@ -190,7 +447,7 @@ def _singular_values(A: KernelOperator) -> np.ndarray:
     LAPACK on the smaller matrix differs.  A zero matrix gives zeros without
     running the SVD.
     """
-    sv = np.zeros(min(A.entries.shape))
+    sv = np.zeros(min(A.codomain.n, A.domain.n))
     block = _nonzero_block(A)
     if block is not None:
         s = np.linalg.svd(block, compute_uv=False)
@@ -242,8 +499,11 @@ def _top_ritz(C: np.ndarray, coupling: float) -> tuple[float, float]:
     return float(s[0]), coupling * abs(X[-1, 0])
 
 
-def _lanczos_norm(W: np.ndarray) -> tuple[float | None, int]:
+def _lanczos_norm(W) -> tuple[float | None, int]:
     """(largest singular value of W, steps) by Golub-Kahan-Lanczos.
+
+    W is a matrix, or any operator with `shape` and `dtype` that gives the
+    products W @ v and u @ W (`_Products`): nothing else of it is read.
 
     Step k extends W V = U B, with B upper bidiagonal (alpha on the
     diagonal, beta above it), by one column of V and one of U, each
@@ -259,7 +519,7 @@ def _lanczos_norm(W: np.ndarray) -> tuple[float | None, int]:
     An exhausted Krylov space gives a zero entry and so stops.
     """
     m, n = W.shape
-    dtype = np.result_type(W, 1.0)
+    dtype = np.result_type(W.dtype, 1.0)
     U = np.zeros((_LANCZOS_FIRST_ROWS, m), dtype)
     V = np.zeros((_LANCZOS_FIRST_ROWS + 1, n), dtype)
     B = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS + 1))
@@ -291,16 +551,24 @@ def _lanczos_norm(W: np.ndarray) -> tuple[float | None, int]:
     return None, _LANCZOS_STEPS
 
 
-def op_norm(A: KernelOperator) -> float:
+def op_norm(A) -> float:
     """L^2 -> L^2 operator norm of the discretized kernel operator: the
-    largest singular value of its nonzero block, by `_lanczos_norm`, or by
-    the full SVD when that has not converged."""
-    block = _nonzero_block(A)
-    if block is None:
+    largest singular value of its weighted matrix, by `_lanczos_norm`, or
+    by the full SVD of the nonzero block when that has not converged.
+
+    A dense operator gives `_lanczos_norm` its nonzero block; a
+    `ToeplitzOperator` its FFT products, and its dense copy only for the
+    SVD."""
+    if isinstance(A, ToeplitzOperator):
+        W = A._products(np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights))
+    else:
+        W = _nonzero_block(A)
+    if W is None:
         return 0.0
-    sigma, _ = _lanczos_norm(block)
+    sigma, _ = _lanczos_norm(W)
     if sigma is None:
-        sigma = float(np.linalg.svd(block, compute_uv=False)[0])
+        block = W if isinstance(W, np.ndarray) else _nonzero_block(A)
+        sigma = float(np.linalg.svd(block, compute_uv=False)[0]) if block is not None else 0.0
     return sigma
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boidol import cli
+from boidol import cli, operators
 from boidol.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -315,7 +315,7 @@ def test_converge_tables_are_the_report_conditions(small_run):
     assert omega[0]["limit_scale_passed"] == two_c["limit_scale_passed"]
     assert omega[0]["passed"] == (two_c["passed"] and omega[0]["rate_passed"])
     assert zero[0]["rows"] == two_d["rows"]
-    zone_ks = [k for k in cli._CONVERGE_ZONE_KS if k >= 4]
+    zone_ks = [k for k in cli._CONVERGE_KS_TAU if k >= 4]
     zone_rows = zone_deviation_rows(field, dcfg.plans_zero[0], zone_ks, dcfg.grids)
     assert zero[0]["three_zone_rows"] == zone_rows
     assert zero[0]["passed"] == (two_d["passed"] and _halves_decay(zone_rows))
@@ -397,12 +397,11 @@ def test_converge_zero_fails_when_the_generic_points_are_perturbed(tmp_path, mon
 
 
 def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch):
-    """`converge zero` runs 3c last, through a view that keeps nothing: the
-    field's cache then holds none of 3c's running points tau(+-w_k, -+eps),
-    nor its running points tau(+-w_k, 0) at the ks 2d does not read, each
-    of them was built exactly once, and so was every other key.  The
-    k-independent limit points and the running points that 2d read stay
-    cached."""
+    """`converge zero` runs 2d and then 3c through views that keep nothing:
+    the field's cache is empty at the end, each generic operator and each
+    of 3c's running points tau(+-w_k, -+eps) was built exactly once, and
+    the k-independent limit points tau(0, 0) and tau(0, -+eps) once per 2d
+    or 3c row, each of which reads them once."""
     builds, made = collections.Counter(), []
 
     def counting_field(f):
@@ -422,20 +421,35 @@ def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch
     g = FieldGrids.default(n_lin=SMALL["grid"]["n"], n_half=SMALL["grid"]["n_half"])
     plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
     eps = float(plan.eps)
-    zone_ks = [k for k in cli._CONVERGE_ZONE_KS if k >= min(SMALL["ks"])]
+    zone_ks = [k for k in cli._CONVERGE_KS_TAU if k >= min(SMALL["ks"])]
     running = [key for k in zone_ks
                for key in (("tau", plan.w_k(k), -eps, g.plus),
                            ("tau", -plan.w_k(k), eps, g.minus))]
-    running += [key for k in zone_ks if k not in SMALL["ks"]
-                for key in (("tau", plan.w_k(k), 0.0, g.plus),
-                            ("tau", -plan.w_k(k), 0.0, g.minus))]
-    assert len(running) == 10 + 2 * len(set(zone_ks) - set(SMALL["ks"])) == 18
-    assert not any(key in field._cache for key in running)
-    assert all(builds[key] == 1 for key in running)
-    assert set(builds.values()) == {1}
-    assert ("tau", 0.0, 0.0, g.plus) in field._cache
-    assert ("tau", 0.0, -eps, g.plus) in field._cache
-    assert ("tau", plan.w_k(4), 0.0, g.plus) in field._cache
+    generic = [("pi", plan.rho(k), plan.lam(k), g.lin) for k in SMALL["ks"]]
+    assert len(running) == 10 and not field._cache
+    assert all(builds[key] == 1 for key in running + generic)
+    rows = len(SMALL["ks"]) + len(zone_ks)
+    for key in (("tau", 0.0, 0.0, g.plus), ("tau", 0.0, -eps, g.plus),
+                ("tau", 0.0, 0.0, g.minus), ("tau", 0.0, eps, g.minus)):
+        assert builds[key] == rows, key
+
+
+def test_converge_zero_never_makes_a_whole_tau_dense(tmp_path, monkeypatch):
+    """On the small config, `converge zero` evaluates the half-line values
+    only as blocks on V_k's log window (for 2d), never as a whole
+    n_half x n_half matrix: 3c takes its norms by FFT products."""
+    blocks = []
+    kernel_block = operators._Part.kernel_block
+
+    def recording(part, rows, cols):
+        blocks.append((rows.stop - rows.start, cols.stop - cols.start))
+        return kernel_block(part, rows, cols)
+
+    monkeypatch.setattr(operators._Part, "kernel_block", recording)
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "zero"]) == 0
+    n_half = SMALL["grid"]["n_half"]
+    assert blocks and max(r * c for r, c in blocks) < n_half * n_half
 
 
 def test_converge_infeasible_plan_exit_code(tmp_path):

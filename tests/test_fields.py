@@ -1,8 +1,6 @@
 import collections
 import gc
 import math
-import threading
-import time
 import tracemalloc
 import weakref
 
@@ -125,54 +123,6 @@ def test_adjoint_field():
     assert np.array_equal(adj.pi(0.5, 1.0, GRIDS.lin).entries,
                           np.conj(a.entries).T)
     assert adj.char(1.0) == np.conj(FIELD.char(1.0))
-
-
-def test_concurrent_reads_of_one_key_build_it_once():
-    builds = collections.Counter()
-
-    def slow(key):
-        builds[key] += 1
-        time.sleep(0.05)
-        return object()
-
-    field = OperatorField(slow)
-    got = [None] * 4
-
-    def read(i):
-        got[i] = field.at(("char", 1.0))
-
-    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-    assert builds == {("char", 1.0): 1}
-    assert all(v is got[0] for v in got)
-
-
-def test_builds_of_distinct_keys_run_side_by_side():
-    # each build waits for the other at the barrier, so builds that ran one
-    # after the other would break it
-    meet = threading.Barrier(2, timeout=5.0)
-
-    def provider(key):
-        meet.wait()
-        return key[1]
-
-    field = OperatorField(provider)
-    got = {}
-
-    def read(tau):
-        got[tau] = field.char(tau)
-
-    threads = [threading.Thread(target=read, args=(tau,)) for tau in (1.0, 2.0)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10.0)
-        assert not t.is_alive()
-    assert got == {1.0: 1.0, 2.0: 2.0}
 
 
 def test_failed_build_is_not_cached():
@@ -485,20 +435,19 @@ def _traced_peak(fn):
 
 
 # each construction's peak in n^2 complex entries: its larger reading at
-# k = 4 and 64 (sigma_k_omega 1.80 and 1.49, sigma_k_zero 2.63 and 2.28)
+# k = 4 and 64 (sigma_k_omega 1.50 and 1.49, sigma_k_zero 1.51 and 1.49)
 # plus a margin of n^2 / 8
-_SIGMA_PEAK_CAP = {"sigma_k_omega": 1.80 + 0.125, "sigma_k_zero": 2.63 + 0.125}
+_SIGMA_PEAK_CAP = {"sigma_k_omega": 1.50 + 0.125, "sigma_k_zero": 1.51 + 0.125}
 
 
 def test_limit_constructions_and_norms_stay_under_a_memory_cap():
     """At n = 512, n_half = 384, with every field value already cached:
     sigma_k_omega and sigma_k_zero at k = 4 and 64 peak at no more than
     their `_SIGMA_PEAK_CAP` in n^2 complex entries (the n x n result is one;
-    sigma_k_zero's two whole three-zone halves add 1.125, where
-    sigma_k_omega masks only the limit values' blocks on V_k's log
-    window), and op_norm and compact_defect of each deviation A_k - sigma_k
-    at no more than the bytes of its nonzero block plus 1 MiB (a weighted
-    copy of the whole matrix would add n^2)."""
+    the half-line values are structured, and only their blocks on V_k's log
+    window are made dense), and op_norm and compact_defect of each
+    deviation A_k - sigma_k at no more than the bytes of its nonzero block
+    plus 1 MiB (a weighted copy of the whole matrix would add n^2)."""
     grids = FieldGrids.default(n_lin=512, n_half=384)
     n = grids.lin.n
     field = fourier_field(F)
@@ -517,6 +466,22 @@ def test_limit_constructions_and_norms_stay_under_a_memory_cap():
             for measure in (op_norm, lambda op: compact_defect(op, 64)):
                 _, peak = _traced_peak(lambda: measure(D))
                 assert peak <= block + 2 ** 20, (sigma.__name__, k, peak - block)
+
+
+def test_one_3c_row_allocates_far_less_than_one_half_line_matrix():
+    """At n_half = 384, with every field value cached, one row of
+    `zone_deviation_rows` (the norms of tau - s_k on both half-lines) peaks
+    below a quarter of one n_half x n_half complex array: each difference
+    is structured and its norm is taken by FFT products (0.12-0.13 of that
+    array at k = 4 to 4^9, mostly the Lanczos bases)."""
+    grids = FieldGrids.default(n_lin=512, n_half=384)
+    field = fourier_field(F)
+    plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    n_half = grids.plus.n
+    for k in (4, 4 ** 9):
+        zone_deviation_rows(field, plan, (k,), grids)  # fills the cache
+        _, peak = _traced_peak(lambda: zone_deviation_rows(field, plan, (k,), grids))
+        assert peak <= n_half * n_half * 16 / 4, (k, peak / (n_half * n_half * 16))
 
 
 # ---------------------------------------------------------------------------
@@ -792,15 +757,17 @@ def test_report_keeps_only_the_characters():
 
 def _held_bytes(fields):
     """The bytes of the values held in the caches of the live `fields`."""
-    return sum(np.asarray(getattr(v, "entries", v)).nbytes
+    return sum(getattr(v, "nbytes", None) or np.asarray(v).nbytes
                for fld in list(fields) if fld._cache for v in list(fld._cache.values()))
 
 
 def test_report_cache_never_exceeds_one_conditions_cache(monkeypatch):
     """At every build during the report, the operators held in all field
     caches take no more bytes than the largest cache one adjoint-sensitive
-    condition fills when it runs alone on a fresh field (3c here): the four
-    conditions' caches are never held at once."""
+    condition fills when it runs alone on a fresh field (2d here, whose
+    generic values are dense; 3c's 44 half-line values are structured and
+    hold a tenth of that): the four conditions' caches are never held at
+    once, and neither is the scope 3a and 3b share."""
     cfg = small_config(check_adjoint=True)
     alone = {}
     for name, fn in _ADJOINT_SENSITIVE_CHECKS:
@@ -822,13 +789,20 @@ def test_report_cache_never_exceeds_one_conditions_cache(monkeypatch):
         return build(key)
 
     dstar_report(OperatorField(provider, "FourierOf", "recording"), cfg)
-    assert max(alone, key=alone.get) == "3c_two_dim_degeneration"
+    assert max(alone, key=alone.get) == "2d_three_zone_limit"
     assert 0 < max(held) <= max(alone.values()), (max(held), alone)
 
 
 def test_adjoint_pass_builds_nothing():
+    """The adjoint pass builds no value the primal pass has not built.  3a
+    and 3b share one scope, so the two-dimensional values both read are
+    built once; pi(0, 1), which 1, 2a and 2b each read through a view, is
+    built three times."""
     with_adj, without = collections.Counter(), collections.Counter()
     rep = dstar_report(_counting_field(with_adj), small_config(check_adjoint=True))
     dstar_report(_counting_field(without), small_config(check_adjoint=False))
     assert "4_adjoint" in rep["conditions"]
     assert with_adj == without
+    lin = GRIDS.lin
+    assert with_adj[("ell", 0.7, 1.0, lin)] == with_adj[("ell", 1.3, 1.0, lin)] == 1
+    assert with_adj[("pi", 0.0, 1.0, lin)] == 3

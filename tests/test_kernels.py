@@ -13,7 +13,14 @@ from boidol.kernels import (
     vk_adjoint,
     vk_operator,
 )
-from boidol.operators import KernelOperator, flip_S, op_norm
+from boidol.operators import (
+    IntervalSpec,
+    KernelOperator,
+    ToeplitzOperator,
+    cutoff_M,
+    flip_S,
+    op_norm,
+)
 from boidol.testfun import (
     BumpFactor,
     SeparableTerm,
@@ -484,3 +491,36 @@ def test_near_convolution_kernels_equal_dense_reference(n):
             got = kernel_tau(TWO_TERMS, mu, nu, grid).entries
             assert np.any(got)
             assert np.array_equal(got, dense_near_convolution(TWO_TERMS, mu, nu, grid, -1))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_structured_kernels_match_their_dense_copies(sign):
+    """pi_ell (sign +1, on the line) and tau (sign -1, on a half-line) of a
+    two-term f stay structured under `adjoint`, `masked`, `restricted` to
+    a window and a difference of two values with the same symbol, and each
+    has the entries of the same operations on the dense kernel, bit for
+    bit; its FFT op_norm is within 1e-13 relative of the dense op_norm."""
+    n = 96
+    if sign == 1:
+        grid, build = GridSpec.linear(6.0, n), kernel_pi_ell
+    else:
+        grid, build = GridSpec.log_half_line(1, 6.0, n), kernel_tau
+    A, B = build(TWO_TERMS, 0.7, -1.0, grid), build(TWO_TERMS, 0.75, -1.0, grid)
+    dA, dB = A.dense(), B.dense()
+    assert isinstance(dA, KernelOperator)
+    keep = cutoff_M(IntervalSpec.ge(0.3), grid)
+    rows, cols = grid.window(n // 8, n - 5), grid.window(n // 4, 3 * n // 4)
+    cases = {
+        "plain": (A, dA),
+        "adjoint": (A.adjoint(), dA.adjoint()),
+        "masked": (A.masked(keep), dA.masked(keep)),
+        "window": (A.restricted(cols, rows).masked(keep[cols.cells]),
+                   dA.restricted(cols, rows).masked(keep[cols.cells])),
+        "difference": (A - B, dA - dB),
+        "adjoint difference": ((A - B).adjoint(), (dA - dB).adjoint()),
+    }
+    for name, (op, ref) in cases.items():
+        assert isinstance(op, ToeplitzOperator), name
+        assert np.array_equal(op.entries, ref.entries), name
+        want = op_norm(ref)
+        assert want > 0 and abs(op_norm(op) - want) <= 1e-13 * want, name

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -232,9 +230,9 @@ def test_gauss_legendre_rule_accuracy(n):
 BATCH = (2, 3, 64, 97, 333, 700)
 
 
-def test_unit_rules_independent_of_batch_and_threads(monkeypatch):
+def test_unit_rules_independent_of_batch(monkeypatch):
     """A rule is the same array whether built alone, in a batch in either
-    order, or while four threads fill the cache with overlapping batches."""
+    order, or by overlapping batches that each find part of it cached."""
     def fresh(ns):
         monkeypatch.setattr(grids, "_RULES", {})
         return dict(zip(ns, unit_rules(ns)))
@@ -243,24 +241,7 @@ def test_unit_rules_independent_of_batch_and_threads(monkeypatch):
     builds = [fresh(BATCH), fresh(BATCH[::-1])]
     monkeypatch.setattr(grids, "_RULES", {})
     batches = (BATCH[:4], BATCH[::-1], BATCH[2:], BATCH)
-    barrier = threading.Barrier(len(batches), timeout=5)
-    got = [None] * len(batches)
-
-    def fill(i):
-        barrier.wait()
-        got[i] = dict(zip(batches[i], unit_rules(batches[i])))
-
-    workers = [threading.Thread(target=fill, args=(i,)) for i in range(len(batches))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in workers:
-            t.start()
-        for t in workers:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in workers) and None not in got
+    got = [dict(zip(batch, unit_rules(batch))) for batch in batches]
     assert sorted(grids._RULES) == sorted(BATCH)
     for n, rule in zip(BATCH, unit_rules(BATCH)):
         assert rule is grids._RULES[n]
