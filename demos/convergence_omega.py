@@ -19,7 +19,8 @@ from boidol import (
 
 def main():
     grids = FieldGrids.default()
-    field = fourier_field(default_test_function())
+    # a scope keeps the generic operators, which the rate envelope reads again
+    field = fourier_field(default_test_function()).scope()
     plan = default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1))
     ks = (4, 8, 16, 32, 64)
 

@@ -121,7 +121,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return _merge(DEFAULT_CONFIG, doc)
+    cfg = _merge(DEFAULT_CONFIG, doc)
+    for key in ("ks", "orbit_ks"):
+        ks = cfg[key]
+        if not (isinstance(ks, list) and ks
+                and all(type(k) is int and k > 0 for k in ks)):
+            raise ConfigError(f"config.{key}: expected a non-empty list of positive integers")
+    return cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -254,30 +260,33 @@ def cmd_converge(args) -> int:
     (`omega`), or the 2d tables with the 3c rows at `_CONVERGE_KS_TAU`
     (`zero`); a table passes when both of its conditions pass.
 
-    `zero` runs 2d and then 3c through `field.view()`, which keeps nothing:
-    each generic operator is freed when its 2d row ends, and each half-line
-    value, O(n), is built again where a later row reads it."""
+    `omega` runs on one `field.scope()`, since its four checks read the
+    same generic operators and limit points again.  `zero` runs 2d and
+    then 3c on `field`, which keeps no operator: each generic operator is
+    freed when its 2d row ends, and each half-line value, O(n), is built
+    again where a later row reads it."""
     cfg, out, dcfg, field = _field_setup(args)
     g, ks = dcfg.grids, dcfg.ks
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
     names = [doc["name"] for doc in cfg["sequences"] if doc["regime"] == regime]
     tables = []
     if regime == "OmegaNonzero":
+        scope = field.scope()
         for name, plan, table in zip(names, dcfg.plans_omega,
-                                     _cond_sigma_omega(field, dcfg)["tables"]):
-            rate = check_rate_envelope(field, plan, ks, g)
+                                     _cond_sigma_omega(scope, dcfg)["tables"]):
+            rate = check_rate_envelope(scope, plan, ks, g)
             tables.append({
                 **table, "name": name,
-                "tail_rows": check_tail_cutoff(field, plan, ks, g),
-                "small_zone_rows": check_small_zone(field, plan, ks, g),
+                "tail_rows": check_tail_cutoff(scope, plan, ks, g),
+                "small_zone_rows": check_small_zone(scope, plan, ks, g),
                 "rate_rows": rate["rows"], "rate_C": rate["C"],
                 "rate_passed": rate["passed"],
                 "passed": table["passed"] and rate["passed"]})
     else:
         zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_KS_TAU
                                               if k >= min(ks)))
-        slow_tables = _cond_sigma_zero(field.view(), dcfg)["tables"]
-        fast_tables = _cond_two_dim_degeneration(field.view(), zone_cfg)["tables"]
+        slow_tables = _cond_sigma_zero(field, dcfg)["tables"]
+        fast_tables = _cond_two_dim_degeneration(field, zone_cfg)["tables"]
         for name, slow, fast in zip(names, slow_tables, fast_tables):
             tables.append({"name": name, "plan": slow["plan"], "rows": slow["rows"],
                            "three_zone_rows": fast["rows"],

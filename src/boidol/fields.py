@@ -38,6 +38,7 @@ from .kernels import (
 from .operators import (
     IntervalSpec,
     KernelOperator,
+    ToeplitzOperator,
     compact_defect,
     cutoff_M,
     op_norm,
@@ -166,29 +167,25 @@ class OperatorField:
     half-line grids, and ("char", tau) giving a complex scalar.  On the
     Fourier field a generic value is a dense `KernelOperator` (n^2 complex
     entries) and an "ell" or "tau" value a `ToeplitzOperator`, which holds
-    O(n): on the default grid 4 MiB against 12-16 KiB, so the scopes of
-    `dstar_report` hold 20 MiB for 2c or 2d (five generic values each) and
-    0.5 MiB for 3c's 44 half-line values.
+    O(n): on the default grid 4 MiB against 12-16 KiB.
 
-    A field keeps every value its provider builds, so each key is built
-    once.  A field is not thread-safe: it is read from one thread, as every
-    command does.  A build that raises caches nothing.  Derived fields keep
-    nothing of their base's, except that a `scope()` keeps what it builds
-    itself.  `adjoint()` conjugates its base's value on each read.
-    `view()` reads its base's cached value, or builds the value without
-    caching it anywhere, so it is freed as soon as its reader lets it go.
+    One retention rule: a field keeps its characters, complex scalars, and
+    no operator, which its provider builds again on each read.  Only a
+    `scope()` keeps operators.  A field is not thread-safe: it is read from
+    one thread, as every command does.  A build that raises caches nothing.
     """
 
     def __init__(self, provider, provenance: str = "Synthetic", label: str = "field"):
         self._provider = provider
-        self._cache: dict = {}  # None: every read calls the provider
+        self._cache: dict = {}
+        self._keeps_operators = False  # set by `scope()` only
         self.provenance = provenance
         self.label = label
 
     def at(self, key):
-        cache = self._cache
-        if cache is None:
+        if key[0] != "char" and not self._keeps_operators:
             return self._provider(key)
+        cache = self._cache
         if key not in cache:
             cache[key] = self._provider(key)
         return cache[key]
@@ -206,12 +203,12 @@ class OperatorField:
         return self.at(("char", float(tau)))
 
     def adjoint(self) -> "OperatorField":
-        """The pointwise adjoint field, cached nowhere.
+        """The pointwise adjoint field.
 
         Each read takes the adjoint of the base's value (O(n^2) for a dense
         one, O(n) for a `ToeplitzOperator`), or conjugates it at a
-        character, so the adjoint's operators live only as long as their
-        reader holds them.
+        character; the adjoint of a scope's operator is taken from the
+        operator the scope keeps, so it builds nothing.
         """
         base = self
 
@@ -221,43 +218,18 @@ class OperatorField:
                 return np.conj(val)
             return val.adjoint()
 
-        out = OperatorField(provider, self.provenance, f"({self.label})*")
-        out._cache = None
-        return out
-
-    def view(self) -> "OperatorField":
-        """A read-through view of this field, cached nowhere.
-
-        A read returns this field's cached value when it has one; otherwise
-        this field's provider builds the value, which neither this field nor
-        the view keeps, so each read of such a key builds it again.  A
-        provider that reads another field still fills that field's cache.
-        """
-        base = self
-
-        def provider(key):
-            if base._cache and key in base._cache:
-                return base._cache[key]
-            return base._provider(key)
-
-        out = OperatorField(provider, self.provenance, self.label)
-        out._cache = None
-        return out
+        return OperatorField(provider, self.provenance, f"({self.label})*")
 
     def scope(self) -> "OperatorField":
-        """A caching field that reads through this one, for one reader.
-
-        An operator is read as through `view()`, and the scope keeps it, so
-        it is built at most once while the scope lives and freed with the
-        scope.  A character, a complex scalar, is read through this field's
-        `at`, so this field keeps it for every later reader.
+        """A field that reads through this one and keeps every value it
+        reads, operators included, for one reader: each key is built at
+        most once while the scope lives, and its operators are freed with
+        the scope.  A character is read through this field, which keeps it
+        for every later reader.
         """
-        base, view = self, self.view()
-
-        def provider(key):
-            return base.at(key) if key[0] == "char" else view.at(key)
-
-        return OperatorField(provider, self.provenance, self.label)
+        out = OperatorField(self.at, self.provenance, self.label)
+        out._keeps_operators = True
+        return out
 
     def tampered(self, transform, label: str = "tampered") -> "OperatorField":
         base = self
@@ -673,7 +645,7 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
     (`_vk_halves`), so it is an operator from the window of log cells the
     half reaches.  V_k's zero columns would only append zero columns, which
     add nothing to the norm.  The generic operators are read from the
-    field's cache.
+    field, so a `scope()` that has them builds none.
     """
     rows = []
     for k in ks:
@@ -741,7 +713,7 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     the other half's zero columns.  The envelope |omega_k| / (R_k^2 |lam_k|)
     + 1/R_k majorizes both parts up to a constant fitted on the first two
     indices.  The generic operators and the two half-line limit operators
-    are read from the field's cache.
+    are read from the field, so a `scope()` that has them builds none.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
@@ -833,7 +805,7 @@ def _qhat(alpha, beta):
 
 
 def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target,
-                 grid: GridSpec) -> KernelOperator:
+                 grid: GridSpec) -> ToeplitzOperator:
     """Extend a scalar field on the character line to a two-parameter point.
 
     The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
@@ -861,8 +833,9 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target,
     f_d = (dtau / (2.0 * math.pi)) * (np.exp(1j * np.outer(d, taus)) @ psi)
     t = grid.nodes
     qcol = _qhat(mu * np.exp(t), nu * np.exp(-t))
-    ent = f_d[(n - 1) + np.arange(n)[:, None] - np.arange(n)[None, :]] * qcol[None, :]
-    return KernelOperator(grid, grid, ent, f"sigma0({mu},{nu})")
+    # entry (i, j) is f_d[n - 1 + i - j] qcol[j], the Toeplitz of f_d reversed
+    return ToeplitzOperator.near_convolution(grid, ((1.0, f_d[::-1], qcol),),
+                                             f"sigma0({mu},{nu})")
 
 
 def compact_condition_check(field: OperatorField, taus: np.ndarray,
@@ -1144,19 +1117,17 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     |psi|, which the adjoint leaves unchanged, so their verdicts are taken
     from the primal pass.
 
-    Each of 2c, 2d, 3c and 3d runs on its own `field.scope()`, and its
-    adjoint runs straight after it on the scope's `adjoint()`, which
-    takes the adjoint of the scope's operators on read and so builds
-    nothing.  The scope is dropped before the next condition, so the
-    operators held at once are those of one condition, never of all four;
-    only the half-line values that 2d and 3c both read (10 on the default
-    config) are built twice.  The characters, which 3d and 3a both read,
-    stay cached in the field.  3a and 3b then share one scope, which holds
-    O(n) per two-dimensional value, so the values both read, ell(0.7, 1)
-    and ell(1.3, 1), are built once.  Conditions 1, 2a and 2b run on
-    `field.view()`: their generic values are n^2 each, and keeping them
-    would save only pi(0, 1)'s two rebuilds.  The report adds only
-    characters to the field's cache.
+    Each of 2c, 2d, 3c and 3d runs on its own `field.scope()`, which keeps
+    the operators the condition reads again, and its adjoint runs straight
+    after it on the scope's `adjoint()`, which takes the adjoint of the
+    scope's operators on read and so builds nothing.  The scope is dropped
+    before the next condition, so the operators held at once are those of
+    one condition, never of all four; the half-line values that 2d and 3c
+    both read (10 on the default config) are built twice.  Conditions 1,
+    2a, 2b, 3a and 3b run on `field` itself, which keeps no operator: each
+    value they read again (pi(0, 1) in 1, 2a and 2b; ell(0.7, 1) and
+    ell(1.3, 1) in 3a and 3b) is built again.  The characters, which 3d and 3a both read, stay in the field, so after
+    the report the field holds only characters.
 
     Each adjoint run is a nested call restricted to its condition:
     `_checks` is that restriction, run on the given field itself with no
@@ -1175,9 +1146,8 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
                 adjoint[name] = dstar_report(scope.adjoint(), cfg, _checks=(
                     (name, fn),))["conditions"][name]
             del scope  # its operators go before the next condition's
-        view, lower = field.view(), field.scope()  # lower: 3a and 3b
         for name, fn in _ADJOINT_INVARIANT_CHECKS:
-            conditions[name] = _condition(fn, lower if name[0] == "3" else view, cfg)
+            conditions[name] = _condition(fn, field, cfg)
     conditions = dict(sorted(conditions.items()))
     if cfg.check_adjoint and _checks is None:
         verdicts = {k: adjoint.get(k, v).get("passed") for k, v in conditions.items()}

@@ -92,6 +92,25 @@ def test_merge_rejects_null_where_the_default_is_not_null(tmp_path):
     assert not (tmp_path / "orbits.json").exists()
 
 
+@pytest.mark.parametrize("key", ["ks", "orbit_ks"])
+@pytest.mark.parametrize("value", [[], [0], [-4], ["a"], [True], [4.0], 4],
+                         ids=["empty", "zero", "negative", "string", "bool", "float",
+                              "scalar"])
+def test_malformed_ks_is_a_usage_error_naming_its_path(tmp_path, capsys, key, value):
+    """ks and orbit_ks must be non-empty lists of positive integers; any
+    other value exits 2, before the command that reads it runs, with a
+    usage error naming the path."""
+    command = {"ks": "dstar", "orbit_ks": "orbits"}[key]
+    cfg_path = write_cfg(tmp_path, {key: value})
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_path, "--out", str(tmp_path), command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"config.{key}: expected a non-empty list of positive integers" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_merge_fuzzed_overrides_keep_siblings_and_name_unknown_paths():
     """A random override of known keys, nested ones included, replaces
     exactly those values and keeps every sibling; one unknown key, at the
@@ -397,8 +416,8 @@ def test_converge_zero_fails_when_the_generic_points_are_perturbed(tmp_path, mon
 
 
 def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch):
-    """`converge zero` runs 2d and then 3c through views that keep nothing:
-    the field's cache is empty at the end, each generic operator and each
+    """`converge zero` runs 2d and then 3c on the field, which keeps no
+    operator: the field's cache is empty at the end, each generic operator and each
     of 3c's running points tau(+-w_k, -+eps) was built exactly once, and
     the k-independent limit points tau(0, 0) and tau(0, -+eps) once per 2d
     or 3c row, each of which reads them once."""

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import boidol
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(boidol.__path__))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def test_modules_found():
@@ -22,6 +24,14 @@ def test_every_all_entry_is_defined(name):
     missing = [entry for entry in getattr(module, "__all__", ())
                if entry not in vars(module)]
     assert not missing, f"boidol.{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_every_demo_imports_and_has_main(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 def test_verdict_path_imports_no_scipy(tmp_path):

@@ -97,8 +97,9 @@ def test_ell_params_conventions():
 
 
 def test_field_caching_and_dispatch():
-    a = FIELD.pi(0.0, 1.0, GRIDS.lin)
-    assert FIELD.pi(0.0, 1.0, GRIDS.lin) is a
+    scope = FIELD.scope()
+    a = scope.pi(0.0, 1.0, GRIDS.lin)
+    assert scope.pi(0.0, 1.0, GRIDS.lin) is a
     t = FIELD.tau(0.5, -1.0, GRIDS.plus)
     assert t.domain is GRIDS.plus
     assert isinstance(FIELD.char(1.0), complex)
@@ -140,18 +141,27 @@ def test_failed_build_is_not_cached():
     assert field.char(0.0) == 1.0 and len(calls) == 2
 
 
-def test_view_reads_through_and_never_writes_to_its_base():
+def test_field_keeps_characters_and_a_scope_keeps_operators():
+    """A field keeps its characters and builds an operator on each read; a
+    scope keeps every value it reads until the scope is dropped."""
     base = fourier_field(F)
-    cached = base.pi(0.0, 1.0, GRIDS.lin)
-    view = base.view()
-    assert view.pi(0.0, 1.0, GRIDS.lin) is cached
-    ref = weakref.ref(view.pi(0.5, 1.0, GRIDS.lin))
+    built = base.pi(0.5, 1.0, GRIDS.lin)
+    assert base.pi(0.5, 1.0, GRIDS.lin) is not built
+    c = base.char(1.0)
+    assert list(base._cache) == [("char", 1.0)] and base.char(1.0) is c
+    scope = base.scope()
+    kept = scope.pi(0.5, 1.0, GRIDS.lin)
+    assert scope.pi(0.5, 1.0, GRIDS.lin) is kept
+    assert scope.char(1.0) is c
+    assert list(base._cache) == [("char", 1.0)]
+    assert np.array_equal(kept.entries, built.entries)
+    ref = weakref.ref(kept)
+    del kept
     gc.collect()
-    assert ref() is None  # the view keeps nothing
-    built = view.pi(0.5, 1.0, GRIDS.lin)
-    assert view.pi(0.5, 1.0, GRIDS.lin) is not built
-    assert list(base._cache) == [("pi", 0.0, 1.0, GRIDS.lin)]
-    assert np.array_equal(built.entries, base.pi(0.5, 1.0, GRIDS.lin).entries)
+    assert ref() is not None  # the scope holds it
+    del scope
+    gc.collect()
+    assert ref() is None  # freed with the scope
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +377,7 @@ def test_degeneration_checks_read_the_field_cache():
         builds[key[0]] += 1
         return source.at(key)
 
-    field = OperatorField(provider, "FourierOf", "counting")
+    field = OperatorField(provider, "FourierOf", "counting").scope()
     plan = _omega_plan()
     for k in CHECK_KS:
         field.pi(plan.rho(k), plan.lam(k), GRIDS.lin)
@@ -738,14 +748,14 @@ def test_adjoint_field_retains_nothing():
     gc.collect()
     assert ref() is None
     assert adj.pi(0.5, 1.0, GRIDS.lin) is not adj.pi(0.5, 1.0, GRIDS.lin)
-    assert list(field._cache) == [("pi", 0.5, 1.0, GRIDS.lin)]
+    assert field._cache == {} and adj._cache == {}
 
 
 def test_report_keeps_only_the_characters():
     """Each adjoint-sensitive condition's operators live in its own scope,
-    dropped before the next condition, and the other five read through a
-    view, so after the report the field holds only character values: those
-    3d read, which 3a reads again."""
+    dropped before the next condition, and the other five read the field,
+    which keeps no operator, so after the report the field holds only
+    character values: those 3d read, which 3a reads again."""
     cfg = small_config(check_adjoint=True)
     field = fourier_field(F)
     rep = dstar_report(field, cfg)
@@ -767,11 +777,11 @@ def test_report_cache_never_exceeds_one_conditions_cache(monkeypatch):
     condition fills when it runs alone on a fresh field (2d here, whose
     generic values are dense; 3c's 44 half-line values are structured and
     hold a tenth of that): the four conditions' caches are never held at
-    once, and neither is the scope 3a and 3b share."""
+    once."""
     cfg = small_config(check_adjoint=True)
     alone = {}
     for name, fn in _ADJOINT_SENSITIVE_CHECKS:
-        fresh = fourier_field(F)
+        fresh = fourier_field(F).scope()
         fn(fresh, cfg)
         alone[name] = _held_bytes([fresh])
     fields, held = weakref.WeakSet(), []
@@ -795,14 +805,21 @@ def test_report_cache_never_exceeds_one_conditions_cache(monkeypatch):
 
 def test_adjoint_pass_builds_nothing():
     """The adjoint pass builds no value the primal pass has not built.  3a
-    and 3b share one scope, so the two-dimensional values both read are
-    built once; pi(0, 1), which 1, 2a and 2b each read through a view, is
-    built three times."""
+    and 3b read the field, which keeps no operator, so the two-dimensional
+    values both read are built twice, and pi(0, 1), which 1, 2a and 2b each
+    read, three times."""
     with_adj, without = collections.Counter(), collections.Counter()
     rep = dstar_report(_counting_field(with_adj), small_config(check_adjoint=True))
     dstar_report(_counting_field(without), small_config(check_adjoint=False))
     assert "4_adjoint" in rep["conditions"]
     assert with_adj == without
     lin = GRIDS.lin
-    assert with_adj[("ell", 0.7, 1.0, lin)] == with_adj[("ell", 1.3, 1.0, lin)] == 1
+    assert with_adj[("ell", 0.7, 1.0, lin)] == with_adj[("ell", 1.3, 1.0, lin)] == 2
     assert with_adj[("pi", 0.0, 1.0, lin)] == 3
+
+
+def test_retention_never_changes_a_number():
+    """The report on a scope, which keeps every value it reads, equals the
+    report on the field, which keeps only characters."""
+    cfg = small_config(check_adjoint=True)
+    assert dstar_report(fourier_field(F), cfg) == dstar_report(fourier_field(F).scope(), cfg)
