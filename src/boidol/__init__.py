@@ -56,6 +56,7 @@ from .testfun import (
 )
 from .operators import (
     IntervalSpec,
+    CompositeOperator,
     KernelOperator,
     ToeplitzOperator,
     compact_defect,

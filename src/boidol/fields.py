@@ -36,6 +36,7 @@ from .kernels import (
     vk_adjoint,
 )
 from .operators import (
+    CompositeOperator,
     IntervalSpec,
     KernelOperator,
     ToeplitzOperator,
@@ -470,9 +471,14 @@ def _vk_halves(rho_k: float, lam_k: float,
     the s > 0 linear cells, and V- maps the same window of the minus one's
     cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
     conjugate transpose of `vk_adjoint`, which restores `vk_operator`'s
-    entries exactly, and V- is V+ with its rows reversed, a view.
+    entries exactly: `vk_adjoint`'s fresh block is conjugated in place and
+    read transposed, so no copy is made.  V- is V+ with its rows reversed,
+    a view.
     """
-    plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
+    adjoint = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair)
+    ent = adjoint.entries.T
+    np.conj(ent, out=ent)
+    plus = KernelOperator(adjoint.codomain, adjoint.domain, ent)
     rows, cols, n = plus.codomain, plus.domain, grids.lin.n
     minus = KernelOperator(grids.minus.window(cols.start, cols.start + cols.n),
                            grids.lin.window(n - rows.start - rows.n, n - rows.start),
@@ -481,30 +487,26 @@ def _vk_halves(rho_k: float, lam_k: float,
 
 
 def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
-                        label: str) -> KernelOperator:
+                        label: str) -> CompositeOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
-    and b_minus on the minus one, (b_plus, b_minus) = pair, one sign half of
-    V_k at a time (`_vk_halves`).
+    and b_minus on the minus one, (b_plus, b_minus) = pair, as its thin
+    factors, one sign half of V_k at a time (`_vk_halves`).
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
     of u to the same sign of s, so the result has two diagonal blocks and
     zeros elsewhere: V+ b_plus V+* on the s > 0 rows and columns V+ reaches,
-    and V- b_minus V-* on the mirrored s < 0 ones.  Each is a product of
-    V_k's nonzero block of that sign with b's block on the log cells the
-    half reaches, so b's other cells, which V_k never reaches, enter no
-    product, and of a `ToeplitzOperator` b only that block is made dense.
-    The n x n result is allocated once both products are done and V_k's
-    block is dropped, so neither a product's temporaries nor V_k is alive
-    next to it, and the two blocks are written into it.
+    and V- b_minus V-* on the mirrored s < 0 ones.  Each is kept as the
+    factors C = V b (`compose` of V_k's nonzero block of that sign with b's
+    block on the log cells the half reaches, at most r x m = 256 x 228 on
+    the default grid) and V itself, read as V* through products
+    (`CompositeOperator.product`).  b's other cells, which V_k never
+    reaches, enter no product, of a `ToeplitzOperator` b only that block is
+    made dense, and no n x n array is allocated.
     """
-    halves = _vk_halves(rho_k, lam_k, grids)
-    blocks = [(v.codomain.cells, (v @ b.restricted(v.domain, v.domain) @ v.adjoint()).entries)
-              for v, b in zip(halves, pair)]
-    del halves
-    ent = np.zeros((grids.lin.n, grids.lin.n), complex)
-    for cells, block in blocks:
-        ent[cells, cells] = block
-    return KernelOperator(grids.lin, grids.lin, ent, label)
+    plus, minus = (CompositeOperator.product(v @ b.restricted(v.domain, v.domain), v,
+                                             grids.lin, grids.lin, adjoint=True)
+                   for v, b in zip(_vk_halves(rho_k, lam_k, grids), pair))
+    return replace(plus + minus, label=label)
 
 
 def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
@@ -521,7 +523,7 @@ def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                  grids: FieldGrids) -> KernelOperator:
+                  grids: FieldGrids) -> CompositeOperator:
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
@@ -574,10 +576,11 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                 grids: FieldGrids) -> KernelOperator:
+                 grids: FieldGrids) -> CompositeOperator:
     """Both three-zone halves conjugated back to the line, each by its own
-    sign half of V_k (`_conjugated_to_line`).  On the field's structured
-    values only each half's block on V_k's log window is made dense."""
+    sign half of V_k (`_conjugated_to_line`), as thin factors.  On the
+    field's structured values only each half's block on V_k's log window
+    is made dense."""
     return _conjugated_to_line(
         (s_k_zero(field_on_L, k, plan, 1, grids), s_k_zero(field_on_L, k, plan, -1, grids)),
         plan.rho(k), plan.lam(k), grids, f"sigma_zero[{k}]")
@@ -599,7 +602,9 @@ def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     A_k is the field's generic operator at (rho_k, lam_k) and sigma_k the
     limit approximation of the plan's regime: `sigma_k_omega` for
     "OmegaNonzero", `sigma_k_zero` for "OmegaZero".  Each row is the plan
-    row of k with `value` the deviation and `bound` None.
+    row of k with `value` the deviation and `bound` None.  A_k - sigma_k is
+    a `CompositeOperator`, A_k's entries minus sigma_k's thin factors, so
+    `op_norm` takes it by products and no n x n array besides A_k exists.
     """
     # looked up here, not bound once, so a replaced module attribute is called
     sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
@@ -636,27 +641,38 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     return rows
 
 
+def _generic_times_vk(A: KernelOperator, rho_k: float, lam_k: float,
+                      grids: FieldGrids) -> CompositeOperator:
+    """A V_k = [A V+ | A V-] on the window of the log pair that V_k's halves
+    reach, as factors: each half is A's block of columns on the linear
+    cells that half reaches (a view) times its nonzero block (`_vk_halves`),
+    on that half's columns of the window.  V_k's zero columns would only
+    append zero columns, which add nothing to a norm."""
+    halves = _vk_halves(rho_k, lam_k, grids)
+    cells = halves[0].domain
+    window = grids.pair.window(cells.start, cells.start + cells.n)
+    plus, minus = (CompositeOperator.product(
+        A.restricted(v.codomain), v, window, grids.lin,
+        cols=slice(i * cells.n, (i + 1) * cells.n)) for i, v in enumerate(halves))
+    return plus + minus
+
+
 def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
                           grids: FieldGrids, interval, bound) -> list[dict]:
-    """Rows of ||A_k V_k M||, A_k V_k masked to `interval(k)` on the log pair.
+    """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to
+    `interval(k)` on the log pair.
 
-    A_k V_k is [A_k V+ | A_k V-]: each half is the product of A_k's block
-    of columns on the linear cells that half reaches with its nonzero block
-    (`_vk_halves`), so it is an operator from the window of log cells the
-    half reaches.  V_k's zero columns would only append zero columns, which
-    add nothing to the norm.  The generic operators are read from the
-    field, so a `scope()` that has them builds none.
+    The mask is applied to V_k's block, so neither A_k V_k nor its masked
+    copy is formed, and `op_norm` takes the norm by products.  A row whose
+    mask leaves V_k no column that meets A_k's nonzero columns reads exactly
+    0.0.  The generic operators are read from the field, so a `scope()`
+    that has them builds none.
     """
     rows = []
     for k in ks:
         rho_k, lam_k = plan.rho(k), plan.lam(k)
-        A = field.pi(rho_k, lam_k, grids.lin)
-        halves = _vk_halves(rho_k, lam_k, grids)
-        cells = halves[0].domain
-        window = grids.pair.window(cells.start, cells.start + cells.n)
-        AV = KernelOperator(window, grids.lin, np.concatenate(
-            [(A.restricted(v.codomain) @ v).entries for v in halves], axis=1))
-        M = cutoff_M(interval(k), window)
+        AV = _generic_times_vk(field.pi(rho_k, lam_k, grids.lin), rho_k, lam_k, grids)
+        M = cutoff_M(interval(k), AV.domain)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": bound(k)})
     return rows
@@ -684,19 +700,17 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
 
 
 def _half_deviation(A: KernelOperator, v: KernelOperator,
-                    b: KernelOperator) -> KernelOperator:
+                    b) -> CompositeOperator:
     """A V - V b for one sign half V of V_k, given as its nonzero block, and
-    b on that half's whole half-line model.
+    b on that half's whole half-line model, as factors.
 
-    A V is A's block of columns on the linear cells V reaches times V, on
-    the log cells V reaches; V b is V times b's rows on those cells, on the
-    linear cells V reaches.  The difference is written as -V b, then A V
-    added, which is A V - V b entry by entry.
+    A V is A's block of columns on the linear cells V reaches (a view) times
+    V, on the log cells V reaches; V b is V times b's rows on those cells
+    (that m x n_half block made dense), on the linear cells V reaches.
     """
-    ent = np.zeros((A.codomain.n, b.domain.n), complex)
-    ent[v.codomain.cells] -= (v @ b.restricted(codomain=v.domain)).entries
-    ent[:, v.domain.cells] += (A.restricted(v.codomain) @ v).entries
-    return KernelOperator(b.domain, A.codomain, ent)
+    return (CompositeOperator.product(A.restricted(v.codomain), v, b.domain, A.codomain)
+            - CompositeOperator.product(v, b.restricted(codomain=v.domain),
+                                        b.domain, A.codomain))
 
 
 def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
@@ -804,16 +818,9 @@ def _qhat(alpha, beta):
             * bump_fourier(_WINDOW, beta, _WINDOW_QUAD)) / z
 
 
-def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target,
-                 grid: GridSpec) -> ToeplitzOperator:
-    """Extend a scalar field on the character line to a two-parameter point.
-
-    The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
-    transform of the sampled scalar field and qhat the normalized transform
-    of the fixed product window; the window factor tends to one in the
-    non-degenerate direction, so the operator reproduces the convolution
-    behaviour of the line model there.
-    """
+def _line_transform(psi: np.ndarray, taus: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """f at the 2n - 1 kernel shifts u_i - t_j = h (i - j) of the grid, f the
+    inverse transform of the scalar field psi sampled at taus."""
     psi = np.asarray(psi, dtype=complex)
     taus = np.asarray(taus, dtype=float)
     if psi.shape != taus.shape:
@@ -823,14 +830,28 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target,
         raise NyquistViolation(
             f"character sample spacing {dtau:.3g} cannot represent "
             f"shifts up to {2 * grid.half_width:.3g}")
+    d = grid.weights[0] * np.arange(-(grid.n - 1), grid.n)
+    return (dtau / (2.0 * math.pi)) * (np.exp(1j * np.outer(d, taus)) @ psi)
+
+
+def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
+                 f_d: np.ndarray = None) -> ToeplitzOperator:
+    """Extend a scalar field on the character line to a two-parameter point.
+
+    The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
+    transform of the sampled scalar field and qhat the normalized transform
+    of the fixed product window; the window factor tends to one in the
+    non-degenerate direction, so the operator reproduces the convolution
+    behaviour of the line model there.  f at the kernel shifts depends on
+    psi, taus and the grid only, not on the target: a caller extending one
+    field to several targets passes it as `f_d` (`_line_transform`), and
+    it is computed here otherwise.
+    """
+    if f_d is None:
+        f_d = _line_transform(psi, taus, grid)
     if isinstance(target, Character):
         raise ValueError("target must lie on the two-parameter strata")
     mu, nu = ell_params(target) if not isinstance(target, tuple) else target
-    n = grid.n
-    h = grid.weights[0]
-    # distinct kernel shifts u_i - t_j = h (i - j)
-    d = h * np.arange(-(n - 1), n)
-    f_d = (dtau / (2.0 * math.pi)) * (np.exp(1j * np.outer(d, taus)) @ psi)
     t = grid.nodes
     qcol = _qhat(mu * np.exp(t), nu * np.exp(-t))
     # entry (i, j) is f_d[n - 1 + i - j] qcol[j], the Toeplitz of f_d reversed
@@ -840,14 +861,17 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target,
 
 def compact_condition_check(field: OperatorField, taus: np.ndarray,
                             grids: FieldGrids) -> dict:
-    """Compact-defect of field minus extension at the four half-line points."""
+    """Compact-defect of field minus extension at the four half-line points;
+    the extension's line transform is computed once for all four."""
     budget = _rank_budget(grids)
     psi = np.array([field.char(tau) for tau in taus])
+    f_d = _line_transform(psi, taus, grids.lin)
     points = (OneDim("X", 1), OneDim("X", -1), OneDim("Y", 1), OneDim("Y", -1))
     rows = []
     for label in points:
         mu, nu = ell_params(label)
-        D = field.ell(mu, nu, grids.lin) - sigma0_apply(psi, taus, label, grids.lin)
+        D = field.ell(mu, nu, grids.lin) - sigma0_apply(psi, taus, label, grids.lin,
+                                                        f_d=f_d)
         defect = compact_defect(D, budget)
         rows.append({"axis": label.axis, "sigma": label.sigma,
                      "mu": mu, "nu": nu, "defect": defect,

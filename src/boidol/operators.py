@@ -19,6 +19,17 @@ Both kinds have `domain`, `codomain`, `label`, `entries`, `nbytes`,
 `apply`, `weighted`, `adjoint`, `masked`, `restricted`, `compose`, `+`
 and `-`.
 
+A `CompositeOperator` keeps a sum of products as their factors: a dense
+base plus or minus terms sign * L diag(w) R on blocks of cells, L and R
+dense factors (R possibly read as an adjoint, without a copy) and w the
+middle grid's weights.  The degeneration checks build their differences
+and products this way: A_k - sigma_k is A_k's entries minus sigma_k's thin
+factors C diag(w) V*, and A_k V_k M a column block of A_k times V_k's
+masked block, so no n x n or n x n_half array is formed besides A_k.  It
+has `domain`, `codomain`, `label`, `entries` (the dense kernel, built on
+each read), `adjoint`, `masked`, `+` and `-`; A - composite, A a
+`KernelOperator`, keeps A's entries as the base without a copy.
+
 A cutoff (multiplication by the indicator of a region) is kept as its
 boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
 `masked` applies it on the right, A o M, by keeping the columns it selects
@@ -35,10 +46,13 @@ only the rounding of the smaller LAPACK or BLAS call differs.
 Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization, from
 a fixed start vector: a few products with the weighted operator and its
 adjoint instead of an O(n^3) SVD, from the nonzero block of a dense
-operator or by FFTs for a `ToeplitzOperator`.  It stops once the residual
-of the top Ritz triple is at most 1e-14 of its value, and takes the full
-SVD when that has not happened after 64 steps.  `compact_defect` needs a
-whole spectrum and keeps the full SVD.
+operator, by FFTs for a `ToeplitzOperator`, and by products of the factors
+for a `CompositeOperator`, the square-root weights applied to the vectors.
+It stops once the residual of the top Ritz triple is at most 1e-14 of its
+value, and takes the full SVD of the dense copy when that has not happened
+after 64 steps.  A structured operator with no live term (a composite
+whose factors never meet) is exactly zero and gives 0.0.  `compact_defect`
+needs a whole spectrum and keeps the full SVD.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from .grids import GridSpec
 __all__ = [
     "KernelOperator",
     "ToeplitzOperator",
+    "CompositeOperator",
     "IntervalSpec",
     "op_norm",
     "compact_defect",
@@ -121,12 +136,21 @@ class KernelOperator:
         a, b, w = self.entries, other.entries, self.domain.weights
         rows, cols = a.any(axis=1), b.any(axis=0)
         mid = a.any(axis=0) & b.any(axis=1)
-        if rows.all() and cols.all() and mid.all():
-            ent = a @ (w[:, None] * b)
+        shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
+        if mid.all() and cols.all():
+            wb = w[:, None] * b
+        else:  # a fresh block, weighted in place
+            wb = b[np.ix_(mid, cols)]
+            wb *= w[mid, None]
+        del b  # entries that `other` built on this read are freed here
+        left = a if rows.all() and mid.all() else a[np.ix_(rows, mid)]
+        block = left @ wb
+        if rows.all() and cols.all():
+            ent = block
         else:
-            ent = np.zeros((a.shape[0], b.shape[1]), np.result_type(a, w, b))
-            ent[np.ix_(rows, cols)] = (a[np.ix_(rows, mid)]
-                                       @ (w[mid, None] * b[np.ix_(mid, cols)]))
+            del left, wb
+            ent = np.zeros(shape, dtype)
+            ent[np.ix_(rows, cols)] = block
         return KernelOperator(other.domain, self.codomain, ent,
                               f"{self.label}.{other.label}")
 
@@ -160,6 +184,8 @@ class KernelOperator:
                               self.entries + other.entries, self.label)
 
     def __sub__(self, other):
+        if isinstance(other, CompositeOperator):
+            return NotImplemented  # stays factored: CompositeOperator.__rsub__
         return KernelOperator(self.domain, self.codomain,
                               self.entries - other.entries, self.label)
 
@@ -197,6 +223,7 @@ class _Part(NamedTuple):
                 ent = term
             else:
                 ent += term
+            del term  # freed before the next term is built
         if ent is None:
             ent = np.zeros((rows.stop - rows.start, cols.stop - cols.start), complex)
         return ent
@@ -205,10 +232,12 @@ class _Part(NamedTuple):
         """This part without its sign on the given cells of its operator."""
         out = (np.conj(self.kernel_block(cols, rows)).T if self.adjoint
                else self.kernel_block(rows, cols))
+        # out is a fresh array (a kernel block or its conjugate transpose),
+        # so the masks are applied in place
         if self.cols is not None:
-            out = np.where(self.cols, out, 0)
+            out[:, ~self.cols] = 0
         if self.rows is not None:
-            out = np.where(self.rows[:, None], out, 0)
+            out[~self.rows] = 0
         return out
 
 
@@ -288,13 +317,15 @@ class ToeplitzOperator:
         rows, cols = self.codomain.cells, self.domain.cells
         ent = None
         for p in self.parts:
-            block = p.block(rows, cols)
+            # each part's block is freed before the next one is built
             if ent is None:
-                ent = block if p.sign > 0 else -block
+                ent = p.block(rows, cols)
+                if p.sign < 0:
+                    np.negative(ent, out=ent)
             elif p.sign > 0:
-                ent += block
+                ent += p.block(rows, cols)
             else:
-                ent -= block
+                ent -= p.block(rows, cols)
         return ent
 
     @property
@@ -408,6 +439,205 @@ class ToeplitzOperator:
         return _Products(terms, m, keep) if terms else None
 
 
+class _Adjoint:
+    """The conjugate transpose of a matrix, read through products and
+    `any` only, so no conjugate copy is made."""
+
+    __array_ufunc__ = None  # y @ adjoint with an ndarray y calls __rmatmul__
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.shape = matrix.shape[::-1]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.conj(np.conj(x) @ self.matrix)
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return np.conj(self.matrix @ np.conj(y))
+
+    def any(self, axis: int = None):
+        return self.matrix.any(axis=None if axis is None else 1 - axis)
+
+
+def _adjoint(a):
+    """The conjugate transpose of a factor, without a copy."""
+    return a.matrix if isinstance(a, _Adjoint) else _Adjoint(a)
+
+
+def _dense(a) -> np.ndarray:
+    """A factor as an array (a conjugate copy for an `_Adjoint`)."""
+    return np.conj(a.matrix).T if isinstance(a, _Adjoint) else a
+
+
+class _Term(NamedTuple):
+    """sign * left diag(weights) right on the `rows` of a composite's
+    codomain and the `cols` of its domain; left and right are arrays or
+    `_Adjoint`s, and weights are the middle grid's."""
+
+    left: object
+    weights: np.ndarray
+    right: object
+    rows: slice
+    cols: slice
+    sign: float = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class CompositeOperator:
+    """base + the sum of the `terms`, each a product kept as its two factors
+    (`_Term`): sign * left diag(weights) right on a block of cells.
+
+    `product` builds one term from two operators; `+` and `-` of two
+    composites concatenate their terms, and A - composite, A a
+    `KernelOperator`, keeps A's entries as the base without a copy.  So
+    A_k - sigma_k is A_k's entries minus the thin factors of sigma_k, and
+    A_k V_k M a product of a column block of A_k with V_k's block.
+    `op_norm` reads it through the products W v and u W, the square-root
+    weights applied to the vectors; `entries` builds the dense kernel on
+    each read, for `compact_defect`, `op_norm`'s SVD fallback and anything
+    else that needs the array.
+    """
+
+    domain: GridSpec
+    codomain: GridSpec
+    terms: tuple
+    base: object = None  # None, an array or an `_Adjoint`
+    label: str = ""
+
+    @staticmethod
+    def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
+                adjoint: bool = False, cols: slice = None) -> "CompositeOperator":
+        """left o right (left o right* when `adjoint`), kept as the two
+        factors, between `domain` and `codomain` (default: right's domain
+        and left's codomain).  The block sits on left's codomain cells and
+        right's domain cells, placed by their `start` within the given
+        grids, or on `cols` when given; the middle grid is left's domain.
+        `left` and `right` are operators with `entries` (a
+        `ToeplitzOperator` is made dense here); the adjoint of `right` is
+        read through products, without a copy."""
+        r_dom = right.codomain if adjoint else right.domain
+        domain = domain or r_dom
+        codomain = codomain or left.codomain
+        if left.domain.n != (right.domain if adjoint else right.codomain).n:
+            raise ValueError("grid mismatch in composition")
+        r0 = left.codomain.start - codomain.start
+        if cols is None:
+            c0 = r_dom.start - domain.start
+            cols = slice(c0, c0 + r_dom.n)
+        factor = _Adjoint(right.entries) if adjoint else right.entries
+        term = _Term(left.entries, left.domain.weights, factor,
+                     slice(r0, r0 + left.codomain.n), cols)
+        return CompositeOperator(domain, codomain, (term,))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense kernel, built on each read: the base, then each term's
+        left @ (weights * right) added on its block."""
+        if self.base is None:
+            ent = np.zeros((self.codomain.n, self.domain.n), complex)
+        else:
+            ent = np.array(_dense(self.base), dtype=complex)
+        for t in self.terms:
+            block = _dense(t.left) @ (t.weights[:, None] * _dense(t.right))
+            if t.sign > 0:
+                ent[t.rows, t.cols] += block
+            else:
+                ent[t.rows, t.cols] -= block
+        return ent
+
+    def _dot(self, x: np.ndarray) -> np.ndarray:
+        """entries @ x from the factors."""
+        out = (np.zeros(self.codomain.n, complex) if self.base is None
+               else self.base @ x)
+        for t in self.terms:
+            y = t.left @ (t.weights * (t.right @ x[t.cols]))
+            out[t.rows] += y if t.sign > 0 else -y
+        return out
+
+    def _rdot(self, y: np.ndarray) -> np.ndarray:
+        """y @ entries from the factors."""
+        out = (np.zeros(self.domain.n, complex) if self.base is None
+               else y @ self.base)
+        for t in self.terms:
+            x = ((y[t.rows] @ t.left) * t.weights) @ t.right
+            out[t.cols] += x if t.sign > 0 else -x
+        return out
+
+    def adjoint(self) -> "CompositeOperator":
+        """The conjugate transpose, each factor read as its adjoint: no copy."""
+        terms = tuple(_Term(_adjoint(t.right), t.weights, _adjoint(t.left), t.cols,
+                            t.rows, t.sign) for t in self.terms)
+        base = None if self.base is None else _adjoint(self.base)
+        return CompositeOperator(self.codomain, self.domain, terms, base,
+                                 f"({self.label})*")
+
+    def masked(self, keep: np.ndarray) -> "CompositeOperator":
+        """self o M_keep: each right factor and the base with the columns
+        outside `keep` set to exact zeros (copies of the factors)."""
+        terms = tuple(t._replace(right=np.where(keep[t.cols], _dense(t.right), 0))
+                      for t in self.terms)
+        base = None if self.base is None else np.where(keep, _dense(self.base), 0)
+        return CompositeOperator(self.domain, self.codomain, terms, base,
+                                 f"{self.label}.M")
+
+    def __add__(self, other):
+        return _combined(self, other, 1.0)
+
+    def __sub__(self, other):
+        return _combined(self, other, -1.0)
+
+    def __rsub__(self, other):
+        return _combined(other, self, -1.0)
+
+    def _products(self, left: np.ndarray, right: np.ndarray) -> "_Weighted | None":
+        """diag(left) self diag(right) for `_lanczos_norm`, without the terms
+        whose factors never meet (no middle index where left's column and
+        right's row both hold a nonzero) and without an all-zero base, or
+        None when nothing is left: then the operator is exactly zero."""
+        base = self.base if self.base is not None and self.base.any() else None
+        terms = tuple(t for t in self.terms
+                      if (t.left.any(axis=0) & t.right.any(axis=1)).any())
+        if base is None and not terms:
+            return None
+        return _Weighted(CompositeOperator(self.domain, self.codomain, terms, base),
+                         left, right)
+
+
+def _combined(x, y, sign: float) -> CompositeOperator:
+    """x + sign * y as a `CompositeOperator`, one of them a composite and the
+    other any operator (its entries are then a base): the terms are
+    concatenated; a base of y is negated and two bases are added, copies
+    made only then."""
+
+    def split(op):
+        return (op.base, op.terms) if isinstance(op, CompositeOperator) else (op.entries, ())
+
+    (bx, tx), (by, ty) = split(x), split(y)
+    if sign < 0:
+        by = None if by is None else -_dense(by)
+        ty = tuple(t._replace(sign=-t.sign) for t in ty)
+    base = by if bx is None else bx if by is None else _dense(bx) + _dense(by)
+    return CompositeOperator(x.domain, x.codomain, tx + ty, base, x.label)
+
+
+class _Weighted:
+    """diag(left) op diag(right), op a `CompositeOperator`, as a matrix that
+    `_lanczos_norm` reads through W @ v and u @ W."""
+
+    __array_ufunc__ = None  # u @ W with an ndarray u calls __rmatmul__
+    dtype = np.dtype(complex)
+
+    def __init__(self, op: CompositeOperator, left: np.ndarray, right: np.ndarray):
+        self.op, self.left, self.right = op, left, right
+        self.shape = (len(left), len(right))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.left * self.op._dot(self.right * v)
+
+    def __rmatmul__(self, u: np.ndarray) -> np.ndarray:
+        return self.op._rdot(u * self.left) * self.right
+
+
 def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
     """A.weighted() on the rows and columns that hold a nonzero, or None
     when there are none.  Non-finite entries raise `NonFiniteOperator`.
@@ -515,8 +745,9 @@ def _lanczos_norm(W) -> tuple[float | None, int]:
     beta_k |e_k^T x_1| for the square k x k block, and alpha_{k+1}
     |e_{k+1}^T y_1| for the k x (k+1) one.  The Ritz value is returned once
     that residual is at most `_LANCZOS_TOL` times it, and None after
-    `_LANCZOS_STEPS` steps without that, or when W kills the start vector.
-    An exhausted Krylov space gives a zero entry and so stops.
+    `_LANCZOS_STEPS` steps without that, when W kills the start vector, or
+    when an entry of B is not finite (a non-finite factor of a structured
+    W, which the caller's dense fallback then reports).  An exhausted Krylov space gives a zero entry and so stops.
     """
     m, n = W.shape
     dtype = np.result_type(W.dtype, 1.0)
@@ -533,6 +764,8 @@ def _lanczos_norm(W) -> tuple[float | None, int]:
             u -= B[k - 1, k] * U[k - 1]
         u = _orthogonalized(u, U[:k])
         B[k, k] = alpha = np.linalg.norm(u)
+        if not np.isfinite(alpha):
+            return None, k + 1
         if k:
             theta, res = _top_ritz(B[:k, :k + 1].T, alpha)
             if res <= _LANCZOS_TOL * theta:
@@ -544,6 +777,8 @@ def _lanczos_norm(W) -> tuple[float | None, int]:
         v = np.conj(np.conj(U[k]) @ W) - alpha * V[k]
         v = _orthogonalized(v, V[:k + 1])
         B[k, k + 1] = beta = np.linalg.norm(v)
+        if not np.isfinite(beta):
+            return None, k + 1
         theta, res = _top_ritz(B[:k + 1, :k + 1], beta)
         if res <= _LANCZOS_TOL * theta:
             return theta, k + 1
@@ -557,9 +792,10 @@ def op_norm(A) -> float:
     by the full SVD of the nonzero block when that has not converged.
 
     A dense operator gives `_lanczos_norm` its nonzero block; a
-    `ToeplitzOperator` its FFT products, and its dense copy only for the
-    SVD."""
-    if isinstance(A, ToeplitzOperator):
+    `ToeplitzOperator` its FFT products and a `CompositeOperator` the
+    products of its factors, each its dense copy only for the SVD.  A
+    structured operator with no live term is exactly zero and gives 0.0."""
+    if isinstance(A, (ToeplitzOperator, CompositeOperator)):
         W = A._products(np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights))
     else:
         W = _nonzero_block(A)

@@ -608,3 +608,37 @@ def test_benchmark_harness_binds_to_the_package(tmp_path):
         adjoint_s = result.pop("adjoint_s")
         assert result == {"rc": 0, "workloads": sorted(commands), "unreached": []}, name
         assert (adjoint_s > 0) == (name == "dstar"), (name, adjoint_s)
+
+
+# peak RSS budget of `boidol --grid-scale 4 dstar` on the default config, in
+# MiB; it read 403.5 MiB in 25 s on a 2-core x86-64 host with OpenBLAS
+_SCALE4_BUDGET_MIB = 450
+_ADDRESS_LIMIT_KIB = 6815744  # the `ulimit -v` the measurement runs under
+
+
+@pytest.mark.slow
+def test_dstar_at_grid_scale_4_stays_under_its_memory_budget(tmp_path):
+    """`boidol --grid-scale 4 dstar` (n = 2048) in a fresh process, under an
+    address-space limit of `_ADDRESS_LIMIT_KIB` set for that process alone,
+    reports its own peak RSS (`ru_maxrss`) under `_SCALE4_BUDGET_MIB`.  It
+    exits 1 at this scale, on 2c and `4_adjoint` (ROADMAP item 1), so the
+    exit code is only required to be a verdict, 0 or 1.  Run it with
+    `pytest -m slow`."""
+    import resource
+
+    def limit():
+        cap = _ADDRESS_LIMIT_KIB * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import resource; from boidol.cli import main; "
+            f"rc = main(['--grid-scale', '4', '--out', {str(tmp_path)!r}, 'dstar']); "
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, preexec_fn=limit, timeout=300)
+    assert out.returncode == 0, out.stderr
+    rc, peak_kib = out.stdout.split()[-2:]
+    assert int(rc) in (0, 1)
+    assert int(peak_kib) / 1024 < _SCALE4_BUDGET_MIB, int(peak_kib) / 1024

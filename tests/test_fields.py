@@ -7,10 +7,15 @@ import weakref
 import numpy as np
 import pytest
 
+from boidol import operators
 from boidol.errors import MissingLimitPoint, NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
     _ADJOINT_INVARIANT_CHECKS,
     _ADJOINT_SENSITIVE_CHECKS,
+    _generic_times_vk,
+    _half_deviation,
+    _two_point_pair,
+    _vk_halves,
     DstarConfig,
     FieldGrids,
     OperatorField,
@@ -44,7 +49,13 @@ from boidol.fields import (
 from boidol.grids import GridSpec
 from boidol.group import Character, OneDim, TwoDim
 from boidol.kernels import kernel_pi_rho_lambda, kernel_tau
-from boidol.operators import IntervalSpec, KernelOperator, compact_defect, cutoff_M, op_norm
+from boidol.operators import (
+    CompositeOperator,
+    IntervalSpec,
+    KernelOperator,
+    cutoff_M,
+    op_norm,
+)
 from boidol.testfun import (
     BumpFactor,
     SeparableTerm,
@@ -353,7 +364,23 @@ def _reference_check_rows(plan, ks, grids):
     return tail, small, rate, C
 
 
+def _assert_rows_close(got, want, rel=1e-13):
+    """Rows with the same keys and every number within `rel` of the
+    reference's, a zero of the reference matched exactly."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key, value in w.items():
+            if isinstance(value, float) and value != 0.0:
+                assert g[key] == pytest.approx(value, rel=rel, abs=0), (key, g, w)
+            else:
+                assert g[key] == value, (key, g, w)
+
+
 def test_degeneration_checks_equal_the_kernel_reference():
+    """The checks take their norms from factors by products, the reference
+    from dense matrices, so the numbers agree to rounding; the tail rows at
+    k >= 4 are exact zeros on both sides."""
     plan = _omega_plan()
     field = fourier_field(F)
     # at k >= 4 the tail cutoff misses the support of A_k V_k and reads 0;
@@ -361,12 +388,78 @@ def test_degeneration_checks_equal_the_kernel_reference():
     ks = (1, *CHECK_KS)
     tail, small, rate, C = _reference_check_rows(plan, ks, GRIDS)
     assert tail[0]["value"] > 0
-    assert check_tail_cutoff(field, plan, ks, GRIDS) == tail
-    assert check_small_zone(field, plan, ks, GRIDS) == small
+    assert all(r["value"] == 0.0 for r in tail[1:])
+    got_tail = check_tail_cutoff(field, plan, ks, GRIDS)
+    assert got_tail[0]["value"] > 0
+    _assert_rows_close(got_tail, tail)
+    _assert_rows_close(check_small_zone(field, plan, ks, GRIDS), small)
     got = check_rate_envelope(field, plan, ks, GRIDS)
-    assert got["rows"] == rate and got["C"] == C
+    _assert_rows_close(got["rows"], rate)
+    assert got["C"] == pytest.approx(C, rel=1e-13, abs=0)
     assert got["passed"] == all(max(r["dev_a"], r["dev_b"]) <= r["bound"]
                                 for r in rate[2:])
+
+
+def _composites(field, plan, k, grids):
+    """The three composites the degeneration checks take norms of at k:
+    A_k - sigma_k, A_k V_k M (M the small-zone cutoff) and A_k V+ - V+ b M
+    (`check_rate_envelope`'s part (a))."""
+    rho_k, lam_k = plan.rho(k), plan.lam(k)
+    sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
+    A = field.pi(rho_k, lam_k, grids.lin)
+    AV = _generic_times_vk(A, rho_k, lam_k, grids)
+    M = cutoff_M(IntervalSpec.abs_le(plan.Rk(k) * abs(lam_k)), AV.domain)
+    plus = _vk_halves(rho_k, lam_k, grids)[0]
+    b = _two_point_pair(field, plan, k, plan.w_k(k), grids)[0]
+    return {"A - sigma": A - sigma(field, k, plan, grids), "A V M": AV.masked(M),
+            "A V - V b M": _half_deviation(A, plus, b)}
+
+
+def _dense(op):
+    return KernelOperator(op.domain, op.codomain, op.entries, op.label)
+
+
+@pytest.mark.parametrize("regime", ["OmegaNonzero", "OmegaZero"])
+def test_composite_norms_match_their_dense_entries(regime):
+    """op_norm of each composite, by products of its factors, is within
+    1e-13 relative of op_norm of its dense entries, on the field and on its
+    adjoint, at k = 4 and 64."""
+    plan = _omega_plan() if regime == "OmegaNonzero" else default_plan(
+        "OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    field = fourier_field(F_ASYM)
+    for f in (field, field.adjoint()):
+        for k in (4, 64):
+            for name, op in _composites(f, plan, k, GRIDS).items():
+                assert isinstance(op, CompositeOperator), name
+                want = op_norm(_dense(op))
+                assert want > 0, (name, k)
+                assert op_norm(op) == pytest.approx(want, rel=1e-13, abs=0), (name, k)
+
+
+def test_composite_norm_falls_back_to_the_dense_svd(monkeypatch):
+    """When Lanczos has not converged, the composite's dense copy goes to
+    the SVD, so the norm is the dense operator's SVD value exactly."""
+    monkeypatch.setattr(operators, "_LANCZOS_STEPS", 1)
+    for name, op in _composites(FIELD, _omega_plan(), 4, GRIDS).items():
+        dense = _dense(op)
+        svd = float(np.linalg.svd(dense.weighted(), compute_uv=False)[0])
+        assert op_norm(op) == op_norm(dense), name
+        assert op_norm(op) == pytest.approx(svd, rel=1e-14), name
+
+
+def test_a_structurally_empty_tail_row_is_exactly_zero():
+    """Beyond the tail cutoff V_k's block meets none of A_k's nonzero
+    columns, so the composite has no live term and its norm is 0.0 without
+    an iteration; its dense copy is all zeros."""
+    plan = _omega_plan()
+    k = 4
+    A = FIELD.pi(plan.rho(k), plan.lam(k), GRIDS.lin)
+    AV = _generic_times_vk(A, plan.rho(k), plan.lam(k), GRIDS)
+    tail = AV.masked(cutoff_M(IntervalSpec.abs_ge(plan.Rk(k)), AV.domain))
+    assert not tail.entries.any()
+    assert tail._products(np.ones(GRIDS.lin.n), np.ones(AV.domain.n)) is None
+    assert op_norm(tail) == 0.0
+    assert check_tail_cutoff(FIELD, plan, (k,), GRIDS)[0]["value"] == 0.0
 
 
 def test_degeneration_checks_read_the_field_cache():
@@ -445,37 +538,55 @@ def _traced_peak(fn):
 
 
 # each construction's peak in n^2 complex entries: its larger reading at
-# k = 4 and 64 (sigma_k_omega 1.50 and 1.49, sigma_k_zero 1.51 and 1.49)
-# plus a margin of n^2 / 8
-_SIGMA_PEAK_CAP = {"sigma_k_omega": 1.50 + 0.125, "sigma_k_zero": 1.51 + 0.125}
+# k = 4 and 64 (sigma_k_omega 0.71 and 0.41, sigma_k_zero 0.88 and 0.47)
+# plus a margin of n^2 / 16, so no n x n array fits under either cap
+_SIGMA_PEAK_CAP = {"sigma_k_omega": 0.71 + 0.0625, "sigma_k_zero": 0.88 + 0.0625}
 
 
 def test_limit_constructions_and_norms_stay_under_a_memory_cap():
-    """At n = 512, n_half = 384, with every field value already cached:
+    """At n = 512, n_half = 384, with every field value cached in a scope:
     sigma_k_omega and sigma_k_zero at k = 4 and 64 peak at no more than
-    their `_SIGMA_PEAK_CAP` in n^2 complex entries (the n x n result is one;
-    the half-line values are structured, and only their blocks on V_k's log
-    window are made dense), and op_norm and compact_defect of each
-    deviation A_k - sigma_k at no more than the bytes of its nonzero block
-    plus 1 MiB (a weighted copy of the whole matrix would add n^2)."""
+    their `_SIGMA_PEAK_CAP` in n^2 complex entries, which admits no n x n
+    array (sigma_k is kept as thin factors, and the half-line values are
+    structured, only their blocks on V_k's log window made dense), and
+    op_norm of each deviation A_k - sigma_k, by products of the factors, at
+    no more than 1 MiB (a copy of A_k alone would be 4 MiB)."""
     grids = FieldGrids.default(n_lin=512, n_half=384)
     n = grids.lin.n
-    field = fourier_field(F)
+    field = fourier_field(F).scope()
     plans = ((sigma_k_omega, _omega_plan()),
              (sigma_k_zero, default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))))
     for k in (4, 64):
         for sigma, plan in plans:
             A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-            sigma(field, k, plan, grids)  # fills the cache
+            sigma(field, k, plan, grids)  # fills the scope
             S, peak = _traced_peak(lambda: sigma(field, k, plan, grids))
             assert peak <= _SIGMA_PEAK_CAP[sigma.__name__] * n * n * 16, (
                 sigma.__name__, k, peak / (n * n * 16))
             D = A - S
-            del S
-            block = int(D.entries.any(axis=1).sum() * D.entries.any(axis=0).sum()) * 16
-            for measure in (op_norm, lambda op: compact_defect(op, 64)):
-                _, peak = _traced_peak(lambda: measure(D))
-                assert peak <= block + 2 ** 20, (sigma.__name__, k, peak - block)
+            _, peak = _traced_peak(lambda: op_norm(D))
+            assert peak <= 2 ** 20, (sigma.__name__, k, peak)
+
+
+def test_degeneration_rows_allocate_less_than_the_generic_operator():
+    """At n = 512, n_half = 384 and k = 4, with the generic operator and the
+    half-line values cached in a scope, one row of `deviation_rows`,
+    `check_small_zone` and `check_rate_envelope` peaks below the bytes of
+    A_k itself (0.64-0.88 of them): no n x n or n x n_half array is formed
+    besides A_k."""
+    grids = FieldGrids.default(n_lin=512, n_half=384)
+    pi_bytes = grids.lin.n ** 2 * 16
+    k = 4
+    for plan in (_omega_plan(),
+                 default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))):
+        field = fourier_field(F).scope()
+        checks = [deviation_rows, check_small_zone]
+        if plan.regime == "OmegaNonzero":
+            checks.append(check_rate_envelope)
+        for check in checks:
+            check(field, plan, (k,), grids)  # fills the scope
+            _, peak = _traced_peak(lambda: check(field, plan, (k,), grids))
+            assert peak < pi_bytes, (check.__name__, plan.regime, peak / pi_bytes)
 
 
 def test_one_3c_row_allocates_far_less_than_one_half_line_matrix():

@@ -16,6 +16,7 @@ from boidol.operators import (
     _LANCZOS_STEPS,
     _lanczos_norm,
     _nonzero_block,
+    CompositeOperator,
     IntervalSpec,
     KernelOperator,
     compact_defect,
@@ -295,6 +296,46 @@ def test_op_norm_sees_odd_and_even_top_vectors():
                    + np.outer(low, low) / l2(grid, low) ** 2)
             A = KernelOperator(grid, grid, ent.astype(complex))
             assert abs(op_norm(A) - 2.0) <= 1e-13
+
+
+def test_composite_is_its_dense_kernel_under_every_operation():
+    """A composite A - L o R* + P o Q (factors on windows of the grid) has
+    the entries, adjoint, cutoff and norm of the dense kernel it stands
+    for, and `-` with a dense operator keeps that operator's entries as
+    its base without a copy."""
+    rng = np.random.default_rng(5)
+    mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
+    rows, cols = LIN.window(40, 50), LIN.window(20, 34)
+    L = KernelOperator(mid, rows, _cplx(rng, rows.n, mid.n))
+    R = KernelOperator(mid, rows, _cplx(rng, rows.n, mid.n))
+    P = KernelOperator(mid, LIN, _cplx(rng, LIN.n, mid.n))
+    Q = KernelOperator(cols, mid, _cplx(rng, mid.n, cols.n))
+    A = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
+    C = A - (CompositeOperator.product(L, R, LIN, LIN, adjoint=True)
+             - CompositeOperator.product(P, Q, LIN, LIN))
+    assert C.base is A.entries
+    want = A.entries.copy()
+    want[rows.cells, rows.cells] -= (L @ R.adjoint()).entries
+    want[:, cols.cells] += (P @ Q).entries
+    assert np.allclose(C.entries, want, rtol=0, atol=1e-12)
+    assert np.allclose(C.adjoint().entries, np.conj(want).T, rtol=0, atol=1e-12)
+    keep = LIN.points > 0.5
+    assert np.allclose(C.masked(keep).entries, np.where(keep, want, 0), rtol=0, atol=1e-12)
+    dense = KernelOperator(LIN, LIN, want)
+    for op, ref in ((C, dense), (C.adjoint(), dense.adjoint())):
+        assert abs(op_norm(op) - op_norm(ref)) <= 1e-13 * op_norm(ref)
+
+
+def test_composite_with_a_non_finite_factor_raises():
+    """A NaN in a factor stops the Lanczos iteration, and the dense fallback
+    reports it as `NonFiniteOperator`, as for a dense operator."""
+    mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
+    left = np.ones((LIN.n, mid.n), complex)
+    left[3, 4] = np.nan
+    C = CompositeOperator.product(KernelOperator(mid, LIN, left),
+                                  KernelOperator(LIN, mid, np.ones((mid.n, LIN.n))))
+    with pytest.raises(NonFiniteOperator):
+        op_norm(C)
 
 
 def test_lanczos_falls_back_to_full_svd_on_a_flat_spectrum():
