@@ -471,14 +471,9 @@ def _vk_halves(rho_k: float, lam_k: float,
     the s > 0 linear cells, and V- maps the same window of the minus one's
     cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
     conjugate transpose of `vk_adjoint`, which restores `vk_operator`'s
-    entries exactly: `vk_adjoint`'s fresh block is conjugated in place and
-    read transposed, so no copy is made.  V- is V+ with its rows reversed,
-    a view.
+    entries exactly, and V- is V+ with its rows reversed, a view.
     """
-    adjoint = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair)
-    ent = adjoint.entries.T
-    np.conj(ent, out=ent)
-    plus = KernelOperator(adjoint.codomain, adjoint.domain, ent)
+    plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
     rows, cols, n = plus.codomain, plus.domain, grids.lin.n
     minus = KernelOperator(grids.minus.window(cols.start, cols.start + cols.n),
                            grids.lin.window(n - rows.start - rows.n, n - rows.start),

@@ -241,7 +241,6 @@ def vk_adjoint(rho_k: float, lambda_k: float, lin_grid: GridSpec,
     adjointness holds exactly at matrix level: it maps the same window of
     s > 0 linear cells back to the same window of plus-half log cells.
     """
-    V = vk_operator(rho_k, lambda_k, log_pair, lin_grid)
-    ent = V.entries
-    np.conj(ent, out=ent)  # V's block is fresh: conjugated in place, no copy
-    return KernelOperator(V.codomain, V.domain, ent.T, f"V*({rho_k},{lambda_k})")
+    A = vk_operator(rho_k, lambda_k, log_pair, lin_grid).adjoint()
+    return KernelOperator(A.domain, A.codomain, A.entries,
+                          f"V*({rho_k},{lambda_k})")

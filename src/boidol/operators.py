@@ -136,19 +136,14 @@ class KernelOperator:
         a, b, w = self.entries, other.entries, self.domain.weights
         rows, cols = a.any(axis=1), b.any(axis=0)
         mid = a.any(axis=0) & b.any(axis=1)
-        shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
-        if mid.all() and cols.all():
-            wb = w[:, None] * b
-        else:  # a fresh block, weighted in place
-            wb = b[np.ix_(mid, cols)]
-            wb *= w[mid, None]
-        del b  # entries that `other` built on this read are freed here
-        left = a if rows.all() and mid.all() else a[np.ix_(rows, mid)]
-        block = left @ wb
-        if rows.all() and cols.all():
-            ent = block
+        if rows.all() and cols.all() and mid.all():
+            ent = a @ (w[:, None] * b)
         else:
-            del left, wb
+            shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
+            wb = w[mid, None] * b[np.ix_(mid, cols)]
+            del b  # entries that `other` built on this read are freed here
+            block = a[np.ix_(rows, mid)] @ wb
+            del wb  # the result is allocated once the product's inputs are gone
             ent = np.zeros(shape, dtype)
             ent[np.ix_(rows, cols)] = block
         return KernelOperator(other.domain, self.codomain, ent,
@@ -223,7 +218,6 @@ class _Part(NamedTuple):
                 ent = term
             else:
                 ent += term
-            del term  # freed before the next term is built
         if ent is None:
             ent = np.zeros((rows.stop - rows.start, cols.stop - cols.start), complex)
         return ent
@@ -572,12 +566,14 @@ class CompositeOperator:
                                  f"({self.label})*")
 
     def masked(self, keep: np.ndarray) -> "CompositeOperator":
-        """self o M_keep: each right factor and the base with the columns
-        outside `keep` set to exact zeros (copies of the factors)."""
+        """self o M_keep: each right factor with the columns outside `keep`
+        set to exact zeros (copies of the factors).  Only a composite
+        without a base is masked."""
+        if self.base is not None:
+            raise ValueError("masked needs a composite without a base")
         terms = tuple(t._replace(right=np.where(keep[t.cols], _dense(t.right), 0))
                       for t in self.terms)
-        base = None if self.base is None else np.where(keep, _dense(self.base), 0)
-        return CompositeOperator(self.domain, self.codomain, terms, base,
+        return CompositeOperator(self.domain, self.codomain, terms, None,
                                  f"{self.label}.M")
 
     def __add__(self, other):
@@ -604,20 +600,14 @@ class CompositeOperator:
 
 
 def _combined(x, y, sign: float) -> CompositeOperator:
-    """x + sign * y as a `CompositeOperator`, one of them a composite and the
-    other any operator (its entries are then a base): the terms are
-    concatenated; a base of y is negated and two bases are added, copies
-    made only then."""
-
-    def split(op):
-        return (op.base, op.terms) if isinstance(op, CompositeOperator) else (op.entries, ())
-
-    (bx, tx), (by, ty) = split(x), split(y)
-    if sign < 0:
-        by = None if by is None else -_dense(by)
-        ty = tuple(t._replace(sign=-t.sign) for t in ty)
-    base = by if bx is None else bx if by is None else _dense(bx) + _dense(by)
-    return CompositeOperator(x.domain, x.codomain, tx + ty, base, x.label)
+    """x + sign * y as a `CompositeOperator`, y a composite without a base
+    and x a composite or any operator (whose entries are then the base,
+    without a copy): the terms are concatenated."""
+    if not isinstance(y, CompositeOperator) or y.base is not None:
+        raise ValueError("the right operand must be a composite without a base")
+    bx, tx = (x.base, x.terms) if isinstance(x, CompositeOperator) else (x.entries, ())
+    ty = y.terms if sign > 0 else tuple(t._replace(sign=-t.sign) for t in y.terms)
+    return CompositeOperator(x.domain, x.codomain, tx + ty, bx, x.label)
 
 
 class _Weighted:
@@ -747,7 +737,8 @@ def _lanczos_norm(W) -> tuple[float | None, int]:
     that residual is at most `_LANCZOS_TOL` times it, and None after
     `_LANCZOS_STEPS` steps without that, when W kills the start vector, or
     when an entry of B is not finite (a non-finite factor of a structured
-    W, which the caller's dense fallback then reports).  An exhausted Krylov space gives a zero entry and so stops.
+    W, which the caller's dense fallback then reports).  An exhausted
+    Krylov space gives a zero entry and so stops.
     """
     m, n = W.shape
     dtype = np.result_type(W.dtype, 1.0)

@@ -611,7 +611,7 @@ def test_benchmark_harness_binds_to_the_package(tmp_path):
 
 
 # peak RSS budget of `boidol --grid-scale 4 dstar` on the default config, in
-# MiB; it read 403.5 MiB in 25 s on a 2-core x86-64 host with OpenBLAS
+# MiB; it read 403.7 MiB in 22 s on a 2-core x86-64 host with OpenBLAS
 _SCALE4_BUDGET_MIB = 450
 _ADDRESS_LIMIT_KIB = 6815744  # the `ulimit -v` the measurement runs under
 

@@ -300,9 +300,10 @@ def test_op_norm_sees_odd_and_even_top_vectors():
 
 def test_composite_is_its_dense_kernel_under_every_operation():
     """A composite A - L o R* + P o Q (factors on windows of the grid) has
-    the entries, adjoint, cutoff and norm of the dense kernel it stands
-    for, and `-` with a dense operator keeps that operator's entries as
-    its base without a copy."""
+    the entries, adjoint and norm of the dense kernel it stands for, and
+    `-` with a dense operator keeps that operator's entries as its base
+    without a copy; L o R* - P o Q, without a base, has the cutoff of its
+    dense kernel."""
     rng = np.random.default_rng(5)
     mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
     rows, cols = LIN.window(40, 50), LIN.window(20, 34)
@@ -311,8 +312,9 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     P = KernelOperator(mid, LIN, _cplx(rng, LIN.n, mid.n))
     Q = KernelOperator(cols, mid, _cplx(rng, mid.n, cols.n))
     A = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
-    C = A - (CompositeOperator.product(L, R, LIN, LIN, adjoint=True)
+    terms = (CompositeOperator.product(L, R, LIN, LIN, adjoint=True)
              - CompositeOperator.product(P, Q, LIN, LIN))
+    C = A - terms
     assert C.base is A.entries
     want = A.entries.copy()
     want[rows.cells, rows.cells] -= (L @ R.adjoint()).entries
@@ -320,7 +322,8 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     assert np.allclose(C.entries, want, rtol=0, atol=1e-12)
     assert np.allclose(C.adjoint().entries, np.conj(want).T, rtol=0, atol=1e-12)
     keep = LIN.points > 0.5
-    assert np.allclose(C.masked(keep).entries, np.where(keep, want, 0), rtol=0, atol=1e-12)
+    assert np.allclose(terms.masked(keep).entries, np.where(keep, A.entries - want, 0),
+                       rtol=0, atol=1e-12)
     dense = KernelOperator(LIN, LIN, want)
     for op, ref in ((C, dense), (C.adjoint(), dense.adjoint())):
         assert abs(op_norm(op) - op_norm(ref)) <= 1e-13 * op_norm(ref)
