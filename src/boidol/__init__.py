@@ -56,9 +56,8 @@ from .testfun import (
 )
 from .operators import (
     IntervalSpec,
-    CompositeOperator,
     KernelOperator,
-    ToeplitzOperator,
+    StructuredOperator,
     compact_defect,
     cutoff_M,
     flip_S,

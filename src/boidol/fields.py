@@ -36,10 +36,9 @@ from .kernels import (
     vk_adjoint,
 )
 from .operators import (
-    CompositeOperator,
     IntervalSpec,
     KernelOperator,
-    ToeplitzOperator,
+    StructuredOperator,
     compact_defect,
     cutoff_M,
     op_norm,
@@ -167,8 +166,9 @@ class OperatorField:
     ("ell", mu, nu, grid) on linear grids, ("tau", mu, nu, grid) on log
     half-line grids, and ("char", tau) giving a complex scalar.  On the
     Fourier field a generic value is a dense `KernelOperator` (n^2 complex
-    entries) and an "ell" or "tau" value a `ToeplitzOperator`, which holds
-    O(n): on the default grid 4 MiB against 12-16 KiB.
+    entries) and an "ell" or "tau" value a `StructuredOperator` holding
+    one near-convolution kernel, O(n): on the default grid 4 MiB against
+    12-16 KiB.
 
     One retention rule: a field keeps its characters, complex scalars, and
     no operator, which its provider builds again on each read.  Only a
@@ -207,7 +207,7 @@ class OperatorField:
         """The pointwise adjoint field.
 
         Each read takes the adjoint of the base's value (O(n^2) for a dense
-        one, O(n) for a `ToeplitzOperator`), or conjugates it at a
+        one, O(n) for a structured one), or conjugates it at a
         character; the adjoint of a scope's operator is taken from the
         operator the scope keeps, so it builds nothing.
         """
@@ -421,7 +421,8 @@ def default_plan(regime: str, rho_seq, lambda_seq,
                  k_max: int = 4 ** 16) -> SequencePlan:
     """Build the standard scale sequences for a parameter sequence."""
     eps = 1 if lambda_seq(4) > 0 else -1
-    om_far, om_mid = rho_seq(k_max) * lambda_seq(k_max), rho_seq(k_max // 2) * lambda_seq(k_max // 2)
+    om_far = rho_seq(k_max) * lambda_seq(k_max)
+    om_mid = rho_seq(k_max // 2) * lambda_seq(k_max // 2)
     if regime == "OmegaNonzero":
         if abs(om_far - om_mid) > 1e-3 * max(1.0, abs(om_far)) or om_far == 0:
             raise PlanInfeasible("rho_k lambda_k does not settle at a nonzero omega")
@@ -482,7 +483,7 @@ def _vk_halves(rho_k: float, lam_k: float,
 
 
 def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
-                        label: str) -> CompositeOperator:
+                        label: str) -> StructuredOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
     and b_minus on the minus one, (b_plus, b_minus) = pair, as its thin
     factors, one sign half of V_k at a time (`_vk_halves`).
@@ -494,12 +495,12 @@ def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
     factors C = V b (`compose` of V_k's nonzero block of that sign with b's
     block on the log cells the half reaches, at most r x m = 256 x 228 on
     the default grid) and V itself, read as V* through products
-    (`CompositeOperator.product`).  b's other cells, which V_k never
-    reaches, enter no product, of a `ToeplitzOperator` b only that block is
-    made dense, and no n x n array is allocated.
+    (`StructuredOperator.product`).  b's other cells, which V_k never
+    reaches, enter no product, of a structured b only that block is made
+    dense, and no n x n array is allocated.
     """
-    plus, minus = (CompositeOperator.product(v @ b.restricted(v.domain, v.domain), v,
-                                             grids.lin, grids.lin, adjoint=True)
+    plus, minus = (StructuredOperator.product(v @ b.restricted(v.domain, v.domain), v,
+                                              grids.lin, grids.lin, adjoint=True)
                    for v, b in zip(_vk_halves(rho_k, lam_k, grids), pair))
     return replace(plus + minus, label=label)
 
@@ -518,7 +519,7 @@ def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                  grids: FieldGrids) -> CompositeOperator:
+                  grids: FieldGrids) -> StructuredOperator:
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
@@ -536,16 +537,16 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
-             half: int, grids: FieldGrids) -> KernelOperator:
+             half: int, grids: FieldGrids) -> StructuredOperator:
     """The three-zone approximation on one half-line model.
 
     Zone one keeps the running two-parameter point, zone two the fully
     degenerate point, zone three the point displaced along the other axis.
     The result is the sum of the three operators each masked to its zone,
     so each zone's columns are its operator's, and the columns outside the
-    zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's
-    `ToeplitzOperator` values the sum is one too, O(n), and only the blocks
-    its readers compose are ever dense.  Zones that share a grid node raise
+    zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's structured
+    values the sum is one too, O(n), and only the blocks its readers
+    compose are ever dense.  Zones that share a grid node raise
     ZoneOverlap.
     """
     if plan.regime != "OmegaZero":
@@ -571,7 +572,7 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                 grids: FieldGrids) -> CompositeOperator:
+                 grids: FieldGrids) -> StructuredOperator:
     """Both three-zone halves conjugated back to the line, each by its own
     sign half of V_k (`_conjugated_to_line`), as thin factors.  On the
     field's structured values only each half's block on V_k's log window
@@ -598,7 +599,7 @@ def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     limit approximation of the plan's regime: `sigma_k_omega` for
     "OmegaNonzero", `sigma_k_zero` for "OmegaZero".  Each row is the plan
     row of k with `value` the deviation and `bound` None.  A_k - sigma_k is
-    a `CompositeOperator`, A_k's entries minus sigma_k's thin factors, so
+    a `StructuredOperator`, A_k's entries minus sigma_k's thin factors, so
     `op_norm` takes it by products and no n x n array besides A_k exists.
     """
     # looked up here, not bound once, so a replaced module attribute is called
@@ -619,8 +620,8 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     `dev_plus` is ||tau(w_k, -eps) - s_k(+1)|| on the positive half-line
     model and `dev_minus` ||tau(-w_k, eps) - s_k(-1)|| on the negative one,
     with s_k from `s_k_zero`; `value` is the larger of the two and `bound`
-    None.  On the field's `ToeplitzOperator` values each difference is one
-    too, with each term's column factors subtracted, and `op_norm` reads it
+    None.  On the field's structured values each difference is one too,
+    with each kernel's column factors subtracted, and `op_norm` reads it
     through FFTs: no n_half x n_half array is formed.
     """
     eps = float(plan.eps)
@@ -637,7 +638,7 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
 
 
 def _generic_times_vk(A: KernelOperator, rho_k: float, lam_k: float,
-                      grids: FieldGrids) -> CompositeOperator:
+                      grids: FieldGrids) -> StructuredOperator:
     """A V_k = [A V+ | A V-] on the window of the log pair that V_k's halves
     reach, as factors: each half is A's block of columns on the linear
     cells that half reaches (a view) times its nonzero block (`_vk_halves`),
@@ -646,7 +647,7 @@ def _generic_times_vk(A: KernelOperator, rho_k: float, lam_k: float,
     halves = _vk_halves(rho_k, lam_k, grids)
     cells = halves[0].domain
     window = grids.pair.window(cells.start, cells.start + cells.n)
-    plus, minus = (CompositeOperator.product(
+    plus, minus = (StructuredOperator.product(
         A.restricted(v.codomain), v, window, grids.lin,
         cols=slice(i * cells.n, (i + 1) * cells.n)) for i, v in enumerate(halves))
     return plus + minus
@@ -657,11 +658,11 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
     """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to
     `interval(k)` on the log pair.
 
-    The mask is applied to V_k's block, so neither A_k V_k nor its masked
-    copy is formed, and `op_norm` takes the norm by products.  A row whose
-    mask leaves V_k no column that meets A_k's nonzero columns reads exactly
-    0.0.  The generic operators are read from the field, so a `scope()`
-    that has them builds none.
+    The mask is the column mask of A_k V_k's terms, so neither A_k V_k nor
+    a masked copy of it or of V_k's block is formed, and `op_norm` takes
+    the norm by products.  A row whose mask leaves V_k no column that meets
+    A_k's nonzero columns reads exactly 0.0.  The generic operators are
+    read from the field, so a `scope()` that has them builds none.
     """
     rows = []
     for k in ks:
@@ -695,7 +696,7 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
 
 
 def _half_deviation(A: KernelOperator, v: KernelOperator,
-                    b) -> CompositeOperator:
+                    b) -> StructuredOperator:
     """A V - V b for one sign half V of V_k, given as its nonzero block, and
     b on that half's whole half-line model, as factors.
 
@@ -703,9 +704,9 @@ def _half_deviation(A: KernelOperator, v: KernelOperator,
     V, on the log cells V reaches; V b is V times b's rows on those cells
     (that m x n_half block made dense), on the linear cells V reaches.
     """
-    return (CompositeOperator.product(A.restricted(v.codomain), v, b.domain, A.codomain)
-            - CompositeOperator.product(v, b.restricted(codomain=v.domain),
-                                        b.domain, A.codomain))
+    return (StructuredOperator.product(A.restricted(v.codomain), v, b.domain, A.codomain)
+            - StructuredOperator.product(v, b.restricted(codomain=v.domain),
+                                         b.domain, A.codomain))
 
 
 def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
@@ -830,7 +831,7 @@ def _line_transform(psi: np.ndarray, taus: np.ndarray, grid: GridSpec) -> np.nda
 
 
 def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
-                 f_d: np.ndarray = None) -> ToeplitzOperator:
+                 f_d: np.ndarray = None) -> StructuredOperator:
     """Extend a scalar field on the character line to a two-parameter point.
 
     The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
@@ -850,7 +851,7 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
     t = grid.nodes
     qcol = _qhat(mu * np.exp(t), nu * np.exp(-t))
     # entry (i, j) is f_d[n - 1 + i - j] qcol[j], the Toeplitz of f_d reversed
-    return ToeplitzOperator.near_convolution(grid, ((1.0, f_d[::-1], qcol),),
+    return StructuredOperator.near_convolution(grid, ((1.0, f_d[::-1], qcol),),
                                              f"sigma0({mu},{nu})")
 
 
@@ -1145,8 +1146,9 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     both read (10 on the default config) are built twice.  Conditions 1,
     2a, 2b, 3a and 3b run on `field` itself, which keeps no operator: each
     value they read again (pi(0, 1) in 1, 2a and 2b; ell(0.7, 1) and
-    ell(1.3, 1) in 3a and 3b) is built again.  The characters, which 3d and 3a both read, stay in the field, so after
-    the report the field holds only characters.
+    ell(1.3, 1) in 3a and 3b) is built again.  The characters, which 3d
+    and 3a both read, stay in the field, so after the report the field
+    holds only characters.
 
     Each adjoint run is a nested call restricted to its condition:
     `_checks` is that restriction, run on the given field itself with no

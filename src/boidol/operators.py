@@ -7,28 +7,26 @@ The L^2 -> L^2 operator norm is the largest singular value of the
 symmetrically weighted matrix W_cod^(1/2) entries W_dom^(1/2).
 
 A `KernelOperator` stores the kernel as a dense matrix, `entries`.  A
-`ToeplitzOperator` keeps near-convolution kernels as their terms, each
-diag(l) T(b) diag(r) with T(b) Toeplitz: 2n - 1 samples of b and O(n)
-factors.  Its `adjoint`, `masked`, `restricted`, sums and differences stay
-structured, and its `entries` property builds the dense matrix on each
-read, bit for bit what the same operations give on the dense kernel.  The
-package reads that copy only where a dense routine needs it: the SVD of
-`compact_defect`, `compose` (`@`), through which the limit constructions
-read the blocks on V_k's log window, and `+` or `-` with a dense operator.
-Both kinds have `domain`, `codomain`, `label`, `entries`, `nbytes`,
-`apply`, `weighted`, `adjoint`, `masked`, `restricted`, `compose`, `+`
-and `-`.
+`StructuredOperator` keeps it as a signed sum of terms, each a part cut by
+boolean masks on its rows and columns.  A part is a near-convolution
+kernel sum_t coeff_t T(b_t) diag(col_t), T(b) Toeplitz, kept as 2n - 1
+samples of b and n column factors per term (every ell and tau value); a
+product L diag(w) R of two dense factors on a block of cells (the limit
+constructions V_k b V_k*, A_k V_k and V b); or a dense matrix.  A matrix
+may be read as its adjoint, without a copy.
 
-A `CompositeOperator` keeps a sum of products as their factors: a dense
-base plus or minus terms sign * L diag(w) R on blocks of cells, L and R
-dense factors (R possibly read as an adjoint, without a copy) and w the
-middle grid's weights.  The degeneration checks build their differences
-and products this way: A_k - sigma_k is A_k's entries minus sigma_k's thin
-factors C diag(w) V*, and A_k V_k M a column block of A_k times V_k's
-masked block, so no n x n or n x n_half array is formed besides A_k.  It
-has `domain`, `codomain`, `label`, `entries` (the dense kernel, built on
-each read), `adjoint`, `masked`, `+` and `-`; A - composite, A a
-`KernelOperator`, keeps A's entries as the base without a copy.
+`adjoint`, `masked` and `restricted` map each term.  Both classes share one
+sum rule for `+` and `-`: two dense operators give a dense one, and any
+other pair the concatenation of their terms, a dense operand being one
+dense term that holds its entries.  So tau - s_k is a difference of
+near-convolution kernels and A_k - sigma_k is A_k's entries minus sigma_k's
+thin factors.  The `entries` of a structured operator are built on each
+read, bit for bit what the same operations give on the dense kernels; the
+package reads them only where a dense routine needs them: the SVD of
+`compact_defect`, `compose` (`@`), through which the limit constructions
+read the blocks on V_k's log window, and `op_norm`'s SVD fallback.  Both
+classes have `domain`, `codomain`, `label`, `entries`, `nbytes`, `apply`,
+`weighted`, `adjoint`, `masked`, `restricted`, `compose`, `+` and `-`.
 
 A cutoff (multiplication by the indicator of a region) is kept as its
 boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
@@ -46,13 +44,15 @@ only the rounding of the smaller LAPACK or BLAS call differs.
 Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization, from
 a fixed start vector: a few products with the weighted operator and its
 adjoint instead of an O(n^3) SVD, from the nonzero block of a dense
-operator, by FFTs for a `ToeplitzOperator`, and by products of the factors
-for a `CompositeOperator`, the square-root weights applied to the vectors.
-It stops once the residual of the top Ritz triple is at most 1e-14 of its
-value, and takes the full SVD of the dense copy when that has not happened
-after 64 steps.  A structured operator with no live term (a composite
-whose factors never meet) is exactly zero and gives 0.0.  `compact_defect`
-needs a whole spectrum and keeps the full SVD.
+operator, and term by term for a structured one, by FFTs for its
+near-convolution kernels (those with one symbol merged first) and by
+products of the factors or the matrix for its other parts, the square-root
+weights applied to the vectors.  It stops once the residual of the top
+Ritz triple is at most 1e-14 of its value, and takes the full SVD of the
+dense copy when that has not happened after 64 steps.  A structured
+operator with no live term (no part holds a nonzero within its masks) is
+exactly zero and gives 0.0.  `compact_defect` needs a whole spectrum and
+keeps the full SVD.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ from .grids import GridSpec
 
 __all__ = [
     "KernelOperator",
-    "ToeplitzOperator",
-    "CompositeOperator",
+    "StructuredOperator",
     "IntervalSpec",
     "op_norm",
     "compact_defect",
@@ -175,14 +174,10 @@ class KernelOperator:
         return self.compose(other)
 
     def __add__(self, other):
-        return KernelOperator(self.domain, self.codomain,
-                              self.entries + other.entries, self.label)
+        return _sum(self, other, 1.0)
 
     def __sub__(self, other):
-        if isinstance(other, CompositeOperator):
-            return NotImplemented  # stays factored: CompositeOperator.__rsub__
-        return KernelOperator(self.domain, self.codomain,
-                              self.entries - other.entries, self.label)
+        return _sum(self, other, -1.0)
 
     def __mul__(self, c):
         return KernelOperator(self.domain, self.codomain, self.entries * c, self.label)
@@ -193,18 +188,63 @@ class KernelOperator:
         return self * (-1.0)
 
 
-class _Part(NamedTuple):
-    """One near-convolution kernel sum_t coeff_t T(b_t) diag(col_t) on an
+class _Adjoint:
+    """The conjugate transpose of a matrix, read through products, `any`
+    and slices only, so no conjugate copy is made."""
+
+    __array_ufunc__ = None  # y @ adjoint with an ndarray y calls __rmatmul__
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.shape = matrix.shape[::-1]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.conj(np.conj(x) @ self.matrix)
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return np.conj(self.matrix @ np.conj(y))
+
+    def __getitem__(self, key) -> "_Adjoint":
+        rows, cols = key
+        return _Adjoint(self.matrix[cols, rows])
+
+    def any(self, axis: int):
+        return self.matrix.any(axis=1 - axis)
+
+
+def _adjoint(a):
+    """The conjugate transpose of a matrix, without a copy."""
+    return a.matrix if isinstance(a, _Adjoint) else _Adjoint(a)
+
+
+def _dense(a) -> np.ndarray:
+    """A matrix as an array (a conjugate copy for an `_Adjoint`)."""
+    return np.conj(a.matrix).T if isinstance(a, _Adjoint) else a
+
+
+def _reaches(a, keep) -> np.ndarray:
+    """Whether each row of the matrix `a` holds a nonzero in a column that
+    `keep` selects (None: in any column)."""
+    return (a if keep is None else a[:, keep]).any(axis=1)
+
+
+def _cut(cells: slice, at: int, size: int) -> tuple[slice, slice]:
+    """The cells of `cells` inside the window at, ..., at + size - 1: as
+    cells of that window, and as positions within `cells`."""
+    lo = max(cells.start, at)
+    hi = max(min(cells.stop, at + size), lo)
+    return slice(lo - at, hi - at), slice(lo - cells.start, hi - cells.start)
+
+
+class _Convolution(NamedTuple):
+    """The near-convolution kernel sum_t coeff_t T(b_t) diag(col_t) on an
     n-cell grid, T(b)[i, j] = b[n - 1 - i + j], with (coeff, b, col) per
-    term in `terms`, as its block on an operator's windows: conjugate-
-    transposed when `adjoint`, zero outside the `rows` and `cols` masks
-    (None keeps all), times `sign`."""
+    term in `terms`, conjugate-transposed when `star`.  An operator reads it
+    on the cells of its windows of that grid."""
 
     terms: tuple
-    adjoint: bool = False
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    sign: float = 1.0
+    star: bool = False
+    rows = cols = slice(None)
 
     def kernel_block(self, rows: slice, cols: slice) -> np.ndarray:
         """The kernel on the given cells: coeff * T(b) * col per term, T(b)
@@ -222,112 +262,250 @@ class _Part(NamedTuple):
             ent = np.zeros((rows.stop - rows.start, cols.stop - cols.start), complex)
         return ent
 
-    def block(self, rows: slice, cols: slice) -> np.ndarray:
-        """This part without its sign on the given cells of its operator."""
-        out = (np.conj(self.kernel_block(cols, rows)).T if self.adjoint
-               else self.kernel_block(rows, cols))
-        # out is a fresh array (a kernel block or its conjugate transpose),
-        # so the masks are applied in place
-        if self.cols is not None:
-            out[:, ~self.cols] = 0
-        if self.rows is not None:
-            out[~self.rows] = 0
-        return out
+    def block(self, codomain: GridSpec, domain: GridSpec) -> np.ndarray:
+        rows, cols = codomain.cells, domain.cells
+        if self.star:
+            return np.conj(self.kernel_block(cols, rows)).T
+        return self.kernel_block(rows, cols)
+
+    def adjoint(self) -> "_Convolution":
+        return self._replace(star=not self.star)
+
+    def restricted(self, r: int, c: int, m: int, n: int) -> "_Convolution":
+        return self  # read on the cells of the restricted operator's windows
+
+    def toeplitz(self, codomain: GridSpec, domain: GridSpec, l: np.ndarray,
+                 r: np.ndarray, sign: float):
+        """(s, mu, l, r) per term: its block on the operator's cells is
+        diag(l) T diag(r), or diag(l) T* diag(r) when `star`, with T[i, j] =
+        s[mu - 1 - i + j] of mu rows; the coefficient, the column factor and
+        `sign` are taken into r, or into l when `star`."""
+        m, p = codomain.n, domain.n
+        rows, cols = codomain.cells, domain.cells
+        # the block's first row and column and its height in the kernel,
+        # whose rows are the operator's columns when `star`
+        r0, c0, mu = (cols.start, rows.start, p) if self.star else (rows.start, cols.start, m)
+        for coeff, b, col in self.terms:
+            d = len(col) - mu - r0 + c0
+            if self.star:
+                yield b[d:d + m + p - 1], mu, sign * np.conj(coeff * col[rows]) * l, r
+            else:
+                yield b[d:d + m + p - 1], mu, l, (sign * coeff) * col[cols] * r
+
+
+class _Product(NamedTuple):
+    """left diag(weights) right on the cells `rows` of its operator's
+    codomain and `cols` of its domain: left and right are arrays or
+    `_Adjoint`s, and weights are the middle grid's."""
+
+    left: object
+    weights: np.ndarray
+    right: object
+    rows: slice
+    cols: slice
+    __array_ufunc__ = None  # y @ product with an ndarray y calls __rmatmul__
+
+    def block(self, codomain: GridSpec, domain: GridSpec) -> np.ndarray:
+        return _dense(self.left) @ (self.weights[:, None] * _dense(self.right))
+
+    def adjoint(self) -> "_Product":
+        """Each factor read as its adjoint: no copy."""
+        return _Product(_adjoint(self.right), self.weights, _adjoint(self.left),
+                        self.cols, self.rows)
+
+    def restricted(self, r: int, c: int, m: int, n: int) -> "_Product":
+        (rows, at), (cols, ct) = _cut(self.rows, r, m), _cut(self.cols, c, n)
+        return _Product(self.left[at, :], self.weights, self.right[:, ct], rows, cols)
+
+    def live(self, rows, cols) -> bool:
+        """Whether the factors meet: at a middle index where left holds a
+        nonzero in a row `rows` selects and right one in a column `cols`
+        selects (None: in any)."""
+        return bool(np.any(_reaches(_adjoint(self.left), rows) & _reaches(self.right, cols)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.left @ (self.weights * (self.right @ x))
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return ((y @ self.left) * self.weights) @ self.right
+
+
+class _Dense(NamedTuple):
+    """A matrix on all of its operator's cells: an array, or an `_Adjoint`
+    of one."""
+
+    matrix: object
+    rows = cols = slice(None)
+
+    def block(self, codomain: GridSpec, domain: GridSpec) -> np.ndarray:
+        m = self.matrix
+        return np.conj(m.matrix).T if isinstance(m, _Adjoint) else np.array(m, complex)
+
+    def adjoint(self) -> "_Dense":
+        return _Dense(_adjoint(self.matrix))
+
+    def restricted(self, r: int, c: int, m: int, n: int) -> "_Dense":
+        return _Dense(self.matrix[r:r + m, c:c + n])
+
+    def live(self, rows, cols) -> bool:
+        """Whether the matrix holds a nonzero in a row `rows` selects and a
+        column `cols` selects (None: in any)."""
+        reached = _reaches(_adjoint(self.matrix), rows)
+        return bool(np.any(reached if cols is None else reached & cols))
 
 
 class _Toeplitz:
-    """T[i, j] = s[mu - 1 - i + j] (mu rows) and its adjoint by FFTs of
-    length len(s) + 1: each product is a window of a linear convolution with
-    s or its reverse, which that circular one holds without wrapping."""
+    """T[i, j] = s[mu - 1 - i + j] (mu rows), read through T @ x and y @ T
+    by FFTs of length len(s) + 1: each product is a window of a linear
+    convolution with s or its reverse, which that circular one holds
+    without wrapping."""
+
+    __array_ufunc__ = None  # y @ T with an ndarray y calls __rmatmul__
 
     def __init__(self, s: np.ndarray, mu: int):
         self.mu, self.pu, self.size = mu, len(s) - mu + 1, len(s) + 1
+        self.shape = (self.mu, self.pu)
         self.forward = np.fft.fft(s[::-1], self.size)
         self.backward = np.fft.fft(s, self.size)
 
-    def dot(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         y = np.fft.ifft(self.forward * np.fft.fft(x, self.size))
         return y[self.pu - 1:self.pu - 1 + self.mu]
 
-    def hdot(self, y: np.ndarray) -> np.ndarray:
-        z = np.fft.ifft(self.backward * np.fft.fft(np.conj(y), self.size))
-        return np.conj(z[self.mu - 1:self.mu - 1 + self.pu])
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        z = np.fft.ifft(self.backward * np.fft.fft(y, self.size))
+        return z[self.mu - 1:self.mu - 1 + self.pu]
 
 
 class _Products:
-    """The sum of diag(l) op diag(r) over `terms` (op, adjoint, l, r), op a
-    `_Toeplitz` or with adjoint its adjoint, on the columns `keep`: a matrix
-    that `_lanczos_norm` reads through W @ v and u @ W."""
+    """The sum of diag(l) core diag(r) over `pieces` (rows, cols, core, l,
+    r), each core a matrix read through @ on those rows and columns, on the
+    columns `keep`: a matrix that `_lanczos_norm` reads through W @ v and
+    u @ W."""
 
     __array_ufunc__ = None  # u @ W with an ndarray u calls __rmatmul__
     dtype = np.dtype(complex)
 
-    def __init__(self, terms: list, m: int, keep: np.ndarray):
-        self.terms, self.keep = terms, keep
+    def __init__(self, pieces: list, m: int, keep: np.ndarray):
+        self.pieces, self.keep = pieces, keep
         self.shape = (m, int(np.count_nonzero(keep)))
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         x = np.zeros(len(self.keep), complex)
         x[self.keep] = v
-        return sum(l * (t.hdot(r * x) if adjoint else t.dot(r * x))
-                   for t, adjoint, l, r in self.terms)
+        out = np.zeros(self.shape[0], complex)
+        for rows, cols, core, l, r in self.pieces:
+            out[rows] += l * (core @ (r * x[cols]))
+        return out
 
     def __rmatmul__(self, u: np.ndarray) -> np.ndarray:
-        # u @ W = conj(W^H conj(u)), W^H = sum of diag(conj r) op^H diag(conj l)
-        y = np.conj(u)
-        z = sum(np.conj(r) * (t.dot(np.conj(l) * y) if adjoint else t.hdot(np.conj(l) * y))
-                for t, adjoint, l, r in self.terms)
-        return np.conj(z[self.keep])
+        out = np.zeros(len(self.keep), complex)
+        for rows, cols, core, l, r in self.pieces:
+            out[cols] += ((u[rows] * l) @ core) * r
+        return out[self.keep]
+
+
+def _arrays(x) -> list:
+    """The arrays in x, a nest of tuples, arrays and `_Adjoint`s."""
+    if isinstance(x, tuple):
+        return [a for y in x for a in _arrays(y)]
+    x = getattr(x, "matrix", x)
+    return [x] if isinstance(x, np.ndarray) else []
+
+
+class _Term(NamedTuple):
+    """sign * diag(rows) part diag(cols): a part of one of the three kinds,
+    cut to the codomain nodes `rows` and the domain nodes `cols` select
+    (boolean masks; None keeps all)."""
+
+    part: object
+    sign: float = 1.0
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
-class ToeplitzOperator:
-    """A sum of near-convolution kernels (`_Part`s) between cell windows of
-    one grid, kept as their terms: O(n) memory each.
+class StructuredOperator:
+    """A signed sum of terms (`_Term`), each kept as one of three kinds of
+    part: a near-convolution kernel (`_Convolution`, O(n)), a product of
+    two dense factors on a block of cells (`_Product`), or a dense matrix
+    or the adjoint of one (`_Dense`), which holds a dense operand's entries
+    without a copy.  Each part has `rows` and `cols`, the cells it sits on,
+    `block` (its dense block there, a fresh array), `adjoint` and
+    `restricted`, and a `_Product` or `_Dense` `live` and the products @.
 
-    `adjoint`, `masked`, `restricted`, and `+` and `-` with another one give
-    operators of this kind; `compose` (`@`), `weighted`, and `+` and `-`
-    with a dense operator go through `entries`; `op_norm` uses FFTs.
+    `adjoint`, `masked`, `restricted`, `+` and `-` map or concatenate the
+    terms; `op_norm` reads it through `_products`; `entries` builds the
+    dense kernel on each read, for `compose` (`@`), `weighted`,
+    `compact_defect` and `op_norm`'s SVD fallback.
     """
 
     domain: GridSpec
     codomain: GridSpec
-    parts: tuple
+    terms: tuple
     label: str = ""
 
     @staticmethod
-    def near_convolution(grid: GridSpec, terms, label: str = "") -> "ToeplitzOperator":
+    def near_convolution(grid: GridSpec, terms, label: str = "") -> "StructuredOperator":
         """sum_t coeff_t T(b_t) diag(col_t) on the whole grid, from (coeff,
         b, col) per term: b the 2n - 1 samples, T(b)[i, j] = b[n - 1 - i + j],
         and col the n column factors."""
-        return ToeplitzOperator(grid, grid, (_Part(tuple(terms)),), label)
+        return StructuredOperator(grid, grid, (_Term(_Convolution(tuple(terms))),), label)
+
+    @staticmethod
+    def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
+                adjoint: bool = False, cols: slice = None) -> "StructuredOperator":
+        """left o right (left o right* when `adjoint`), kept as the two
+        factors, between `domain` and `codomain` (default: right's domain
+        and left's codomain).  The block sits on left's codomain cells and
+        right's domain cells, placed by their `start` within the given
+        grids, or on `cols` when given; the middle grid is left's domain.
+        `left` and `right` are operators with `entries` (a structured one is
+        made dense here); the adjoint of `right` is read through products,
+        without a copy."""
+        r_dom = right.codomain if adjoint else right.domain
+        domain = domain or r_dom
+        codomain = codomain or left.codomain
+        if left.domain.n != (right.domain if adjoint else right.codomain).n:
+            raise ValueError("grid mismatch in composition")
+        r0 = left.codomain.start - codomain.start
+        if cols is None:
+            c0 = r_dom.start - domain.start
+            cols = slice(c0, c0 + r_dom.n)
+        factor = _Adjoint(right.entries) if adjoint else right.entries
+        part = _Product(left.entries, left.domain.weights, factor,
+                        slice(r0, r0 + left.codomain.n), cols)
+        return StructuredOperator(domain, codomain, (_Term(part),))
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense kernel, built on each read: each part only on this
-        operator's windows, the parts added in order, so bit for bit the
-        entries the same operations give on the dense kernels (up to the
-        sign of an exact zero)."""
-        rows, cols = self.codomain.cells, self.domain.cells
+        """The dense kernel, built on each read: each term's block, masked
+        in place, added with its sign on its cells in term order, and freed
+        before the next one is built.  So bit for bit the entries the same
+        operations give on the dense kernels (up to the sign of an exact
+        zero)."""
+        shape = (self.codomain.n, self.domain.n)
         ent = None
-        for p in self.parts:
-            # each part's block is freed before the next one is built
-            if ent is None:
-                ent = p.block(rows, cols)
-                if p.sign < 0:
-                    np.negative(ent, out=ent)
-            elif p.sign > 0:
-                ent += p.block(rows, cols)
+        for t in self.terms:
+            p = t.part
+            block = p.block(self.codomain, self.domain)
+            if t.cols is not None:
+                block[:, ~t.cols[p.cols]] = 0
+            if t.rows is not None:
+                block[~t.rows[p.rows]] = 0
+            if ent is None and block.shape == shape:
+                ent = block if t.sign > 0 else np.negative(block, out=block)
             else:
-                ent -= p.block(rows, cols)
-        return ent
+                ent = np.zeros(shape, complex) if ent is None else ent
+                cells = ent[p.rows, p.cols]
+                (np.add if t.sign > 0 else np.subtract)(cells, block, out=cells)
+            del block
+        return np.zeros(shape, complex) if ent is None else ent
 
     @property
     def nbytes(self) -> int:
-        arrays = {id(a): a.nbytes for p in self.parts
-                  for a in (p.rows, p.cols, *(x for _, b, col in p.terms for x in (b, col)))
-                  if a is not None}
-        return sum(arrays.values())
+        """The bytes of the arrays the terms hold, each counted once."""
+        return sum({id(a): a.nbytes for a in _arrays(self.terms)}.values())
 
     def dense(self) -> KernelOperator:
         return KernelOperator(self.domain, self.codomain, self.entries, self.label)
@@ -341,32 +519,35 @@ class ToeplitzOperator:
     def weighted(self) -> np.ndarray:
         return self.dense().weighted()
 
-    def _with_parts(self, parts, domain=None, codomain=None, label=None) -> "ToeplitzOperator":
-        """These parts between the given windows (default: self's)."""
-        return ToeplitzOperator(domain or self.domain, codomain or self.codomain,
-                                tuple(parts), self.label if label is None else label)
+    def _with(self, terms, domain=None, codomain=None, label=None) -> "StructuredOperator":
+        """These terms between the given grids (default: self's)."""
+        return StructuredOperator(domain or self.domain, codomain or self.codomain,
+                                  tuple(terms), self.label if label is None else label)
 
-    def adjoint(self) -> "ToeplitzOperator":
-        return self._with_parts((p._replace(adjoint=not p.adjoint, rows=p.cols, cols=p.rows)
-                            for p in self.parts), self.codomain, self.domain,
-                           f"({self.label})*")
+    def adjoint(self) -> "StructuredOperator":
+        return self._with((_Term(t.part.adjoint(), t.sign, t.cols, t.rows) for t in self.terms),
+                          self.codomain, self.domain, f"({self.label})*")
 
-    def masked(self, keep: np.ndarray) -> "ToeplitzOperator":
-        return self._with_parts((p._replace(cols=keep if p.cols is None else p.cols & keep)
-                            for p in self.parts), label=f"{self.label}.M")
+    def masked(self, keep: np.ndarray) -> "StructuredOperator":
+        """self o M_keep: each term's column mask cut to `keep`, without a
+        copy of any part."""
+        return self._with((t._replace(cols=keep if t.cols is None else t.cols & keep)
+                           for t in self.terms), label=f"{self.label}.M")
 
     def restricted(self, domain: GridSpec = None,
-                   codomain: GridSpec = None) -> "ToeplitzOperator":
-        """As `KernelOperator.restricted`, each mask cut to the windows."""
+                   codomain: GridSpec = None) -> "StructuredOperator":
+        """As `KernelOperator.restricted`: each part and mask cut to the
+        windows."""
         domain, codomain = domain or self.domain, codomain or self.codomain
         r, c = codomain.start - self.codomain.start, domain.start - self.domain.start
+        m, n = codomain.n, domain.n
 
         def cut(mask, at, size):
             return None if mask is None else mask[at:at + size]
 
-        return self._with_parts((p._replace(rows=cut(p.rows, r, codomain.n),
-                                       cols=cut(p.cols, c, domain.n))
-                            for p in self.parts), domain, codomain)
+        return self._with((_Term(t.part.restricted(r, c, m, n), t.sign,
+                                 cut(t.rows, r, m), cut(t.cols, c, n))
+                           for t in self.terms), domain, codomain)
 
     def compose(self, other) -> KernelOperator:
         return self.dense().compose(other)
@@ -375,257 +556,71 @@ class ToeplitzOperator:
         return self.compose(other)
 
     def __add__(self, other):
-        if isinstance(other, ToeplitzOperator) and (other.domain, other.codomain) == (
-                self.domain, self.codomain):
-            return self._with_parts(self.parts + other.parts)
-        return self.dense() + other
+        return _sum(self, other, 1.0)
 
     def __sub__(self, other):
-        if isinstance(other, ToeplitzOperator):
-            return self + other._with_parts(p._replace(sign=-p.sign) for p in other.parts)
-        return self.dense() - other
+        return _sum(self, other, -1.0)
 
     def _products(self, left: np.ndarray, right: np.ndarray) -> "_Products | None":
-        """diag(left) self diag(right) as `_Products` on the columns where a
-        term's right factor is nonzero, or None when there are none.
+        """diag(left) self diag(right) as `_Products`, or None when no term
+        is live: then self is exactly zero.
 
-        A term is diag(l) op diag(r), op a Toeplitz block or its adjoint;
-        the kernel's column factor is in r, or in l for an adjoint.  Terms
-        with the same block and the same other factor are merged, the ones
-        holding the column factor summed with their signs, so a difference
-        of two kernels with one symbol is one term with r1 - r2, not a
-        difference of two rounded products.  Non-finite factors or samples
-        raise `NonFiniteOperator`.
+        Each term's masks and sign go into the vectors l and r on either
+        side of its part.  A product or a dense part is live when it holds a
+        nonzero within the masks.  A near-convolution kernel gives a
+        Toeplitz block per term (`_Convolution.toeplitz`); blocks with the
+        same samples and the same vector on the side without the column
+        factor are merged, the other sides summed, so a difference of two
+        kernels with one symbol is one block with r1 - r2, not a difference
+        of two rounded products.  A block is live when l, r and its samples
+        all hold a nonzero.  The products run on the columns where a live
+        piece's r is nonzero.
         """
-        m, p = self.codomain.n, self.domain.n
-        rows, cols = self.codomain.cells, self.domain.cells
-        groups = {}
-        for part in self.parts:
-            for coeff, b, col in part.terms:
-                # the block's first row and column and its height in the
-                # kernel, whose rows are this operator's columns for an adjoint
-                r0, c0, mu = ((cols.start, rows.start, p) if part.adjoint
-                              else (rows.start, cols.start, m))
-                d = len(col) - mu - r0 + c0
-                s = b[d:d + m + p - 1]
-                if part.adjoint:
-                    l, r = part.sign * np.conj(coeff * col[rows]) * left, right
+        pieces, blocks = [], {}
+        for t in self.terms:
+            p = t.part
+            l = left if t.rows is None else np.where(t.rows, left, 0)
+            r = right if t.cols is None else np.where(t.cols, right, 0)
+            if not isinstance(p, _Convolution):
+                if p.live(None if t.rows is None else t.rows[p.rows],
+                          None if t.cols is None else t.cols[p.cols]):
+                    core = p.matrix if isinstance(p, _Dense) else p
+                    pieces.append((p.rows, p.cols, core, l[p.rows], t.sign * r[p.cols]))
+                continue
+            for s, mu, lt, rt in p.toeplitz(self.codomain, self.domain, l, r, t.sign):
+                key = (p.star, mu, s.tobytes(), (rt if p.star else lt).tobytes())
+                if key not in blocks:
+                    blocks[key] = [s, lt, rt]
+                elif p.star:
+                    blocks[key][1] = blocks[key][1] + lt
                 else:
-                    l, r = left, (part.sign * coeff) * col[cols] * right
-                if part.rows is not None:
-                    l = np.where(part.rows, l, 0)
-                if part.cols is not None:
-                    r = np.where(part.cols, r, 0)
-                key = (part.adjoint, mu, s.tobytes(), (r if part.adjoint else l).tobytes())
-                if key not in groups:
-                    groups[key] = [s, l, r]
-                elif part.adjoint:
-                    groups[key][1] = groups[key][1] + l
-                else:
-                    groups[key][2] = groups[key][2] + r
-        terms, keep = [], np.zeros(p, bool)
-        for (adjoint, mu, _, _), (s, l, r) in groups.items():
-            if not (np.isfinite(s).all() and np.isfinite(l).all() and np.isfinite(r).all()):
-                raise NonFiniteOperator(f"non-finite entries in {self.label or 'operator'}")
+                    blocks[key][2] = blocks[key][2] + rt
+        for (star, mu, _, _), (s, l, r) in blocks.items():
             if np.any(l) and np.any(r) and np.any(s):
-                keep |= r != 0
-                terms.append((_Toeplitz(s, mu), adjoint, l, r))
-        return _Products(terms, m, keep) if terms else None
-
-
-class _Adjoint:
-    """The conjugate transpose of a matrix, read through products and
-    `any` only, so no conjugate copy is made."""
-
-    __array_ufunc__ = None  # y @ adjoint with an ndarray y calls __rmatmul__
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-        self.shape = matrix.shape[::-1]
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.conj(np.conj(x) @ self.matrix)
-
-    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
-        return np.conj(self.matrix @ np.conj(y))
-
-    def any(self, axis: int = None):
-        return self.matrix.any(axis=None if axis is None else 1 - axis)
-
-
-def _adjoint(a):
-    """The conjugate transpose of a factor, without a copy."""
-    return a.matrix if isinstance(a, _Adjoint) else _Adjoint(a)
-
-
-def _dense(a) -> np.ndarray:
-    """A factor as an array (a conjugate copy for an `_Adjoint`)."""
-    return np.conj(a.matrix).T if isinstance(a, _Adjoint) else a
-
-
-class _Term(NamedTuple):
-    """sign * left diag(weights) right on the `rows` of a composite's
-    codomain and the `cols` of its domain; left and right are arrays or
-    `_Adjoint`s, and weights are the middle grid's."""
-
-    left: object
-    weights: np.ndarray
-    right: object
-    rows: slice
-    cols: slice
-    sign: float = 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class CompositeOperator:
-    """base + the sum of the `terms`, each a product kept as its two factors
-    (`_Term`): sign * left diag(weights) right on a block of cells.
-
-    `product` builds one term from two operators; `+` and `-` of two
-    composites concatenate their terms, and A - composite, A a
-    `KernelOperator`, keeps A's entries as the base without a copy.  So
-    A_k - sigma_k is A_k's entries minus the thin factors of sigma_k, and
-    A_k V_k M a product of a column block of A_k with V_k's block.
-    `op_norm` reads it through the products W v and u W, the square-root
-    weights applied to the vectors; `entries` builds the dense kernel on
-    each read, for `compact_defect`, `op_norm`'s SVD fallback and anything
-    else that needs the array.
-    """
-
-    domain: GridSpec
-    codomain: GridSpec
-    terms: tuple
-    base: object = None  # None, an array or an `_Adjoint`
-    label: str = ""
-
-    @staticmethod
-    def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
-                adjoint: bool = False, cols: slice = None) -> "CompositeOperator":
-        """left o right (left o right* when `adjoint`), kept as the two
-        factors, between `domain` and `codomain` (default: right's domain
-        and left's codomain).  The block sits on left's codomain cells and
-        right's domain cells, placed by their `start` within the given
-        grids, or on `cols` when given; the middle grid is left's domain.
-        `left` and `right` are operators with `entries` (a
-        `ToeplitzOperator` is made dense here); the adjoint of `right` is
-        read through products, without a copy."""
-        r_dom = right.codomain if adjoint else right.domain
-        domain = domain or r_dom
-        codomain = codomain or left.codomain
-        if left.domain.n != (right.domain if adjoint else right.codomain).n:
-            raise ValueError("grid mismatch in composition")
-        r0 = left.codomain.start - codomain.start
-        if cols is None:
-            c0 = r_dom.start - domain.start
-            cols = slice(c0, c0 + r_dom.n)
-        factor = _Adjoint(right.entries) if adjoint else right.entries
-        term = _Term(left.entries, left.domain.weights, factor,
-                     slice(r0, r0 + left.codomain.n), cols)
-        return CompositeOperator(domain, codomain, (term,))
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense kernel, built on each read: the base, then each term's
-        left @ (weights * right) added on its block."""
-        if self.base is None:
-            ent = np.zeros((self.codomain.n, self.domain.n), complex)
-        else:
-            ent = np.array(_dense(self.base), dtype=complex)
-        for t in self.terms:
-            block = _dense(t.left) @ (t.weights[:, None] * _dense(t.right))
-            if t.sign > 0:
-                ent[t.rows, t.cols] += block
-            else:
-                ent[t.rows, t.cols] -= block
-        return ent
-
-    def _dot(self, x: np.ndarray) -> np.ndarray:
-        """entries @ x from the factors."""
-        out = (np.zeros(self.codomain.n, complex) if self.base is None
-               else self.base @ x)
-        for t in self.terms:
-            y = t.left @ (t.weights * (t.right @ x[t.cols]))
-            out[t.rows] += y if t.sign > 0 else -y
-        return out
-
-    def _rdot(self, y: np.ndarray) -> np.ndarray:
-        """y @ entries from the factors."""
-        out = (np.zeros(self.domain.n, complex) if self.base is None
-               else y @ self.base)
-        for t in self.terms:
-            x = ((y[t.rows] @ t.left) * t.weights) @ t.right
-            out[t.cols] += x if t.sign > 0 else -x
-        return out
-
-    def adjoint(self) -> "CompositeOperator":
-        """The conjugate transpose, each factor read as its adjoint: no copy."""
-        terms = tuple(_Term(_adjoint(t.right), t.weights, _adjoint(t.left), t.cols,
-                            t.rows, t.sign) for t in self.terms)
-        base = None if self.base is None else _adjoint(self.base)
-        return CompositeOperator(self.codomain, self.domain, terms, base,
-                                 f"({self.label})*")
-
-    def masked(self, keep: np.ndarray) -> "CompositeOperator":
-        """self o M_keep: each right factor with the columns outside `keep`
-        set to exact zeros (copies of the factors).  Only a composite
-        without a base is masked."""
-        if self.base is not None:
-            raise ValueError("masked needs a composite without a base")
-        terms = tuple(t._replace(right=np.where(keep[t.cols], _dense(t.right), 0))
-                      for t in self.terms)
-        return CompositeOperator(self.domain, self.codomain, terms, None,
-                                 f"{self.label}.M")
-
-    def __add__(self, other):
-        return _combined(self, other, 1.0)
-
-    def __sub__(self, other):
-        return _combined(self, other, -1.0)
-
-    def __rsub__(self, other):
-        return _combined(other, self, -1.0)
-
-    def _products(self, left: np.ndarray, right: np.ndarray) -> "_Weighted | None":
-        """diag(left) self diag(right) for `_lanczos_norm`, without the terms
-        whose factors never meet (no middle index where left's column and
-        right's row both hold a nonzero) and without an all-zero base, or
-        None when nothing is left: then the operator is exactly zero."""
-        base = self.base if self.base is not None and self.base.any() else None
-        terms = tuple(t for t in self.terms
-                      if (t.left.any(axis=0) & t.right.any(axis=1)).any())
-        if base is None and not terms:
+                core = _Adjoint(_Toeplitz(s, mu)) if star else _Toeplitz(s, mu)
+                pieces.append((slice(None), slice(None), core, l, r))
+        if not pieces:
             return None
-        return _Weighted(CompositeOperator(self.domain, self.codomain, terms, base),
-                         left, right)
+        keep = np.zeros(self.domain.n, bool)
+        for _, cols, _, _, r in pieces:
+            keep[cols] |= r != 0
+        return _Products(pieces, self.codomain.n, keep)
 
 
-def _combined(x, y, sign: float) -> CompositeOperator:
-    """x + sign * y as a `CompositeOperator`, y a composite without a base
-    and x a composite or any operator (whose entries are then the base,
-    without a copy): the terms are concatenated."""
-    if not isinstance(y, CompositeOperator) or y.base is not None:
-        raise ValueError("the right operand must be a composite without a base")
-    bx, tx = (x.base, x.terms) if isinstance(x, CompositeOperator) else (x.entries, ())
-    ty = y.terms if sign > 0 else tuple(t._replace(sign=-t.sign) for t in y.terms)
-    return CompositeOperator(x.domain, x.codomain, tx + ty, bx, x.label)
-
-
-class _Weighted:
-    """diag(left) op diag(right), op a `CompositeOperator`, as a matrix that
-    `_lanczos_norm` reads through W @ v and u @ W."""
-
-    __array_ufunc__ = None  # u @ W with an ndarray u calls __rmatmul__
-    dtype = np.dtype(complex)
-
-    def __init__(self, op: CompositeOperator, left: np.ndarray, right: np.ndarray):
-        self.op, self.left, self.right = op, left, right
-        self.shape = (len(left), len(right))
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.left * self.op._dot(self.right * v)
-
-    def __rmatmul__(self, u: np.ndarray) -> np.ndarray:
-        return self.op._rdot(u * self.left) * self.right
+def _sum(x, y, sign: float):
+    """x + sign * y, the sum rule of both operator classes: two dense
+    operators give a dense one, and otherwise the terms of x and y are
+    concatenated, y's signs times `sign`, a dense operand being one `_Dense`
+    term that holds its entries without a copy."""
+    if (x.domain, x.codomain) != (y.domain, y.codomain):
+        raise ValueError("grid mismatch in sum")
+    if isinstance(x, KernelOperator) and isinstance(y, KernelOperator):
+        ent = x.entries + y.entries if sign > 0 else x.entries - y.entries
+        return KernelOperator(x.domain, x.codomain, ent, x.label)
+    tx, ty = (op.terms if isinstance(op, StructuredOperator) else (_Term(_Dense(op.entries)),)
+              for op in (x, y))
+    ty = tuple(t._replace(sign=sign * t.sign) for t in ty)
+    return StructuredOperator(x.domain, x.codomain, tx + ty, x.label)
 
 
 def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
@@ -782,11 +777,11 @@ def op_norm(A) -> float:
     largest singular value of its weighted matrix, by `_lanczos_norm`, or
     by the full SVD of the nonzero block when that has not converged.
 
-    A dense operator gives `_lanczos_norm` its nonzero block; a
-    `ToeplitzOperator` its FFT products and a `CompositeOperator` the
-    products of its factors, each its dense copy only for the SVD.  A
-    structured operator with no live term is exactly zero and gives 0.0."""
-    if isinstance(A, (ToeplitzOperator, CompositeOperator)):
+    A dense operator gives `_lanczos_norm` its nonzero block and a
+    `StructuredOperator` the products of its terms (`_products`), its dense
+    copy only for the SVD.  A structured operator with no live term is
+    exactly zero and gives 0.0."""
+    if isinstance(A, StructuredOperator):
         W = A._products(np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights))
     else:
         W = _nonzero_block(A)

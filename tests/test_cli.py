@@ -458,13 +458,13 @@ def test_converge_zero_never_makes_a_whole_tau_dense(tmp_path, monkeypatch):
     only as blocks on V_k's log window (for 2d), never as a whole
     n_half x n_half matrix: 3c takes its norms by FFT products."""
     blocks = []
-    kernel_block = operators._Part.kernel_block
+    kernel_block = operators._Convolution.kernel_block
 
     def recording(part, rows, cols):
         blocks.append((rows.stop - rows.start, cols.stop - cols.start))
         return kernel_block(part, rows, cols)
 
-    monkeypatch.setattr(operators._Part, "kernel_block", recording)
+    monkeypatch.setattr(operators._Convolution, "kernel_block", recording)
     cfg_path = write_cfg(tmp_path, SMALL)
     assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "zero"]) == 0
     n_half = SMALL["grid"]["n_half"]

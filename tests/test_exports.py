@@ -49,3 +49,12 @@ def test_verdict_path_imports_no_scipy(tmp_path):
     assert Path(out[0]).resolve() == Path(boidol.__file__).resolve()
     assert out[-2:] == ["0", "[]"]
     assert (tmp_path / "orbits.json").exists()
+
+
+def test_no_line_is_longer_than_100_characters():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "boidol").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    long = [f"{path.relative_to(root)}:{i}" for path in files
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert files and not long, long

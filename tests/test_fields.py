@@ -50,9 +50,9 @@ from boidol.grids import GridSpec
 from boidol.group import Character, OneDim, TwoDim
 from boidol.kernels import kernel_pi_rho_lambda, kernel_tau
 from boidol.operators import (
-    CompositeOperator,
     IntervalSpec,
     KernelOperator,
+    StructuredOperator,
     compact_defect,
     cutoff_M,
     op_norm,
@@ -431,7 +431,7 @@ def test_composite_norms_match_their_dense_entries(regime):
     for f in (field, field.adjoint()):
         for k in (4, 64):
             for name, op in _composites(f, plan, k, GRIDS).items():
-                assert isinstance(op, CompositeOperator), name
+                assert isinstance(op, StructuredOperator), name
                 want = op_norm(_dense(op))
                 assert want > 0, (name, k)
                 assert op_norm(op) == pytest.approx(want, rel=1e-13, abs=0), (name, k)

@@ -16,9 +16,9 @@ from boidol.operators import (
     _LANCZOS_STEPS,
     _lanczos_norm,
     _nonzero_block,
-    CompositeOperator,
     IntervalSpec,
     KernelOperator,
+    StructuredOperator,
     compact_defect,
     cutoff_M,
     flip_S,
@@ -299,11 +299,11 @@ def test_op_norm_sees_odd_and_even_top_vectors():
 
 
 def test_composite_is_its_dense_kernel_under_every_operation():
-    """A composite A - L o R* + P o Q (factors on windows of the grid) has
-    the entries, adjoint and norm of the dense kernel it stands for, and
-    `-` with a dense operator keeps that operator's entries as its base
-    without a copy; L o R* - P o Q, without a base, has the cutoff of its
-    dense kernel."""
+    """Structured operators (products of factors on windows of the grid, a
+    near-convolution kernel, and their sums with dense operators in either
+    order) have the entries, adjoint, cutoff, window blocks and norm of the
+    dense kernels they stand for, and a dense operand of a sum is one term
+    holding its entries without a copy."""
     rng = np.random.default_rng(5)
     mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
     rows, cols = LIN.window(40, 50), LIN.window(20, 34)
@@ -312,21 +312,44 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     P = KernelOperator(mid, LIN, _cplx(rng, LIN.n, mid.n))
     Q = KernelOperator(cols, mid, _cplx(rng, mid.n, cols.n))
     A = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
-    terms = (CompositeOperator.product(L, R, LIN, LIN, adjoint=True)
-             - CompositeOperator.product(P, Q, LIN, LIN))
-    C = A - terms
-    assert C.base is A.entries
-    want = A.entries.copy()
-    want[rows.cells, rows.cells] -= (L @ R.adjoint()).entries
-    want[:, cols.cells] += (P @ Q).entries
-    assert np.allclose(C.entries, want, rtol=0, atol=1e-12)
-    assert np.allclose(C.adjoint().entries, np.conj(want).T, rtol=0, atol=1e-12)
+    B = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
+    terms = (StructuredOperator.product(L, R, LIN, LIN, adjoint=True)
+             - StructuredOperator.product(P, Q, LIN, LIN))
+    want_terms = np.zeros((LIN.n, LIN.n), complex)
+    want_terms[rows.cells, rows.cells] += (L @ R.adjoint()).entries
+    want_terms[:, cols.cells] -= (P @ Q).entries
+    # two near-convolution terms coeff T(b) diag(col), T(b)[i, j] = b[n - 1 - i + j]
+    n = LIN.n
+    kernel = [(0.5 - 2.0j, _cplx(rng, 1, 2 * n - 1)[0], _cplx(rng, 1, n)[0]),
+              (1.5, _cplx(rng, 1, 2 * n - 1)[0], _cplx(rng, 1, n)[0])]
+    conv = StructuredOperator.near_convolution(LIN, kernel)
+    offsets = n - 1 - np.arange(n)[:, None] + np.arange(n)[None, :]
+    want_conv = sum(coeff * b[offsets] * col for coeff, b, col in kernel)
+    cases = {
+        "products": (terms, want_terms, ()),
+        "near-convolution": (conv, want_conv, ()),
+        "dense - products": (A - terms, A.entries - want_terms, (A,)),
+        "products + dense": (terms + B, want_terms + B.entries, (B,)),
+        "dense - near-convolution": (B - conv, B.entries - want_conv, (B,)),
+        "near-convolution + dense": (conv + A, want_conv + A.entries, (A,)),
+    }
     keep = LIN.points > 0.5
-    assert np.allclose(terms.masked(keep).entries, np.where(keep, A.entries - want, 0),
-                       rtol=0, atol=1e-12)
-    dense = KernelOperator(LIN, LIN, want)
-    for op, ref in ((C, dense), (C.adjoint(), dense.adjoint())):
-        assert abs(op_norm(op) - op_norm(ref)) <= 1e-13 * op_norm(ref)
+    for name, (op, want, dense_operands) in cases.items():
+        assert isinstance(op, StructuredOperator), name
+        held = [t.part.matrix for t in op.terms if hasattr(t.part, "matrix")]
+        assert len(held) == len(dense_operands), name
+        assert all(h is d.entries for h, d in zip(held, dense_operands)), name
+        assert np.allclose(op.entries, want, rtol=0, atol=1e-12), name
+        assert np.allclose(op.adjoint().entries, np.conj(want).T, rtol=0, atol=1e-12), name
+        assert np.allclose(op.masked(keep).entries, np.where(keep, want, 0),
+                           rtol=0, atol=1e-12), name
+        for dom, cod in ((cols, rows), (LIN.window(5, 45), cols)):
+            assert np.allclose(op.restricted(dom, cod).entries, want[cod.cells, dom.cells],
+                               rtol=0, atol=1e-12), name
+        dense = KernelOperator(LIN, LIN, want)
+        for got, ref in ((op, dense), (op.adjoint(), dense.adjoint()),
+                         (op.masked(keep), dense.masked(keep))):
+            assert abs(op_norm(got) - op_norm(ref)) <= 1e-13 * op_norm(ref), name
 
 
 def test_composite_with_a_non_finite_factor_raises():
@@ -335,7 +358,7 @@ def test_composite_with_a_non_finite_factor_raises():
     mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
     left = np.ones((LIN.n, mid.n), complex)
     left[3, 4] = np.nan
-    C = CompositeOperator.product(KernelOperator(mid, LIN, left),
+    C = StructuredOperator.product(KernelOperator(mid, LIN, left),
                                   KernelOperator(LIN, mid, np.ones((mid.n, LIN.n))))
     with pytest.raises(NonFiniteOperator):
         op_norm(C)

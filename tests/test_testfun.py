@@ -271,10 +271,20 @@ def test_l1_norm_against_brute_force():
     def inv_abs_integral(bump):
         ys = np.linspace(-500, 500, 20001)
         aa = np.linspace(*bump.support, 3001)
-        # 1000 rows of the (ys, aa) table at a time: 48 MB instead of 960 MB
-        g = np.concatenate([
-            np.trapezoid(bump(aa)[None, :] * np.exp(1j * np.outer(rows, aa)), aa, axis=1)
-            for rows in np.array_split(ys, range(1000, len(ys), 1000))])
+        # the bump is even and aa symmetric about 0, so the transform is the
+        # real cosine sum, folded onto the nodes a >= 0 with their trapezoid
+        # weights
+        assert bump.centre == 0 and np.allclose(aa, -aa[::-1], rtol=0, atol=1e-15)
+        tw = np.zeros(len(aa))
+        tw[1:] += np.diff(aa) / 2
+        tw[:-1] += np.diff(aa) / 2
+        wv = tw * bump(aa)
+        mid = len(aa) // 2
+        fold = wv[mid:].copy()
+        fold[1:] += wv[mid - 1::-1]
+        # 1000 rows of the (ys, aa >= 0) table at a time: 12 MB
+        g = np.concatenate([np.cos(np.outer(rows, aa[mid:])) @ fold
+                            for rows in np.array_split(ys, range(1000, len(ys), 1000))])
         return np.trapezoid(np.abs(g) / (2 * np.pi), ys)
 
     want = i_t * i_x * inv_abs_integral(tm.b_a) * inv_abs_integral(tm.b_b)
