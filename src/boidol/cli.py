@@ -37,12 +37,9 @@ from .fields import (
     DstarConfig,
     FieldGrids,
     PowerSeq,
-    _cond_sigma_omega,
     _cond_sigma_zero,
     _cond_two_dim_degeneration,
-    check_rate_envelope,
-    check_small_zone,
-    check_tail_cutoff,
+    _converge_omega_table,
     default_plan,
     default_sample,
     dstar_report,
@@ -260,31 +257,22 @@ def cmd_converge(args) -> int:
     (`omega`), or the 2d tables with the 3c rows at `_CONVERGE_KS_TAU`
     (`zero`); a table passes when both of its conditions pass.
 
-    `omega` runs on one `field.scope()`, since its four checks read the
-    same generic operators and limit points again.  `zero` runs 2d and
-    then 3c on `field`, which keeps no operator: each generic operator is
-    freed when its 2d row ends, and each half-line value, O(n), is built
-    again where a later row reads it."""
+    `omega` runs one k at a time (`_converge_omega_table`): each k's four
+    rows read one `field.scope()` and one V_k, and the scope is dropped
+    before the next k, so at most one generic operator is alive.  `zero`
+    runs 2d and then 3c on `field`, which keeps no operator: each generic
+    operator is freed when its 2d row ends, and each half-line value, O(n),
+    is built again where a later row reads it."""
     cfg, out, dcfg, field = _field_setup(args)
-    g, ks = dcfg.grids, dcfg.ks
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
     names = [doc["name"] for doc in cfg["sequences"] if doc["regime"] == regime]
     tables = []
     if regime == "OmegaNonzero":
-        scope = field.scope()
-        for name, plan, table in zip(names, dcfg.plans_omega,
-                                     _cond_sigma_omega(scope, dcfg)["tables"]):
-            rate = check_rate_envelope(scope, plan, ks, g)
-            tables.append({
-                **table, "name": name,
-                "tail_rows": check_tail_cutoff(scope, plan, ks, g),
-                "small_zone_rows": check_small_zone(scope, plan, ks, g),
-                "rate_rows": rate["rows"], "rate_C": rate["C"],
-                "rate_passed": rate["passed"],
-                "passed": table["passed"] and rate["passed"]})
+        for name, plan in zip(names, dcfg.plans_omega):
+            tables.append({**_converge_omega_table(field, plan, dcfg), "name": name})
     else:
         zone_cfg = replace(dcfg, ks_tau=tuple(k for k in _CONVERGE_KS_TAU
-                                              if k >= min(ks)))
+                                              if k >= min(dcfg.ks)))
         slow_tables = _cond_sigma_zero(field, dcfg)["tables"]
         fast_tables = _cond_two_dim_degeneration(field, zone_cfg)["tables"]
         for name, slow, fast in zip(names, slow_tables, fast_tables):

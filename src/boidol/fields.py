@@ -206,10 +206,12 @@ class OperatorField:
     def adjoint(self) -> "OperatorField":
         """The pointwise adjoint field.
 
-        Each read takes the adjoint of the base's value (O(n^2) for a dense
-        one, O(n) for a structured one), or conjugates it at a
-        character; the adjoint of a scope's operator is taken from the
-        operator the scope keeps, so it builds nothing.
+        Each read takes the adjoint of the base's value, or conjugates it at
+        a character.  A dense value is read as its adjoint without a copy:
+        a `StructuredOperator` of one dense term that holds the value's
+        entries (`StructuredOperator.holding`); a structured one maps its
+        terms, O(n).  The adjoint of a scope's operator is taken from the
+        operator the scope keeps, so it builds and copies nothing.
         """
         base = self
 
@@ -217,6 +219,8 @@ class OperatorField:
             val = base.at(key)
             if key[0] == "char":
                 return np.conj(val)
+            if isinstance(val, KernelOperator):
+                val = StructuredOperator.holding(val)
             return val.adjoint()
 
         return OperatorField(provider, self.provenance, f"({self.label})*")
@@ -482,11 +486,19 @@ def _vk_halves(rho_k: float, lam_k: float,
     return plus, minus
 
 
-def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
+def _halves_at(plan: SequencePlan, k: int, grids: FieldGrids, halves) -> tuple:
+    """V_k's sign halves (`_vk_halves`): `halves[k]` when the caller has
+    built them (`halves` a dict by k, or None), else built here."""
+    if halves is not None and k in halves:
+        return halves[k]
+    return _vk_halves(plan.rho(k), plan.lam(k), grids)
+
+
+def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids,
                         label: str) -> StructuredOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
     and b_minus on the minus one, (b_plus, b_minus) = pair, as its thin
-    factors, one sign half of V_k at a time (`_vk_halves`).
+    factors, one sign half of V_k at a time (`halves`, from `_vk_halves`).
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
     of u to the same sign of s, so the result has two diagonal blocks and
@@ -501,7 +513,7 @@ def _conjugated_to_line(pair, rho_k: float, lam_k: float, grids: FieldGrids,
     """
     plus, minus = (StructuredOperator.product(v @ b.restricted(v.domain, v.domain), v,
                                               grids.lin, grids.lin, adjoint=True)
-                   for v, b in zip(_vk_halves(rho_k, lam_k, grids), pair))
+                   for v, b in zip(halves, pair))
     return replace(plus + minus, label=label)
 
 
@@ -519,7 +531,7 @@ def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                  grids: FieldGrids) -> StructuredOperator:
+                  grids: FieldGrids, halves: dict = None) -> StructuredOperator:
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
@@ -527,13 +539,14 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     (`_two_point_pair` at |omega|), and the pair is conjugated back to the
     line by the rescaling unitary, one sign half of V_k at a time
     (`_conjugated_to_line`), which reads each limit value only on the
-    block of log cells V_k reaches.
+    block of log cells V_k reaches.  V_k's halves are `halves[k]` when the
+    caller has built them (a dict by k), else built here.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
     return _conjugated_to_line(
         _two_point_pair(field_on_L, plan, k, abs(plan.omega), grids),
-        plan.rho(k), plan.lam(k), grids, f"sigma_omega[{k}]")
+        _halves_at(plan, k, grids, halves), grids, f"sigma_omega[{k}]")
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -572,14 +585,14 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                 grids: FieldGrids) -> StructuredOperator:
+                 grids: FieldGrids, halves: dict = None) -> StructuredOperator:
     """Both three-zone halves conjugated back to the line, each by its own
     sign half of V_k (`_conjugated_to_line`), as thin factors.  On the
     field's structured values only each half's block on V_k's log window
-    is made dense."""
+    is made dense.  `halves` as in `sigma_k_omega`."""
     return _conjugated_to_line(
         (s_k_zero(field_on_L, k, plan, 1, grids), s_k_zero(field_on_L, k, plan, -1, grids)),
-        plan.rho(k), plan.lam(k), grids, f"sigma_zero[{k}]")
+        _halves_at(plan, k, grids, halves), grids, f"sigma_zero[{k}]")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +605,7 @@ def _plan_row(plan: SequencePlan, k: int) -> dict:
 
 
 def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
-                   grids: FieldGrids) -> list[dict]:
+                   grids: FieldGrids, halves: dict = None) -> list[dict]:
     """The deviations ||A_k - sigma_k|| of the generic operators, one row per k.
 
     A_k is the field's generic operator at (rho_k, lam_k) and sigma_k the
@@ -601,13 +614,15 @@ def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     row of k with `value` the deviation and `bound` None.  A_k - sigma_k is
     a `StructuredOperator`, A_k's entries minus sigma_k's thin factors, so
     `op_norm` takes it by products and no n x n array besides A_k exists.
+    V_k's halves are `halves[k]` where the caller has built them (a dict by
+    k), else built here.
     """
     # looked up here, not bound once, so a replaced module attribute is called
     sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
 
     def deviation(k):
         A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-        return op_norm(A - sigma(field, k, plan, grids))
+        return op_norm(A - sigma(field, k, plan, grids, halves))
 
     return [{**_plan_row(plan, k), "value": deviation(k), "bound": None}
             for k in ks]
@@ -637,14 +652,13 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     return rows
 
 
-def _generic_times_vk(A: KernelOperator, rho_k: float, lam_k: float,
+def _generic_times_vk(A: KernelOperator, halves: tuple,
                       grids: FieldGrids) -> StructuredOperator:
     """A V_k = [A V+ | A V-] on the window of the log pair that V_k's halves
     reach, as factors: each half is A's block of columns on the linear
-    cells that half reaches (a view) times its nonzero block (`_vk_halves`),
-    on that half's columns of the window.  V_k's zero columns would only
-    append zero columns, which add nothing to a norm."""
-    halves = _vk_halves(rho_k, lam_k, grids)
+    cells that half reaches (a view) times its nonzero block (`halves`, from
+    `_vk_halves`), on that half's columns of the window.  V_k's zero
+    columns would only append zero columns, which add nothing to a norm."""
     cells = halves[0].domain
     window = grids.pair.window(cells.start, cells.start + cells.n)
     plus, minus = (StructuredOperator.product(
@@ -654,7 +668,7 @@ def _generic_times_vk(A: KernelOperator, rho_k: float, lam_k: float,
 
 
 def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
-                          grids: FieldGrids, interval, bound) -> list[dict]:
+                          grids: FieldGrids, interval, bound, halves) -> list[dict]:
     """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to
     `interval(k)` on the log pair.
 
@@ -662,12 +676,13 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
     a masked copy of it or of V_k's block is formed, and `op_norm` takes
     the norm by products.  A row whose mask leaves V_k no column that meets
     A_k's nonzero columns reads exactly 0.0.  The generic operators are
-    read from the field, so a `scope()` that has them builds none.
+    read from the field, so a `scope()` that has them builds none, and V_k's
+    halves from `halves` where the caller has built them (`_halves_at`).
     """
     rows = []
     for k in ks:
-        rho_k, lam_k = plan.rho(k), plan.lam(k)
-        AV = _generic_times_vk(field.pi(rho_k, lam_k, grids.lin), rho_k, lam_k, grids)
+        AV = _generic_times_vk(field.pi(plan.rho(k), plan.lam(k), grids.lin),
+                               _halves_at(plan, k, grids, halves), grids)
         M = cutoff_M(interval(k), AV.domain)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": bound(k)})
@@ -675,15 +690,19 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
 
 
 def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
-                      grids: FieldGrids) -> list[dict]:
-    """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k."""
+                      grids: FieldGrids, halves: dict = None) -> list[dict]:
+    """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k.
+
+    V_k's halves are `halves[k]` where the caller has built them (a dict by
+    k), else built here; so in `check_small_zone` and `check_rate_envelope`.
+    """
     return _compressed_norm_rows(field, plan, ks, grids,
                                  lambda k: IntervalSpec.abs_ge(plan.Rk(k)),
-                                 lambda k: None)
+                                 lambda k: None, halves)
 
 
 def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
-                     grids: FieldGrids) -> list[dict]:
+                     grids: FieldGrids, halves: dict = None) -> list[dict]:
     """Norm of the generic operator compressed to |s| <= R_k |lam_k|.
 
     An "OmegaZero" plan bounds it by R_k sqrt|lam_k|.
@@ -692,7 +711,7 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
     return _compressed_norm_rows(
         field, plan, ks, grids,
         lambda k: IntervalSpec.abs_le(plan.Rk(k) * abs(plan.lam(k))),
-        lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None)
+        lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None, halves)
 
 
 def _half_deviation(A: KernelOperator, v: KernelOperator,
@@ -710,7 +729,7 @@ def _half_deviation(A: KernelOperator, v: KernelOperator,
 
 
 def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
-                        grids: FieldGrids) -> dict:
+                        grids: FieldGrids, halves: dict = None) -> dict:
     """Half-line deviations against the rate envelope, with a fitted constant.
 
     Part (a), `dev_a`, compares the generic operator on the positive
@@ -722,24 +741,31 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     part is an operator from its own half-line model, so no product meets
     the other half's zero columns.  The envelope |omega_k| / (R_k^2 |lam_k|)
     + 1/R_k majorizes both parts up to a constant fitted on the first two
-    indices.  The generic operators and the two half-line limit operators
-    are read from the field, so a `scope()` that has them builds none.
+    indices (`_rate_fit`).  The generic operators and the two half-line
+    limit operators are read from the field, so a `scope()` that has them
+    builds none, and V_k's halves from `halves` where the caller has built
+    them (`_halves_at`).
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
     rows = []
     for k in ks:
-        rho_k, lam_k = plan.rho(k), plan.lam(k)
-        wk = plan.w_k(k)
-        A = field.pi(rho_k, lam_k, grids.lin)
-        # one norm per sign half; no half outlives its row
-        halves = _vk_halves(rho_k, lam_k, grids)
+        lam_k, wk = plan.lam(k), plan.w_k(k)
+        A = field.pi(plan.rho(k), lam_k, grids.lin)
+        # one norm per sign half
         dev_a, dev_b = (op_norm(_half_deviation(A, v, b)) for v, b in zip(
-            halves, _two_point_pair(field, plan, k, wk, grids)))
+            _halves_at(plan, k, grids, halves), _two_point_pair(field, plan, k, wk, grids)))
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
         rows.append(row)
+    return _rate_fit(rows)
+
+
+def _rate_fit(rows: list[dict]) -> dict:
+    """The rate envelope's verdict on its rows (`check_rate_envelope`): C
+    fitted on the first two, each row's `bound` set to 1.5 C times its
+    envelope, passed when every later row is within its bound."""
     fit_rows = rows[:2]
     C = max(max(r["dev_a"], r["dev_b"]) / r["envelope_unit"] for r in fit_rows)
     passed = all(max(r["dev_a"], r["dev_b"]) <= 1.5 * C * r["envelope_unit"]
@@ -995,31 +1021,79 @@ def _cond_compact_gamma3(field, cfg) -> dict:
             "passed": all(r["passed"] for r in rows.values())}
 
 
-def _cond_sigma_omega(field, cfg) -> dict:
-    """Deviation from the two-point compression along each generic plan.
+def _limit_scale(field: OperatorField, plan: SequencePlan, grids: FieldGrids) -> float:
+    """The larger norm of the field's values at the two limit points of an
+    "OmegaNonzero" plan, tau(eps |omega|, -eps) and tau(-eps |omega|, eps)."""
+    eps, om = plan.eps, abs(plan.omega)
+    return max(op_norm(field.tau(eps * om, -float(eps), grids.plus)),
+               op_norm(field.tau(-eps * om, float(eps), grids.minus)))
+
+
+def _two_point_table(plan: SequencePlan, rows: list[dict], limit_scale: float,
+                     pi_first: float, cfg: DstarConfig) -> dict:
+    """2c's table of one plan from its deviation rows, its `_limit_scale`
+    and the norm of its first generic operator, `pi_first`.
 
     Besides the decay of the deviations, the norms must be consistent with
     norm convergence along the sequence: the field's values at the two limit
     points cannot vanish while the generic norms do not, so the limit scale
     is required to carry a definite fraction of the initial generic norm.
     """
+    scale_ok = limit_scale >= 0.2 * pi_first
+    return {"plan": plan.describe(), "rows": rows,
+            "limit_scale": limit_scale,
+            "pi_first": pi_first,
+            "limit_scale_passed": bool(scale_ok),
+            "passed": bool(scale_ok and tends_to_zero(
+                [r["value"] for r in rows], cfg.decay_ratio, cfg.wiggle))}
+
+
+def _cond_sigma_omega(field, cfg) -> dict:
+    """Deviation from the two-point compression along each generic plan
+    (`_two_point_table`)."""
     g = cfg.grids
     tables = []
     for plan in cfg.plans_omega:
-        eps, om = plan.eps, abs(plan.omega)
-        limit_scale = max(op_norm(field.tau(eps * om, -float(eps), g.plus)),
-                          op_norm(field.tau(-eps * om, float(eps), g.minus)))
+        limit_scale = _limit_scale(field, plan, g)
         rows = deviation_rows(field, plan, cfg.ks, g)
         pi_first = op_norm(field.pi(rows[0]["rho_k"], rows[0]["lambda_k"], g.lin))
-        scale_ok = limit_scale >= 0.2 * pi_first
-        tables.append({"plan": plan.describe(), "rows": rows,
-                       "limit_scale": limit_scale,
-                       "pi_first": pi_first,
-                       "limit_scale_passed": bool(scale_ok),
-                       "passed": bool(scale_ok and tends_to_zero(
-                           [r["value"] for r in rows], cfg.decay_ratio,
-                           cfg.wiggle))})
+        tables.append(_two_point_table(plan, rows, limit_scale, pi_first, cfg))
     return {"tables": tables, "passed": all(t["passed"] for t in tables)}
+
+
+def _converge_omega_table(field: OperatorField, plan: SequencePlan,
+                          cfg: DstarConfig) -> dict:
+    """2c's table of one plan with the tail, small-zone and rate-envelope
+    rows beside it, computed one k at a time.
+
+    Each k runs on its own `field.scope()`, and V_k's halves are built once
+    for it and handed to its four rows (`deviation_rows`,
+    `check_tail_cutoff`, `check_small_zone`, `check_rate_envelope`).  The
+    scope and the halves are dropped before the next k, so at most one
+    generic operator is alive.  The first k's scope also gives `pi_first`
+    and the `_limit_scale`; the verdicts are taken once from the collected
+    rows, 2c's by `_two_point_table` and the rate fit by `_rate_fit`.  So
+    every row and verdict is that of 2c and of the checks run on the whole
+    of `cfg.ks`.
+    """
+    g = cfg.grids
+    rows, tail, small, rate = [], [], [], []
+    for k in cfg.ks:
+        scope = field.scope()
+        halves = {k: _vk_halves(plan.rho(k), plan.lam(k), g)}
+        rows += deviation_rows(scope, plan, (k,), g, halves)
+        if len(rows) == 1:
+            pi_first = op_norm(scope.pi(plan.rho(k), plan.lam(k), g.lin))
+            limit_scale = _limit_scale(scope, plan, g)
+        tail += check_tail_cutoff(scope, plan, (k,), g, halves)
+        small += check_small_zone(scope, plan, (k,), g, halves)
+        rate += check_rate_envelope(scope, plan, (k,), g, halves)["rows"]
+        del scope, halves  # this k's operators go before the next k's
+    table = _two_point_table(plan, rows, limit_scale, pi_first, cfg)
+    fit = _rate_fit(rate)
+    return {**table, "tail_rows": tail, "small_zone_rows": small,
+            "rate_rows": fit["rows"], "rate_C": fit["C"], "rate_passed": fit["passed"],
+            "passed": table["passed"] and fit["passed"]}
 
 
 def _cond_sigma_zero(field, cfg) -> dict:
@@ -1139,11 +1213,11 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
 
     Each of 2c, 2d, 3c and 3d runs on its own `field.scope()`, which keeps
     the operators the condition reads again, and its adjoint runs straight
-    after it on the scope's `adjoint()`, which takes the adjoint of the
-    scope's operators on read and so builds nothing.  The scope is dropped
-    before the next condition, so the operators held at once are those of
-    one condition, never of all four; the half-line values that 2d and 3c
-    both read (10 on the default config) are built twice.  Conditions 1,
+    after it on the scope's `adjoint()`, which reads the adjoint of the
+    scope's operators without a copy and so builds nothing.  The scope is
+    dropped before the next condition, so the operators held at once are
+    those of one condition, never of all four; the half-line values that 2d
+    and 3c both read (10 on the default config) are built twice.  Conditions 1,
     2a, 2b, 3a and 3b run on `field` itself, which keeps no operator: each
     value they read again (pi(0, 1) in 1, 2a and 2b; ell(0.7, 1) and
     ell(1.3, 1) in 3a and 3b) is built again.  The characters, which 3d

@@ -265,7 +265,8 @@ class _Convolution(NamedTuple):
     def block(self, codomain: GridSpec, domain: GridSpec) -> np.ndarray:
         rows, cols = codomain.cells, domain.cells
         if self.star:
-            return np.conj(self.kernel_block(cols, rows)).T
+            block = self.kernel_block(cols, rows)
+            return np.conj(block, out=block).T
         return self.kernel_block(rows, cols)
 
     def adjoint(self) -> "_Convolution":
@@ -453,6 +454,13 @@ class StructuredOperator:
         return StructuredOperator(grid, grid, (_Term(_Convolution(tuple(terms))),), label)
 
     @staticmethod
+    def holding(op: KernelOperator) -> "StructuredOperator":
+        """A dense operator as one dense term that holds its entries,
+        without a copy."""
+        return StructuredOperator(op.domain, op.codomain, (_Term(_Dense(op.entries)),),
+                                  op.label)
+
+    @staticmethod
     def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
                 adjoint: bool = False, cols: slice = None) -> "StructuredOperator":
         """left o right (left o right* when `adjoint`), kept as the two
@@ -617,7 +625,7 @@ def _sum(x, y, sign: float):
     if isinstance(x, KernelOperator) and isinstance(y, KernelOperator):
         ent = x.entries + y.entries if sign > 0 else x.entries - y.entries
         return KernelOperator(x.domain, x.codomain, ent, x.label)
-    tx, ty = (op.terms if isinstance(op, StructuredOperator) else (_Term(_Dense(op.entries)),)
+    tx, ty = ((op if isinstance(op, StructuredOperator) else StructuredOperator.holding(op)).terms
               for op in (x, y))
     ty = tuple(t._replace(sign=sign * t.sign) for t in ty)
     return StructuredOperator(x.domain, x.codomain, tx + ty, x.label)

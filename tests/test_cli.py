@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boidol import cli, operators
+from boidol import cli, kernels, operators
 from boidol.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -253,6 +254,42 @@ def test_converge_omega_small_grid(tmp_path):
     assert lines[0] == f"# config_hash={payload['config_hash']}"
     assert lines[1] == "k,rho_k,lambda_k,R_k,value,bound"
     assert len(lines) == 2 + len(SMALL["ks"])
+
+
+def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypatch):
+    """`converge omega` runs one k at a time: each generic operator pi_k is
+    built once, and when it is built every earlier pi (the operator and
+    its entries) is already freed; V_k is built once per k
+    (`kernels.vk_operator`), and its halves serve all four rows of k."""
+    pis, alive_at_build = [], []
+
+    def recording_field(f):
+        build = fourier_field(f)._provider
+
+        def provider(key):
+            if key[0] == "pi":
+                alive_at_build.append(sum(ref() is not None for pair in pis for ref in pair))
+            value = build(key)
+            if key[0] == "pi":
+                pis.append((weakref.ref(value), weakref.ref(value.entries)))
+            return value
+
+        return OperatorField(provider, "FourierOf", "recording")
+
+    vk_builds = collections.Counter()
+    vk_operator = kernels.vk_operator
+
+    def counting_vk(rho_k, lambda_k, *args, **kwargs):
+        vk_builds[rho_k, lambda_k] += 1
+        return vk_operator(rho_k, lambda_k, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fourier_field", recording_field)
+    monkeypatch.setattr(kernels, "vk_operator", counting_vk)
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "omega"]) == 0
+    plan = default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1))
+    assert alive_at_build == [0] * len(SMALL["ks"])
+    assert vk_builds == {(plan.rho(k), plan.lam(k)): 1 for k in SMALL["ks"]}
 
 
 def test_converge_zero_small_grid(tmp_path):
@@ -610,20 +647,19 @@ def test_benchmark_harness_binds_to_the_package(tmp_path):
         assert (adjoint_s > 0) == (name == "dstar"), (name, adjoint_s)
 
 
-# peak RSS budget of `boidol --grid-scale 4 dstar` on the default config, in
-# MiB; it read 403.7 MiB in 22 s on a 2-core x86-64 host with OpenBLAS
-_SCALE4_BUDGET_MIB = 450
+# peak RSS budgets of `boidol --grid-scale 4 ...` on the default config, in
+# MiB; on a 2-core x86-64 host with OpenBLAS `dstar` read 330.1 MiB in 26 s
+# and `converge omega` 143.4 MiB in 4 s
+_SCALE4_BUDGET_MIB = {"dstar": 450, "converge omega": 200}
 _ADDRESS_LIMIT_KIB = 6815744  # the `ulimit -v` the measurement runs under
 
 
-@pytest.mark.slow
-def test_dstar_at_grid_scale_4_stays_under_its_memory_budget(tmp_path):
-    """`boidol --grid-scale 4 dstar` (n = 2048) in a fresh process, under an
-    address-space limit of `_ADDRESS_LIMIT_KIB` set for that process alone,
-    reports its own peak RSS (`ru_maxrss`) under `_SCALE4_BUDGET_MIB`.  It
-    exits 1 at this scale, on 2c and `4_adjoint` (ROADMAP item 1), so the
-    exit code is only required to be a verdict, 0 or 1.  Run it with
-    `pytest -m slow`."""
+def _scale4_peak_mib(tmp_path, command: str) -> float:
+    """The peak RSS (`ru_maxrss`, MiB) of `boidol --grid-scale 4 <command>`
+    (n = 2048) in a fresh process, under an address-space limit of
+    `_ADDRESS_LIMIT_KIB` set for that process alone.  Both commands exit 1
+    at this scale, on 2c (and `dstar` on `4_adjoint`; ROADMAP item 1), so
+    the exit code is only required to be a verdict, 0 or 1."""
     import resource
 
     def limit():
@@ -633,12 +669,30 @@ def test_dstar_at_grid_scale_4_stays_under_its_memory_budget(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["--grid-scale", "4", "--out", str(tmp_path), *command.split()]
     code = ("import resource; from boidol.cli import main; "
-            f"rc = main(['--grid-scale', '4', '--out', {str(tmp_path)!r}, 'dstar']); "
+            f"rc = main({argv!r}); "
             "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, preexec_fn=limit, timeout=300)
     assert out.returncode == 0, out.stderr
     rc, peak_kib = out.stdout.split()[-2:]
     assert int(rc) in (0, 1)
-    assert int(peak_kib) / 1024 < _SCALE4_BUDGET_MIB, int(peak_kib) / 1024
+    return int(peak_kib) / 1024
+
+
+@pytest.mark.slow
+def test_dstar_at_grid_scale_4_stays_under_its_memory_budget(tmp_path):
+    """`boidol --grid-scale 4 dstar` peaks under its budget
+    (`_scale4_peak_mib`).  Run it with `pytest -m slow`."""
+    peak = _scale4_peak_mib(tmp_path, "dstar")
+    assert peak < _SCALE4_BUDGET_MIB["dstar"], peak
+
+
+@pytest.mark.slow
+def test_converge_omega_at_grid_scale_4_stays_under_its_memory_budget(tmp_path):
+    """`boidol --grid-scale 4 converge omega` peaks under its budget
+    (`_scale4_peak_mib`): it holds one generic operator, 64 MiB at this
+    scale, at a time.  Run it with `pytest -m slow`."""
+    peak = _scale4_peak_mib(tmp_path, "converge omega")
+    assert peak < _SCALE4_BUDGET_MIB["converge omega"], peak
