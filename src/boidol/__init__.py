@@ -57,7 +57,6 @@ from .testfun import (
 from .operators import (
     IntervalSpec,
     KernelOperator,
-    StructuredOperator,
     compact_defect,
     cutoff_M,
     flip_S,

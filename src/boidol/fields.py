@@ -14,8 +14,9 @@ condition checker for membership in the limit C*-algebra.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .kernels import (
 from .operators import (
     IntervalSpec,
     KernelOperator,
-    StructuredOperator,
     compact_defect,
     cutoff_M,
     op_norm,
@@ -164,11 +164,11 @@ class OperatorField:
 
     Evaluation keys are tuples: ("pi", rho, lam, grid) and
     ("ell", mu, nu, grid) on linear grids, ("tau", mu, nu, grid) on log
-    half-line grids, and ("char", tau) giving a complex scalar.  On the
-    Fourier field a generic value is a dense `KernelOperator` (n^2 complex
-    entries) and an "ell" or "tau" value a `StructuredOperator` holding
-    one near-convolution kernel, O(n): on the default grid 4 MiB against
-    12-16 KiB.
+    half-line grids, and ("char", tau) giving a complex scalar.  Every
+    operator value is a `KernelOperator`: on the Fourier field a generic
+    value is dense (n^2 complex entries) and an "ell" or "tau" value one
+    near-convolution kernel, O(n): on the default grid 4 MiB against 12-16
+    KiB.
 
     One retention rule: a field keeps its characters, complex scalars, and
     no operator, which its provider builds again on each read.  Only a
@@ -206,22 +206,17 @@ class OperatorField:
     def adjoint(self) -> "OperatorField":
         """The pointwise adjoint field.
 
-        Each read takes the adjoint of the base's value, or conjugates it at
-        a character.  A dense value is read as its adjoint without a copy:
-        a `StructuredOperator` of one dense term that holds the value's
-        entries (`StructuredOperator.holding`); a structured one maps its
-        terms, O(n).  The adjoint of a scope's operator is taken from the
+        Each read takes the adjoint of the base's value
+        (`KernelOperator.adjoint`, which reads a dense matrix as its adjoint
+        without a copy and maps every other term, O(n)), or conjugates it at
+        a character.  The adjoint of a scope's operator is taken from the
         operator the scope keeps, so it builds and copies nothing.
         """
         base = self
 
         def provider(key):
             val = base.at(key)
-            if key[0] == "char":
-                return np.conj(val)
-            if isinstance(val, KernelOperator):
-                val = StructuredOperator.holding(val)
-            return val.adjoint()
+            return np.conj(val) if key[0] == "char" else val.adjoint()
 
         return OperatorField(provider, self.provenance, f"({self.label})*")
 
@@ -467,6 +462,7 @@ def default_plan(regime: str, rho_seq, lambda_seq,
 # the limit approximations
 
 
+@functools.lru_cache(maxsize=1)
 def _vk_halves(rho_k: float, lam_k: float,
                grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
     """V_k's two sign halves (V+, V-), V_k = [V+ | V-], as their nonzero
@@ -477,25 +473,20 @@ def _vk_halves(rho_k: float, lam_k: float,
     cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
     conjugate transpose of `vk_adjoint`, which restores `vk_operator`'s
     entries exactly, and V- is V+ with its rows reversed, a view.
+
+    The last halves built are kept, so the rows of one k (`converge omega`
+    reads them in four) build them once; the next k's replace them.
     """
-    plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
-    rows, cols, n = plus.codomain, plus.domain, grids.lin.n
+    view = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
+    rows, cols, n = view.codomain, view.domain, grids.lin.n
+    plus = KernelOperator(cols, rows, view.entries, view.label)  # one conjugate copy
     minus = KernelOperator(grids.minus.window(cols.start, cols.start + cols.n),
                            grids.lin.window(n - rows.start - rows.n, n - rows.start),
                            plus.entries[::-1])
     return plus, minus
 
 
-def _halves_at(plan: SequencePlan, k: int, grids: FieldGrids, halves) -> tuple:
-    """V_k's sign halves (`_vk_halves`): `halves[k]` when the caller has
-    built them (`halves` a dict by k, or None), else built here."""
-    if halves is not None and k in halves:
-        return halves[k]
-    return _vk_halves(plan.rho(k), plan.lam(k), grids)
-
-
-def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids,
-                        label: str) -> StructuredOperator:
+def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids) -> KernelOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
     and b_minus on the minus one, (b_plus, b_minus) = pair, as its thin
     factors, one sign half of V_k at a time (`halves`, from `_vk_halves`).
@@ -507,14 +498,14 @@ def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids,
     factors C = V b (`compose` of V_k's nonzero block of that sign with b's
     block on the log cells the half reaches, at most r x m = 256 x 228 on
     the default grid) and V itself, read as V* through products
-    (`StructuredOperator.product`).  b's other cells, which V_k never
-    reaches, enter no product, of a structured b only that block is made
-    dense, and no n x n array is allocated.
+    (`KernelOperator.product`).  b's other cells, which V_k never reaches,
+    enter no product, of b only that block is made dense, and no n x n
+    array is allocated.
     """
-    plus, minus = (StructuredOperator.product(v @ b.restricted(v.domain, v.domain), v,
-                                              grids.lin, grids.lin, adjoint=True)
+    plus, minus = (KernelOperator.product(v @ b.restricted(v.domain, v.domain), v,
+                                          grids.lin, grids.lin, adjoint=True)
                    for v, b in zip(halves, pair))
-    return replace(plus + minus, label=label)
+    return plus + minus
 
 
 def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
@@ -531,7 +522,7 @@ def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                  grids: FieldGrids, halves: dict = None) -> StructuredOperator:
+                  grids: FieldGrids) -> KernelOperator:
     """The rescaled two-point compression approximating a generic point.
 
     The field is evaluated at the two limit points of the sequence, each
@@ -539,28 +530,27 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     (`_two_point_pair` at |omega|), and the pair is conjugated back to the
     line by the rescaling unitary, one sign half of V_k at a time
     (`_conjugated_to_line`), which reads each limit value only on the
-    block of log cells V_k reaches.  V_k's halves are `halves[k]` when the
-    caller has built them (a dict by k), else built here.
+    block of log cells V_k reaches.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
     return _conjugated_to_line(
         _two_point_pair(field_on_L, plan, k, abs(plan.omega), grids),
-        _halves_at(plan, k, grids, halves), grids, f"sigma_omega[{k}]")
+        _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
-             half: int, grids: FieldGrids) -> StructuredOperator:
+             half: int, grids: FieldGrids) -> KernelOperator:
     """The three-zone approximation on one half-line model.
 
     Zone one keeps the running two-parameter point, zone two the fully
     degenerate point, zone three the point displaced along the other axis.
     The result is the sum of the three operators each masked to its zone,
     so each zone's columns are its operator's, and the columns outside the
-    zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's structured
-    values the sum is one too, O(n), and only the blocks its readers
-    compose are ever dense.  Zones that share a grid node raise
-    ZoneOverlap.
+    zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's
+    near-convolution values the sum is the three kernels, O(n), and only
+    the blocks its readers compose are ever dense.  Zones that share a grid
+    node raise ZoneOverlap.
     """
     if plan.regime != "OmegaZero":
         raise ValueError("s_k_zero needs an OmegaZero plan")
@@ -580,19 +570,17 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
     if np.any(np.sum(masks, axis=0) > 1):
         raise ZoneOverlap(f"zone indicators overlap on the grid at k={k}")
     (one, _), (two, _), (three, _) = pieces
-    total = one.masked(masks[0]) + two.masked(masks[1]) + three.masked(masks[2])
-    return replace(total, label=f"s_zero[{k},{half:+d}]")
+    return one.masked(masks[0]) + two.masked(masks[1]) + three.masked(masks[2])
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
-                 grids: FieldGrids, halves: dict = None) -> StructuredOperator:
+                 grids: FieldGrids) -> KernelOperator:
     """Both three-zone halves conjugated back to the line, each by its own
-    sign half of V_k (`_conjugated_to_line`), as thin factors.  On the
-    field's structured values only each half's block on V_k's log window
-    is made dense.  `halves` as in `sigma_k_omega`."""
+    sign half of V_k (`_conjugated_to_line`), as thin factors.  Only each
+    half's block on V_k's log window is made dense."""
     return _conjugated_to_line(
         (s_k_zero(field_on_L, k, plan, 1, grids), s_k_zero(field_on_L, k, plan, -1, grids)),
-        _halves_at(plan, k, grids, halves), grids, f"sigma_zero[{k}]")
+        _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
 
 
 # ---------------------------------------------------------------------------
@@ -605,24 +593,22 @@ def _plan_row(plan: SequencePlan, k: int) -> dict:
 
 
 def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
-                   grids: FieldGrids, halves: dict = None) -> list[dict]:
+                   grids: FieldGrids) -> list[dict]:
     """The deviations ||A_k - sigma_k|| of the generic operators, one row per k.
 
     A_k is the field's generic operator at (rho_k, lam_k) and sigma_k the
     limit approximation of the plan's regime: `sigma_k_omega` for
     "OmegaNonzero", `sigma_k_zero` for "OmegaZero".  Each row is the plan
     row of k with `value` the deviation and `bound` None.  A_k - sigma_k is
-    a `StructuredOperator`, A_k's entries minus sigma_k's thin factors, so
-    `op_norm` takes it by products and no n x n array besides A_k exists.
-    V_k's halves are `halves[k]` where the caller has built them (a dict by
-    k), else built here.
+    A_k's entries minus sigma_k's thin factors, so `op_norm` takes it by
+    products and no n x n array besides A_k exists.
     """
     # looked up here, not bound once, so a replaced module attribute is called
     sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
 
     def deviation(k):
         A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
-        return op_norm(A - sigma(field, k, plan, grids, halves))
+        return op_norm(A - sigma(field, k, plan, grids))
 
     return [{**_plan_row(plan, k), "value": deviation(k), "bound": None}
             for k in ks]
@@ -635,9 +621,10 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     `dev_plus` is ||tau(w_k, -eps) - s_k(+1)|| on the positive half-line
     model and `dev_minus` ||tau(-w_k, eps) - s_k(-1)|| on the negative one,
     with s_k from `s_k_zero`; `value` is the larger of the two and `bound`
-    None.  On the field's structured values each difference is one too,
-    with each kernel's column factors subtracted, and `op_norm` reads it
-    through FFTs: no n_half x n_half array is formed.
+    None.  On the field's near-convolution values each difference is a
+    difference of kernels, and `op_norm` reads it through FFTs, subtracting
+    the column factors of kernels with one symbol: no n_half x n_half array
+    is formed.
     """
     eps = float(plan.eps)
     rows = []
@@ -653,7 +640,7 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
 
 
 def _generic_times_vk(A: KernelOperator, halves: tuple,
-                      grids: FieldGrids) -> StructuredOperator:
+                      grids: FieldGrids) -> KernelOperator:
     """A V_k = [A V+ | A V-] on the window of the log pair that V_k's halves
     reach, as factors: each half is A's block of columns on the linear
     cells that half reaches (a view) times its nonzero block (`halves`, from
@@ -661,14 +648,14 @@ def _generic_times_vk(A: KernelOperator, halves: tuple,
     columns would only append zero columns, which add nothing to a norm."""
     cells = halves[0].domain
     window = grids.pair.window(cells.start, cells.start + cells.n)
-    plus, minus = (StructuredOperator.product(
+    plus, minus = (KernelOperator.product(
         A.restricted(v.codomain), v, window, grids.lin,
         cols=slice(i * cells.n, (i + 1) * cells.n)) for i, v in enumerate(halves))
     return plus + minus
 
 
 def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
-                          grids: FieldGrids, interval, bound, halves) -> list[dict]:
+                          grids: FieldGrids, interval, bound) -> list[dict]:
     """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to
     `interval(k)` on the log pair.
 
@@ -676,13 +663,12 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
     a masked copy of it or of V_k's block is formed, and `op_norm` takes
     the norm by products.  A row whose mask leaves V_k no column that meets
     A_k's nonzero columns reads exactly 0.0.  The generic operators are
-    read from the field, so a `scope()` that has them builds none, and V_k's
-    halves from `halves` where the caller has built them (`_halves_at`).
+    read from the field, so a `scope()` that has them builds none.
     """
     rows = []
     for k in ks:
         AV = _generic_times_vk(field.pi(plan.rho(k), plan.lam(k), grids.lin),
-                               _halves_at(plan, k, grids, halves), grids)
+                               _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
         M = cutoff_M(interval(k), AV.domain)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": bound(k)})
@@ -690,19 +676,15 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
 
 
 def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
-                      grids: FieldGrids, halves: dict = None) -> list[dict]:
-    """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k.
-
-    V_k's halves are `halves[k]` where the caller has built them (a dict by
-    k), else built here; so in `check_small_zone` and `check_rate_envelope`.
-    """
+                      grids: FieldGrids) -> list[dict]:
+    """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k."""
     return _compressed_norm_rows(field, plan, ks, grids,
                                  lambda k: IntervalSpec.abs_ge(plan.Rk(k)),
-                                 lambda k: None, halves)
+                                 lambda k: None)
 
 
 def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
-                     grids: FieldGrids, halves: dict = None) -> list[dict]:
+                     grids: FieldGrids) -> list[dict]:
     """Norm of the generic operator compressed to |s| <= R_k |lam_k|.
 
     An "OmegaZero" plan bounds it by R_k sqrt|lam_k|.
@@ -711,11 +693,11 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
     return _compressed_norm_rows(
         field, plan, ks, grids,
         lambda k: IntervalSpec.abs_le(plan.Rk(k) * abs(plan.lam(k))),
-        lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None, halves)
+        lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None)
 
 
 def _half_deviation(A: KernelOperator, v: KernelOperator,
-                    b) -> StructuredOperator:
+                    b: KernelOperator) -> KernelOperator:
     """A V - V b for one sign half V of V_k, given as its nonzero block, and
     b on that half's whole half-line model, as factors.
 
@@ -723,13 +705,13 @@ def _half_deviation(A: KernelOperator, v: KernelOperator,
     V, on the log cells V reaches; V b is V times b's rows on those cells
     (that m x n_half block made dense), on the linear cells V reaches.
     """
-    return (StructuredOperator.product(A.restricted(v.codomain), v, b.domain, A.codomain)
-            - StructuredOperator.product(v, b.restricted(codomain=v.domain),
-                                         b.domain, A.codomain))
+    return (KernelOperator.product(A.restricted(v.codomain), v, b.domain, A.codomain)
+            - KernelOperator.product(v, b.restricted(codomain=v.domain),
+                                     b.domain, A.codomain))
 
 
 def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
-                        grids: FieldGrids, halves: dict = None) -> dict:
+                        grids: FieldGrids) -> dict:
     """Half-line deviations against the rate envelope, with a fitted constant.
 
     Part (a), `dev_a`, compares the generic operator on the positive
@@ -743,18 +725,17 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     + 1/R_k majorizes both parts up to a constant fitted on the first two
     indices (`_rate_fit`).  The generic operators and the two half-line
     limit operators are read from the field, so a `scope()` that has them
-    builds none, and V_k's halves from `halves` where the caller has built
-    them (`_halves_at`).
+    builds none.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
     rows = []
     for k in ks:
-        lam_k, wk = plan.lam(k), plan.w_k(k)
-        A = field.pi(plan.rho(k), lam_k, grids.lin)
+        rho_k, lam_k, wk = plan.rho(k), plan.lam(k), plan.w_k(k)
+        A = field.pi(rho_k, lam_k, grids.lin)
         # one norm per sign half
         dev_a, dev_b = (op_norm(_half_deviation(A, v, b)) for v, b in zip(
-            _halves_at(plan, k, grids, halves), _two_point_pair(field, plan, k, wk, grids)))
+            _vk_halves(rho_k, lam_k, grids), _two_point_pair(field, plan, k, wk, grids)))
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
@@ -857,7 +838,7 @@ def _line_transform(psi: np.ndarray, taus: np.ndarray, grid: GridSpec) -> np.nda
 
 
 def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
-                 f_d: np.ndarray = None) -> StructuredOperator:
+                 f_d: np.ndarray = None) -> KernelOperator:
     """Extend a scalar field on the character line to a two-parameter point.
 
     The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
@@ -877,8 +858,8 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
     t = grid.nodes
     qcol = _qhat(mu * np.exp(t), nu * np.exp(-t))
     # entry (i, j) is f_d[n - 1 + i - j] qcol[j], the Toeplitz of f_d reversed
-    return StructuredOperator.near_convolution(grid, ((1.0, f_d[::-1], qcol),),
-                                             f"sigma0({mu},{nu})")
+    return KernelOperator.near_convolution(grid, ((1.0, f_d[::-1], qcol),),
+                                         f"sigma0({mu},{nu})")
 
 
 def compact_condition_check(field: OperatorField, taus: np.ndarray,
@@ -1066,29 +1047,28 @@ def _converge_omega_table(field: OperatorField, plan: SequencePlan,
     """2c's table of one plan with the tail, small-zone and rate-envelope
     rows beside it, computed one k at a time.
 
-    Each k runs on its own `field.scope()`, and V_k's halves are built once
-    for it and handed to its four rows (`deviation_rows`,
-    `check_tail_cutoff`, `check_small_zone`, `check_rate_envelope`).  The
-    scope and the halves are dropped before the next k, so at most one
-    generic operator is alive.  The first k's scope also gives `pi_first`
-    and the `_limit_scale`; the verdicts are taken once from the collected
-    rows, 2c's by `_two_point_table` and the rate fit by `_rate_fit`.  So
-    every row and verdict is that of 2c and of the checks run on the whole
-    of `cfg.ks`.
+    Each k runs on its own `field.scope()` through its four rows
+    (`deviation_rows`, `check_tail_cutoff`, `check_small_zone`,
+    `check_rate_envelope`), which share V_k's halves (`_vk_halves` keeps
+    the last ones built).  The scope is dropped before the next k, so at
+    most one generic operator is alive.  The first k's scope also gives
+    `pi_first` and the `_limit_scale`; the verdicts are taken once from the
+    collected rows, 2c's by `_two_point_table` and the rate fit by
+    `_rate_fit`.  So every row and verdict is that of 2c and of the checks
+    run on the whole of `cfg.ks`.
     """
     g = cfg.grids
     rows, tail, small, rate = [], [], [], []
     for k in cfg.ks:
         scope = field.scope()
-        halves = {k: _vk_halves(plan.rho(k), plan.lam(k), g)}
-        rows += deviation_rows(scope, plan, (k,), g, halves)
+        rows += deviation_rows(scope, plan, (k,), g)
         if len(rows) == 1:
             pi_first = op_norm(scope.pi(plan.rho(k), plan.lam(k), g.lin))
             limit_scale = _limit_scale(scope, plan, g)
-        tail += check_tail_cutoff(scope, plan, (k,), g, halves)
-        small += check_small_zone(scope, plan, (k,), g, halves)
-        rate += check_rate_envelope(scope, plan, (k,), g, halves)["rows"]
-        del scope, halves  # this k's operators go before the next k's
+        tail += check_tail_cutoff(scope, plan, (k,), g)
+        small += check_small_zone(scope, plan, (k,), g)
+        rate += check_rate_envelope(scope, plan, (k,), g)["rows"]
+        del scope  # this k's operators go before the next k's
     table = _two_point_table(plan, rows, limit_scale, pi_first, cfg)
     fit = _rate_fit(rate)
     return {**table, "tail_rows": tail, "small_zone_rows": small,

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .grids import GridSpec, QuadratureSpec, gauss_legendre_rule
-from .operators import KernelOperator, StructuredOperator
+from .operators import KernelOperator
 from .testfun import TestFunction, bump_fourier, eval_hatF34, eval_hatF234
 
 __all__ = [
@@ -106,16 +106,17 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
 
 
 def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
-                      sign: int, label: str) -> StructuredOperator:
+                      sign: int, label: str) -> KernelOperator:
     """K(x_i, x_j) = hatF234(sign (x_i - x_j), mu e^(sign x_j), nu e^(-sign x_j), 0).
 
     The kernel is sum_t coeff_t T(b_t) diag(col_t), T(b)[i, j] =
-    b[n - 1 - i + j], and is kept as those terms (`StructuredOperator`): per
-    term, b_t evaluated once on the 2n - 1 offsets h*(sign m), m = n - 1
-    down to 1 - n, and the column factor col_t, O(n) memory.  sign (x_i -
-    x_j) is computed as h*(sign (i - j)), so the kernel is exactly Toeplitz
-    and the diagonal shift is +0.0 for either sign.  `entries` gives the
-    n x n matrix, each row a contiguous slice of the samples.
+    b[n - 1 - i + j], and is kept as those terms
+    (`KernelOperator.near_convolution`): per term, b_t evaluated once on
+    the 2n - 1 offsets h*(sign m), m = n - 1 down to 1 - n, and the column
+    factor col_t, O(n) memory.  sign (x_i - x_j) is computed as h*(sign
+    (i - j)), so the kernel is exactly Toeplitz and the diagonal shift is
+    +0.0 for either sign.  `entries` gives the n x n matrix, each row a
+    contiguous slice of the samples.
     """
     x = grid.nodes
     offsets = grid.weights[0] * (sign * np.arange(grid.n - 1, -grid.n, -1))
@@ -123,11 +124,11 @@ def _near_convolution(f: TestFunction, mu: float, nu: float, grid: GridSpec,
                    bump_fourier(tm.b_x, mu * np.exp(sign * x), _QUAD)
                    * tm.b_a(nu * np.exp(-sign * x)) * tm.b_b(0.0))
                   for tm in f.terms)
-    return StructuredOperator.near_convolution(grid, terms, label)
+    return KernelOperator.near_convolution(grid, terms, label)
 
 
 def kernel_pi_ell(f: TestFunction, mu: float, nu: float,
-                  grid: GridSpec) -> StructuredOperator:
+                  grid: GridSpec) -> KernelOperator:
     """The representation attached to (0, mu, nu, 0) in the L^2(R) model.
 
     K(v, t) = hatF234(v - t, mu e^t, nu e^(-t), 0); for mu = nu = 0 this is
@@ -137,7 +138,7 @@ def kernel_pi_ell(f: TestFunction, mu: float, nu: float,
 
 
 def kernel_tau(f: TestFunction, mu: float, nu: float,
-               grid: GridSpec) -> StructuredOperator:
+               grid: GridSpec) -> KernelOperator:
     """The half-line model on L^2(R_sigma, du/|u|) in log coordinates.
 
     K(v_i, v_j) = hatF234(v_j - v_i, mu e^(-v_j), nu e^(v_j), 0); the same

@@ -6,27 +6,25 @@ matrix acting on plain coefficient vectors is entries @ diag(weights_dom).
 The L^2 -> L^2 operator norm is the largest singular value of the
 symmetrically weighted matrix W_cod^(1/2) entries W_dom^(1/2).
 
-A `KernelOperator` stores the kernel as a dense matrix, `entries`.  A
-`StructuredOperator` keeps it as a signed sum of terms, each a part cut by
-boolean masks on its rows and columns.  A part is a near-convolution
-kernel sum_t coeff_t T(b_t) diag(col_t), T(b) Toeplitz, kept as 2n - 1
-samples of b and n column factors per term (every ell and tau value); a
-product L diag(w) R of two dense factors on a block of cells (the limit
-constructions V_k b V_k*, A_k V_k and V b); or a dense matrix.  A matrix
-may be read as its adjoint, without a copy.
+`KernelOperator`, the one operator class, keeps its kernel as a signed sum
+of terms, each a part cut by boolean masks on its rows and columns.  A part
+is a dense matrix, which may be read as its adjoint without a copy; a
+near-convolution kernel sum_t coeff_t T(b_t) diag(col_t), T(b) Toeplitz,
+kept as 2n - 1 samples of b and n column factors per term (every ell and
+tau value); or a product L diag(w) R of two dense factors on a block of
+cells (the limit constructions V_k b V_k*, A_k V_k and V b).  An operator
+built from its entries is one dense term that holds them.
 
-`adjoint`, `masked` and `restricted` map each term.  Both classes share one
-sum rule for `+` and `-`: two dense operators give a dense one, and any
-other pair the concatenation of their terms, a dense operand being one
-dense term that holds its entries.  So tau - s_k is a difference of
+`adjoint`, `masked` and `restricted` map each term, and `+` and `-`
+concatenate the terms, except that two dense operators (each one unmasked
+dense array) sum to a dense one.  So tau - s_k is a difference of
 near-convolution kernels and A_k - sigma_k is A_k's entries minus sigma_k's
-thin factors.  The `entries` of a structured operator are built on each
-read, bit for bit what the same operations give on the dense kernels; the
-package reads them only where a dense routine needs them: the SVD of
-`compact_defect`, `compose` (`@`), through which the limit constructions
-read the blocks on V_k's log window, and `op_norm`'s SVD fallback.  Both
-classes have `domain`, `codomain`, `label`, `entries`, `nbytes`, `apply`,
-`weighted`, `adjoint`, `masked`, `restricted`, `compose`, `+` and `-`.
+thin factors.  The `entries` of a dense operator are its array; any other
+builds them on each read, bit for bit what the same operations give on the
+dense kernels, and the package reads them only where a dense routine needs
+them: the SVD of `compact_defect`, `compose` (`@`), through which the limit
+constructions read the blocks on V_k's log window, and `op_norm`'s SVD
+fallback.
 
 A cutoff (multiplication by the indicator of a region) is kept as its
 boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
@@ -44,14 +42,14 @@ only the rounding of the smaller LAPACK or BLAS call differs.
 Golub-Kahan-Lanczos bidiagonalization with full reorthogonalization, from
 a fixed start vector: a few products with the weighted operator and its
 adjoint instead of an O(n^3) SVD, from the nonzero block of a dense
-operator, and term by term for a structured one, by FFTs for its
+operator, and term by term for any other, by FFTs for its
 near-convolution kernels (those with one symbol merged first) and by
 products of the factors or the matrix for its other parts, the square-root
 weights applied to the vectors.  It stops once the residual of the top
 Ritz triple is at most 1e-14 of its value, and takes the full SVD of the
-dense copy when that has not happened after 64 steps.  A structured
-operator with no live term (no part holds a nonzero within its masks) is
-exactly zero and gives 0.0.  `compact_defect` needs a whole spectrum and
+dense copy when that has not happened after 64 steps.  An operator with
+no live term (no part holds a nonzero within its masks) is exactly zero
+and gives 0.0.  `compact_defect` needs a whole spectrum and
 keeps the full SVD.
 """
 
@@ -69,7 +67,6 @@ from .grids import GridSpec
 
 __all__ = [
     "KernelOperator",
-    "StructuredOperator",
     "IntervalSpec",
     "op_norm",
     "compact_defect",
@@ -78,114 +75,6 @@ __all__ = [
     "save_operator",
     "load_operator",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class KernelOperator:
-    domain: GridSpec
-    codomain: GridSpec
-    entries: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        if self.entries.shape != (self.codomain.n, self.domain.n):
-            raise ValueError("entries shape must be (codomain.n, domain.n)")
-
-    @staticmethod
-    def zero(domain: GridSpec, codomain: GridSpec = None, label: str = "0") -> "KernelOperator":
-        codomain = codomain or domain
-        return KernelOperator(domain, codomain,
-                              np.zeros((codomain.n, domain.n), complex), label)
-
-    @staticmethod
-    def identity(grid: GridSpec, label: str = "id") -> "KernelOperator":
-        return KernelOperator(grid, grid, np.diag(1.0 / grid.weights).astype(complex), label)
-
-    @property
-    def nbytes(self) -> int:
-        return self.entries.nbytes
-
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        return self.entries @ (self.domain.weights * xi)
-
-    def weighted(self) -> np.ndarray:
-        return (np.sqrt(self.codomain.weights)[:, None] * self.entries
-                * np.sqrt(self.domain.weights)[None, :])
-
-    def adjoint(self) -> "KernelOperator":
-        return KernelOperator(self.codomain, self.domain,
-                              np.conj(self.entries).T, f"({self.label})*")
-
-    def compose(self, other: "KernelOperator") -> "KernelOperator":
-        """The operator self o other (integration over the middle grid).
-
-        The kernel is entries @ (w[:, None] * other.entries) with w the middle
-        grid's weights; a cutoff mask is applied with `masked`, not here.
-        The product runs on the nonzero block only: the rows of self and the
-        columns of other that hold a nonzero, summed over the middle indices
-        where both self's column and other's row hold one.  Every product
-        left out has an exact zero factor, so the block is the dense product
-        up to the rounding of a smaller BLAS call, and every entry outside
-        it is an exact zero.  (A non-finite entry that meets only exact
-        zeros is left out with them.)  When nothing is dropped it is the
-        plain product.
-        """
-        if other.codomain.n != self.domain.n:
-            raise ValueError("grid mismatch in composition")
-        a, b, w = self.entries, other.entries, self.domain.weights
-        rows, cols = a.any(axis=1), b.any(axis=0)
-        mid = a.any(axis=0) & b.any(axis=1)
-        if rows.all() and cols.all() and mid.all():
-            ent = a @ (w[:, None] * b)
-        else:
-            shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
-            wb = w[mid, None] * b[np.ix_(mid, cols)]
-            del b  # entries that `other` built on this read are freed here
-            block = a[np.ix_(rows, mid)] @ wb
-            del wb  # the result is allocated once the product's inputs are gone
-            ent = np.zeros(shape, dtype)
-            ent[np.ix_(rows, cols)] = block
-        return KernelOperator(other.domain, self.codomain, ent,
-                              f"{self.label}.{other.label}")
-
-    def masked(self, keep: np.ndarray) -> "KernelOperator":
-        """The operator self o M_keep, M_keep the cutoff to a `cutoff_M` mask.
-
-        Multiplying by an indicator on the right keeps the columns where
-        `keep` is true and sets the others to exact zeros; no product is
-        formed, so the kept entries are self's own.
-        """
-        return KernelOperator(self.domain, self.codomain,
-                              np.where(keep, self.entries, 0), f"{self.label}.M")
-
-    def restricted(self, domain: GridSpec = None,
-                   codomain: GridSpec = None) -> "KernelOperator":
-        """self between cell windows of its linear or log grids
-        (`GridSpec.window`; None keeps the grid), as a view of its entries:
-        the block of self on those rows and columns.  A window is placed by
-        its `start`, so self's own grids may be windows of the same grid."""
-        domain = self.domain if domain is None else domain
-        codomain = self.codomain if codomain is None else codomain
-        r, c = codomain.start - self.codomain.start, domain.start - self.domain.start
-        return KernelOperator(domain, codomain,
-                              self.entries[r:r + codomain.n, c:c + domain.n], self.label)
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def __add__(self, other):
-        return _sum(self, other, 1.0)
-
-    def __sub__(self, other):
-        return _sum(self, other, -1.0)
-
-    def __mul__(self, c):
-        return KernelOperator(self.domain, self.codomain, self.entries * c, self.label)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
 
 
 class _Adjoint:
@@ -425,52 +314,60 @@ class _Term(NamedTuple):
     cols: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class StructuredOperator:
-    """A signed sum of terms (`_Term`), each kept as one of three kinds of
-    part: a near-convolution kernel (`_Convolution`, O(n)), a product of
-    two dense factors on a block of cells (`_Product`), or a dense matrix
-    or the adjoint of one (`_Dense`), which holds a dense operand's entries
-    without a copy.  Each part has `rows` and `cols`, the cells it sits on,
-    `block` (its dense block there, a fresh array), `adjoint` and
-    `restricted`, and a `_Product` or `_Dense` `live` and the products @.
+class KernelOperator:
+    """A kernel operator from `domain` to `codomain`, kept as a signed sum of
+    `terms` (`_Term`), each part a dense matrix or the adjoint of one
+    (`_Dense`), a near-convolution kernel (`_Convolution`) or a product of
+    two dense factors (`_Product`).  Each part has `rows` and `cols`, the
+    cells it sits on, `block` (its dense block there, a fresh array),
+    `adjoint` and `restricted`, and a `_Product` or `_Dense` `live` and @.
 
-    `adjoint`, `masked`, `restricted`, `+` and `-` map or concatenate the
-    terms; `op_norm` reads it through `_products`; `entries` builds the
-    dense kernel on each read, for `compose` (`@`), `weighted`,
-    `compact_defect` and `op_norm`'s SVD fallback.
+    An operator whose one term is an unmasked `+` dense array is dense: its
+    `entries` is that array, two dense operators sum to a dense one, and
+    `op_norm` takes its nonzero block.  Any other builds `entries` on each
+    read and `op_norm` reads it through `_products`.
     """
 
-    domain: GridSpec
-    codomain: GridSpec
-    terms: tuple
-    label: str = ""
+    def __init__(self, domain: GridSpec, codomain: GridSpec, entries: np.ndarray,
+                 label: str = ""):
+        if entries.shape != (codomain.n, domain.n):
+            raise ValueError("entries shape must be (codomain.n, domain.n)")
+        self.domain, self.codomain, self.label = domain, codomain, label
+        self.terms = (_Term(_Dense(entries)),)
+
+    @classmethod
+    def _of(cls, domain: GridSpec, codomain: GridSpec, terms, label: str = ""):
+        """The operator with these terms between the given grids."""
+        op = cls.__new__(cls)
+        op.domain, op.codomain, op.terms, op.label = domain, codomain, tuple(terms), label
+        return op
 
     @staticmethod
-    def near_convolution(grid: GridSpec, terms, label: str = "") -> "StructuredOperator":
+    def zero(domain: GridSpec, codomain: GridSpec = None, label: str = "0") -> "KernelOperator":
+        return KernelOperator._of(domain, codomain or domain, (), label)
+
+    @staticmethod
+    def identity(grid: GridSpec, label: str = "id") -> "KernelOperator":
+        return KernelOperator(grid, grid, np.diag(1.0 / grid.weights).astype(complex), label)
+
+    @staticmethod
+    def near_convolution(grid: GridSpec, terms, label: str = "") -> "KernelOperator":
         """sum_t coeff_t T(b_t) diag(col_t) on the whole grid, from (coeff,
         b, col) per term: b the 2n - 1 samples, T(b)[i, j] = b[n - 1 - i + j],
         and col the n column factors."""
-        return StructuredOperator(grid, grid, (_Term(_Convolution(tuple(terms))),), label)
-
-    @staticmethod
-    def holding(op: KernelOperator) -> "StructuredOperator":
-        """A dense operator as one dense term that holds its entries,
-        without a copy."""
-        return StructuredOperator(op.domain, op.codomain, (_Term(_Dense(op.entries)),),
-                                  op.label)
+        return KernelOperator._of(grid, grid, (_Term(_Convolution(tuple(terms))),), label)
 
     @staticmethod
     def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
-                adjoint: bool = False, cols: slice = None) -> "StructuredOperator":
+                adjoint: bool = False, cols: slice = None) -> "KernelOperator":
         """left o right (left o right* when `adjoint`), kept as the two
         factors, between `domain` and `codomain` (default: right's domain
         and left's codomain).  The block sits on left's codomain cells and
         right's domain cells, placed by their `start` within the given
         grids, or on `cols` when given; the middle grid is left's domain.
-        `left` and `right` are operators with `entries` (a structured one is
-        made dense here); the adjoint of `right` is read through products,
-        without a copy."""
+        A factor whose one term is an unmasked `+` dense matrix is that
+        matrix, an array or an `_Adjoint` view, without a copy; any other is
+        made dense here.  The adjoint of `right` is read through products."""
         r_dom = right.codomain if adjoint else right.domain
         domain = domain or r_dom
         codomain = codomain or left.codomain
@@ -480,18 +377,31 @@ class StructuredOperator:
         if cols is None:
             c0 = r_dom.start - domain.start
             cols = slice(c0, c0 + r_dom.n)
-        factor = _Adjoint(right.entries) if adjoint else right.entries
-        part = _Product(left.entries, left.domain.weights, factor,
+        lf, rf = (op.entries if op._matrix is None else op._matrix for op in (left, right))
+        part = _Product(lf, left.domain.weights, _adjoint(rf) if adjoint else rf,
                         slice(r0, r0 + left.codomain.n), cols)
-        return StructuredOperator(domain, codomain, (_Term(part),))
+        return KernelOperator._of(domain, codomain, (_Term(part),))
+
+    @property
+    def _matrix(self):
+        """The matrix of a lone unmasked `+` dense term (an array or an
+        `_Adjoint`), else None."""
+        if len(self.terms) == 1:
+            (part, sign, rows, cols), = self.terms
+            if isinstance(part, _Dense) and sign > 0 and rows is None and cols is None:
+                return part.matrix
+        return None
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense kernel, built on each read: each term's block, masked
-        in place, added with its sign on its cells in term order, and freed
-        before the next one is built.  So bit for bit the entries the same
-        operations give on the dense kernels (up to the sign of an exact
-        zero)."""
+        """The dense kernel: a dense operator's own array, and otherwise
+        built on each read: each term's block, masked in place, added with
+        its sign on its cells in term order, and freed before the next one
+        is built.  So bit for bit the entries the same operations give on
+        the dense kernels (up to the sign of an exact zero)."""
+        matrix = self._matrix
+        if isinstance(matrix, np.ndarray):
+            return matrix
         shape = (self.codomain.n, self.domain.n)
         ent = None
         for t in self.terms:
@@ -515,37 +425,38 @@ class StructuredOperator:
         """The bytes of the arrays the terms hold, each counted once."""
         return sum({id(a): a.nbytes for a in _arrays(self.terms)}.values())
 
-    def dense(self) -> KernelOperator:
-        return KernelOperator(self.domain, self.codomain, self.entries, self.label)
-
     def apply(self, xi: np.ndarray) -> np.ndarray:
-        products = self._products(np.ones(self.codomain.n), self.domain.weights)
-        if products is None:
-            return np.zeros(self.codomain.n, complex)
-        return products @ xi[products.keep]
+        return self.entries @ (self.domain.weights * xi)
 
     def weighted(self) -> np.ndarray:
-        return self.dense().weighted()
+        return (np.sqrt(self.codomain.weights)[:, None] * self.entries
+                * np.sqrt(self.domain.weights)[None, :])
 
-    def _with(self, terms, domain=None, codomain=None, label=None) -> "StructuredOperator":
+    def _with(self, terms, domain=None, codomain=None, label=None) -> "KernelOperator":
         """These terms between the given grids (default: self's)."""
-        return StructuredOperator(domain or self.domain, codomain or self.codomain,
-                                  tuple(terms), self.label if label is None else label)
+        return KernelOperator._of(domain or self.domain, codomain or self.codomain, terms,
+                                  self.label if label is None else label)
 
-    def adjoint(self) -> "StructuredOperator":
+    def adjoint(self) -> "KernelOperator":
+        """Each term's part read as its adjoint, without a copy of any matrix
+        or factor."""
         return self._with((_Term(t.part.adjoint(), t.sign, t.cols, t.rows) for t in self.terms),
                           self.codomain, self.domain, f"({self.label})*")
 
-    def masked(self, keep: np.ndarray) -> "StructuredOperator":
-        """self o M_keep: each term's column mask cut to `keep`, without a
-        copy of any part."""
+    def masked(self, keep: np.ndarray) -> "KernelOperator":
+        """self o M_keep, M_keep the cutoff to a `cutoff_M` mask: each term's
+        column mask cut to `keep`, without a copy of any part, so the kept
+        entries are self's own and the others exact zeros."""
         return self._with((t._replace(cols=keep if t.cols is None else t.cols & keep)
                            for t in self.terms), label=f"{self.label}.M")
 
     def restricted(self, domain: GridSpec = None,
-                   codomain: GridSpec = None) -> "StructuredOperator":
-        """As `KernelOperator.restricted`: each part and mask cut to the
-        windows."""
+                   codomain: GridSpec = None) -> "KernelOperator":
+        """self between cell windows of its linear or log grids
+        (`GridSpec.window`; None keeps the grid): each part and mask cut to
+        the windows, a dense matrix as a view of its block.  A window is
+        placed by its `start`, so self's own grids may be windows of the
+        same grid."""
         domain, codomain = domain or self.domain, codomain or self.codomain
         r, c = codomain.start - self.codomain.start, domain.start - self.domain.start
         m, n = codomain.n, domain.n
@@ -557,8 +468,37 @@ class StructuredOperator:
                                  cut(t.rows, r, m), cut(t.cols, c, n))
                            for t in self.terms), domain, codomain)
 
-    def compose(self, other) -> KernelOperator:
-        return self.dense().compose(other)
+    def compose(self, other: "KernelOperator") -> "KernelOperator":
+        """The operator self o other (integration over the middle grid), dense.
+
+        The kernel is entries @ (w[:, None] * other.entries) with w the middle
+        grid's weights; a cutoff mask is applied with `masked`, not here.
+        The product runs on the nonzero block only: the rows of self and the
+        columns of other that hold a nonzero, summed over the middle indices
+        where both self's column and other's row hold one.  Every product
+        left out has an exact zero factor, so the block is the dense product
+        up to the rounding of a smaller BLAS call, and every entry outside
+        it is an exact zero.  (A non-finite entry that meets only exact
+        zeros is left out with them.)  When nothing is dropped it is the
+        plain product.
+        """
+        if other.codomain.n != self.domain.n:
+            raise ValueError("grid mismatch in composition")
+        a, b, w = self.entries, other.entries, self.domain.weights
+        rows, cols = a.any(axis=1), b.any(axis=0)
+        mid = a.any(axis=0) & b.any(axis=1)
+        if rows.all() and cols.all() and mid.all():
+            ent = a @ (w[:, None] * b)
+        else:
+            shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
+            wb = w[mid, None] * b[np.ix_(mid, cols)]
+            del b  # entries that `other` built on this read are freed here
+            block = a[np.ix_(rows, mid)] @ wb
+            del wb  # the result is allocated once the product's inputs are gone
+            ent = np.zeros(shape, dtype)
+            ent[np.ix_(rows, cols)] = block
+        return KernelOperator(other.domain, self.codomain, ent,
+                              f"{self.label}.{other.label}")
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -568,6 +508,11 @@ class StructuredOperator:
 
     def __sub__(self, other):
         return _sum(self, other, -1.0)
+
+    def __mul__(self, c):
+        return KernelOperator(self.domain, self.codomain, self.entries * c, self.label)
+
+    __rmul__ = __mul__
 
     def _products(self, left: np.ndarray, right: np.ndarray) -> "_Products | None":
         """diag(left) self diag(right) as `_Products`, or None when no term
@@ -615,20 +560,16 @@ class StructuredOperator:
         return _Products(pieces, self.codomain.n, keep)
 
 
-def _sum(x, y, sign: float):
-    """x + sign * y, the sum rule of both operator classes: two dense
-    operators give a dense one, and otherwise the terms of x and y are
-    concatenated, y's signs times `sign`, a dense operand being one `_Dense`
-    term that holds its entries without a copy."""
+def _sum(x: KernelOperator, y: KernelOperator, sign: float) -> KernelOperator:
+    """x + sign * y: two dense operators give a dense one holding the sum of
+    their entries, and otherwise the terms of x and y are concatenated, y's
+    signs times `sign`."""
     if (x.domain, x.codomain) != (y.domain, y.codomain):
         raise ValueError("grid mismatch in sum")
-    if isinstance(x, KernelOperator) and isinstance(y, KernelOperator):
-        ent = x.entries + y.entries if sign > 0 else x.entries - y.entries
-        return KernelOperator(x.domain, x.codomain, ent, x.label)
-    tx, ty = ((op if isinstance(op, StructuredOperator) else StructuredOperator.holding(op)).terms
-              for op in (x, y))
-    ty = tuple(t._replace(sign=sign * t.sign) for t in ty)
-    return StructuredOperator(x.domain, x.codomain, tx + ty, x.label)
+    a, b = x._matrix, y._matrix
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return KernelOperator(x.domain, x.codomain, a + b if sign > 0 else a - b, x.label)
+    return x._with(x.terms + tuple(t._replace(sign=sign * t.sign) for t in y.terms))
 
 
 def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
@@ -780,19 +721,18 @@ def _lanczos_norm(W) -> tuple[float | None, int]:
     return None, _LANCZOS_STEPS
 
 
-def op_norm(A) -> float:
+def op_norm(A: KernelOperator) -> float:
     """L^2 -> L^2 operator norm of the discretized kernel operator: the
     largest singular value of its weighted matrix, by `_lanczos_norm`, or
     by the full SVD of the nonzero block when that has not converged.
 
-    A dense operator gives `_lanczos_norm` its nonzero block and a
-    `StructuredOperator` the products of its terms (`_products`), its dense
-    copy only for the SVD.  A structured operator with no live term is
-    exactly zero and gives 0.0."""
-    if isinstance(A, StructuredOperator):
-        W = A._products(np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights))
-    else:
+    A dense operator gives `_lanczos_norm` its nonzero block and any other
+    the products of its terms (`_products`), its dense copy only for the
+    SVD.  An operator with no live term is exactly zero and gives 0.0."""
+    if isinstance(A._matrix, np.ndarray):
         W = _nonzero_block(A)
+    else:
+        W = A._products(np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights))
     if W is None:
         return 0.0
     sigma, _ = _lanczos_norm(W)

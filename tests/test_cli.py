@@ -24,6 +24,7 @@ from boidol.cli import (
 from boidol.errors import MissingLimitPoint
 from boidol.fields import (
     _ADJOINT_SENSITIVE_CHECKS,
+    _vk_halves,
     DstarConfig,
     FieldGrids,
     OperatorField,
@@ -290,6 +291,20 @@ def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypat
     plan = default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1))
     assert alive_at_build == [0] * len(SMALL["ks"])
     assert vk_builds == {(plan.rho(k), plan.lam(k)): 1 for k in SMALL["ks"]}
+
+
+def test_converge_omega_keeps_only_the_last_vk_halves(tmp_path):
+    """`_vk_halves` keeps at most the last V_k halves it built: two `converge
+    omega` runs in one process write the same artifact, byte for byte, and
+    leave at most one entry behind."""
+    cfg_path = write_cfg(tmp_path, SMALL)
+    artifacts = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        assert main(["--config", cfg_path, "--out", str(out), "converge", "omega"]) == 0
+        artifacts.append((out / "converge_omega.json").read_bytes())
+    assert artifacts[0] == artifacts[1]
+    assert _vk_halves.cache_info().currsize <= 1
 
 
 def test_converge_zero_small_grid(tmp_path):

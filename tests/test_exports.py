@@ -53,7 +53,8 @@ def test_verdict_path_imports_no_scipy(tmp_path):
 
 def test_no_line_is_longer_than_100_characters():
     root = Path(__file__).resolve().parents[1]
-    files = sorted((root / "src" / "boidol").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    files = [path for folder in (root / "src" / "boidol", root / "tests", root / "demos")
+             for path in sorted(folder.glob("*.py"))]
     long = [f"{path.relative_to(root)}:{i}" for path in files
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 100]

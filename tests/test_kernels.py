@@ -16,7 +16,6 @@ from boidol.kernels import (
 from boidol.operators import (
     IntervalSpec,
     KernelOperator,
-    StructuredOperator,
     cutoff_M,
     flip_S,
     op_norm,
@@ -498,18 +497,19 @@ def test_near_convolution_kernels_equal_dense_reference(n):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_structured_kernels_match_their_dense_copies(sign):
     """pi_ell (sign +1, on the line) and tau (sign -1, on a half-line) of a
-    two-term f stay structured under `adjoint`, `masked`, `restricted` to
-    a window and a difference of two values with the same symbol, and each
-    has the entries of the same operations on the dense kernel, bit for
-    bit; its FFT op_norm is within 1e-13 relative of the dense op_norm."""
+    two-term f stay near-convolution kernels, holding no n x n array, under
+    `adjoint`, `masked`, `restricted` to a window and a difference of two
+    values with the same symbol, and each has the entries of the same
+    operations on the dense kernel, bit for bit; its FFT op_norm is within
+    1e-13 relative of op_norm of those entries as a dense operator."""
     n = 96
     if sign == 1:
         grid, build = GridSpec.linear(6.0, n), kernel_pi_ell
     else:
         grid, build = GridSpec.log_half_line(1, 6.0, n), kernel_tau
     A, B = build(TWO_TERMS, 0.7, -1.0, grid), build(TWO_TERMS, 0.75, -1.0, grid)
-    dA, dB = A.dense(), B.dense()
-    assert isinstance(dA, KernelOperator)
+    dA = KernelOperator(A.domain, A.codomain, A.entries, A.label)
+    dB = KernelOperator(B.domain, B.codomain, B.entries, B.label)
     keep = cutoff_M(IntervalSpec.ge(0.3), grid)
     rows, cols = grid.window(n // 8, n - 5), grid.window(n // 4, 3 * n // 4)
     cases = {
@@ -522,7 +522,7 @@ def test_structured_kernels_match_their_dense_copies(sign):
         "adjoint difference": ((A - B).adjoint(), (dA - dB).adjoint()),
     }
     for name, (op, ref) in cases.items():
-        assert isinstance(op, StructuredOperator), name
+        assert op.nbytes < n * n * 16, name
         assert np.array_equal(op.entries, ref.entries), name
-        want = op_norm(ref)
+        want = op_norm(KernelOperator(ref.domain, ref.codomain, ref.entries))
         assert want > 0 and abs(op_norm(op) - want) <= 1e-13 * want, name

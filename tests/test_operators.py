@@ -18,7 +18,6 @@ from boidol.operators import (
     _nonzero_block,
     IntervalSpec,
     KernelOperator,
-    StructuredOperator,
     compact_defect,
     cutoff_M,
     flip_S,
@@ -163,8 +162,9 @@ def test_singular_values_drop_zero_rows_and_columns():
     zero = KernelOperator.zero(LIN, PAIR)
     _assert_singular_values_match_full_svd(zero)
     assert op_norm(zero) == 0.0
-    one = KernelOperator.zero(LIN, PAIR)
-    one.entries[5, 7] = -3.0j
+    ent = np.zeros((PAIR.n, LIN.n), complex)
+    ent[5, 7] = -3.0j
+    one = KernelOperator(LIN, PAIR, ent)
     _assert_singular_values_match_full_svd(one)
     assert compact_defect(one, 1) == 0.0
 
@@ -299,11 +299,13 @@ def test_op_norm_sees_odd_and_even_top_vectors():
 
 
 def test_composite_is_its_dense_kernel_under_every_operation():
-    """Structured operators (products of factors on windows of the grid, a
-    near-convolution kernel, and their sums with dense operators in either
-    order) have the entries, adjoint, cutoff, window blocks and norm of the
-    dense kernels they stand for, and a dense operand of a sum is one term
-    holding its entries without a copy."""
+    """Operators kept as terms (products of factors on windows of the grid,
+    a near-convolution kernel, and their sums with dense operators in either
+    order) hold no n x n array of their own and have the entries, adjoint,
+    cutoff, window blocks and norm of the dense kernels they stand for, and
+    a dense operand of a sum is one term holding its entries without a
+    copy.  Two dense operators sum to one dense term holding the difference
+    of their entries, bit for bit, with the norm of that dense kernel."""
     rng = np.random.default_rng(5)
     mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
     rows, cols = LIN.window(40, 50), LIN.window(20, 34)
@@ -313,8 +315,8 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     Q = KernelOperator(cols, mid, _cplx(rng, mid.n, cols.n))
     A = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
     B = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
-    terms = (StructuredOperator.product(L, R, LIN, LIN, adjoint=True)
-             - StructuredOperator.product(P, Q, LIN, LIN))
+    terms = (KernelOperator.product(L, R, LIN, LIN, adjoint=True)
+             - KernelOperator.product(P, Q, LIN, LIN))
     want_terms = np.zeros((LIN.n, LIN.n), complex)
     want_terms[rows.cells, rows.cells] += (L @ R.adjoint()).entries
     want_terms[:, cols.cells] -= (P @ Q).entries
@@ -322,7 +324,7 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     n = LIN.n
     kernel = [(0.5 - 2.0j, _cplx(rng, 1, 2 * n - 1)[0], _cplx(rng, 1, n)[0]),
               (1.5, _cplx(rng, 1, 2 * n - 1)[0], _cplx(rng, 1, n)[0])]
-    conv = StructuredOperator.near_convolution(LIN, kernel)
+    conv = KernelOperator.near_convolution(LIN, kernel)
     offsets = n - 1 - np.arange(n)[:, None] + np.arange(n)[None, :]
     want_conv = sum(coeff * b[offsets] * col for coeff, b, col in kernel)
     cases = {
@@ -335,7 +337,7 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     }
     keep = LIN.points > 0.5
     for name, (op, want, dense_operands) in cases.items():
-        assert isinstance(op, StructuredOperator), name
+        assert op.nbytes - sum(d.nbytes for d in dense_operands) < n * n * 16, name
         held = [t.part.matrix for t in op.terms if hasattr(t.part, "matrix")]
         assert len(held) == len(dense_operands), name
         assert all(h is d.entries for h, d in zip(held, dense_operands)), name
@@ -346,10 +348,14 @@ def test_composite_is_its_dense_kernel_under_every_operation():
         for dom, cod in ((cols, rows), (LIN.window(5, 45), cols)):
             assert np.allclose(op.restricted(dom, cod).entries, want[cod.cells, dom.cells],
                                rtol=0, atol=1e-12), name
-        dense = KernelOperator(LIN, LIN, want)
-        for got, ref in ((op, dense), (op.adjoint(), dense.adjoint()),
-                         (op.masked(keep), dense.masked(keep))):
-            assert abs(op_norm(got) - op_norm(ref)) <= 1e-13 * op_norm(ref), name
+        for got, ref in ((op, want), (op.adjoint(), np.conj(want).T),
+                         (op.masked(keep), np.where(keep, want, 0))):
+            ref = op_norm(KernelOperator(LIN, LIN, ref))
+            assert abs(op_norm(got) - ref) <= 1e-13 * ref, name
+    diff = A - B
+    assert len(diff.terms) == 1 and diff.terms[0].part.matrix is diff.entries
+    assert diff.entries.tobytes() == (A.entries - B.entries).tobytes()
+    assert op_norm(diff) == op_norm(KernelOperator(LIN, LIN, A.entries - B.entries))
 
 
 def test_composite_with_a_non_finite_factor_raises():
@@ -358,8 +364,8 @@ def test_composite_with_a_non_finite_factor_raises():
     mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
     left = np.ones((LIN.n, mid.n), complex)
     left[3, 4] = np.nan
-    C = StructuredOperator.product(KernelOperator(mid, LIN, left),
-                                  KernelOperator(LIN, mid, np.ones((mid.n, LIN.n))))
+    C = KernelOperator.product(KernelOperator(mid, LIN, left),
+                               KernelOperator(LIN, mid, np.ones((mid.n, LIN.n))))
     with pytest.raises(NonFiniteOperator):
         op_norm(C)
 
