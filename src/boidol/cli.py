@@ -178,9 +178,6 @@ def _build_testfun(cfg: dict):
     spec = cfg["test_function"]
     if spec is None:
         return default_test_function()
-    if isinstance(spec, dict) and "path" in spec:
-        with open(spec["path"], "r", encoding="utf-8") as fh:
-            return testfun_from_json(fh.read())
     return testfun_from_json(json.dumps(spec))
 
 

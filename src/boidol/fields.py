@@ -127,20 +127,18 @@ class SpectrumSample:
                 raise ValueError("gamma1 entries must be OneDim labels")
 
 
-def default_sample(T0: float = 16.0, n_tau: int = None,
-                   scale: int = 1) -> SpectrumSample:
+def default_sample(scale: int = 1) -> SpectrumSample:
     """The documented finite spectrum sample.
 
-    The character-line sampling density follows the grid scale so that the
-    extension-map kernels stay below the Nyquist limit of the line window.
+    The characters are sampled on [-16, 16] at 256 * scale + 1 points: the
+    density follows the grid scale so that the extension-map kernels stay
+    below the Nyquist limit of the line window.
     """
-    if n_tau is None:
-        n_tau = 256 * scale + 1
     gamma3 = tuple((rho, lam) for rho in (0.0, 0.5, 1.0, 2.0)
                    for lam in (0.5, 1.0, 2.0))
     gamma2 = tuple(TwoDim(om, sg) for om in (0.7, 1.3, -0.7) for sg in (1, -1))
     gamma1 = (OneDim("X", 1), OneDim("X", -1), OneDim("Y", 1), OneDim("Y", -1))
-    gamma0 = np.linspace(-T0, T0, n_tau)
+    gamma0 = np.linspace(-16.0, 16.0, 256 * scale + 1)
     return SpectrumSample(gamma3, gamma2, gamma1, gamma0)
 
 
@@ -240,7 +238,7 @@ class OperatorField:
         return OperatorField(provider, "Synthetic", label)
 
 
-def fourier_field(f: TestFunction, label: str = "fourier") -> OperatorField:
+def fourier_field(f: TestFunction) -> OperatorField:
     """The field of all representation images of one test function."""
 
     def provider(key):
@@ -258,7 +256,7 @@ def fourier_field(f: TestFunction, label: str = "fourier") -> OperatorField:
             return character_value(f, key[1])
         raise MissingLimitPoint(f"unknown evaluation key {key!r}")
 
-    return OperatorField(provider, "FourierOf", label)
+    return OperatorField(provider, "FourierOf", "fourier")
 
 
 def zero_field() -> OperatorField:
@@ -416,9 +414,10 @@ def validate_plan(plan: SequencePlan) -> None:
         k *= 2
 
 
-def default_plan(regime: str, rho_seq, lambda_seq,
-                 k_max: int = 4 ** 16) -> SequencePlan:
-    """Build the standard scale sequences for a parameter sequence."""
+def default_plan(regime: str, rho_seq, lambda_seq) -> SequencePlan:
+    """Build the standard scale sequences for a parameter sequence, with the
+    hypotheses checked up to k = 4^16."""
+    k_max = 4 ** 16
     eps = 1 if lambda_seq(4) > 0 else -1
     om_far = rho_seq(k_max) * lambda_seq(k_max)
     om_mid = rho_seq(k_max // 2) * lambda_seq(k_max // 2)
@@ -471,15 +470,16 @@ def _vk_halves(rho_k: float, lam_k: float,
     V+ maps a window of the plus half-line model's cells into a window of
     the s > 0 linear cells, and V- maps the same window of the minus one's
     cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
-    conjugate transpose of `vk_adjoint`, which restores `vk_operator`'s
-    entries exactly, and V- is V+ with its rows reversed, a view.
+    adjoint of `vk_adjoint`, which holds `vk_operator`'s own array, and V-
+    is V+ with its rows reversed, a view: no copy of V_k is made.
 
     The last halves built are kept, so the rows of one k (`converge omega`
-    reads them in four) build them once; the next k's replace them.
+    reads them in four) build them once.  Each row of `deviation_rows`, the
+    first row of its k, drops them before it reads its generic operator, so
+    no earlier k's block is alive while the next k's are built.
     """
-    view = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
-    rows, cols, n = view.codomain, view.domain, grids.lin.n
-    plus = KernelOperator(cols, rows, view.entries, view.label)  # one conjugate copy
+    plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
+    rows, cols, n = plus.codomain, plus.domain, grids.lin.n
     minus = KernelOperator(grids.minus.window(cols.start, cols.start + cols.n),
                            grids.lin.window(n - rows.start - rows.n, n - rows.start),
                            plus.entries[::-1])
@@ -502,8 +502,8 @@ def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids) -> KernelOperato
     enter no product, of b only that block is made dense, and no n x n
     array is allocated.
     """
-    plus, minus = (KernelOperator.product(v @ b.restricted(v.domain, v.domain), v,
-                                          grids.lin, grids.lin, adjoint=True)
+    plus, minus = (KernelOperator.product(v @ b.restricted(v.domain, v.domain), v.adjoint(),
+                                          grids.lin, grids.lin)
                    for v, b in zip(halves, pair))
     return plus + minus
 
@@ -607,6 +607,7 @@ def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
 
     def deviation(k):
+        _vk_halves.cache_clear()  # the previous k's halves go before this k's pi
         A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
         return op_norm(A - sigma(field, k, plan, grids))
 
@@ -764,14 +765,15 @@ def check_dek_muk(f: TestFunction, rho: float, lam: float,
     return measured, abs(rho) * l1_norm_F1(f)
 
 
-def tends_to_zero(values, ratio: float = 0.1, wiggle: float = 1.1,
-                  atol: float = 1e-10) -> bool:
+def tends_to_zero(values, ratio: float = 0.1, wiggle: float = 1.1) -> bool:
     """Decision rule for 'this sequence converges to zero'.
 
     Passes iff the last value is below ratio times the first (or absolutely
-    negligible) and the sequence is eventually monotone up to the wiggle
-    factor (monotone from its maximum onward).
+    negligible, at most 1e-10) and the sequence is eventually monotone up to
+    the wiggle factor (monotone from its maximum onward, each step allowed
+    1e-10 beyond it).
     """
+    atol = 1e-10
     vals = [float(v) for v in values]
     if not vals:
         return False
@@ -887,12 +889,11 @@ def compact_condition_check(field: OperatorField, taus: np.ndarray,
 # tamperings (for falsification tests of the condition checker)
 
 
-def tamper_zero_two_dim_limits(field: OperatorField, omega: float,
-                               tol: float = 1e-9) -> OperatorField:
+def tamper_zero_two_dim_limits(field: OperatorField, omega: float) -> OperatorField:
     """Zero out the half-line evaluations at the two-point limit set."""
 
     def transform(key, val):
-        if key[0] == "tau" and abs(abs(key[1]) - abs(omega)) < tol \
+        if key[0] == "tau" and abs(abs(key[1]) - abs(omega)) < 1e-9 \
                 and abs(key[2]) == 1.0:
             return KernelOperator.zero(val.domain, val.codomain, val.label)
         return val
@@ -911,14 +912,13 @@ def tamper_identity_at_half_line(field: OperatorField) -> OperatorField:
     return field.tampered(transform, "identity-at-half-line")
 
 
-def tamper_spike_on_characters(field: OperatorField, at: float = 1.0,
-                               height: float = None) -> OperatorField:
-    """Add a point discontinuity to the scalar field on the character line."""
+def tamper_spike_on_characters(field: OperatorField, at: float = 1.0) -> OperatorField:
+    """Add a point discontinuity, half of |psi(0)|, to the scalar field on
+    the character line."""
 
     def transform(key, val):
         if key[0] == "char" and abs(key[1] - at) < 1e-9:
-            h = height if height is not None else 0.5 * abs(field.char(0.0))
-            return val + h
+            return val + 0.5 * abs(field.char(0.0))
         return val
 
     return field.tampered(transform, "spike-on-characters")
@@ -942,11 +942,11 @@ class DstarConfig:
     check_adjoint: bool = True
 
 
-def default_dstar_config(scale: int = 1, check_adjoint: bool = True) -> DstarConfig:
+def default_dstar_config(check_adjoint: bool = True) -> DstarConfig:
     """The documented default configuration of the condition report."""
     return DstarConfig(
-        grids=FieldGrids.default(scale=scale),
-        sample=default_sample(scale=scale),
+        grids=FieldGrids.default(),
+        sample=default_sample(),
         plans_omega=(default_plan("OmegaNonzero", PowerSeq(1.0, 1.0),
                                   PowerSeq(1.0, -1.0)),),
         plans_zero=(default_plan("OmegaZero", PowerSeq(1.0, 0.5),
@@ -1050,12 +1050,13 @@ def _converge_omega_table(field: OperatorField, plan: SequencePlan,
     Each k runs on its own `field.scope()` through its four rows
     (`deviation_rows`, `check_tail_cutoff`, `check_small_zone`,
     `check_rate_envelope`), which share V_k's halves (`_vk_halves` keeps
-    the last ones built).  The scope is dropped before the next k, so at
-    most one generic operator is alive.  The first k's scope also gives
-    `pi_first` and the `_limit_scale`; the verdicts are taken once from the
-    collected rows, 2c's by `_two_point_table` and the rate fit by
-    `_rate_fit`.  So every row and verdict is that of 2c and of the checks
-    run on the whole of `cfg.ks`.
+    the last ones built, and the deviation row drops the previous k's
+    before it reads pi).  The scope is dropped before the next k, so at
+    most one generic operator and one V_k are alive.  The first k's scope
+    also gives `pi_first` and the `_limit_scale`; the verdicts are taken
+    once from the collected rows, 2c's by `_two_point_table` and the rate
+    fit by `_rate_fit`.  So every row and verdict is that of 2c and of the
+    checks run on the whole of `cfg.ks`.
     """
     g = cfg.grids
     rows, tail, small, rate = [], [], [], []

@@ -224,13 +224,13 @@ class GridSpec:
             return self.sigma * np.exp(self.nodes)
         return np.concatenate([p.points for p in self.parts])
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        """True iff the physical node set is mirror-symmetric about 0."""
+    def is_symmetric(self) -> bool:
+        """True iff the physical node set is exactly mirror-symmetric about 0."""
         if self.kind == "linear":
-            return bool(np.all(np.abs(self.nodes + self.nodes[::-1]) <= tol))
+            return np.array_equal(self.nodes, -self.nodes[::-1])
         if self.kind == "logpair":
             p, m = self.parts
-            return bool(np.all(np.abs(p.points + m.points) <= tol))
+            return np.array_equal(p.points, -m.points)
         return False
 
     def __eq__(self, other):

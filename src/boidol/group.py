@@ -88,11 +88,6 @@ class TwoDim:
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
 
-    @property
-    def eps(self) -> int:
-        """Sign of omega (the alternative (eps, sigma) parametrization)."""
-        return 1 if self.omega > 0 else -1
-
 
 @dataclass(frozen=True)
 class OneDim:
@@ -145,9 +140,9 @@ def automorphism_gamma(g: GroupElement) -> GroupElement:
     return GroupElement(g.t, -g.x, -g.y, g.z)
 
 
-def in_centre(g: GroupElement, tol: float = ZERO_TOL) -> bool:
-    """True iff g lies in the centre {(0,0,0,z)}."""
-    return abs(g.t) <= tol and abs(g.x) <= tol and abs(g.y) <= tol
+def in_centre(g: GroupElement) -> bool:
+    """True iff g lies in the centre {(0,0,0,z)}, up to `ZERO_TOL`."""
+    return abs(g.t) <= ZERO_TOL and abs(g.x) <= ZERO_TOL and abs(g.y) <= ZERO_TOL
 
 
 def orbit_point(label: OrbitLabel, params: tuple[float, float] = (0.0, 0.0)) -> DualVector:

@@ -238,10 +238,9 @@ def vk_adjoint(rho_k: float, lambda_k: float, lin_grid: GridSpec,
 
     (V_k* xi)(u) = (|u|^(1/2)/sqrt|lambda_k|) exp(-i rho_k ln|u|) xi(u/|lambda_k|),
 
-    for u > 0, as the conjugate transpose of `vk_operator`'s block, so that
-    adjointness holds exactly at matrix level: it maps the same window of
-    s > 0 linear cells back to the same window of plus-half log cells.
+    for u > 0, as `vk_operator`'s block read as its adjoint without a copy
+    (`KernelOperator.adjoint`), so that adjointness holds exactly at matrix
+    level: it maps the same window of s > 0 linear cells back to the same
+    window of plus-half log cells.
     """
-    A = vk_operator(rho_k, lambda_k, log_pair, lin_grid).adjoint()
-    return KernelOperator(A.domain, A.codomain, A.entries,
-                          f"V*({rho_k},{lambda_k})")
+    return vk_operator(rho_k, lambda_k, log_pair, lin_grid).adjoint()

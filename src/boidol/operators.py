@@ -347,8 +347,8 @@ class KernelOperator:
         return KernelOperator._of(domain, codomain or domain, (), label)
 
     @staticmethod
-    def identity(grid: GridSpec, label: str = "id") -> "KernelOperator":
-        return KernelOperator(grid, grid, np.diag(1.0 / grid.weights).astype(complex), label)
+    def identity(grid: GridSpec) -> "KernelOperator":
+        return KernelOperator(grid, grid, np.diag(1.0 / grid.weights).astype(complex), "id")
 
     @staticmethod
     def near_convolution(grid: GridSpec, terms, label: str = "") -> "KernelOperator":
@@ -359,27 +359,25 @@ class KernelOperator:
 
     @staticmethod
     def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
-                adjoint: bool = False, cols: slice = None) -> "KernelOperator":
-        """left o right (left o right* when `adjoint`), kept as the two
-        factors, between `domain` and `codomain` (default: right's domain
-        and left's codomain).  The block sits on left's codomain cells and
-        right's domain cells, placed by their `start` within the given
-        grids, or on `cols` when given; the middle grid is left's domain.
-        A factor whose one term is an unmasked `+` dense matrix is that
-        matrix, an array or an `_Adjoint` view, without a copy; any other is
-        made dense here.  The adjoint of `right` is read through products."""
-        r_dom = right.codomain if adjoint else right.domain
-        domain = domain or r_dom
+                cols: slice = None) -> "KernelOperator":
+        """left o right, kept as the two factors, between `domain` and
+        `codomain` (default: right's domain and left's codomain).  The block
+        sits on left's codomain cells and right's domain cells, placed by
+        their `start` within the given grids, or on `cols` when given; the
+        middle grid is left's domain.  A factor whose one term is an
+        unmasked `+` dense matrix is that matrix, an array or an `_Adjoint`
+        view (so `v.adjoint()` is read through products), without a copy;
+        any other is made dense here."""
+        domain = domain or right.domain
         codomain = codomain or left.codomain
-        if left.domain.n != (right.domain if adjoint else right.codomain).n:
+        if left.domain.n != right.codomain.n:
             raise ValueError("grid mismatch in composition")
         r0 = left.codomain.start - codomain.start
         if cols is None:
-            c0 = r_dom.start - domain.start
-            cols = slice(c0, c0 + r_dom.n)
+            c0 = right.domain.start - domain.start
+            cols = slice(c0, c0 + right.domain.n)
         lf, rf = (op.entries if op._matrix is None else op._matrix for op in (left, right))
-        part = _Product(lf, left.domain.weights, _adjoint(rf) if adjoint else rf,
-                        slice(r0, r0 + left.codomain.n), cols)
+        part = _Product(lf, left.domain.weights, rf, slice(r0, r0 + left.codomain.n), cols)
         return KernelOperator._of(domain, codomain, (_Term(part),))
 
     @property
@@ -479,24 +477,20 @@ class KernelOperator:
         left out has an exact zero factor, so the block is the dense product
         up to the rounding of a smaller BLAS call, and every entry outside
         it is an exact zero.  (A non-finite entry that meets only exact
-        zeros is left out with them.)  When nothing is dropped it is the
-        plain product.
+        zeros is left out with them.)
         """
         if other.codomain.n != self.domain.n:
             raise ValueError("grid mismatch in composition")
         a, b, w = self.entries, other.entries, self.domain.weights
         rows, cols = a.any(axis=1), b.any(axis=0)
         mid = a.any(axis=0) & b.any(axis=1)
-        if rows.all() and cols.all() and mid.all():
-            ent = a @ (w[:, None] * b)
-        else:
-            shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
-            wb = w[mid, None] * b[np.ix_(mid, cols)]
-            del b  # entries that `other` built on this read are freed here
-            block = a[np.ix_(rows, mid)] @ wb
-            del wb  # the result is allocated once the product's inputs are gone
-            ent = np.zeros(shape, dtype)
-            ent[np.ix_(rows, cols)] = block
+        shape, dtype = (a.shape[0], b.shape[1]), np.result_type(a, w, b)
+        wb = w[mid, None] * b[np.ix_(mid, cols)]
+        del b  # entries that `other` built on this read are freed here
+        block = a[np.ix_(rows, mid)] @ wb
+        del wb  # the result is allocated once the product's inputs are gone
+        ent = np.zeros(shape, dtype)
+        ent[np.ix_(rows, cols)] = block
         return KernelOperator(other.domain, self.codomain, ent,
                               f"{self.label}.{other.label}")
 
@@ -580,23 +574,17 @@ def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
     The rows and columns are found on A's own entries: the weights are
     positive, so they make no entry zero or nonzero, and a NaN or an inf
     counts as nonzero, so it always lands in the block, where finiteness is
-    checked.  Only the block is copied, or, when nothing is trimmed, the
-    matrix is copied once with its codomain weights applied; the copy is
-    scaled in place, codomain weights first and then domain weights, the
-    order of `weighted()`, so every entry is bit for bit that of
-    `weighted()`.
+    checked.  Only the block is copied, and the copy is scaled in place,
+    codomain weights first and then domain weights, the order of
+    `weighted()`, so every entry is bit for bit that of `weighted()`.
     """
     E = A.entries
     rows, cols = E.any(axis=1), E.any(axis=0)
     if not rows.any():
         return None
-    root_cod, root_dom = np.sqrt(A.codomain.weights), np.sqrt(A.domain.weights)
-    if rows.all() and cols.all():
-        W = root_cod[:, None] * E
-    else:
-        W = E[np.ix_(rows, cols)]
-        W *= root_cod[rows, None]
-    W *= root_dom[cols]
+    W = E[np.ix_(rows, cols)]
+    W *= np.sqrt(A.codomain.weights)[rows, None]
+    W *= np.sqrt(A.domain.weights)[cols]
     if not np.isfinite(W).all():
         raise NonFiniteOperator(f"non-finite entries in {A.label or 'operator'}")
     return W

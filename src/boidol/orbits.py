@@ -147,14 +147,16 @@ def _tail_limit(values: list[float], tol: float) -> tuple[bool, float]:
     return err <= 10 * tol * scale, a2
 
 
-def limit_set_gamma3(seq: OrbitSequence, tol: float = DEFAULT_TOL) -> LimitSet:
+def limit_set_gamma3(seq: OrbitSequence) -> LimitSet:
     """Limit set of a truncated sequence of generic orbits.
 
     Raises NotProperlyConverging when the diagnostic scalars (lam_k,
-    omega_k = rho_k*lam_k, rho_k) fail to stabilize over the horizon.
+    omega_k = rho_k*lam_k, rho_k) fail to stabilize over the horizon, to
+    `DEFAULT_TOL`.
     """
     if seq.kind != "Gamma3":
         raise ValueError("limit_set_gamma3 requires a Gamma3 sequence")
+    tol = DEFAULT_TOL
     ks = _tail_samples(seq.k_max)
     rhos, lams = zip(*(seq.generator(k) for k in ks))
     if any(lam == 0 for lam in lams):
@@ -183,12 +185,13 @@ def limit_set_gamma3(seq: OrbitSequence, tol: float = DEFAULT_TOL) -> LimitSet:
     raise NotProperlyConverging("lam_k does not stabilize")
 
 
-def limit_set_gamma2(seq: OrbitSequence, tol: float = DEFAULT_TOL) -> LimitSet:
+def limit_set_gamma2(seq: OrbitSequence) -> LimitSet:
     """Limit set of a degenerating sequence of TwoDim orbits.
 
     The generator yields (eps*rho_k, sigma) with rho_k > 0; the sequence
     converges properly iff rho_k -> 0, and its limit set is then the pair of
     half-line orbits with signs (eps, sigma) together with all characters.
+    rho_k -> 0 is decided to `DEFAULT_TOL`.
     """
     if seq.kind != "Gamma2":
         raise ValueError("limit_set_gamma2 requires a Gamma2 sequence")
@@ -203,8 +206,8 @@ def limit_set_gamma2(seq: OrbitSequence, tol: float = DEFAULT_TOL) -> LimitSet:
     if len(eps_signs) != 1:
         raise NotProperlyConverging("eps must be constant along the sequence")
     eps = eps_signs.pop()
-    conv, lim = _tail_limit([abs(m) for m in mus], tol)
-    if not conv or abs(lim) > tol:
+    conv, lim = _tail_limit([abs(m) for m in mus], DEFAULT_TOL)
+    if not conv or abs(lim) > DEFAULT_TOL:
         raise NotProperlyConverging("rho_k does not tend to 0")
     return Gamma1PairUnionGamma0(OneDim("X", eps), OneDim("Y", sigma))
 
@@ -278,11 +281,11 @@ def _labels_close(a: OrbitLabel, b: OrbitLabel, tol: float) -> bool:
     return math.isclose(a.tau, b.tau, rel_tol=1e-6, abs_tol=tol)
 
 
-def witness_distance(seq: OrbitSequence, target: DualVector, k: int,
-                     tol: float = DEFAULT_TOL) -> float:
+def witness_distance(seq: OrbitSequence, target: DualVector, k: int) -> float:
     """Euclidean distance from the k-th orbit of the sequence to `target`.
 
-    The target must lie on an orbit of the sequence's limit set; otherwise
+    The target must lie on an orbit of the sequence's limit set, its label
+    and the limit set compared to `DEFAULT_TOL`; otherwise
     TargetNotInLimitSet is raised.  The distance is computed from a
     closed-form witness followed by a damped Newton descent over the orbit's
     free coordinates (x, y): a step is taken only when it lowers the squared
@@ -291,8 +294,9 @@ def witness_distance(seq: OrbitSequence, target: DualVector, k: int,
     """
     if seq.kind != "Gamma3":
         raise ValueError("witness_distance requires a Gamma3 sequence")
+    tol = DEFAULT_TOL
     label = classify_dual_vector(target, tol=tol)
-    limits = limit_set_gamma3(seq, tol=tol)
+    limits = limit_set_gamma3(seq)
     if isinstance(limits, SinglePoint):
         ok = _labels_close(label, limits.point, tol)
     elif isinstance(limits, TwoPoints):

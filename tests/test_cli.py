@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boidol import cli, kernels, operators
+from boidol import cli, fields, kernels, operators
 from boidol.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -291,6 +291,37 @@ def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypat
     plan = default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1))
     assert alive_at_build == [0] * len(SMALL["ks"])
     assert vk_builds == {(plan.rho(k), plan.lam(k)): 1 for k in SMALL["ks"]}
+
+
+@pytest.mark.parametrize("regime", ["omega", "zero"])
+def test_converge_frees_each_ks_vk_halves_before_the_next_pi(tmp_path, monkeypatch, regime):
+    """When `converge omega|zero` builds a generic operator pi_k, no earlier
+    k's V_k halves (the operators `_vk_halves` gave and the plus half's
+    block) are alive, so no two k's blocks are held at once."""
+    halves, alive_at_build = [], []
+
+    def recording_field(f):
+        build = fourier_field(f)._provider
+
+        def provider(key):
+            if key[0] == "pi":
+                alive_at_build.append(sum(ref() is not None for ref in halves))
+            return build(key)
+
+        return OperatorField(provider, "FourierOf", "recording")
+
+    conjugated_to_line = fields._conjugated_to_line
+
+    def recording_conjugated(pair, vk_halves, grids):
+        halves.extend(weakref.ref(x) for x in (*vk_halves, vk_halves[0].entries))
+        return conjugated_to_line(pair, vk_halves, grids)
+
+    monkeypatch.setattr(cli, "fourier_field", recording_field)
+    monkeypatch.setattr(fields, "_conjugated_to_line", recording_conjugated)
+    cfg_path = write_cfg(tmp_path, SMALL)
+    main(["--config", cfg_path, "--out", str(tmp_path), "converge", regime])
+    assert len(halves) == 3 * len(SMALL["ks"])
+    assert alive_at_build == [0] * len(SMALL["ks"])
 
 
 def test_converge_omega_keeps_only_the_last_vk_halves(tmp_path):

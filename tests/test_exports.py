@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -59,3 +60,105 @@ def test_no_line_is_longer_than_100_characters():
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 100]
     assert files and not long, long
+
+
+def _functions(tree):
+    """(class name or None, def) of every def in the tree, nested ones too."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                found.append((cls, child))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _calls(tree):
+    """(call, innermost enclosing def or None) of every call in the tree."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                found.append((child, fn))
+            visit(child, child if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(tree, None)
+    return found
+
+
+def never_set_defaults(root: Path) -> list:
+    """The defaulted parameters of the functions and methods defined in
+    `src/boidol` that no call in `src/boidol`, `tests`, `demos` or `bench`
+    passes, as "module.[Class.]function(parameter)".
+
+    A call is matched to every def of its name and passes a parameter by
+    keyword or by position (after `self` or `cls`); a call with `*` or `**`
+    passes every one.  A call that passes on the caller's own defaulted
+    parameter counts only once that parameter is passed: forwarding a
+    default nothing sets passes that one value.  Constructors (`__init__`)
+    and dataclass fields are out of scope."""
+    params, owners, calls = {}, {}, []
+    for folder in ("src/boidol", "tests", "demos", "bench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            calls += _calls(tree)
+            if folder != "src/boidol":
+                continue
+            for cls, fn in _functions(tree):
+                if cls and fn.name == "__init__":
+                    continue
+                decorators = {getattr(d, "id", None) for d in fn.decorator_list}
+                shift = 1 if cls and "staticmethod" not in decorators else 0
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                named = [(arg.arg, i - shift) for i, arg in enumerate(positional) if i >= first]
+                named += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                owner = f"{path.stem}.{cls + '.' if cls else ''}{fn.name}"
+                owners[fn] = {}
+                for name, at in named:
+                    key = f"{owner}({name})"
+                    params[key], owners[fn][name] = (fn.name, name, at), key
+    edges = []  # (parameter passed, the caller's parameter it forwards, or None)
+    for call, caller in calls:
+        func = call.func
+        callee = getattr(func, "id", None) or getattr(func, "attr", None)
+        starred = (any(isinstance(x, ast.Starred) for x in call.args)
+                   or any(k.arg is None for k in call.keywords))
+        keywords = {k.arg: k.value for k in call.keywords}
+        for key, (fn_name, name, at) in params.items():
+            if fn_name != callee:
+                continue
+            if name in keywords:
+                value = keywords[name]
+            elif at is not None and at < len(call.args):
+                value = call.args[at]
+            elif starred:
+                value = None
+            else:
+                continue
+            forwarded = owners.get(caller, {}).get(getattr(value, "id", None))
+            edges.append((key, forwarded))
+    passed, grew = set(), True
+    while grew:
+        grew = False
+        for key, forwarded in edges:
+            if key not in passed and (forwarded is None or forwarded in passed):
+                passed.add(key)
+                grew = True
+    return sorted(set(params) - passed)
+
+
+def test_every_default_is_set_by_some_caller():
+    """A default that no caller ever changes is a constant: write it as one."""
+    never = never_set_defaults(Path(__file__).resolve().parents[1])
+    assert not never, never

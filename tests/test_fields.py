@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from boidol import operators
+from boidol import kernels, operators
 from boidol.errors import MissingLimitPoint, NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
     _ADJOINT_INVARIANT_CHECKS,
@@ -420,6 +420,26 @@ def _dense(op):
     return KernelOperator(op.domain, op.codomain, op.entries, op.label)
 
 
+def test_vk_halves_hold_vk_operators_own_array(monkeypatch):
+    """V_k's plus half is the array `kernels.vk_operator` returned, and its
+    minus half a row-reversed view of it: no copy of V_k is made."""
+    built = []
+    vk_operator = kernels.vk_operator
+
+    def recording_vk(*args):
+        op = vk_operator(*args)
+        built.append(op.entries)
+        return op
+
+    monkeypatch.setattr(kernels, "vk_operator", recording_vk)
+    _vk_halves.cache_clear()
+    plus, minus = _vk_halves(8.0, 0.125, GRIDS)
+    _vk_halves.cache_clear()
+    assert len(built) == 1
+    assert plus.entries is built[0]
+    assert minus.entries.base is built[0]
+
+
 @pytest.mark.parametrize("regime", ["OmegaNonzero", "OmegaZero"])
 def test_composite_norms_match_their_dense_entries(regime):
     """op_norm of each composite, by products of its factors, is within
@@ -584,11 +604,11 @@ def test_degeneration_rows_allocate_less_than_the_generic_operator():
     """At n = 512, n_half = 384 and k = 4, with the generic operator and the
     half-line values cached in a scope, one row of `deviation_rows`,
     `check_small_zone` and `check_rate_envelope` peaks below the bytes of
-    A_k itself (0.17-0.65 of them, V_k's halves kept by `_vk_halves`): no
-    n x n or n x n_half array is formed besides A_k.  So does a row of
+    A_k itself (0.17-0.88 of them: a `deviation_rows` row builds V_k's
+    halves, and the other rows read the ones `_vk_halves` keeps): no n x n
+    or n x n_half array is formed besides A_k.  So does a row of
     `deviation_rows` on the scope's adjoint, as the adjoint pass of 2c and
-    2d runs it (0.55 and 0.65): A_k* is read without a copy (1.84 and 2.04
-    with one)."""
+    2d runs it (0.77 and 0.88): A_k* is read without a copy."""
     grids = FieldGrids.default(n_lin=512, n_half=384)
     pi_bytes = grids.lin.n ** 2 * 16
     k = 4

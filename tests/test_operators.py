@@ -315,7 +315,7 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     Q = KernelOperator(cols, mid, _cplx(rng, mid.n, cols.n))
     A = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
     B = KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n))
-    terms = (KernelOperator.product(L, R, LIN, LIN, adjoint=True)
+    terms = (KernelOperator.product(L, R.adjoint(), LIN, LIN)
              - KernelOperator.product(P, Q, LIN, LIN))
     want_terms = np.zeros((LIN.n, LIN.n), complex)
     want_terms[rows.cells, rows.cells] += (L @ R.adjoint()).entries
