@@ -84,7 +84,6 @@ from .fields import (
     check_small_zone,
     check_tail_cutoff,
     compact_condition_check,
-    default_dstar_config,
     default_plan,
     default_sample,
     deviation_rows,

@@ -136,10 +136,10 @@ def _refinement_diagnostic() -> dict:
     """A fixed two-resolution norm probe embedded in every output.
 
     It builds ell(1,1) on L=10 at n=200 and at n=400 and takes both norms on
-    every CLI call, whatever the configured grid.  In a fresh process on a
-    2-core x86-64 host (OpenBLAS) it took 0.05-0.09 s in 13 of 15 runs and
-    0.33-0.35 s in the other two, most of it quadrature rules and kernels
-    that the call may not otherwise need.
+    every CLI call, whatever the configured grid.  On a 2-core x86-64 host
+    (OpenBLAS) it took 6-7 ms at the end of `dstar` on the default config,
+    which has built the quadrature rules it needs, 48-55 ms at the end of
+    `converge omega`, and 72-76 ms as the first work of a fresh process.
     """
     f = default_test_function()
     coarse = op_norm(kernel_pi_ell(f, 1.0, 1.0, GridSpec.linear(10.0, 200)))
@@ -227,17 +227,11 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-def _field_setup(args):
-    """(config, output directory, DstarConfig, field) of a verdict command.
-
-    `converge` and `dstar` both read their grids, plans and decision
-    parameters from this one `DstarConfig`.
-    """
-    cfg = load_config(args.config)
-    out = _out_dir(args)
-    scale = args.grid_scale
+def dstar_config(cfg: dict, scale: int) -> DstarConfig:
+    """The `DstarConfig` of a CLI config at a grid scale; the documented
+    default configuration of the report is `dstar_config(load_config(None), 1)`."""
     g = cfg["grid"]
-    dcfg = DstarConfig(
+    return DstarConfig(
         grids=FieldGrids.default(g["L"], g["n"], g["V"], g["n_half"], scale=scale),
         sample=default_sample(scale=scale),
         plans_omega=_build_plans(cfg, "OmegaNonzero"),
@@ -246,7 +240,14 @@ def _field_setup(args):
         decay_ratio=cfg["decay_ratio"],
         slow_decay_ratio=cfg["slow_decay_ratio"],
         wiggle=cfg["wiggle"])
-    return cfg, out, dcfg, fourier_field(_build_testfun(cfg))
+
+
+def _field_setup(args):
+    """(config, output directory, `dstar_config`, field): what `converge`
+    and `dstar` both read."""
+    cfg = load_config(args.config)
+    return (cfg, _out_dir(args), dstar_config(cfg, args.grid_scale),
+            fourier_field(_build_testfun(cfg)))
 
 
 def cmd_converge(args) -> int:

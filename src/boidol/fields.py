@@ -50,7 +50,6 @@ __all__ = [
     "SpectrumSample",
     "default_sample",
     "ell_params",
-    "default_dstar_config",
     "OperatorField",
     "fourier_field",
     "zero_field",
@@ -940,18 +939,6 @@ class DstarConfig:
     slow_decay_ratio: float = 0.75
     wiggle: float = 1.1
     check_adjoint: bool = True
-
-
-def default_dstar_config(check_adjoint: bool = True) -> DstarConfig:
-    """The documented default configuration of the condition report."""
-    return DstarConfig(
-        grids=FieldGrids.default(),
-        sample=default_sample(),
-        plans_omega=(default_plan("OmegaNonzero", PowerSeq(1.0, 1.0),
-                                  PowerSeq(1.0, -1.0)),),
-        plans_zero=(default_plan("OmegaZero", PowerSeq(1.0, 0.5),
-                                 PowerSeq(1.0, -1.0)),),
-        check_adjoint=check_adjoint)
 
 
 def _ladder(at, base: float) -> dict:

@@ -2,11 +2,11 @@
 
 All operators are built directly from the test function's partial Fourier
 data: the generic representations as oscillatory t-integrals on a linear
-grid (dense), the two-dimensional and half-line representations as
-near-convolution kernels kept as their Toeplitz terms, and the characters
-as scalars.  The rescaling unitary V_k and its
-adjoint connect the half-line models to the linear model along a
-degenerating parameter sequence.
+grid (dense, the rows u < 0 mirrored through the flip automorphism), the
+two-dimensional and half-line representations as near-convolution kernels
+kept as their Toeplitz terms, and the characters as scalars.  The
+rescaling unitary V_k and its adjoint connect the half-line models to the
+linear model along a degenerating parameter sequence.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .errors import AsymmetricGrid
 from .grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from .operators import KernelOperator
 from .testfun import TestFunction, bump_fourier, eval_hatF34, eval_hatF234
@@ -41,55 +42,27 @@ def _t_rule(f: TestFunction, osc: float, quad: QuadratureSpec):
     return gauss_legendre_rule(t0, t1, n)
 
 
-def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
-                         grid: GridSpec, twist: bool = False) -> KernelOperator:
-    """The generic representation applied to f, as a kernel on the linear grid.
-
-    K(u, x) = integral of e^(t/2) e^(-i rho t)
-              hatF34(t, e^t u - x, -(lam/2)(x + e^t u), lam) dt.
-    With twist=True the composition with the flip automorphism is built
-    instead (signs of the second and third slots reversed).
-
-    hatF34 vanishes unless every slot lies in the support box of f.  For
-    lam outside the b-support the kernel is zero and no t-node is visited.
-    Otherwise, at each t-node hatF34 is evaluated only on a band: per row u,
-    the x with the second slot in the x-support and the third slot in the
-    a-support, that is e^t u - x in [x0, x1] and x + e^t u in
-    [-2 a1/lam, -2 a0/lam] (ends swapped for lam < 0, both slots negated
-    under twist).  The band is the contiguous range of x found by bisection
-    on the sorted nodes, widened by one column on each side, and no columns
-    where the widened range is empty.  Outside the band every term has the
-    exact factor 0, so the entries are the same as summing over the full
-    n x n array, bit for bit.
-    """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    if grid.kind != "linear":
-        raise ValueError("kernel_pi_rho_lambda needs a linear grid")
-    u = grid.nodes
-    x = grid.nodes
-    n = grid.n
-    (x0, x1), (a0, a1), (b0, b1) = f.support_box[1:]
-    if not b0 < lam < b1:
-        return KernelOperator.zero(grid, label=f"pi({rho},{lam})")
-    # x + e with a0 <= -(lam/2)(x + e) <= a1 (twisted: the negated range)
+def _add_pi_rows(ent, f: TestFunction, rho: float, lam: float,
+                 grid: GridSpec, ts, ws, mirror: bool):
+    """Add f's kernel rows u > 0 (i >= n/2) into the n x n `ent` at their
+    flat indices idx, or with `mirror` at n^2 - 1 - idx, and return each
+    row's first written column and one past its last (n and 0 if none)."""
+    x, n = grid.nodes, grid.n
+    (x0, x1), (a0, a1) = f.support_box[1:3]
+    # x + e with a0 <= -(lam/2)(x + e) <= a1
     c0, c1 = sorted((-2.0 * a1 / lam, -2.0 * a0 / lam))
-    if twist:
-        c0, c1 = -c1, -c0
-    ts, ws = _t_rule(f, rho, _QUAD)
-    ent = np.zeros((n, n), dtype=complex)
-    flat = ent.reshape(-1)
-    row_at = n * np.arange(n)  # each row's first flat index
+    row_at = n * np.arange(n // 2, n)  # each row's first flat index
+    lo, hi = np.full(n // 2, n), np.zeros(n // 2, int)
     for t, w in zip(ts, ws):
-        e = math.exp(t) * u
-        # columns with x0 <= e - x <= x1 (twisted: x0 <= x - e <= x1) and
-        # c0 <= x + e <= c1
-        left, right = (e + x0, e + x1) if twist else (e - x1, e - x0)
-        left = np.maximum(left, c0 - e)
-        right = np.minimum(right, c1 - e)
+        e = math.exp(t) * x[n // 2:]
+        # columns with x0 <= e - x <= x1 and c0 <= x + e <= c1
+        left = np.maximum(e - x1, c0 - e)
+        right = np.minimum(e - x0, c1 - e)
         start = np.maximum(np.searchsorted(x, left, "left") - 1, 0)
         stop = np.minimum(np.searchsorted(x, right, "right") + 1, n)
         width = np.maximum(stop - start, 0)
+        np.minimum(lo, start, out=lo, where=width > 0)
+        np.maximum(hi, stop, out=hi, where=width > 0)
         # the band's points row by row: per-row values repeated over the
         # row's width, plus the running position inside the band
         shift = start - (np.cumsum(width) - width)
@@ -98,10 +71,57 @@ def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
         er, xc = np.repeat(e, width), x[cols]
         a = er - xc
         b = -(lam / 2.0) * (xc + er)
-        if twist:
-            a, b = -a, -b
-        flat[pos + np.repeat(row_at + shift, width)] += \
+        idx = pos + np.repeat(row_at + shift, width)
+        ent.reshape(-1)[(n * n - 1) - idx if mirror else idx] += \
             (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) * eval_hatF34(f, t, a, b, lam)
+    return lo, hi
+
+
+def kernel_pi_rho_lambda(f: TestFunction, rho: float, lam: float,
+                         grid: GridSpec) -> KernelOperator:
+    """The generic representation applied to f, as a kernel on the linear grid.
+
+    K(u, x) = integral of e^(t/2) e^(-i rho t)
+              hatF34(t, e^t u - x, -(lam/2)(x + e^t u), lam) dt.
+
+    Only the rows u > 0 are integrated.  The flip automorphism gives
+    K_f(-u, -x) = K_g(u, x), g = `f.reflected()`, so the rows u < 0 are g's
+    rows u > 0 mirrored: f's own written columns, reversed, when g == f
+    (every x- and a-centre 0), else g's, added at the mirrored indices.
+    Only band entries are written, so no page of the zeroed kernel outside
+    the bands is faulted in.  On a mirror-symmetric grid (else
+    `AsymmetricGrid`) each slot of hatF34 is the exact negative of the row
+    u < 0's, so the entries are the full n x n t-loop's, bit for bit.
+
+    hatF34 vanishes unless every slot lies in the support box of f.  For
+    lam outside the b-support the kernel is zero and no t-node is visited.
+    Otherwise, at each t-node hatF34 is evaluated only on a band: per row u,
+    the x with the second slot in the x-support and the third slot in the
+    a-support, that is e^t u - x in [x0, x1] and x + e^t u in
+    [-2 a1/lam, -2 a0/lam] (ends swapped for lam < 0).  The band is the
+    contiguous range of x found by bisection on the sorted nodes, widened
+    by one column on each side, and no columns where the widened range is
+    empty.  Outside the band every term has the exact factor 0.
+    """
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
+    if grid.kind != "linear":
+        raise ValueError("kernel_pi_rho_lambda needs a linear grid")
+    if not grid.is_symmetric():
+        raise AsymmetricGrid("kernel_pi_rho_lambda needs a mirror-symmetric grid")
+    n = grid.n
+    b0, b1 = f.support_box[3]
+    if not b0 < lam < b1:
+        return KernelOperator.zero(grid, label=f"pi({rho},{lam})")
+    ts, ws = _t_rule(f, rho, _QUAD)
+    ent = np.zeros((n, n), dtype=complex)
+    lo, hi = _add_pi_rows(ent, f, rho, lam, grid, ts, ws, False)
+    g = f.reflected()
+    if g != f:
+        _add_pi_rows(ent, g, rho, lam, grid, ts, ws, True)
+    else:
+        for i, (l, h) in enumerate(zip(lo, hi), n // 2):
+            ent[n - 1 - i, n - h:n - l] = ent[i, l:h][::-1]
     return KernelOperator(grid, grid, ent, f"pi({rho},{lam})")
 
 

@@ -97,6 +97,14 @@ class TestFunction:
             boxes.append((min(los), max(his)))
         return tuple(boxes)
 
+    def reflected(self) -> "TestFunction":
+        """f o gamma, gamma(t, x, y, z) = (t, -x, -y, z) the flip automorphism:
+        hatF34 with its x and a slots negated, so b_x and b_a centres negated."""
+        return TestFunction(tuple(
+            SeparableTerm(tm.coeff, tm.b_t, BumpFactor(-tm.b_x.centre, tm.b_x.width),
+                          BumpFactor(-tm.b_a.centre, tm.b_a.width), tm.b_b)
+            for tm in self.terms))
+
     def scaled(self, c: complex) -> "TestFunction":
         return TestFunction(tuple(
             SeparableTerm(tm.coeff * c, tm.b_t, tm.b_x, tm.b_a, tm.b_b)

@@ -6,17 +6,18 @@ is the stated acceptance tolerance, not a tuned one.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import test_kernels as oracle_tests
 
+from boidol.cli import dstar_config, load_config
 from boidol.fields import (
     FieldGrids,
     PowerSeq,
     check_dek_muk,
-    default_dstar_config,
     default_plan,
     deviation_rows,
     dstar_report,
@@ -253,10 +254,11 @@ def test_criterion_09_norm_continuity_and_vanishing():
 
 
 def test_criterion_10_dstar_membership():
-    rep = dstar_report(FIELD, default_dstar_config())
+    default = dstar_config(load_config(None), 1)
+    rep = dstar_report(FIELD, default)
     ok = rep["passed"]
     details = []
-    cfg = default_dstar_config(check_adjoint=False)
+    cfg = replace(default, check_adjoint=False)
     expected = [
         (tamper_zero_two_dim_limits(FIELD, abs(PLAN_OMEGA.omega)),
          "2c_two_point_limit"),

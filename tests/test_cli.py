@@ -29,7 +29,6 @@ from boidol.fields import (
     FieldGrids,
     OperatorField,
     PowerSeq,
-    default_dstar_config,
     default_plan,
     default_sample,
     dstar_report,
@@ -145,22 +144,6 @@ def test_merge_fuzzed_overrides_keep_siblings_and_name_unknown_paths():
             _merge(DEFAULT_CONFIG, over)
 
     check()
-
-
-def test_cli_defaults_agree_with_the_library_defaults(tmp_path):
-    """`boidol dstar` with no config checks the configuration criterion 10
-    reads from `default_dstar_config()`."""
-    args = build_parser().parse_args(["--out", str(tmp_path), "dstar"])
-    _, _, ours, _ = cli._field_setup(args)
-    lib = default_dstar_config()
-    for name in ("lin", "pair"):
-        a, b = getattr(ours.grids, name), getattr(lib.grids, name)
-        assert (a.kind, a.n, a.half_width) == (b.kind, b.n, b.half_width), name
-    for name in ("plans_omega", "plans_zero"):
-        assert ([p.describe() for p in getattr(ours, name)]
-                == [p.describe() for p in getattr(lib, name)]), name
-    for name in ("ks", "decay_ratio", "slow_decay_ratio", "wiggle"):
-        assert getattr(ours, name) == getattr(lib, name), name
 
 
 def test_load_config_missing_file():

@@ -1,9 +1,12 @@
 import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from boidol.errors import AsymmetricGrid
 from boidol.grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from boidol.kernels import (
     character_value,
@@ -193,7 +196,7 @@ def test_tau_matches_pi_ell_norm():
 def test_intertwining_flip_exact():
     for rho, lam in ((0.0, 1.0), (2.0, -0.7)):
         A = kernel_pi_rho_lambda(F, rho, lam, LIN)
-        G = kernel_pi_rho_lambda(F, rho, lam, LIN, twist=True)
+        G = kernel_pi_rho_lambda(F.reflected(), rho, lam, LIN)
         S = flip_S(LIN)
         lhs = (S @ A @ S).entries
         scale = np.abs(A.entries).max()
@@ -369,7 +372,7 @@ def test_norm_continuity_and_vanishing_at_infinity():
     assert far < 1e-2 * op_norm(base)
 
 
-def dense_pi_entries(f, rho, lam, grid, twist):
+def dense_pi_entries(f, rho, lam, grid):
     """The generic kernel by the dense t-loop: hatF34 on every (u, x) pair."""
     t0, t1 = f.support_box[0]
     ts, ws = gauss_legendre_rule(t0, t1, max(64, int(abs(rho) * (t1 - t0) / 2) + 32))
@@ -379,8 +382,6 @@ def dense_pi_entries(f, rho, lam, grid, twist):
         e = math.exp(t) * u
         a = e[:, None] - x[None, :]
         b = -(lam / 2.0) * (x[None, :] + e[:, None])
-        if twist:
-            a, b = -a, -b
         ent += (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) \
             * eval_hatF34(f, t, a, b, lam)
     return ent
@@ -396,20 +397,19 @@ TWO_TERMS = TestFunction((
 
 
 def test_banded_pi_kernel_equals_dense_t_loop():
-    """Two terms with off-centre x-bumps of unequal width: the band is the
-    union of both supports, and the banded kernel is the dense one exactly."""
-    g = TWO_TERMS
-    for n in (64, 128):
+    """Two terms with off-centre x-bumps of unequal width, and their
+    reflection: the band is the union of both supports, and the banded
+    kernel is the dense one exactly."""
+    for g, n in itertools.product((TWO_TERMS, TWO_TERMS.reflected()), (64, 128)):
         grid = GridSpec.linear(L=6.0, n=n)
         # rho = 200 raises the t-rule above the 64-node floor; at lam = 1.9
         # the a-slot bound cuts most rows, and at lam = 2.05 only the second
         # term's b_b is nonzero
         for rho, lam in ((0.0, 1.0), (2.5, -0.7), (200.0, 1.3), (0.0, 1.9),
                          (0.5, 2.05)):
-            for twist in (False, True):
-                got = kernel_pi_rho_lambda(g, rho, lam, grid, twist=twist).entries
-                assert np.any(got)
-                assert np.array_equal(got, dense_pi_entries(g, rho, lam, grid, twist))
+            got = kernel_pi_rho_lambda(g, rho, lam, grid).entries
+            assert np.any(got)
+            assert np.array_equal(got, dense_pi_entries(g, rho, lam, grid))
 
 
 class RecordingHatF34:
@@ -431,16 +431,15 @@ def test_pi_kernel_outside_b_support_is_zero_without_evaluation(monkeypatch, lam
     and no t-node visited."""
     rec = RecordingHatF34()
     monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
-    for twist in (False, True):
-        A = kernel_pi_rho_lambda(TWO_TERMS, 0.5, lam, GridSpec.linear(6.0, 64),
-                                 twist=twist)
+    for g in (TWO_TERMS, TWO_TERMS.reflected()):
+        A = kernel_pi_rho_lambda(g, 0.5, lam, GridSpec.linear(6.0, 64))
         assert A.entries.shape == (64, 64) and not np.any(A.entries)
     assert rec.log == []
 
 
-@pytest.mark.parametrize("rho, lam, twist", [(0.0, 1.0, False), (2.0, 0.5, False),
-                                             (0.0, 1.0, True)])
-def test_pi_kernel_band_is_tight(monkeypatch, rho, lam, twist):
+@pytest.mark.parametrize("rho, lam, reflect", [(0.0, 1.0, False), (2.0, 0.5, False),
+                                              (0.0, 1.0, True)])
+def test_pi_kernel_band_is_tight(monkeypatch, rho, lam, reflect):
     """At each t-node the band holds the points whose second and third slots
     lie in the support box and at most two widening columns per row it
     reaches.  The nonzero values are those points less the ones where a
@@ -448,21 +447,88 @@ def test_pi_kernel_band_is_tight(monkeypatch, rho, lam, twist):
     rec = RecordingHatF34()
     monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
     grid = GridSpec.linear(L=8.0, n=128)
-    kernel_pi_rho_lambda(F, rho, lam, grid, twist=twist)
+    f = F.reflected() if reflect else F
+    kernel_pi_rho_lambda(f, rho, lam, grid)
     assert len(rec.log) == 64
-    (x0, x1), (a0, a1) = F.support_box[1:3]
-    sign = -1.0 if twist else 1.0
+    (x0, x1), (a0, a1) = f.support_box[1:3]
     points = in_box = nonzero = rows = 0
     for t, a, b, vals in rec.log:
         points += a.size
         in_box += np.count_nonzero((x0 <= a) & (a <= x1) & (a0 <= b) & (b <= a1))
         nonzero += np.count_nonzero(vals)
-        # row u from a = e^t u - x and b = -(lam/2)(x + e^t u), signs flipped
-        # under twist
-        u = sign * (a - 2.0 * b / lam) / 2.0 * math.exp(-t)
+        # row u from a = e^t u - x and b = -(lam/2)(x + e^t u)
+        u = (a - 2.0 * b / lam) / 2.0 * math.exp(-t)
         rows += np.unique(np.rint((u - grid.nodes[0]) / grid.weights[0])).size
     assert 0 < nonzero <= in_box
     assert points <= in_box + 2 * rows
+
+
+def test_banded_pi_kernel_of_a_flip_even_function_equals_dense_t_loop():
+    """The default function equals its reflection, so its rows u < 0 are
+    its own rows u > 0 reversed: still the dense t-loop exactly."""
+    assert F.reflected() == F
+    for n in (64, 128):
+        grid = GridSpec.linear(L=6.0, n=n)
+        for rho, lam in ((0.0, 1.0), (2.5, -0.7), (200.0, 1.3), (0.0, 1.9)):
+            got = kernel_pi_rho_lambda(F, rho, lam, grid).entries
+            assert np.any(got)
+            assert np.array_equal(got, dense_pi_entries(F, rho, lam, grid))
+
+
+def test_pi_kernel_mirror_identity_is_exact():
+    """K_f(-u, -x) = K_(f o gamma)(u, x) bit for bit: K = K[::-1, ::-1] for
+    the flip-even default function, and K_f[::-1, ::-1] = K_(f.reflected())
+    for TWO_TERMS, whose kernel is not mirror-symmetric."""
+    grid = GridSpec.linear(L=6.0, n=128)
+    for rho, lam in ((0.0, 1.0), (2.5, -0.7), (200.0, 1.3)):
+        K = kernel_pi_rho_lambda(F, rho, lam, grid).entries
+        assert np.any(K) and np.array_equal(K, K[::-1, ::-1])
+        K = kernel_pi_rho_lambda(TWO_TERMS, rho, lam, grid).entries
+        R = kernel_pi_rho_lambda(TWO_TERMS.reflected(), rho, lam, grid).entries
+        assert not np.array_equal(K, K[::-1, ::-1])
+        assert np.array_equal(K[::-1, ::-1], R)
+
+
+@pytest.mark.parametrize("f, passes", [(F, 1), (TWO_TERMS, 2)], ids=["F", "TWO_TERMS"])
+def test_pi_kernel_evaluates_only_rows_u_positive(monkeypatch, f, passes):
+    """hatF34 is evaluated only on rows u > 0, one call per t-node in
+    t-order: one pass for the flip-even default function, and a second pass
+    (of f.reflected()) for TWO_TERMS."""
+    rec = RecordingHatF34()
+    monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
+    lam = 0.5
+    kernel_pi_rho_lambda(f, 2.0, lam, GridSpec.linear(L=8.0, n=128))
+    ts = [t for t, *_ in rec.log]
+    assert len(ts) == 64 * passes
+    assert ts == ts[:64] * passes and ts[:64] == sorted(ts[:64])
+    for t, a, b, _ in rec.log:
+        # row u from a = e^t u - x and b = -(lam/2)(x + e^t u)
+        u = (a - 2.0 * b / lam) / 2.0 * math.exp(-t)
+        assert u.size and np.all(u > 0)
+
+
+@pytest.mark.parametrize("f", [F, TWO_TERMS], ids=["F", "TWO_TERMS"])
+def test_pi_kernel_builds_without_a_half_size_temporary(f):
+    """At n = 512 the traced peak of one build stays below the kernel plus
+    n^2/2 complex entries, on the path that copies f's own rows reversed
+    (F) and on the one that adds the reflected function's rows at mirrored
+    indices (TWO_TERMS).  Read: 4.31 and 5.56 MiB against a 6 MiB cap."""
+    grid = GridSpec.linear(L=12.0, n=512)
+    kernel_pi_rho_lambda(f, 0.0, 1.0, grid)  # fills the shared rule cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        A = kernel_pi_rho_lambda(f, 0.0, 1.0, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.any(A.entries[:256])
+    assert peak < 1.5 * A.entries.nbytes
+
+
+def test_pi_kernel_needs_a_mirror_symmetric_grid():
+    with pytest.raises(AsymmetricGrid):
+        kernel_pi_rho_lambda(F, 0.0, 1.0, LIN.window(0, 100))
 
 
 def dense_near_convolution(f, mu, nu, grid, sign):
