@@ -57,7 +57,7 @@ from .orbits import (
     limit_set_gamma3,
     witness_distance,
 )
-from .group import orbit_point
+from .group import OneDim, orbit_point
 from .testfun import default_test_function, from_json as testfun_from_json
 
 OUT_ENV = "BOIDOL_OUT"
@@ -161,17 +161,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_rows_csv(path: str, rows: list[dict], cfg_hash: str) -> None:
-    cols = ["k", "rho_k", "lambda_k", "R_k", "value", "bound"]
+# the columns of a table's rows in its CSV file
+_ROW_COLS = ("k", "rho_k", "lambda_k", "R_k", "value", "bound")
+
+
+def _write_csv(path: str, cols, rows: list[dict], cfg_hash: str) -> None:
+    """The config hash line, then `rows` in the columns `cols`: None as "",
+    an int or a str as it is, any other value as repr(float(v))."""
+    def cell(v):
+        return "" if v is None else v if isinstance(v, (int, str)) else repr(float(v))
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
-        writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            out = {c: row.get(c) for c in cols}
-            out = {c: ("" if v is None else repr(float(v)) if c != "k" else int(v))
-                   for c, v in out.items()}
-            writer.writerow(out)
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        writer.writerows([cell(row.get(c)) for c in cols] for row in rows)
 
 
 def _build_testfun(cfg: dict):
@@ -212,7 +216,6 @@ def cmd_orbits(args) -> int:
             targets = [("first", orbit_point(limits.first)),
                        ("second", orbit_point(limits.second))]
         elif isinstance(limits, Gamma1UnionGamma0):
-            from .group import OneDim
             targets = [("X+", orbit_point(OneDim("X", 1))),
                        ("Y-", orbit_point(OneDim("Y", -1)))]
         witness = {}
@@ -256,11 +259,11 @@ def cmd_converge(args) -> int:
     (`zero`); a table passes when both of its conditions pass.
 
     `omega` runs one k at a time (`_converge_omega_table`): each k's four
-    rows read one `field.scope()` and one V_k, and the scope is dropped
-    before the next k, so at most one generic operator is alive.  `zero`
-    runs 2d and then 3c on `field`, which keeps no operator: each generic
-    operator is freed when its 2d row ends, and each half-line value, O(n),
-    is built again where a later row reads it."""
+    rows read one `field.scope()`, each row builds and frees its own V_k,
+    and the scope is dropped before the next k, so at most one generic
+    operator is alive.  `zero` runs 2d and then 3c on `field`, which keeps
+    no operator: each generic operator is freed when its 2d row ends, and
+    each half-line value, O(n), is built again where a later row reads it."""
     cfg, out, dcfg, field = _field_setup(args)
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
     names = [doc["name"] for doc in cfg["sequences"] if doc["regime"] == regime]
@@ -283,8 +286,8 @@ def cmd_converge(args) -> int:
     stem = os.path.join(out, f"converge_{args.regime}")
     _write_json(stem + ".json", payload)
     for table in tables:
-        _write_rows_csv(f"{stem}_{table['name']}.csv", table["rows"],
-                        prov["config_hash"])
+        _write_csv(f"{stem}_{table['name']}.csv", _ROW_COLS, table["rows"],
+                   prov["config_hash"])
     print(f"wrote {stem}.json")
     return 0 if payload["passed"] else 1
 
@@ -299,8 +302,8 @@ def cmd_dstar(args) -> int:
                  "3c_two_dim_degeneration"):
         cond = report["conditions"].get(name, {})
         for i, table in enumerate(cond.get("tables", ())):
-            _write_rows_csv(os.path.join(out, f"dstar_{name}_{i}.csv"),
-                            table["rows"], prov["config_hash"])
+            _write_csv(os.path.join(out, f"dstar_{name}_{i}.csv"), _ROW_COLS,
+                       table["rows"], prov["config_hash"])
     status = "passed" if report["passed"] else "FAILED"
     failed = [k for k, v in report["conditions"].items() if not v.get("passed")]
     print(f"dstar report {status}" + (f" (failing: {', '.join(failed)})" if failed else ""))
@@ -326,12 +329,7 @@ def cmd_norms(args) -> int:
                      "norm": op_norm(kernel_pi_ell(f, mu, nu, grids.lin))})
     prov = _provenance(cfg, scale)
     path = os.path.join(out, "norms.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={prov['config_hash']}\n")
-        writer = csv.DictWriter(fh, fieldnames=["stratum", "point", "norm"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({**row, "norm": repr(float(row["norm"]))})
+    _write_csv(path, ("stratum", "point", "norm"), rows, prov["config_hash"])
     _write_json(os.path.join(out, "norms.json"), {"rows": rows, **prov})
     print(f"wrote {path}")
     return 0

@@ -14,7 +14,6 @@ condition checker for membership in the limit C*-algebra.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -460,7 +459,6 @@ def default_plan(regime: str, rho_seq, lambda_seq) -> SequencePlan:
 # the limit approximations
 
 
-@functools.lru_cache(maxsize=1)
 def _vk_halves(rho_k: float, lam_k: float,
                grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
     """V_k's two sign halves (V+, V-), V_k = [V+ | V-], as their nonzero
@@ -470,12 +468,8 @@ def _vk_halves(rho_k: float, lam_k: float,
     the s > 0 linear cells, and V- maps the same window of the minus one's
     cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
     adjoint of `vk_adjoint`, which holds `vk_operator`'s own array, and V-
-    is V+ with its rows reversed, a view: no copy of V_k is made.
-
-    The last halves built are kept, so the rows of one k (`converge omega`
-    reads them in four) build them once.  Each row of `deviation_rows`, the
-    first row of its k, drops them before it reads its generic operator, so
-    no earlier k's block is alive while the next k's are built.
+    is V+ with its rows reversed, a view: no copy of V_k is made.  Each row
+    that reads V_k builds its own halves, and nothing keeps them after it.
     """
     plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
     rows, cols, n = plus.codomain, plus.domain, grids.lin.n
@@ -600,13 +594,13 @@ def deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     "OmegaNonzero", `sigma_k_zero` for "OmegaZero".  Each row is the plan
     row of k with `value` the deviation and `bound` None.  A_k - sigma_k is
     A_k's entries minus sigma_k's thin factors, so `op_norm` takes it by
-    products and no n x n array besides A_k exists.
+    products and no n x n array besides A_k exists.  sigma_k builds V_k's
+    halves, and the row frees them with A_k when it ends.
     """
     # looked up here, not bound once, so a replaced module attribute is called
     sigma = sigma_k_omega if plan.regime == "OmegaNonzero" else sigma_k_zero
 
     def deviation(k):
-        _vk_halves.cache_clear()  # the previous k's halves go before this k's pi
         A = field.pi(plan.rho(k), plan.lam(k), grids.lin)
         return op_norm(A - sigma(field, k, plan, grids))
 
@@ -1036,10 +1030,9 @@ def _converge_omega_table(field: OperatorField, plan: SequencePlan,
 
     Each k runs on its own `field.scope()` through its four rows
     (`deviation_rows`, `check_tail_cutoff`, `check_small_zone`,
-    `check_rate_envelope`), which share V_k's halves (`_vk_halves` keeps
-    the last ones built, and the deviation row drops the previous k's
-    before it reads pi).  The scope is dropped before the next k, so at
-    most one generic operator and one V_k are alive.  The first k's scope
+    `check_rate_envelope`), each of which builds V_k's halves and frees
+    them when it ends.  The scope is dropped before the next k, so at most
+    one generic operator and one V_k are alive.  The first k's scope
     also gives `pi_first` and the `_limit_scale`; the verdicts are taken
     once from the collected rows, 2c's by `_two_point_table` and the rate
     fit by `_rate_fit`.  So every row and verdict is that of 2c and of the

@@ -204,6 +204,10 @@ def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
     entry of V+ outside the two windows is an exact zero.  Both windows are
     contiguous, because the cell edges in w increase with s, and both are
     empty when no cell meets the log window.
+
+    The entries are computed at once, as a band: each s > 0 row's cell cut
+    to the log window, in w by `math.log`, then the log cells it meets,
+    per-row values repeated over the row's width (as in `_add_pi_rows`).
     """
     if lambda_k == 0:
         raise ValueError("lambda_k must be nonzero")
@@ -224,30 +228,30 @@ def vk_operator(rho_k: float, lambda_k: float, log_pair: GridSpec,
     v_left = plus.nodes[0] - 0.5 * h_log  # = -V
     v_right = plus.nodes[-1] + 0.5 * h_log  # = +V
     scale = 1.0 / (h_lin * h_log)
-    rows, cols, vals = [], [], []
-    for i in range(n // 2, n):  # positive s rows
-        s = lin_grid.nodes[i]
-        lo, hi = s - 0.5 * h_lin, s + 0.5 * h_lin
-        w_hi = math.log(al * hi)
-        w_lo = math.log(al * lo) if lo > 0 else -math.inf
-        a = max(w_lo, v_left)
-        b = min(w_hi, v_right)
-        if b <= a:
-            continue
-        j0 = max(int((a - v_left) // h_log), 0)
-        j1 = min(int(math.ceil((b - v_left) / h_log)), half)
-        for j in range(j0, j1):
-            e0 = max(a, v_left + j * h_log)
-            e1 = min(b, v_left + (j + 1) * h_log)
-            if e1 <= e0:
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append((antider(e1) - antider(e0)) * scale)
-    r0, r1 = (rows[0], rows[-1] + 1) if rows else (n // 2, n // 2)
-    c0, c1 = (min(cols), max(cols) + 1) if cols else (0, 0)
+    # each positive s row's cell [lo, hi] in w, cut to the log window [a, b]
+    s = lin_grid.nodes[n // 2:]
+    w_lo = [math.log(al * lo) if lo > 0 else -math.inf for lo in s - 0.5 * h_lin]
+    w_hi = [math.log(al * hi) for hi in s + 0.5 * h_lin]
+    a, b = np.maximum(w_lo, v_left), np.minimum(w_hi, v_right)
+    meets = b > a
+    rows, a, b = np.arange(n // 2, n)[meets], a[meets], b[meets]
+    j0 = np.maximum(((a - v_left) // h_log).astype(int), 0)
+    j1 = np.minimum(np.ceil((b - v_left) / h_log).astype(int), half)
+    # the log cells j0 <= j < j1 row by row: per-row values repeated over
+    # the row's width, plus the running position inside the band
+    width = np.maximum(j1 - j0, 0)
+    cols = np.arange(width.sum()) + np.repeat(j0 - (np.cumsum(width) - width), width)
+    rows, a, b = np.repeat(rows, width), np.repeat(a, width), np.repeat(b, width)
+    e0 = np.maximum(a, v_left + cols * h_log)
+    e1 = np.minimum(b, v_left + (cols + 1) * h_log)
+    keep = e1 > e0
+    rows, cols, e0, e1 = rows[keep], cols[keep], e0[keep], e1[keep]
+    vals = (antider(e1) - antider(e0)) * scale
+    # Python ints, so the windows' starts stay JSON-serializable
+    r0, r1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (n // 2, n // 2)
+    c0, c1 = (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
     ent = np.zeros((r1 - r0, c1 - c0), dtype=complex)
-    ent[np.asarray(rows, int) - r0, np.asarray(cols, int) - c0] = vals
+    ent[rows - r0, cols - c0] = vals
     return KernelOperator(plus.window(c0, c1), lin_grid.window(r0, r1), ent,
                           f"V({rho_k},{lambda_k})")
 

@@ -813,15 +813,11 @@ def flip_S(grid: GridSpec) -> KernelOperator:
         raise AsymmetricGrid("flip requires a mirror-symmetric grid")
     n = grid.n
     ent = np.zeros((n, n), complex)
-    if grid.kind == "linear":
-        for i in range(n):
-            j = n - 1 - i
-            ent[i, j] = 1.0 / grid.weights[j]
-    else:  # logpair: swap the two sign blocks, same v node
-        half = n // 2
-        for i in range(half):
-            ent[i, half + i] = 1.0 / grid.weights[half + i]
-            ent[half + i, i] = 1.0 / grid.weights[i]
+    i = np.arange(n)
+    # linear: node i goes to node n - 1 - i; logpair: the two sign blocks
+    # swap, same v node
+    j = i[::-1] if grid.kind == "linear" else (i + n // 2) % n
+    ent[i, j] = 1.0 / grid.weights[j]
     return KernelOperator(grid, grid, ent, "S")
 
 

@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import os
 import re
@@ -24,7 +25,6 @@ from boidol.cli import (
 from boidol.errors import MissingLimitPoint
 from boidol.fields import (
     _ADJOINT_SENSITIVE_CHECKS,
-    _vk_halves,
     DstarConfig,
     FieldGrids,
     OperatorField,
@@ -243,8 +243,8 @@ def test_converge_omega_small_grid(tmp_path):
 def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypatch):
     """`converge omega` runs one k at a time: each generic operator pi_k is
     built once, and when it is built every earlier pi (the operator and
-    its entries) is already freed; V_k is built once per k
-    (`kernels.vk_operator`), and its halves serve all four rows of k."""
+    its entries) is already freed; each of k's four rows builds its own V_k
+    (`kernels.vk_operator`)."""
     pis, alive_at_build = [], []
 
     def recording_field(f):
@@ -273,7 +273,7 @@ def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypat
     assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "omega"]) == 0
     plan = default_plan("OmegaNonzero", PowerSeq(1, 1), PowerSeq(1, -1))
     assert alive_at_build == [0] * len(SMALL["ks"])
-    assert vk_builds == {(plan.rho(k), plan.lam(k)): 1 for k in SMALL["ks"]}
+    assert vk_builds == {(plan.rho(k), plan.lam(k)): 4 for k in SMALL["ks"]}
 
 
 @pytest.mark.parametrize("regime", ["omega", "zero"])
@@ -307,18 +307,28 @@ def test_converge_frees_each_ks_vk_halves_before_the_next_pi(tmp_path, monkeypat
     assert alive_at_build == [0] * len(SMALL["ks"])
 
 
-def test_converge_omega_keeps_only_the_last_vk_halves(tmp_path):
-    """`_vk_halves` keeps at most the last V_k halves it built: two `converge
-    omega` runs in one process write the same artifact, byte for byte, and
-    leave at most one entry behind."""
+@pytest.mark.parametrize("argv, artifact", [
+    (["converge", "omega"], "converge_omega.json"),
+    (["converge", "zero"], "converge_zero.json"),
+    (["dstar"], "dstar.json"),
+], ids=["converge-omega", "converge-zero", "dstar"])
+def test_commands_leave_no_kernel_operator_alive(tmp_path, argv, artifact):
+    """No `KernelOperator` a command builds outlives it (V_k's halves
+    included), and two runs in one process write the same artifact, byte
+    for byte."""
     cfg_path = write_cfg(tmp_path, SMALL)
+    # held, so no operator built by the command can reuse one of their ids
+    before = [o for o in gc.get_objects() if isinstance(o, KernelOperator)]
+    kept = {id(o) for o in before}
     artifacts = []
     for run in ("first", "second"):
         out = tmp_path / run
-        assert main(["--config", cfg_path, "--out", str(out), "converge", "omega"]) == 0
-        artifacts.append((out / "converge_omega.json").read_bytes())
+        assert main(["--config", cfg_path, "--out", str(out), *argv]) == 0
+        artifacts.append((out / artifact).read_bytes())
+        gc.collect()
+        assert [o.label for o in gc.get_objects()
+                if isinstance(o, KernelOperator) and id(o) not in kept] == []
     assert artifacts[0] == artifacts[1]
-    assert _vk_halves.cache_info().currsize <= 1
 
 
 def test_converge_zero_small_grid(tmp_path):

@@ -432,9 +432,7 @@ def test_vk_halves_hold_vk_operators_own_array(monkeypatch):
         return op
 
     monkeypatch.setattr(kernels, "vk_operator", recording_vk)
-    _vk_halves.cache_clear()
     plus, minus = _vk_halves(8.0, 0.125, GRIDS)
-    _vk_halves.cache_clear()
     assert len(built) == 1
     assert plus.entries is built[0]
     assert minus.entries.base is built[0]
@@ -604,8 +602,7 @@ def test_degeneration_rows_allocate_less_than_the_generic_operator():
     """At n = 512, n_half = 384 and k = 4, with the generic operator and the
     half-line values cached in a scope, one row of `deviation_rows`,
     `check_small_zone` and `check_rate_envelope` peaks below the bytes of
-    A_k itself (0.17-0.88 of them: a `deviation_rows` row builds V_k's
-    halves, and the other rows read the ones `_vk_halves` keeps): no n x n
+    A_k itself (0.39-0.88 of them, every row building V_k's halves): no n x n
     or n x n_half array is formed besides A_k.  So does a row of
     `deviation_rows` on the scope's adjoint, as the adjoint pass of 2c and
     2d runs it (0.77 and 0.88): A_k* is read without a copy."""
@@ -629,9 +626,9 @@ def test_compressed_rows_read_the_adjoint_generic_operator_without_a_copy():
     """At n = 512, n_half = 384 and k = 4, with the values cached in a scope,
     a row of `check_small_zone` and one of `check_rate_envelope` on the
     scope's adjoint peak within 0.1 of A_k's bytes of the same row on the
-    scope (0.18 and 0.42 on both): `KernelOperator.product` takes A_k*'s
-    block as an adjoint view of A_k's, without a copy (1.40 and 1.14 of
-    A_k's bytes with one)."""
+    scope (0.41 and 0.65 on both, each row building V_k's halves):
+    `KernelOperator.product` takes A_k*'s block as an adjoint view of A_k's,
+    without a copy, which would add A_k's bytes."""
     grids = FieldGrids.default(n_lin=512, n_half=384)
     pi_bytes = grids.lin.n ** 2 * 16
     plan, k = _omega_plan(), 4

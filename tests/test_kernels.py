@@ -414,14 +414,14 @@ def test_banded_pi_kernel_equals_dense_t_loop():
 
 class RecordingHatF34:
     """Stands in for `eval_hatF34` in `boidol.kernels`: evaluates it and
-    keeps each call's arguments and values."""
+    keeps each call's function, arguments and values."""
 
     def __init__(self):
         self.log = []
 
     def __call__(self, f, t, a, b, lam):
         vals = eval_hatF34(f, t, a, b, lam)
-        self.log.append((t, a, b, vals))
+        self.log.append((f, t, a, b, vals))
         return vals
 
 
@@ -437,22 +437,24 @@ def test_pi_kernel_outside_b_support_is_zero_without_evaluation(monkeypatch, lam
     assert rec.log == []
 
 
-@pytest.mark.parametrize("rho, lam, reflect", [(0.0, 1.0, False), (2.0, 0.5, False),
-                                              (0.0, 1.0, True)])
-def test_pi_kernel_band_is_tight(monkeypatch, rho, lam, reflect):
+@pytest.mark.parametrize("rho, lam, two_terms", [(0.0, 1.0, False), (2.0, 0.5, False),
+                                                (0.0, 1.0, True)])
+def test_pi_kernel_band_is_tight(monkeypatch, rho, lam, two_terms):
     """At each t-node the band holds the points whose second and third slots
-    lie in the support box and at most two widening columns per row it
-    reaches.  The nonzero values are those points less the ones where a
-    bump underflows to 0 near its support's edge."""
+    lie in the support box of the function evaluated and at most two
+    widening columns per row it reaches, in both passes for TWO_TERMS (f
+    and f.reflected()).  The nonzero values are those points less the ones
+    where a bump underflows to 0 near its support's edge."""
     rec = RecordingHatF34()
     monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
     grid = GridSpec.linear(L=8.0, n=128)
-    f = F.reflected() if reflect else F
+    f = TWO_TERMS if two_terms else F
     kernel_pi_rho_lambda(f, rho, lam, grid)
-    assert len(rec.log) == 64
-    (x0, x1), (a0, a1) = f.support_box[1:3]
+    assert len(rec.log) == (128 if two_terms else 64)
+    assert {g for g, *_ in rec.log} == {f, f.reflected()}
     points = in_box = nonzero = rows = 0
-    for t, a, b, vals in rec.log:
+    for g, t, a, b, vals in rec.log:
+        (x0, x1), (a0, a1) = g.support_box[1:3]
         points += a.size
         in_box += np.count_nonzero((x0 <= a) & (a <= x1) & (a0 <= b) & (b <= a1))
         nonzero += np.count_nonzero(vals)
@@ -498,10 +500,10 @@ def test_pi_kernel_evaluates_only_rows_u_positive(monkeypatch, f, passes):
     monkeypatch.setattr("boidol.kernels.eval_hatF34", rec)
     lam = 0.5
     kernel_pi_rho_lambda(f, 2.0, lam, GridSpec.linear(L=8.0, n=128))
-    ts = [t for t, *_ in rec.log]
+    ts = [t for _, t, *_ in rec.log]
     assert len(ts) == 64 * passes
     assert ts == ts[:64] * passes and ts[:64] == sorted(ts[:64])
-    for t, a, b, _ in rec.log:
+    for _, t, a, b, _ in rec.log:
         # row u from a = e^t u - x and b = -(lam/2)(x + e^t u)
         u = (a - 2.0 * b / lam) / 2.0 * math.exp(-t)
         assert u.size and np.all(u > 0)
