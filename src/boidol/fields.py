@@ -106,6 +106,10 @@ class FieldGrids:
     def minus(self) -> GridSpec:
         return self.pair.parts[1]
 
+    def half_line(self, sign: int) -> GridSpec:
+        """The plus (sign > 0) or the minus half-line model."""
+        return self.plus if sign > 0 else self.minus
+
 
 @dataclass(frozen=True)
 class SpectrumSample:
@@ -170,14 +174,24 @@ class OperatorField:
     no operator, which its provider builds again on each read.  Only a
     `scope()` keeps operators.  A field is not thread-safe: it is read from
     one thread, as every command does.  A build that raises caches nothing.
+
+    `flip_invariant` says that the field's values are invariant under the
+    flip automorphism gamma(t, x, y, z) = (t, -x, -y, z): the value at
+    (-mu, -nu), on the minus half-line model for a tau, has the entries of
+    the value at (mu, nu), on the plus one, bit for bit.  `fourier_field`
+    sets it when f o gamma == f, `scope()` and `adjoint()` keep it, and
+    every other field leaves it false.  The conditions then measure one
+    point of each mirrored pair (`_mirrored_once`).
     """
 
-    def __init__(self, provider, provenance: str = "Synthetic", label: str = "field"):
+    def __init__(self, provider, provenance: str = "Synthetic", label: str = "field",
+                 flip_invariant: bool = False):
         self._provider = provider
         self._cache: dict = {}
         self._keeps_operators = False  # set by `scope()` only
         self.provenance = provenance
         self.label = label
+        self.flip_invariant = flip_invariant
 
     def at(self, key):
         if key[0] != "char" and not self._keeps_operators:
@@ -214,7 +228,8 @@ class OperatorField:
             val = base.at(key)
             return np.conj(val) if key[0] == "char" else val.adjoint()
 
-        return OperatorField(provider, self.provenance, f"({self.label})*")
+        return OperatorField(provider, self.provenance, f"({self.label})*",
+                             self.flip_invariant)
 
     def scope(self) -> "OperatorField":
         """A field that reads through this one and keeps every value it
@@ -223,7 +238,7 @@ class OperatorField:
         the scope.  A character is read through this field, which keeps it
         for every later reader.
         """
-        out = OperatorField(self.at, self.provenance, self.label)
+        out = OperatorField(self.at, self.provenance, self.label, self.flip_invariant)
         out._keeps_operators = True
         return out
 
@@ -254,7 +269,7 @@ def fourier_field(f: TestFunction) -> OperatorField:
             return character_value(f, key[1])
         raise MissingLimitPoint(f"unknown evaluation key {key!r}")
 
-    return OperatorField(provider, "FourierOf", "fourier")
+    return OperatorField(provider, "FourierOf", "fourier", f.reflected() == f)
 
 
 def zero_field() -> OperatorField:
@@ -277,6 +292,25 @@ def product_field(a: OperatorField, b: OperatorField) -> OperatorField:
         return va @ vb
 
     return OperatorField(provider, "Synthetic", f"{a.label}.{b.label}")
+
+
+def _mirrored_once(field: OperatorField, points, measure) -> list:
+    """measure(*p) for each point p of `points`, in their order.
+
+    A point is a tuple of floats that its negation carries to its image
+    under the flip automorphism: (mu, nu) to (-mu, -nu), and a half-line
+    model's sign (+1 plus, -1 minus), where there is one, to the other.  On
+    a `flip_invariant` field the values at a point and at its mirror have
+    the same entries, so a point whose mirror came earlier takes the
+    mirror's number and nothing is built or measured for it.  On any other
+    field every point is measured.
+    """
+    done = {}
+    for p in points:
+        mirror = tuple(-c for c in p)
+        done[p] = (done[mirror] if field.flip_invariant and mirror in done
+                   else measure(*p))
+    return [done[p] for p in points]
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +652,20 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
     None.  On the field's near-convolution values each difference is a
     difference of kernels, and `op_norm` reads it through FFTs, subtracting
     the column factors of kernels with one symbol: no n_half x n_half array
-    is formed.
+    is formed.  The minus half is the flip mirror of the plus half, so on a
+    `flip_invariant` field `dev_minus` is `dev_plus` and its values are
+    not built (`_mirrored_once`).
     """
     eps = float(plan.eps)
     rows = []
     for k in ks:
         wk = plan.w_k(k)
-        dev_p = op_norm(field.tau(wk, -eps, grids.plus)
-                        - s_k_zero(field, k, plan, 1, grids))
-        dev_m = op_norm(field.tau(-wk, eps, grids.minus)
-                        - s_k_zero(field, k, plan, -1, grids))
+
+        def deviation(mu, nu, half):
+            return op_norm(field.tau(mu, nu, grids.half_line(half))
+                           - s_k_zero(field, k, plan, half, grids))
+
+        dev_p, dev_m = _mirrored_once(field, ((wk, -eps, 1), (-wk, eps, -1)), deviation)
         rows.append({**_plan_row(plan, k), "dev_plus": dev_p, "dev_minus": dev_m,
                      "value": max(dev_p, dev_m), "bound": None})
     return rows
@@ -860,20 +898,27 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
 def compact_condition_check(field: OperatorField, taus: np.ndarray,
                             grids: FieldGrids) -> dict:
     """Compact-defect of field minus extension at the four half-line points;
-    the extension's line transform is computed once for all four."""
+    the extension's line transform is computed once for all four.
+
+    X-1 and Y-1 are the flip mirrors of X+1 and Y+1, and the extension's
+    window factor is even, so on a `flip_invariant` field their rows take
+    the defects of X+1 and Y+1 and build nothing (`_mirrored_once`).
+    """
     budget = _rank_budget(grids)
     psi = np.array([field.char(tau) for tau in taus])
     f_d = _line_transform(psi, taus, grids.lin)
-    points = (OneDim("X", 1), OneDim("X", -1), OneDim("Y", 1), OneDim("Y", -1))
-    rows = []
-    for label in points:
-        mu, nu = ell_params(label)
-        D = field.ell(mu, nu, grids.lin) - sigma0_apply(psi, taus, label, grids.lin,
-                                                        f_d=f_d)
-        defect = compact_defect(D, budget)
-        rows.append({"axis": label.axis, "sigma": label.sigma,
-                     "mu": mu, "nu": nu, "defect": defect,
-                     "passed": bool(defect < _COMPACT_TOL)})
+    labels = (OneDim("X", 1), OneDim("X", -1), OneDim("Y", 1), OneDim("Y", -1))
+    points = [ell_params(label) for label in labels]
+
+    def defect(mu, nu):
+        return compact_defect(field.ell(mu, nu, grids.lin)
+                              - sigma0_apply(psi, taus, (mu, nu), grids.lin, f_d=f_d),
+                              budget)
+
+    rows = [{"axis": label.axis, "sigma": label.sigma, "mu": mu, "nu": nu,
+             "defect": d, "passed": bool(d < _COMPACT_TOL)}
+            for label, (mu, nu), d in zip(labels, points,
+                                          _mirrored_once(field, points, defect))]
     return {"rank_budget": budget, "tol": _COMPACT_TOL, "rows": rows,
             "passed": all(r["passed"] for r in rows)}
 
@@ -985,10 +1030,13 @@ def _cond_compact_gamma3(field, cfg) -> dict:
 
 def _limit_scale(field: OperatorField, plan: SequencePlan, grids: FieldGrids) -> float:
     """The larger norm of the field's values at the two limit points of an
-    "OmegaNonzero" plan, tau(eps |omega|, -eps) and tau(-eps |omega|, eps)."""
-    eps, om = plan.eps, abs(plan.omega)
-    return max(op_norm(field.tau(eps * om, -float(eps), grids.plus)),
-               op_norm(field.tau(-eps * om, float(eps), grids.minus)))
+    "OmegaNonzero" plan, tau(eps |omega|, -eps) on the plus half-line model
+    and its flip mirror tau(-eps |omega|, eps) on the minus one (one norm on
+    a `flip_invariant` field, `_mirrored_once`)."""
+    eps, om = float(plan.eps), abs(plan.omega)
+    return max(_mirrored_once(
+        field, ((eps * om, -eps, 1), (-eps * om, eps, -1)),
+        lambda mu, nu, half: op_norm(field.tau(mu, nu, grids.half_line(half)))))
 
 
 def _two_point_table(plan: SequencePlan, rows: list[dict], limit_scale: float,
@@ -1092,17 +1140,25 @@ def _cond_continuity_low(field, cfg) -> dict:
 
 
 def _cond_compact_gamma2(field, cfg) -> dict:
+    """The compact defect of each sampled two-dimensional point against the
+    norm at the first one.  On a `flip_invariant` field a point whose
+    mirror (-mu, -nu) was sampled earlier takes its defect
+    (`_mirrored_once`): ell(-0.7, -1) and ell(-0.7, 1) on the default
+    sample."""
     g = cfg.grids
     budget = _rank_budget(g)
-    rows, scale = {}, None
-    for lab in cfg.sample.gamma2:
-        mu, nu = ell_params(lab)
+    scale = None
+
+    def defect(mu, nu):
+        nonlocal scale
         A = field.ell(mu, nu, g.lin)
         if scale is None:  # the norm at the first sampled point
             scale = max(op_norm(A), 1e-30)
-        d = compact_defect(A, budget)
-        rows[f"ell({mu},{nu})"] = {"defect": d,
-                                   "passed": bool(d < _COMPACT_TOL * scale)}
+        return compact_defect(A, budget)
+
+    points = [ell_params(lab) for lab in cfg.sample.gamma2]
+    rows = {f"ell({mu},{nu})": {"defect": d, "passed": bool(d < _COMPACT_TOL * scale)}
+            for (mu, nu), d in zip(points, _mirrored_once(field, points, defect))}
     return {"rank_budget": budget, "rows": rows,
             "passed": all(r["passed"] for r in rows.values())}
 
@@ -1178,12 +1234,20 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     scope's operators without a copy and so builds nothing.  The scope is
     dropped before the next condition, so the operators held at once are
     those of one condition, never of all four; the half-line values that 2d
-    and 3c both read (10 on the default config) are built twice.  Conditions 1,
+    and 3c both read (5 on the default config) are built twice.  Conditions 1,
     2a, 2b, 3a and 3b run on `field` itself, which keeps no operator: each
     value they read again (pi(0, 1) in 1, 2a and 2b; ell(0.7, 1) and
     ell(1.3, 1) in 3a and 3b) is built again.  The characters, which 3d
     and 3a both read, stay in the field, so after the report the field
     holds only characters.
+
+    On a `flip_invariant` field, such as the Fourier field of the default
+    test function, 2c's limit scale, 3b, 3c and 3d measure one point of
+    each flip-mirrored pair and report its number for the mirror too
+    (`_mirrored_once`): 3c builds no value on the minus half-line model,
+    3d takes 2 of its 4 compact defects and 3b 4 of its 6.  The two points'
+    values have the same entries, so every row, key and number is the one
+    measuring both gives.
 
     Each adjoint run is a nested call restricted to its condition:
     `_checks` is that restriction, run on the given field itself with no

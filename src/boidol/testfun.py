@@ -160,7 +160,8 @@ def bump_fourier(bump: BumpFactor, alpha, quad: QuadratureSpec) -> np.ndarray:
     live = np.flatnonzero(aw < FOURIER_CUTOFF)
     ladder = -(-((aw[live] / 2).astype(np.int64) + 64) // 64) * 64
     counts = np.maximum(quad.n, ladder)
-    sizes = np.unique(counts)
+    # the distinct counts, ascending: `np.unique` would import numpy.ma
+    sizes = sorted(set(counts.tolist()))
     for n, (u, ws) in zip(sizes, unit_rules(sizes)):
         idx = live[counts == n]
         half = int(n) // 2

@@ -342,6 +342,21 @@ def test_converge_zero_small_grid(tmp_path):
     assert zone_vals[-1] < 0.1 * zone_vals[0]
 
 
+def test_converge_zero_imports_no_numpy_ma(tmp_path):
+    """No command needs `numpy.ma`, whose import took about 9 ms per process
+    (`-X importtime`): a fresh process that runs `converge zero` on the
+    small config has not loaded it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["--config", write_cfg(tmp_path, SMALL), "--out", str(tmp_path), "converge", "zero"]
+    code = ("import sys; from boidol.cli import main; "
+            f"print(main({argv!r}), 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[-2:] == ["0", "False"]
+
+
 THREADS_CFG = {"grid": {"n": 192, "n_half": 144}, "ks": [4, 8]}
 
 

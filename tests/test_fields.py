@@ -7,13 +7,17 @@ import weakref
 import numpy as np
 import pytest
 
-from boidol import kernels, operators
+from boidol import fields, kernels, operators
+from boidol.cli import dstar_config, load_config
 from boidol.errors import MissingLimitPoint, NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
     _ADJOINT_INVARIANT_CHECKS,
     _ADJOINT_SENSITIVE_CHECKS,
+    _cond_compact_gamma2,
+    _cond_two_dim_degeneration,
     _generic_times_vk,
     _half_deviation,
+    _limit_scale,
     _two_point_pair,
     _vk_halves,
     DstarConfig,
@@ -62,7 +66,7 @@ from boidol.testfun import (
     TestFunction,
     default_test_function,
 )
-from test_kernels import vk_dense
+from test_kernels import TWO_TERMS, vk_dense
 
 F = default_test_function()
 GRIDS = FieldGrids.default(n_lin=128, n_half=96)
@@ -988,3 +992,150 @@ def test_retention_never_changes_a_number():
     report on the field, which keeps only characters."""
     cfg = small_config(check_adjoint=True)
     assert dstar_report(fourier_field(F), cfg) == dstar_report(fourier_field(F).scope(), cfg)
+
+
+# ---------------------------------------------------------------------------
+# the flip automorphism at the condition level
+
+# a second function with f o gamma == f: every x- and a-centre is 0, the
+# other slots are off-centre and the coefficients complex
+FLIP_EVEN = TestFunction((
+    SeparableTerm(0.8 - 0.4j, BumpFactor(0.3, 0.9), BumpFactor(0.0, 0.6),
+                  BumpFactor(0.0, 1.4), BumpFactor(0.2, 1.8)),
+    SeparableTerm(0.5j, BumpFactor(-0.2, 0.7), BumpFactor(0.0, 1.3),
+                  BumpFactor(0.0, 0.8), BumpFactor(-0.1, 2.2)),
+))
+# the grid of the benchmark's `dstar` workload, and the default grid
+_REPORT_GRIDS = {"bench": FieldGrids.default(12.0, 384, 6.0, 288),
+                 "default": FieldGrids.default()}
+
+
+def test_flip_invariance_is_derived_and_inherited():
+    """`fourier_field` reads it off f o gamma == f, `scope()` and
+    `adjoint()` keep it, and a tampered, product or zero field is never
+    flip-invariant."""
+    assert F.reflected() == F and FLIP_EVEN.reflected() == FLIP_EVEN
+    even = fourier_field(FLIP_EVEN)
+    assert FIELD.flip_invariant and even.flip_invariant
+    assert not fourier_field(TWO_TERMS).flip_invariant
+    assert FIELD.scope().flip_invariant and FIELD.adjoint().flip_invariant
+    assert FIELD.scope().adjoint().flip_invariant
+    assert not fourier_field(TWO_TERMS).scope().adjoint().flip_invariant
+    assert not FIELD.tampered(lambda key, val: val).flip_invariant
+    assert not product_field(FIELD, even).flip_invariant
+    assert not zero_field().flip_invariant
+
+
+@pytest.mark.parametrize("grid_name", sorted(_REPORT_GRIDS))
+@pytest.mark.parametrize("f", [F, FLIP_EVEN], ids=["default", "flip_even"])
+def test_flip_mirrored_values_have_equal_entries(f, grid_name):
+    """The premise of the mirror shortcut (`fields._mirrored_once`): on a
+    flip-invariant field each value the report reads at a point has the
+    entries of the value at its mirror, bit for bit, on the benchmark's and
+    the default grid, at every index of the default config's plans.  So
+    giving the mirror the point's number moves no number."""
+    g = _REPORT_GRIDS[grid_name]
+    cfg = dstar_config(load_config(None), 1)
+    field = fourier_field(f)
+    assert field.flip_invariant
+
+    def same(a, b):
+        a, b = a.entries, b.entries
+        return np.array_equal(a, b) and np.any(a)
+
+    for lab in cfg.sample.gamma2 + cfg.sample.gamma1:
+        mu, nu = ell_params(lab)
+        assert same(field.ell(mu, nu, g.lin), field.ell(-mu, -nu, g.lin)), lab
+    points = []  # (mu, nu) of tau on the plus model, mirrored on the minus one
+    for plan in cfg.plans_omega:
+        points.append((plan.eps * abs(plan.omega), -float(plan.eps)))
+    for plan in cfg.plans_zero:
+        eps = float(plan.eps)
+        points += [(0.0, 0.0), (0.0, -eps)]
+        for k in cfg.ks_tau:
+            assert same(s_k_zero(field, k, plan, 1, g), s_k_zero(field, k, plan, -1, g)), k
+            points += [(plan.w_k(k), -eps), (plan.w_k(k), 0.0)]
+    assert len(points) == 23
+    for mu, nu in points:
+        assert same(field.tau(mu, nu, g.plus), field.tau(-mu, -nu, g.minus)), (mu, nu)
+    taus = cfg.sample.gamma0
+    psi = np.array([field.char(t) for t in taus])
+    for mu, nu in ((1.0, 0.0), (0.0, 1.0)):
+        assert same(sigma0_apply(psi, taus, (mu, nu), g.lin),
+                    sigma0_apply(psi, taus, (-mu, -nu), g.lin)), (mu, nu)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls that `boidol.fields` makes to each of its `names`."""
+    counts = collections.Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(fields, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(fields, name, counted)
+    return counts
+
+
+def test_the_mirror_shortcut_moves_no_number_and_saves_the_mirrored_calls(monkeypatch):
+    """The report on the Fourier field equals, key for key and bit for bit,
+    the report on a field with the same values that is not flip-invariant,
+    adjoint pass included.  The shortcut saves exactly the mirrored calls:
+    2c's second limit norm, one 3c norm per index and 3d's X-1 and Y-1
+    defects, each in both passes, and 3b's two defects at omega = -0.7."""
+    cfg = small_config(check_adjoint=True)
+    counts = _count_calls(monkeypatch, "op_norm", "compact_defect")
+    shortcut = dstar_report(fourier_field(F), cfg)
+    saved = collections.Counter(counts)
+    counts.clear()
+    plain = OperatorField(fourier_field(F).at, "FourierOf", "fourier")
+    assert not plain.flip_invariant
+    assert dstar_report(plain, cfg) == shortcut
+    saved.subtract(counts)
+    per_pass = len(cfg.plans_omega) + len(cfg.plans_zero) * len(cfg.ks_tau)
+    assert -saved["op_norm"] == 2 * per_pass == 12
+    assert -saved["compact_defect"] == 2 * 2 + 2
+
+
+_NOT_FLIP_INVARIANT = {
+    "two_terms": lambda: fourier_field(TWO_TERMS),
+    "tampered": lambda: FIELD.tampered(lambda key, val: val),
+    "product": lambda: product_field(FIELD, FIELD),
+}
+
+
+@pytest.mark.parametrize("name", ["fourier"] + sorted(_NOT_FLIP_INVARIANT))
+def test_every_mirrored_point_is_measured_unless_the_field_is_flip_invariant(
+        monkeypatch, name):
+    """On a field that is not flip-invariant each of the four mirrored
+    measurements takes every point: 2 limit norms in 2c, 2 norms per index
+    in 3c, 6 defects in 3b and 4 in 3d.  The Fourier field of the default
+    function takes one point of each mirrored pair."""
+    field = FIELD if name == "fourier" else _NOT_FLIP_INVARIANT[name]()
+    cfg = small_config(ks_tau=(4, 64))
+    counts = _count_calls(monkeypatch, "op_norm", "compact_defect")
+    full = not field.flip_invariant
+    assert full == (name != "fourier")
+    _limit_scale(field, cfg.plans_omega[0], GRIDS)
+    assert counts["op_norm"] == (2 if full else 1)
+    counts.clear()
+    _cond_two_dim_degeneration(field, cfg)
+    assert counts["op_norm"] == 2 * len(cfg.ks_tau) // (1 if full else 2)
+    counts.clear()
+    _cond_compact_gamma2(field, cfg)
+    assert counts["compact_defect"] == (6 if full else 4)
+    counts.clear()
+    compact_condition_check(field, cfg.sample.gamma0, GRIDS)
+    assert counts["compact_defect"] == (4 if full else 2)
+
+
+def test_a_tamper_of_the_minus_half_alone_still_fails_3c():
+    """The tampered field is not flip-invariant, so 3c measures the minus
+    half it breaks: `dev_plus` is the clean field's and decays, `dev_minus`
+    does not, and 3c fails."""
+    cfg = small_config()
+    clean = _cond_two_dim_degeneration(FIELD, cfg)
+    tampered = _cond_two_dim_degeneration(FIELD.tampered(_stalled_running_target()), cfg)
+    assert clean["passed"] and not tampered["passed"]
+    [clean_rows], [rows] = ([t["rows"] for t in c["tables"]] for c in (clean, tampered))
+    assert [r["dev_plus"] for r in rows] == [r["dev_plus"] for r in clean_rows]
+    assert not tends_to_zero([r["dev_minus"] for r in rows], cfg.decay_ratio, cfg.wiggle)
