@@ -86,7 +86,12 @@ class FieldGrids:
     """The discretizations shared by all field evaluations.
 
     lin carries the L^2(R) models (generic points and the (mu, nu) line
-    model); pair carries the two half-line models in log coordinates.
+    model); pair is L^2(R, du/|u|) in log coordinates, the domain of V_k.
+    `plus`, its plus half, is the one half-line grid: the minus half-line
+    model at (mu, nu) has the kernel of the plus one at (mu, nu) on the same
+    log nodes (`kernel_tau`), so a minus-half value is read as the plus grid
+    at the mirrored parameters (-mu, -nu) of its plus-half partner, and a
+    cutoff u <= -r on the minus half as u >= r on the plus grid.
     """
 
     lin: GridSpec
@@ -101,14 +106,6 @@ class FieldGrids:
     @property
     def plus(self) -> GridSpec:
         return self.pair.parts[0]
-
-    @property
-    def minus(self) -> GridSpec:
-        return self.pair.parts[1]
-
-    def half_line(self, sign: int) -> GridSpec:
-        """The plus (sign > 0) or the minus half-line model."""
-        return self.plus if sign > 0 else self.minus
 
 
 @dataclass(frozen=True)
@@ -177,11 +174,10 @@ class OperatorField:
 
     `flip_invariant` says that the field's values are invariant under the
     flip automorphism gamma(t, x, y, z) = (t, -x, -y, z): the value at
-    (-mu, -nu), on the minus half-line model for a tau, has the entries of
-    the value at (mu, nu), on the plus one, bit for bit.  `fourier_field`
-    sets it when f o gamma == f, `scope()` and `adjoint()` keep it, and
-    every other field leaves it false.  The conditions then measure one
-    point of each mirrored pair (`_mirrored_once`).
+    (-mu, -nu) has the entries of the value at (mu, nu), bit for bit.
+    `fourier_field` sets it when f o gamma == f, `scope()` and `adjoint()`
+    keep it, and every other field leaves it false.  The conditions then
+    measure one point of each mirrored pair (`_mirrored_once`).
     """
 
     def __init__(self, provider, provenance: str = "Synthetic", label: str = "field",
@@ -298,12 +294,12 @@ def _mirrored_once(field: OperatorField, points, measure) -> list:
     """measure(*p) for each point p of `points`, in their order.
 
     A point is a tuple of floats that its negation carries to its image
-    under the flip automorphism: (mu, nu) to (-mu, -nu), and a half-line
-    model's sign (+1 plus, -1 minus), where there is one, to the other.  On
-    a `flip_invariant` field the values at a point and at its mirror have
-    the same entries, so a point whose mirror came earlier takes the
-    mirror's number and nothing is built or measured for it.  On any other
-    field every point is measured.
+    under the flip automorphism: (mu, nu) to (-mu, -nu), and the sign of the
+    half-line it stands for (+1 plus, -1 minus), where there is one, to the
+    other.  On a `flip_invariant` field the values at a point and at its
+    mirror have the same entries, so a point whose mirror came earlier takes
+    the mirror's number and nothing is built or measured for it.  On any
+    other field every point is measured.
     """
     done = {}
     for p in points:
@@ -364,7 +360,8 @@ class SequencePlan:
         return self.rho(k) * abs(self.lam(k))
 
     def zones(self, k) -> dict:
-        """The three-zone interval decomposition of both half-lines."""
+        """The three-zone interval decomposition of the plus half-line, which
+        the minus half reads on the plus grid too (`s_k_zero`)."""
         lam_r = self.Rk(k) * abs(self.lam(k))
         aw = abs(self.w_k(k))
         s_edge, t_edge = aw * self.Sk(k), aw * self.Tk(k)
@@ -376,9 +373,6 @@ class SequencePlan:
             "J+": IntervalSpec.left_open(lam_r, s_edge),
             "I2+": IntervalSpec.left_open(s_edge, t_edge),
             "I3+": IntervalSpec.gt(t_edge),
-            "J-": IntervalSpec.right_open(-s_edge, -lam_r),
-            "I2-": IntervalSpec.right_open(-t_edge, -s_edge),
-            "I3-": IntervalSpec.lt(-t_edge),
         }
 
     def describe(self) -> dict:
@@ -498,16 +492,17 @@ def _vk_halves(rho_k: float, lam_k: float,
     """V_k's two sign halves (V+, V-), V_k = [V+ | V-], as their nonzero
     blocks.
 
-    V+ maps a window of the plus half-line model's cells into a window of
-    the s > 0 linear cells, and V- maps the same window of the minus one's
-    cells into the mirrored s < 0 window (see `vk_operator`).  V+ is the
-    adjoint of `vk_adjoint`, which holds `vk_operator`'s own array, and V-
-    is V+ with its rows reversed, a view: no copy of V_k is made.  Each row
-    that reads V_k builds its own halves, and nothing keeps them after it.
+    V+ maps a window of the plus half-line grid's cells into a window of
+    the s > 0 linear cells, and V- maps the same window, read as the minus
+    half's cells (`FieldGrids`), into the mirrored s < 0 window (see
+    `vk_operator`).  V+ is the adjoint of `vk_adjoint`, which holds
+    `vk_operator`'s own array, and V- is V+ with its rows reversed, a view:
+    no copy of V_k is made.  Each row that reads V_k builds its own halves,
+    and nothing keeps them after it.
     """
     plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
-    rows, cols, n = plus.codomain, plus.domain, grids.lin.n
-    minus = KernelOperator(grids.minus.window(cols.start, cols.start + cols.n),
+    rows, n = plus.codomain, grids.lin.n
+    minus = KernelOperator(plus.domain,
                            grids.lin.window(n - rows.start - rows.n, n - rows.start),
                            plus.entries[::-1])
     return plus, minus
@@ -515,8 +510,9 @@ def _vk_halves(rho_k: float, lam_k: float,
 
 def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids) -> KernelOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
-    and b_minus on the minus one, (b_plus, b_minus) = pair, as its thin
-    factors, one sign half of V_k at a time (`halves`, from `_vk_halves`).
+    and b_minus on the minus one (both on the plus grid, `FieldGrids`),
+    (b_plus, b_minus) = pair, as its thin factors, one sign half of V_k at a
+    time (`halves`, from `_vk_halves`).
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
     of u to the same sign of s, so the result has two diagonal blocks and
@@ -535,17 +531,27 @@ def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids) -> KernelOperato
     return plus + minus
 
 
+def _two_points(plan: SequencePlan, w: float) -> tuple:
+    """The two limit points at invariant w as (mu, nu, half): (eps w, -eps)
+    for the plus half-line and its flip mirror (-eps w, eps) for the minus
+    one, each read on the plus grid (`FieldGrids`)."""
+    eps = float(plan.eps)
+    return ((eps * w, -eps, 1), (-eps * w, eps, -1))
+
+
+def _beyond_cutoff(plan: SequencePlan, k: int, grids: FieldGrids) -> np.ndarray:
+    """The cutoff to u >= R_k |lam_k| on the plus grid, which is also the
+    minus half's cutoff to u <= -R_k |lam_k|, read on the plus grid."""
+    return cutoff_M(IntervalSpec.ge(plan.Rk(k) * abs(plan.lam(k))), grids.plus)
+
+
 def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
                     grids: FieldGrids) -> tuple:
-    """The masked half-line pair at invariant w: tau(eps w, -eps) on the
-    plus half-line model cut to u >= R_k |lam_k|, and tau(-eps w, eps) on
-    the minus one cut to u <= -R_k |lam_k|."""
-    eps = plan.eps
-    lam_r = plan.Rk(k) * abs(plan.lam(k))
-    return (field.tau(eps * w, -eps, grids.plus).masked(
-                cutoff_M(IntervalSpec.ge(lam_r), grids.plus)),
-            field.tau(-eps * w, eps, grids.minus).masked(
-                cutoff_M(IntervalSpec.le(-lam_r), grids.minus)))
+    """The half-line pair at invariant w (`_two_points`), both values cut
+    by one mask (`_beyond_cutoff`)."""
+    keep = _beyond_cutoff(plan, k, grids)
+    return tuple(field.tau(mu, nu, grids.plus).masked(keep)
+                 for mu, nu, _ in _two_points(plan, w))
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -568,10 +574,12 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
              half: int, grids: FieldGrids) -> KernelOperator:
-    """The three-zone approximation on one half-line model.
+    """The three-zone approximation on one half-line model, on the plus grid.
 
     Zone one keeps the running two-parameter point, zone two the fully
     degenerate point, zone three the point displaced along the other axis.
+    The minus half (`half` -1) reads the plus half's zones at the mirrored
+    parameters (`FieldGrids`): its zone u in [-S, -R) is u in (R, S] there.
     The result is the sum of the three operators each masked to its zone,
     so each zone's columns are its operator's, and the columns outside the
     zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's
@@ -584,14 +592,13 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
     if half not in (1, -1):
         raise ValueError("half must be +1 or -1")
     wk, eps = plan.w_k(k), float(plan.eps)
-    zones = plan.zones(k)
-    grid, side = (grids.plus, "+") if half == 1 else (grids.minus, "-")
+    zones, grid = plan.zones(k), grids.plus
     # zone three keeps the unit-displacement realization of the half-line
     # point: it is the one the rescaled generic operators actually approach
     pieces = [
-        (field_on_L.tau(half * wk, 0.0, grid), zones["J" + side]),
-        (field_on_L.tau(0.0, 0.0, grid), zones["I2" + side]),
-        (field_on_L.tau(0.0, -half * eps, grid), zones["I3" + side]),
+        (field_on_L.tau(half * wk, 0.0, grid), zones["J+"]),
+        (field_on_L.tau(0.0, 0.0, grid), zones["I2+"]),
+        (field_on_L.tau(0.0, -half * eps, grid), zones["I3+"]),
     ]
     masks = [cutoff_M(spec, grid) for _, spec in pieces]
     if np.any(np.sum(masks, axis=0) > 1):
@@ -648,7 +655,8 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
 
     `dev_plus` is ||tau(w_k, -eps) - s_k(+1)|| on the positive half-line
     model and `dev_minus` ||tau(-w_k, eps) - s_k(-1)|| on the negative one,
-    with s_k from `s_k_zero`; `value` is the larger of the two and `bound`
+    read on the plus grid at the mirrored parameters (`FieldGrids`), with
+    s_k from `s_k_zero`; `value` is the larger of the two and `bound`
     None.  On the field's near-convolution values each difference is a
     difference of kernels, and `op_norm` reads it through FFTs, subtracting
     the column factors of kernels with one symbol: no n_half x n_half array
@@ -662,7 +670,7 @@ def zone_deviation_rows(field: OperatorField, plan: SequencePlan, ks,
         wk = plan.w_k(k)
 
         def deviation(mu, nu, half):
-            return op_norm(field.tau(mu, nu, grids.half_line(half))
+            return op_norm(field.tau(mu, nu, grids.plus)
                            - s_k_zero(field, k, plan, half, grids))
 
         dev_p, dev_m = _mirrored_once(field, ((wk, -eps, 1), (-wk, eps, -1)), deviation)
@@ -749,15 +757,17 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     Part (a), `dev_a`, compares the generic operator on the positive
     half-line with the rescaled running two-parameter point there:
     ||A_k V+ - V+ tau(eps w_k, -eps) M||, with V+ the plus half of V_k and M
-    the cutoff to u >= R_k |lam_k| on the plus half-line model.  Part (b),
-    `dev_b`, mirrors it on the minus half, with V- and tau(-eps w_k, eps)
-    cut to u <= -R_k |lam_k|: the pair is `_two_point_pair` at w_k.  Each
-    part is an operator from its own half-line model, so no product meets
-    the other half's zero columns.  The envelope |omega_k| / (R_k^2 |lam_k|)
-    + 1/R_k majorizes both parts up to a constant fitted on the first two
-    indices (`_rate_fit`).  The generic operators and the two half-line
-    limit operators are read from the field, so a `scope()` that has them
-    builds none.
+    the cutoff to u >= R_k |lam_k| (`_beyond_cutoff`).  Part (b), `dev_b`,
+    mirrors it on the minus half, with V- and tau(-eps w_k, eps) under the
+    same M, read on the plus grid (`FieldGrids`): the points are
+    `_two_points` at w_k.  Each part is an operator from its own half-line
+    model, so no product meets the other half's zero columns.  The part (b)
+    of a `flip_invariant` field is its part (a), and is not measured
+    (`_mirrored_once`).  The envelope |omega_k| / (R_k^2 |lam_k|) + 1/R_k
+    majorizes both parts up to a constant fitted on the first two indices
+    (`_rate_fit`).  The generic operators and the two half-line limit
+    operators are read from the field, so a `scope()` that has them builds
+    none.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("check_rate_envelope needs an OmegaNonzero plan")
@@ -765,9 +775,13 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     for k in ks:
         rho_k, lam_k, wk = plan.rho(k), plan.lam(k), plan.w_k(k)
         A = field.pi(rho_k, lam_k, grids.lin)
-        # one norm per sign half
-        dev_a, dev_b = (op_norm(_half_deviation(A, v, b)) for v, b in zip(
-            _vk_halves(rho_k, lam_k, grids), _two_point_pair(field, plan, k, wk, grids)))
+        halves, keep = _vk_halves(rho_k, lam_k, grids), _beyond_cutoff(plan, k, grids)
+
+        def deviation(mu, nu, half):  # one norm per sign half
+            b = field.tau(mu, nu, grids.plus).masked(keep)
+            return op_norm(_half_deviation(A, halves[0 if half > 0 else 1], b))
+
+        dev_a, dev_b = _mirrored_once(field, _two_points(plan, wk), deviation)
         row = _plan_row(plan, k)
         row["envelope_unit"] = abs(wk) / (plan.Rk(k) ** 2 * abs(lam_k)) + 1.0 / plan.Rk(k)
         row["dev_a"], row["dev_b"] = dev_a, dev_b
@@ -1030,13 +1044,13 @@ def _cond_compact_gamma3(field, cfg) -> dict:
 
 def _limit_scale(field: OperatorField, plan: SequencePlan, grids: FieldGrids) -> float:
     """The larger norm of the field's values at the two limit points of an
-    "OmegaNonzero" plan, tau(eps |omega|, -eps) on the plus half-line model
-    and its flip mirror tau(-eps |omega|, eps) on the minus one (one norm on
-    a `flip_invariant` field, `_mirrored_once`)."""
-    eps, om = float(plan.eps), abs(plan.omega)
+    "OmegaNonzero" plan (`_two_points` at |omega|), tau(eps |omega|, -eps)
+    on the plus half-line model and its flip mirror tau(-eps |omega|, eps)
+    on the minus one, both read on the plus grid (one norm on a
+    `flip_invariant` field, `_mirrored_once`)."""
     return max(_mirrored_once(
-        field, ((eps * om, -eps, 1), (-eps * om, eps, -1)),
-        lambda mu, nu, half: op_norm(field.tau(mu, nu, grids.half_line(half)))))
+        field, _two_points(plan, abs(plan.omega)),
+        lambda mu, nu, half: op_norm(field.tau(mu, nu, grids.plus))))
 
 
 def _two_point_table(plan: SequencePlan, rows: list[dict], limit_scale: float,
@@ -1241,12 +1255,14 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     and 3a both read, stay in the field, so after the report the field
     holds only characters.
 
-    On a `flip_invariant` field, such as the Fourier field of the default
-    test function, 2c's limit scale, 3b, 3c and 3d measure one point of
-    each flip-mirrored pair and report its number for the mirror too
-    (`_mirrored_once`): 3c builds no value on the minus half-line model,
-    3d takes 2 of its 4 compact defects and 3b 4 of its 6.  The two points'
-    values have the same entries, so every row, key and number is the one
+    Every half-line value, of either half, is read on the plus grid, the
+    minus half at the mirrored parameters (`FieldGrids`).  On a
+    `flip_invariant` field, such as the Fourier field of the default test
+    function, 2c's limit scale, 3b, 3c and 3d measure one point of each
+    flip-mirrored pair and report its number for the mirror too
+    (`_mirrored_once`): 3c builds no value of the minus half, 3d takes 2
+    of its 4 compact defects and 3b 4 of its 6.  The two points' values
+    have the same entries, so every row, key and number is the one
     measuring both gives.
 
     Each adjoint run is a nested call restricted to its condition:

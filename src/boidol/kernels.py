@@ -161,8 +161,10 @@ def kernel_tau(f: TestFunction, mu: float, nu: float,
                grid: GridSpec) -> KernelOperator:
     """The half-line model on L^2(R_sigma, du/|u|) in log coordinates.
 
-    K(v_i, v_j) = hatF234(v_j - v_i, mu e^(-v_j), nu e^(v_j), 0); the same
-    kernel serves both signs of the half-line.
+    K(v_i, v_j) = hatF234(v_j - v_i, mu e^(-v_j), nu e^(v_j), 0).  The
+    kernel reads the grid's log nodes and weights only, not its sign, so it
+    serves both signs of the half-line: the fields read every half-line
+    value, of either half, on the plus grid (`fields.FieldGrids`).
     """
     if grid.kind != "log":
         raise ValueError("kernel_tau needs a log half-line grid")

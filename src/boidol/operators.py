@@ -740,9 +740,9 @@ def compact_defect(A: KernelOperator, rank: int) -> float:
 class IntervalSpec:
     """A cutoff region on the physical coordinate of a grid.
 
-    kinds: 'left_open' (a,b]; 'right_open' [a,b); 'le' (-inf,b];
-    'ge' [a,inf); 'lt' (-inf,b); 'gt' (a,inf); 'abs_le' {|u| <= b};
-    'abs_ge' {|u| >= a}.  Boundary points belong to the closed side.
+    kinds: 'left_open' (a,b]; 'le' (-inf,b]; 'ge' [a,inf); 'gt' (a,inf);
+    'abs_le' {|u| <= b}; 'abs_ge' {|u| >= a}.  Boundary points belong to
+    the closed side.
     """
 
     kind: str
@@ -754,20 +754,12 @@ class IntervalSpec:
         return IntervalSpec("left_open", a, b)
 
     @staticmethod
-    def right_open(a, b):
-        return IntervalSpec("right_open", a, b)
-
-    @staticmethod
     def le(b):
         return IntervalSpec("le", b=b)
 
     @staticmethod
     def ge(a):
         return IntervalSpec("ge", a=a)
-
-    @staticmethod
-    def lt(b):
-        return IntervalSpec("lt", b=b)
 
     @staticmethod
     def gt(a):
@@ -784,14 +776,10 @@ class IntervalSpec:
     def indicator(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "left_open":
             return (u > self.a) & (u <= self.b)
-        if self.kind == "right_open":
-            return (u >= self.a) & (u < self.b)
         if self.kind == "le":
             return u <= self.b
         if self.kind == "ge":
             return u >= self.a
-        if self.kind == "lt":
-            return u < self.b
         if self.kind == "gt":
             return u > self.a
         if self.kind == "abs_le":

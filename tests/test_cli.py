@@ -1,5 +1,6 @@
 import collections
 import gc
+import importlib.util
 import json
 import os
 import re
@@ -391,6 +392,44 @@ def test_converge_independent_of_threads(small_run, command):
     assert small_run(command, 1) == small_run(command, 2)
 
 
+def _bench_artifacts():
+    """`bench/artifacts.py`, the benchmark's artifact comparator."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "artifacts.py"
+    spec = importlib.util.spec_from_file_location("bench_artifacts", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", ["dstar", "zero"])
+def test_verdicts_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    """OpenBLAS reads its thread count when numpy loads, so the command runs
+    in two fresh processes on the small config, at OPENBLAS_NUM_THREADS=1
+    and =2, side by side.  The exit codes and every verdict are equal, and
+    every number agrees within the benchmark comparator's rtol 1e-9 and
+    atol 1e-14 (`bench/artifacts.differences`): a BLAS call may round
+    differently with more threads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cfg = write_cfg(tmp_path, SMALL)
+    argv, artifact = ((["dstar"], "dstar.json") if command == "dstar" else
+                      (["converge", "zero"], "converge_zero.json"))
+    procs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-m", "boidol.cli", "--config", cfg, "--out", str(out), *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    errors = {t: proc.communicate(timeout=120)[1] for t, proc in procs.items()}
+    assert procs["1"].returncode in (0, 1), errors["1"]
+    assert procs["2"].returncode == procs["1"].returncode, errors["2"]
+    one, two = (json.loads((tmp_path / t / artifact).read_text()) for t in procs)
+    assert one["passed"] == two["passed"]
+    assert _bench_artifacts().differences(two, one) == []
+
+
 def _small_report():
     """The field and config of THREADS_CFG, built without the CLI, and
     its 2c and 2d conditions."""
@@ -443,15 +482,15 @@ def test_converge_zero_fails_when_one_half_line_stalls(tmp_path, monkeypatch):
     field, dcfg, conditions = _small_report()
     g, plan = dcfg.grids, dcfg.plans_zero[0]
     eps, wk = float(plan.eps), plan.w_k(4)
-    dev = (field.tau(-wk, eps, g.minus) - s_k_zero(field, 4, plan, -1, g)).weighted()
+    dev = (field.tau(-wk, eps, g.plus) - s_k_zero(field, 4, plan, -1, g)).weighted()
     u, sv, vh = np.linalg.svd(dev)
-    root_w = np.sqrt(g.minus.weights)
+    root_w = np.sqrt(g.plus.weights)
     # minus the top singular pair of the first deviation, scaled so that the
     # deviation at the last k sits between 0.1 of the two halves' first values
     rank_one = (-0.096 * sv[0]) * np.outer(u[:, 0] / root_w, vh[0] / root_w)
 
     def transform(key, val):
-        if key[0] == "tau" and key[1] < 0 and key[2] == eps and key[3] == g.minus:
+        if key[0] == "tau" and key[1] < 0 and key[2] == eps and key[3] == g.plus:
             return KernelOperator(val.domain, val.codomain, val.entries + rank_one,
                                   val.label)
         return val
@@ -510,8 +549,8 @@ def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch
     """`converge zero` runs 2d and then 3c on the field, which keeps no
     operator: the field's cache is empty at the end, each generic operator and each
     of 3c's running points tau(+-w_k, -+eps) was built exactly once, and
-    the k-independent limit points tau(0, 0) and tau(0, -+eps) once per 2d
-    or 3c row, each of which reads them once."""
+    the k-independent limit points tau(0, -+eps) once per 2d or 3c row and
+    tau(0, 0), which both halves read on the plus grid, twice per row."""
     builds, made = collections.Counter(), []
 
     def counting_field(f):
@@ -534,14 +573,15 @@ def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch
     zone_ks = [k for k in cli._CONVERGE_KS_TAU if k >= min(SMALL["ks"])]
     running = [key for k in zone_ks
                for key in (("tau", plan.w_k(k), -eps, g.plus),
-                           ("tau", -plan.w_k(k), eps, g.minus))]
+                           ("tau", -plan.w_k(k), eps, g.plus))]
     generic = [("pi", plan.rho(k), plan.lam(k), g.lin) for k in SMALL["ks"]]
     assert len(running) == 10 and not field._cache
     assert all(builds[key] == 1 for key in running + generic)
     rows = len(SMALL["ks"]) + len(zone_ks)
-    for key in (("tau", 0.0, 0.0, g.plus), ("tau", 0.0, -eps, g.plus),
-                ("tau", 0.0, 0.0, g.minus), ("tau", 0.0, eps, g.minus)):
-        assert builds[key] == rows, key
+    # both halves read tau(0, 0), on the one half-line grid
+    for key, reads in ((("tau", 0.0, 0.0, g.plus), 2 * rows),
+                       (("tau", 0.0, -eps, g.plus), rows), (("tau", 0.0, eps, g.plus), rows)):
+        assert builds[key] == reads, key
 
 
 def test_converge_zero_never_makes_a_whole_tau_dense(tmp_path, monkeypatch):

@@ -28,11 +28,16 @@ def test_every_all_entry_is_defined(name):
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_every_demo_imports_and_has_main(path):
+def test_every_demo_imports_and_has_main(path, capsys):
+    """Each demo imports, and its `main()` runs to the end and prints: the
+    demos build their grids and configs themselves, so an API change that
+    breaks one shows here."""
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+    module.main()
+    assert capsys.readouterr().out
 
 
 def test_verdict_path_imports_no_scipy(tmp_path):

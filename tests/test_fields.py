@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from boidol import fields, kernels, operators
+from boidol import cli, fields, kernels, operators
 from boidol.cli import dstar_config, load_config
 from boidol.errors import MissingLimitPoint, NyquistViolation, PlanInfeasible, ZoneOverlap
 from boidol.fields import (
@@ -80,7 +80,7 @@ FIELD = fourier_field(F)
 def test_field_grids_shapes_and_scaling():
     g = FieldGrids.default()
     assert g.lin.n == 512 and g.lin.half_width == 12.0
-    assert g.pair.n == 768 and g.plus.sigma == 1 and g.minus.sigma == -1
+    assert g.pair.n == 768 and g.plus.sigma == 1 and g.pair.parts[1].sigma == -1
     g2 = FieldGrids.default(scale=2)
     assert g2.lin.n == 1024 and g2.lin.half_width == 24.0
     assert g2.pair.half_width == 12.0 and g2.plus.n == 768
@@ -214,21 +214,19 @@ def test_plan_infeasible_names_the_violated_invariant():
 
 
 def test_zones_partition_the_tail_exactly():
+    """The three zones partition u > R_k |lam_k| exactly, edges included,
+    and hold no u < 0: the minus half reads them on the plus grid."""
     plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
-    mirror = {"J+": "J-", "I2+": "I2-", "I3+": "I3-"}
     for k in (4, 8, 64):
         z = plan.zones(k)
+        assert set(z) == {"J+", "I2+", "I3+"}
         lam_r = plan.Rk(k) * abs(plan.lam(k))
         aw = plan.w_k(k)
         edges = np.array([lam_r, aw * plan.Sk(k), aw * plan.Tk(k)])
         # grid nodes never sit on an edge, so the edges are added as points
-        pts = np.concatenate([GRIDS.plus.points, GRIDS.minus.points, edges, -edges])
+        pts = np.concatenate([GRIDS.plus.points, -GRIDS.plus.points, edges, -edges])
         ind = {name: spec.indicator(pts).astype(int) for name, spec in z.items()}
-        assert np.array_equal(sum(ind[name] for name in mirror), (pts > lam_r).astype(int))
-        assert np.array_equal(sum(ind[name] for name in mirror.values()),
-                              (pts < -lam_r).astype(int))
-        for plus, minus in mirror.items():
-            assert np.array_equal(ind[plus], z[minus].indicator(-pts).astype(int))
+        assert np.array_equal(sum(ind.values()), (pts > lam_r).astype(int))
 
 
 def _zone_marker_field():
@@ -246,8 +244,9 @@ def _zone_marker_field():
 def test_zones_are_disjoint_and_cover_the_tail_over_random_plans():
     """Over random valid "OmegaZero" plans, ks and half-line grids, the
     three zone masks of `s_k_zero` are disjoint and their union is exactly
-    {|u| > R_k |lam_k|} on each half grid: on the marker field every column
-    of s_k_zero carries the mark of its one zone there and 0 elsewhere."""
+    {u > R_k |lam_k|} on the plus grid, which both halves read: on the
+    marker field every column of either half's s_k_zero carries the mark of
+    its one zone there and 0 elsewhere."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     field = _zone_marker_field()
@@ -267,13 +266,12 @@ def test_zones_are_disjoint_and_cover_the_tail_over_random_plans():
                                    n_half=data.draw(st.integers(4, 96)))
         lam_r = plan.Rk(k) * abs(plan.lam(k))
         zones = plan.zones(k)
-        for half, grid, names in ((1, grids.plus, ("J+", "I2+", "I3+")),
-                                  (-1, grids.minus, ("J-", "I2-", "I3-"))):
-            masks = [cutoff_M(zones[name], grid) for name in names]
-            tail = np.abs(grid.points) > lam_r
-            assert np.array_equal(np.sum(masks, axis=0), tail.astype(int))
+        masks = [cutoff_M(zones[name], grids.plus) for name in ("J+", "I2+", "I3+")]
+        tail = grids.plus.points > lam_r
+        assert np.array_equal(np.sum(masks, axis=0), tail.astype(int))
+        want = sum(mark * m for mark, m in zip((1.0, 2.0, 4.0), masks))
+        for half in (1, -1):  # the minus half reads the same zones on the plus grid
             marks = s_k_zero(field, k, plan, half, grids).entries
-            want = sum(mark * m for mark, m in zip((1.0, 2.0, 4.0), masks))
             assert np.array_equal(marks, np.broadcast_to(want, marks.shape))
 
     check()
@@ -304,7 +302,7 @@ def test_s_k_zero_is_its_zone_operators_masked_to_their_zones():
     lam_r = pz.Rk(k) * abs(pz.lam(k))
     for half, grid, ops in (
             (1, GRIDS.plus, {"J+": (wk, 0.0), "I2+": (0.0, 0.0), "I3+": (0.0, -eps)}),
-            (-1, GRIDS.minus, {"J-": (-wk, 0.0), "I2-": (0.0, 0.0), "I3-": (0.0, eps)})):
+            (-1, GRIDS.plus, {"J+": (-wk, 0.0), "I2+": (0.0, 0.0), "I3+": (0.0, eps)})):
         got = s_k_zero(FIELD, k, pz, half, GRIDS).entries
         want = sum(FIELD.tau(mu, nu, grid).masked(cutoff_M(zones[name], grid)).entries
                    for name, (mu, nu) in ops.items())
@@ -336,7 +334,7 @@ def _reference_check_rows(plan, ks, grids):
     with V_k as the dense n x 2 n_half matrix."""
     tail, small, rate = [], [], []
     pair, eps = grids.pair, plan.eps
-    half = grids.plus.n
+    half, minus = grids.plus.n, grids.pair.parts[1]
     for k in ks:
         rho_k, lam_k, R_k = plan.rho(k), plan.lam(k), plan.Rk(k)
         wk, lam_r = plan.w_k(k), R_k * abs(lam_k)
@@ -349,13 +347,13 @@ def _reference_check_rows(plan, ks, grids):
         small.append({**base, "bound": None, "value": op_norm(
             AV.masked(cutoff_M(IntervalSpec.abs_le(lam_r), pair)))})
         t_plus = kernel_tau(F, eps * wk, -eps, grids.plus)
-        t_minus = kernel_tau(F, -eps * wk, eps, grids.minus)
+        t_minus = kernel_tau(F, -eps * wk, eps, minus)
         ent_plus = np.zeros((pair.n, pair.n), complex)
         ent_plus[:half, :half] = t_plus.masked(
             cutoff_M(IntervalSpec.ge(lam_r), grids.plus)).entries
         ent_minus = np.zeros((pair.n, pair.n), complex)
         ent_minus[half:, half:] = t_minus.masked(
-            cutoff_M(IntervalSpec.le(-lam_r), grids.minus)).entries
+            cutoff_M(IntervalSpec.le(-lam_r), minus)).entries
         dev_a = op_norm(AV.masked(cutoff_M(IntervalSpec.ge(0.0), pair))
                         - V @ KernelOperator(pair, pair, ent_plus))
         dev_b = op_norm(AV.masked(cutoff_M(IntervalSpec.le(0.0), pair))
@@ -440,6 +438,7 @@ def test_vk_halves_hold_vk_operators_own_array(monkeypatch):
     assert len(built) == 1
     assert plus.entries is built[0]
     assert minus.entries.base is built[0]
+    assert minus.domain is plus.domain  # the minus half is read on the plus grid
 
 
 @pytest.mark.parametrize("regime", ["OmegaNonzero", "OmegaZero"])
@@ -524,7 +523,7 @@ def _reference_deviation_rows(field, plan, ks, grids, zone=False):
             wk, eps = plan.w_k(k), float(plan.eps)
             row["dev_plus"] = op_norm(field.tau(wk, -eps, grids.plus)
                                       - s_k_zero(field, k, plan, 1, grids))
-            row["dev_minus"] = op_norm(field.tau(-wk, eps, grids.minus)
+            row["dev_minus"] = op_norm(field.tau(-wk, eps, grids.plus)
                                        - s_k_zero(field, k, plan, -1, grids))
             row["value"] = max(row["dev_plus"], row["dev_minus"])
         elif plan.regime == "OmegaNonzero":
@@ -736,7 +735,7 @@ def test_compact_condition_on_fourier_field():
 def test_tamper_zero_two_dim_limits_targets_only_the_limit_points():
     t = tamper_zero_two_dim_limits(FIELD, 1.0)
     assert op_norm(t.tau(1.0, -1.0, GRIDS.plus)) == 0.0
-    assert op_norm(t.tau(-1.0, 1.0, GRIDS.minus)) == 0.0
+    assert op_norm(t.tau(-1.0, 1.0, GRIDS.plus)) == 0.0
     keep = t.tau(0.5, -1.0, GRIDS.plus)
     assert op_norm(keep) == op_norm(FIELD.tau(0.5, -1.0, GRIDS.plus))
     assert t.char(1.0) == FIELD.char(1.0)
@@ -776,6 +775,14 @@ def small_config(**over):
     )
     base.update(over)
     return DstarConfig(**base)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: on the n = 128 window the adjoint's 2c deviations fall "
+    "only to 0.608 of the first, above decay_ratio 0.6, so 4_adjoint fails "
+    "(the FOUND line on 4_adjoint in CHANGES.md)"))
+def test_the_default_field_and_its_adjoint_pass_on_the_small_config():
+    assert dstar_report(FIELD, small_config(check_adjoint=True))["passed"]
 
 
 def test_dstar_report_structure_and_pass():
@@ -833,9 +840,9 @@ def _stalled_running_target():
     fails; only 3c reads these points."""
     cfg = small_config()
     plan = cfg.plans_zero[0]
-    targets = {("tau", -plan.w_k(k), float(plan.eps), GRIDS.minus) for k in cfg.ks_tau}
-    bump = np.exp(-GRIDS.minus.nodes ** 2)
-    term = KernelOperator(GRIDS.minus, GRIDS.minus, 0.04 * np.outer(bump, bump).astype(complex))
+    targets = {("tau", -plan.w_k(k), float(plan.eps), GRIDS.plus) for k in cfg.ks_tau}
+    bump = np.exp(-GRIDS.plus.nodes ** 2)
+    term = KernelOperator(GRIDS.plus, GRIDS.plus, 0.04 * np.outer(bump, bump).astype(complex))
 
     def transform(key, val):
         return val + term if key in targets else val
@@ -1046,7 +1053,7 @@ def test_flip_mirrored_values_have_equal_entries(f, grid_name):
     for lab in cfg.sample.gamma2 + cfg.sample.gamma1:
         mu, nu = ell_params(lab)
         assert same(field.ell(mu, nu, g.lin), field.ell(-mu, -nu, g.lin)), lab
-    points = []  # (mu, nu) of tau on the plus model, mirrored on the minus one
+    points = []  # (mu, nu) of tau on the plus model, its mirror the minus one's
     for plan in cfg.plans_omega:
         points.append((plan.eps * abs(plan.omega), -float(plan.eps)))
     for plan in cfg.plans_zero:
@@ -1057,7 +1064,7 @@ def test_flip_mirrored_values_have_equal_entries(f, grid_name):
             points += [(plan.w_k(k), -eps), (plan.w_k(k), 0.0)]
     assert len(points) == 23
     for mu, nu in points:
-        assert same(field.tau(mu, nu, g.plus), field.tau(-mu, -nu, g.minus)), (mu, nu)
+        assert same(field.tau(mu, nu, g.plus), field.tau(-mu, -nu, g.plus)), (mu, nu)
     taus = cfg.sample.gamma0
     psi = np.array([field.char(t) for t in taus])
     for mu, nu in ((1.0, 0.0), (0.0, 1.0)):
@@ -1106,10 +1113,11 @@ _NOT_FLIP_INVARIANT = {
 @pytest.mark.parametrize("name", ["fourier"] + sorted(_NOT_FLIP_INVARIANT))
 def test_every_mirrored_point_is_measured_unless_the_field_is_flip_invariant(
         monkeypatch, name):
-    """On a field that is not flip-invariant each of the four mirrored
+    """On a field that is not flip-invariant each of the five mirrored
     measurements takes every point: 2 limit norms in 2c, 2 norms per index
-    in 3c, 6 defects in 3b and 4 in 3d.  The Fourier field of the default
-    function takes one point of each mirrored pair."""
+    in 3c and in the rate envelope, 6 defects in 3b and 4 in 3d.  The
+    Fourier field of the default function takes one point of each mirrored
+    pair."""
     field = FIELD if name == "fourier" else _NOT_FLIP_INVARIANT[name]()
     cfg = small_config(ks_tau=(4, 64))
     counts = _count_calls(monkeypatch, "op_norm", "compact_defect")
@@ -1126,6 +1134,28 @@ def test_every_mirrored_point_is_measured_unless_the_field_is_flip_invariant(
     counts.clear()
     compact_condition_check(field, cfg.sample.gamma0, GRIDS)
     assert counts["compact_defect"] == (4 if full else 2)
+    counts.clear()
+    check_rate_envelope(field, cfg.plans_omega[0], cfg.ks, GRIDS)
+    assert counts["op_norm"] == len(cfg.ks) * (2 if full else 1)
+
+
+def test_a_default_converge_omega_takes_at_most_24_norms(monkeypatch, tmp_path):
+    """`boidol converge omega` on the default config takes 22 norms in
+    `boidol.fields`, 4 per index (2c's deviation, the tail and small-zone
+    rows, the rate envelope's part (a), whose mirror gives part (b)), the
+    first generic norm and one limit norm, and 2 in `cli`'s refinement
+    diagnostic."""
+    counts = _count_calls(monkeypatch, "op_norm")
+    cli_op_norm = cli.op_norm
+
+    def counted(A):
+        counts["cli"] += 1
+        return cli_op_norm(A)
+
+    monkeypatch.setattr(cli, "op_norm", counted)
+    assert cli.main(["--out", str(tmp_path), "converge", "omega"]) == 0
+    assert counts == {"op_norm": 22, "cli": 2}
+    assert sum(counts.values()) <= 24
 
 
 def test_a_tamper_of_the_minus_half_alone_still_fails_3c():

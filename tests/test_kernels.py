@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from boidol.cli import dstar_config, load_config
 from boidol.errors import AsymmetricGrid
 from boidol.grids import GridSpec, QuadratureSpec, gauss_legendre_rule
 from boidol.kernels import (
@@ -180,10 +181,46 @@ def test_pi_ell_gamma_equivalence():
     assert abs(a - b) < 1e-6 * max(1.0, a)
 
 
+def _default_config_reads(cfg):
+    """Every (mu, nu) at which the checks of `cfg` read a half-line value,
+    of either half, and every cutoff radius r they cut one at: 2c's limit
+    points and R_k |lam_k|, the rate envelope's running points, and 2d's
+    and 3c's three-zone points and zone edges."""
+    points, radii = set(), set()
+    for plan in cfg.plans_omega:
+        eps = float(plan.eps)
+        for w in [abs(plan.omega)] + [plan.w_k(k) for k in cfg.ks]:
+            points |= {(eps * w, -eps), (-eps * w, eps)}
+        radii |= {plan.Rk(k) * abs(plan.lam(k)) for k in cfg.ks}
+    for plan in cfg.plans_zero:
+        eps = float(plan.eps)
+        points |= {(0.0, 0.0), (0.0, -eps), (0.0, eps)}
+        for k in cfg.ks + cfg.ks_tau:
+            w = plan.w_k(k)
+            points |= {(w, 0.0), (-w, 0.0), (w, -eps), (-w, eps)}
+            radii |= {plan.Rk(k) * abs(plan.lam(k)), w * plan.Sk(k), w * plan.Tk(k)}
+    return sorted(points), sorted(radii)
+
+
 def test_tau_models_agree_across_sigma():
-    plus = kernel_tau(F, 1.0, 1.0, GridSpec.log_half_line(1, 6.0, 128))
-    minus = kernel_tau(F, 1.0, 1.0, GridSpec.log_half_line(-1, 6.0, 128))
-    assert abs(op_norm(plus) - op_norm(minus)) < 1e-8
+    """The premise of reading the minus half-line model on the plus grid
+    (`fields.FieldGrids`): on the default and the benchmark grid, at every
+    (mu, nu) the default config reads, tau on the sigma = -1 grid has the
+    entries of tau on the sigma = +1 grid, for a flip-invariant f and one
+    that is not, and each cutoff u <= -r (u < -r) of the minus grid keeps
+    the cells u >= r (u > r) keeps on the plus grid."""
+    points, radii = _default_config_reads(dstar_config(load_config(None), 1))
+    assert len(points) == 53 and len(radii) == 41
+    for n_half in (384, 288):  # the default and the benchmark dstar grid
+        plus, minus = (GridSpec.log_half_line(s, 6.0, n_half) for s in (1, -1))
+        for r in radii:
+            assert np.array_equal(cutoff_M(IntervalSpec.le(-r), minus),
+                                  cutoff_M(IntervalSpec.ge(r), plus)), r
+            assert np.array_equal(minus.points < -r, cutoff_M(IntervalSpec.gt(r), plus)), r
+        for f in (F, TWO_TERMS):
+            for mu, nu in points:
+                a, b = (kernel_tau(f, mu, nu, g).entries for g in (plus, minus))
+                assert np.array_equal(a, b) and np.any(a), (mu, nu)
 
 
 def test_tau_matches_pi_ell_norm():
