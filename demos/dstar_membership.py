@@ -33,7 +33,7 @@ def small_config():
 
 def show(report):
     for name, cond in report["conditions"].items():
-        print(f"  {name:<28s} {'pass' if cond.get('passed') else 'FAIL'}")
+        print(f"  {name:<28s} {cond['status']}")
     print(f"  => field {'passes' if report['passed'] else 'FAILS'}")
 
 

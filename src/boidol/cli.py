@@ -8,12 +8,16 @@ dumps raw kernel-norm tables over the documented spectrum sample.
 
 ``converge`` and ``dstar`` build one `DstarConfig` from the config, and the
 ``converge`` tables and verdicts are those of the report's conditions: 2c
-with the rate envelope for ``omega``, 2d with 3c for ``zero``.  Every
-command runs in one thread; ``--threads`` is accepted and ignored.
+with the rate envelope for ``omega``, 2d with 3c for ``zero``.  The
+package's own code runs in one thread; ``--threads`` is accepted and
+ignored, and OpenBLAS runs its own threads (``OPENBLAS_NUM_THREADS``).
 
+Each verdict has a `status`, "pass", "fail" or "error", the worst of its
+parts' (`boidol.fields._verdict`), and `passed`, true when it is "pass".
 Exit status: 0 when every check passes, 1 when a condition or a convergence
-table fails, and 2 on an error: a usage or configuration error, a package
-error, or an internal one, whose traceback goes to stderr.
+table fails or a condition records an error, and 2 on an error that ends the
+run: a usage or configuration error, a package error outside a condition,
+or an internal one, whose traceback goes to stderr.
 
 Every JSON artifact records the effective CLI config (`DEFAULT_CONFIG`
 merged with the config file), its SHA-256 hash, the grid scale and a
@@ -40,6 +44,7 @@ from .fields import (
     _cond_sigma_zero,
     _cond_two_dim_degeneration,
     _converge_omega_table,
+    _verdict,
     default_plan,
     default_sample,
     dstar_report,
@@ -278,11 +283,10 @@ def cmd_converge(args) -> int:
         fast_tables = _cond_two_dim_degeneration(field, zone_cfg)["tables"]
         for name, slow, fast in zip(names, slow_tables, fast_tables):
             tables.append({"name": name, "plan": slow["plan"], "rows": slow["rows"],
-                           "three_zone_rows": fast["rows"],
-                           "passed": slow["passed"] and fast["passed"]})
+                           "three_zone_rows": fast["rows"], **_verdict(slow, fast)})
     prov = _provenance(cfg, args.grid_scale)
     payload = {"regime": args.regime, "tables": tables,
-               "passed": all(t["passed"] for t in tables), **prov}
+               **_verdict(*tables), **prov}
     stem = os.path.join(out, f"converge_{args.regime}")
     _write_json(stem + ".json", payload)
     for table in tables:
@@ -304,9 +308,12 @@ def cmd_dstar(args) -> int:
         for i, table in enumerate(cond.get("tables", ())):
             _write_csv(os.path.join(out, f"dstar_{name}_{i}.csv"), _ROW_COLS,
                        table["rows"], prov["config_hash"])
-    status = "passed" if report["passed"] else "FAILED"
-    failed = [k for k, v in report["conditions"].items() if not v.get("passed")]
-    print(f"dstar report {status}" + (f" (failing: {', '.join(failed)})" if failed else ""))
+    names = {s: [k for k, v in report["conditions"].items() if v["status"] == s]
+             for s in ("fail", "error")}
+    notes = "; ".join(f"{label}: {', '.join(names[s])}" for s, label
+                      in (("fail", "failing"), ("error", "errored")) if names[s])
+    word = {"pass": "passed", "fail": "FAILED", "error": "ERRORED"}[report["status"]]
+    print(f"dstar report {word}" + (f" ({notes})" if notes else ""))
     print(f"wrote {os.path.join(out, 'dstar.json')}")
     return 0 if report["passed"] else 1
 
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help=f"output directory (default ${OUT_ENV} or '.')")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: every command runs in one thread")
+                        help="accepted and ignored; OpenBLAS reads OPENBLAS_NUM_THREADS")
     parser.add_argument("--grid-scale", type=int, choices=(1, 2, 4), default=1)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("orbits", help="limit-set classification tables")

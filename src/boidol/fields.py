@@ -789,17 +789,29 @@ def check_rate_envelope(field: OperatorField, plan: SequencePlan, ks,
     return _rate_fit(rows)
 
 
+# A verdict's statuses, best first; a composite verdict takes its worst part's.
+_STATUSES = ("pass", "fail", "error")
+
+
+def _verdict(*parts) -> dict:
+    """The one verdict rule: the worst status of `parts`, each a bool (pass
+    or fail), a verdict (its `status`) or a status ("error"), and "pass"
+    with no parts; `passed` is status == "pass"."""
+    status = max((p["status"] if isinstance(p, dict) else p if isinstance(p, str)
+                  else "pass" if p else "fail" for p in parts),
+                 key=_STATUSES.index, default="pass")
+    return {"status": status, "passed": status == "pass"}
+
+
 def _rate_fit(rows: list[dict]) -> dict:
     """The rate envelope's verdict on its rows (`check_rate_envelope`): C
     fitted on the first two, each row's `bound` set to 1.5 C times its
     envelope, passed when every later row is within its bound."""
-    fit_rows = rows[:2]
-    C = max(max(r["dev_a"], r["dev_b"]) / r["envelope_unit"] for r in fit_rows)
-    passed = all(max(r["dev_a"], r["dev_b"]) <= 1.5 * C * r["envelope_unit"]
-                 for r in rows[2:])
+    C = max(max(r["dev_a"], r["dev_b"]) / r["envelope_unit"] for r in rows[:2])
     for r in rows:
         r["bound"] = 1.5 * C * r["envelope_unit"]
-    return {"rows": rows, "C": C, "passed": passed}
+    return {"rows": rows, "C": C,
+            **_verdict(*(max(r["dev_a"], r["dev_b"]) <= r["bound"] for r in rows[2:]))}
 
 
 def check_dek_muk(f: TestFunction, rho: float, lam: float,
@@ -930,11 +942,10 @@ def compact_condition_check(field: OperatorField, taus: np.ndarray,
                               budget)
 
     rows = [{"axis": label.axis, "sigma": label.sigma, "mu": mu, "nu": nu,
-             "defect": d, "passed": bool(d < _COMPACT_TOL)}
+             "defect": d, **_verdict(d < _COMPACT_TOL)}
             for label, (mu, nu), d in zip(labels, points,
                                           _mirrored_once(field, points, defect))]
-    return {"rank_budget": budget, "tol": _COMPACT_TOL, "rows": rows,
-            "passed": all(r["passed"] for r in rows)}
+    return {"rank_budget": budget, "tol": _COMPACT_TOL, "rows": rows, **_verdict(*rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +1011,7 @@ def _ladder(at, base: float) -> dict:
     first."""
     ref = at(base)
     values = [float(op_norm(at(base + d) - ref)) for d in _LADDER_DELTAS]
-    passed = values[-1] <= max(_LADDER_RATIO * values[0], 1e-10)
-    return {"values": values, "passed": bool(passed)}
+    return {"values": values, **_verdict(values[-1] <= max(_LADDER_RATIO * values[0], 1e-10))}
 
 
 def _cond_vanishing(field, cfg) -> dict:
@@ -1017,15 +1027,15 @@ def _cond_vanishing(field, cfg) -> dict:
         "char(-15)": abs(field.char(-15.0)),
     }
     scale = max(ref, max(abs(field.char(t)) for t in (0.0, 1.0)), 1e-30)
-    passed = all(v < _FAR_FACTOR * scale for v in far.values())
-    return {"reference": ref, "far_norms": far, "passed": bool(passed)}
+    return {"reference": ref, "far_norms": far,
+            **_verdict(*(v < _FAR_FACTOR * scale for v in far.values()))}
 
 
 def _cond_continuity_gamma3(field, cfg) -> dict:
     g = cfg.grids
     out = {f"({rho0},{lam0})": _ladder(lambda rho: field.pi(rho, lam0, g.lin), rho0)
            for rho0, lam0 in ((0.0, 1.0), (1.0, 0.5))}
-    return {"ladders": out, "passed": all(v["passed"] for v in out.values())}
+    return {"ladders": out, **_verdict(*out.values())}
 
 
 def _cond_compact_gamma3(field, cfg) -> dict:
@@ -1037,9 +1047,8 @@ def _cond_compact_gamma3(field, cfg) -> dict:
         scale = max(op_norm(A), 1e-30)
         d = compact_defect(A, budget)
         rows[f"pi({rho},{lam})"] = {"defect": d, "scale": scale,
-                                    "passed": bool(d < _COMPACT_TOL * scale)}
-    return {"rank_budget": budget, "rows": rows,
-            "passed": all(r["passed"] for r in rows.values())}
+                                    **_verdict(d < _COMPACT_TOL * scale)}
+    return {"rank_budget": budget, "rows": rows, **_verdict(*rows.values())}
 
 
 def _limit_scale(field: OperatorField, plan: SequencePlan, grids: FieldGrids) -> float:
@@ -1068,8 +1077,8 @@ def _two_point_table(plan: SequencePlan, rows: list[dict], limit_scale: float,
             "limit_scale": limit_scale,
             "pi_first": pi_first,
             "limit_scale_passed": bool(scale_ok),
-            "passed": bool(scale_ok and tends_to_zero(
-                [r["value"] for r in rows], cfg.decay_ratio, cfg.wiggle))}
+            **_verdict(scale_ok, tends_to_zero([r["value"] for r in rows],
+                                               cfg.decay_ratio, cfg.wiggle))}
 
 
 def _cond_sigma_omega(field, cfg) -> dict:
@@ -1082,7 +1091,7 @@ def _cond_sigma_omega(field, cfg) -> dict:
         rows = deviation_rows(field, plan, cfg.ks, g)
         pi_first = op_norm(field.pi(rows[0]["rho_k"], rows[0]["lambda_k"], g.lin))
         tables.append(_two_point_table(plan, rows, limit_scale, pi_first, cfg))
-    return {"tables": tables, "passed": all(t["passed"] for t in tables)}
+    return {"tables": tables, **_verdict(*tables)}
 
 
 def _converge_omega_table(field: OperatorField, plan: SequencePlan,
@@ -1116,7 +1125,7 @@ def _converge_omega_table(field: OperatorField, plan: SequencePlan,
     fit = _rate_fit(rate)
     return {**table, "tail_rows": tail, "small_zone_rows": small,
             "rate_rows": fit["rows"], "rate_C": fit["C"], "rate_passed": fit["passed"],
-            "passed": table["passed"] and fit["passed"]}
+            **_verdict(table, fit)}
 
 
 def _cond_sigma_zero(field, cfg) -> dict:
@@ -1132,9 +1141,9 @@ def _cond_sigma_zero(field, cfg) -> dict:
     for plan in cfg.plans_zero:
         rows = deviation_rows(field, plan, cfg.ks, cfg.grids)
         tables.append({"plan": plan.describe(), "rows": rows,
-                       "passed": tends_to_zero([r["value"] for r in rows],
-                                               cfg.slow_decay_ratio, cfg.wiggle)})
-    return {"tables": tables, "passed": all(t["passed"] for t in tables)}
+                       **_verdict(tends_to_zero([r["value"] for r in rows],
+                                                cfg.slow_decay_ratio, cfg.wiggle))})
+    return {"tables": tables, **_verdict(*tables)}
 
 
 def _cond_continuity_low(field, cfg) -> dict:
@@ -1146,11 +1155,9 @@ def _cond_continuity_low(field, cfg) -> dict:
     steps = np.abs(np.diff(psi))
     scale = max(float(np.max(np.abs(psi))), 1e-30)
     char_ok = bool(np.max(steps) <= _CHAR_JUMP * scale)
-    out = {"ladders": ladders,
-           "char_max_step": float(np.max(steps)), "char_scale": scale,
-           "char_passed": char_ok}
-    out["passed"] = char_ok and all(v["passed"] for v in ladders.values())
-    return out
+    return {"ladders": ladders,
+            "char_max_step": float(np.max(steps)), "char_scale": scale,
+            "char_passed": char_ok, **_verdict(char_ok, *ladders.values())}
 
 
 def _cond_compact_gamma2(field, cfg) -> dict:
@@ -1171,10 +1178,9 @@ def _cond_compact_gamma2(field, cfg) -> dict:
         return compact_defect(A, budget)
 
     points = [ell_params(lab) for lab in cfg.sample.gamma2]
-    rows = {f"ell({mu},{nu})": {"defect": d, "passed": bool(d < _COMPACT_TOL * scale)}
+    rows = {f"ell({mu},{nu})": {"defect": d, **_verdict(d < _COMPACT_TOL * scale)}
             for (mu, nu), d in zip(points, _mirrored_once(field, points, defect))}
-    return {"rank_budget": budget, "rows": rows,
-            "passed": all(r["passed"] for r in rows.values())}
+    return {"rank_budget": budget, "rows": rows, **_verdict(*rows.values())}
 
 
 def _cond_two_dim_degeneration(field, cfg) -> dict:
@@ -1182,10 +1188,10 @@ def _cond_two_dim_degeneration(field, cfg) -> dict:
     tables = []
     for plan in cfg.plans_zero:
         rows = zone_deviation_rows(field, plan, cfg.ks_tau, cfg.grids)
-        ok = all(tends_to_zero([r[half] for r in rows], cfg.decay_ratio, cfg.wiggle)
-                 for half in ("dev_plus", "dev_minus"))
-        tables.append({"plan": plan.describe(), "rows": rows, "passed": ok})
-    return {"tables": tables, "passed": all(t["passed"] for t in tables)}
+        tables.append({"plan": plan.describe(), "rows": rows, **_verdict(*(
+            tends_to_zero([r[half] for r in rows], cfg.decay_ratio, cfg.wiggle)
+            for half in ("dev_plus", "dev_minus")))})
+    return {"tables": tables, **_verdict(*tables)}
 
 
 def _cond_compact_condition(field, cfg) -> dict:
@@ -1216,11 +1222,11 @@ _ADJOINT_SENSITIVE_CHECKS = (
 def _condition(fn, field: OperatorField, cfg: DstarConfig) -> dict:
     """One condition's result; a package error (`BoidolError`) or a failed
     LAPACK call (`LinAlgError`) is recorded under its `error` key, with
-    `passed` false, and any other exception is a bug, and propagates."""
+    status "error", and any other exception is a bug, and propagates."""
     try:
         return fn(field, cfg)
     except (BoidolError, np.linalg.LinAlgError) as exc:  # aggregated
-        return {"passed": False, "error": f"{type(exc).__name__}: {exc}"}
+        return {**_verdict("error"), "error": f"{type(exc).__name__}: {exc}"}
 
 
 def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dict:
@@ -1233,14 +1239,16 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     the two-dimensional stratum; (3c) half-line degeneration of the
     two-dimensional points; (3d) the compact condition.  The conditions are
     listed by name.  A package error or a failed LAPACK call in a condition
-    is recorded as its `error` (`_condition`), and the other conditions
-    still run.
+    is recorded as its `error`, with status "error" (`_condition`), and the
+    other conditions still run.  Every verdict, of a row, a table, a
+    condition or the report, is `_verdict` of its parts: its status is the
+    worst of theirs.
 
-    (4) repeats the suite for the adjoint field, as the nine verdicts and
-    their conjunction.  Only 2c, 2d, 3c and 3d are recomputed on the
-    adjoint: 1, 2a, 2b, 3a and 3b read only norms, singular values and
-    |psi|, which the adjoint leaves unchanged, so their verdicts are taken
-    from the primal pass.
+    (4) repeats the suite for the adjoint field, as the nine verdicts (their
+    `passed`) and the worst of them.  Only 2c, 2d, 3c and 3d are recomputed
+    on the adjoint: 1, 2a, 2b, 3a and 3b read only norms, singular values
+    and |psi|, which the adjoint leaves unchanged, so their verdicts are
+    taken from the primal pass.
 
     Each of 2c, 2d, 3c and 3d runs on its own `field.scope()`, which keeps
     the operators the condition reads again, and its adjoint runs straight
@@ -1286,9 +1294,8 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
             conditions[name] = _condition(fn, field, cfg)
     conditions = dict(sorted(conditions.items()))
     if cfg.check_adjoint and _checks is None:
-        verdicts = {k: adjoint.get(k, v).get("passed") for k, v in conditions.items()}
-        conditions["4_adjoint"] = {"passed": all(verdicts.values()),
-                                   "conditions": verdicts}
-    passed = all(c.get("passed", False) for c in conditions.values())
+        parts = {k: adjoint.get(k, v) for k, v in conditions.items()}
+        conditions["4_adjoint"] = {**_verdict(*parts.values()),
+                                   "conditions": {k: v["passed"] for k, v in parts.items()}}
     return {"field": field.label, "provenance": field.provenance,
-            "conditions": conditions, "passed": bool(passed)}
+            "conditions": conditions, **_verdict(*conditions.values())}

@@ -268,7 +268,7 @@ def test_criterion_10_dstar_membership():
     for tam, cond in expected:
         tampered = dstar_report(tam, cfg)
         fails = sorted(k for k, v in tampered["conditions"].items()
-                       if not v.get("passed"))
+                       if not v["passed"])
         ok &= fails == [cond]
         details.append(f"{tam.label} -> {','.join(fails) or 'none'}")
     _report(10, "limit algebra membership", ok, "; ".join(details))

@@ -648,10 +648,12 @@ def test_dstar_exit_code_tells_a_failed_condition_from_a_crash(
         assert not payload["passed"]
 
 
-def test_dstar_records_a_non_finite_operator_as_a_failed_condition(tmp_path, monkeypatch):
+def test_dstar_records_a_non_finite_operator_as_a_failed_condition(tmp_path, monkeypatch,
+                                                                  capsys):
     """One NaN in pi(48, 1), which only condition 1 reads: that condition
-    records a `NonFiniteOperator` error, the others still run, and the
-    command exits 1 (a failed condition), not 2."""
+    records a `NonFiniteOperator` error, the others still run and pass, the
+    adjoint pass and the report take the status "error", and the command
+    exits 1 (a failed condition), not 2."""
     def transform(key, val):
         if key[:3] == ("pi", 48.0, 1.0):
             entries = val.entries.copy()
@@ -662,12 +664,20 @@ def test_dstar_records_a_non_finite_operator_as_a_failed_condition(tmp_path, mon
     monkeypatch.setattr(cli, "fourier_field", lambda f: fourier_field(f).tampered(transform))
     cfg_path = write_cfg(tmp_path, SMALL)
     assert main(["--config", cfg_path, "--out", str(tmp_path), "dstar"]) == 1
-    conditions = json.loads((tmp_path / "dstar.json").read_text())["conditions"]
+    report = json.loads((tmp_path / "dstar.json").read_text())
+    conditions = report["conditions"]
     errors = {k: v["error"] for k, v in conditions.items() if "error" in v}
     assert list(errors) == ["1_vanishing_at_infinity"]
     assert errors["1_vanishing_at_infinity"].startswith("NonFiniteOperator: ")
     assert sorted(k for k, v in conditions.items() if not v["passed"]) == [
         "1_vanishing_at_infinity", "4_adjoint"]
+    statuses = {k: v["status"] for k, v in conditions.items()}
+    assert len(statuses) == 10 and report["status"] == "error"
+    assert {k for k, s in statuses.items() if s != "pass"} == {
+        "1_vanishing_at_infinity", "4_adjoint"}
+    assert statuses["1_vanishing_at_infinity"] == statuses["4_adjoint"] == "error"
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "dstar report ERRORED (errored: 1_vanishing_at_infinity, 4_adjoint)")
 
 
 def test_custom_test_function_inline(tmp_path):

@@ -167,3 +167,40 @@ def test_every_default_is_set_by_some_caller():
     """A default that no caller ever changes is a constant: write it as one."""
     never = never_set_defaults(Path(__file__).resolve().parents[1])
     assert not never, never
+
+
+def _is_passed(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "passed"
+
+
+def verdicts_outside_the_rule(root: Path) -> list:
+    """The places that make or read a verdict around `fields._verdict`, as
+    "path:line": a "passed" key written in `src/boidol` outside `_verdict`
+    (a dict display's key, an assigned subscript or a keyword argument), and
+    a `.get("passed", ...)` call in `src/boidol`, `demos` or `tests`, which
+    reads a verdict that lacks one as failed."""
+    found = []
+    for folder in ("src/boidol", "demos", "tests"):
+        for path in sorted((root / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            rule = {id(node) for _, fn in _functions(tree) if fn.name == "_verdict"
+                    for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                written = folder == "src/boidol" and id(node) not in rule and (
+                    isinstance(node, ast.Dict) and any(map(_is_passed, node.keys))
+                    or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and _is_passed(node.slice)
+                    or isinstance(node, ast.keyword) and node.arg == "passed")
+                read = (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get"
+                        and node.args and _is_passed(node.args[0]))
+                if written or read:
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_every_verdict_comes_from_the_one_rule():
+    """A verdict's `passed` is written by `fields._verdict` alone, so every
+    row, table, condition and report takes the worst status of its parts,
+    and no reader defaults a missing `passed` to false."""
+    found = verdicts_outside_the_rule(Path(__file__).resolve().parents[1])
+    assert not found, found

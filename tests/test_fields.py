@@ -19,6 +19,7 @@ from boidol.fields import (
     _half_deviation,
     _limit_scale,
     _two_point_pair,
+    _verdict,
     _vk_halves,
     DstarConfig,
     FieldGrids,
@@ -793,7 +794,7 @@ def test_dstar_report_structure_and_pass():
             "3a_continuity_lower", "3b_compact_two_dim",
             "3c_two_dim_degeneration", "3d_compact_condition"} <= names
     assert "4_adjoint" not in names
-    failing = [k for k, v in rep["conditions"].items() if not v.get("passed")]
+    failing = [k for k, v in rep["conditions"].items() if not v["passed"]]
     assert rep["passed"] and not failing
 
 
@@ -805,16 +806,31 @@ def _raising_field(exc):
 
 def test_dstar_report_collects_errors_instead_of_raising():
     """A package error or a failed LAPACK call is recorded per condition, as
-    its `error`, and fails it; any other exception is a bug and propagates."""
+    its `error` with status "error", which the adjoint pass and the report
+    take as theirs; any other exception is a bug and propagates."""
     for exc in (MissingLimitPoint("no such point"), np.linalg.LinAlgError("boom")):
-        rep = dstar_report(_raising_field(exc), small_config())
-        assert not rep["passed"]
+        rep = dstar_report(_raising_field(exc), small_config(check_adjoint=True))
+        assert rep["status"] == "error" and not rep["passed"]
+        assert "4_adjoint" in rep["conditions"]
         for name, cond in rep["conditions"].items():
-            assert not cond["passed"], name
+            assert cond["status"] == "error" and not cond["passed"], name
             if name != "4_adjoint":
                 assert cond["error"] == f"{type(exc).__name__}: {exc}", name
     with pytest.raises(RuntimeError, match="boom"):
         dstar_report(_raising_field(RuntimeError("boom")), small_config())
+
+
+def test_verdict_is_the_worst_of_its_parts():
+    """Bools, verdicts and "error" mix; no parts pass, as `all([])` does."""
+    assert _verdict() == {"status": "pass", "passed": True}
+    fail, error = _verdict(False), _verdict("error")
+    assert fail == {"status": "fail", "passed": False}
+    assert error == {"status": "error", "passed": False}
+    assert _verdict(True, _verdict(True, True)) == _verdict()
+    for parts, status in (((True, fail), "fail"), ((fail, True, "error"), "error"),
+                          ((error, False), "error"), ((True, np.float64(0.0) < 1.0), "pass")):
+        assert _verdict(*parts)["status"] == status, parts
+        assert _verdict(*reversed(parts))["status"] == status, parts
 
 
 def test_dstar_zero_field_is_a_member():
@@ -872,6 +888,31 @@ def test_negative_control_fails_its_own_condition_only(condition):
     rep = dstar_report(FIELD.tampered(_NEGATIVE_CONTROLS[condition]), small_config())
     assert sorted(k for k, v in rep["conditions"].items() if not v["passed"]) == [condition]
     assert not any("error" in v for v in rep["conditions"].values())
+
+
+def test_adjoint_negative_control_fails_4_adjoint_only():
+    """B -> B M at the zone-three point tau(0, -/+eps) of both half-lines, M
+    the cutoff to zone three (t, inf) at the last of `ks_tau`.  Zone three
+    (t_k, inf) grows with k, so every s_k reads B M on its zone-three
+    columns as B, and the nine conditions, 2d and 3c included, read what
+    they read on the field, which passes them all and 4_adjoint on the
+    default config (criterion 10).  The adjoint field reads (B M)* = M B*,
+    whose rows at u <= t are zero: on zone three's columns they weigh most
+    where t_k is nearest t, at the largest ks, so the adjoint's 3c
+    deviations rise from 0.0026 at k = 4^7 to 0.0078 at 4^10, and fail."""
+    cfg = dstar_config(load_config(None), 1)
+    zone = cfg.plans_zero[0].zones(cfg.ks_tau[-1])["I3+"]
+
+    def transform(key, val):
+        if key[0] == "tau" and key[1] == 0.0 and abs(key[2]) == 1.0:
+            return val.masked(cutoff_M(zone, key[3]))
+        return val
+
+    rep = dstar_report(FIELD.tampered(transform), cfg)
+    adj = rep["conditions"].pop("4_adjoint")
+    assert all(c["status"] == "pass" for c in rep["conditions"].values())
+    assert adj["status"] == rep["status"] == "fail"
+    assert [k for k, ok in adj["conditions"].items() if not ok] == ["3c_two_dim_degeneration"]
 
 
 def _assert_close_tree(a, b, path="report"):
