@@ -27,7 +27,7 @@ from .errors import (
     ZoneOverlap,
 )
 from .grids import GridSpec, QuadratureSpec
-from .group import Character, OneDim, TwoDim
+from .group import OneDim, TwoDim
 from .kernels import (
     character_value,
     kernel_pi_ell,
@@ -584,8 +584,9 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
     so each zone's columns are its operator's, and the columns outside the
     zones (|u| <= R_k |lam_k|) are exact zeros.  On the field's
     near-convolution values the sum is the three kernels, O(n), and only
-    the blocks its readers compose are ever dense.  Zones that share a grid
-    node raise ZoneOverlap.
+    the blocks its readers compose are ever dense.  The zones (r, s], (s, t]
+    and (t, inf) share no node, and `SequencePlan.zones` raises ZoneOverlap
+    when their edges are out of order.
     """
     if plan.regime != "OmegaZero":
         raise ValueError("s_k_zero needs an OmegaZero plan")
@@ -600,11 +601,8 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
         (field_on_L.tau(0.0, 0.0, grid), zones["I2+"]),
         (field_on_L.tau(0.0, -half * eps, grid), zones["I3+"]),
     ]
-    masks = [cutoff_M(spec, grid) for _, spec in pieces]
-    if np.any(np.sum(masks, axis=0) > 1):
-        raise ZoneOverlap(f"zone indicators overlap on the grid at k={k}")
-    (one, _), (two, _), (three, _) = pieces
-    return one.masked(masks[0]) + two.masked(masks[1]) + three.masked(masks[2])
+    one, two, three = (op.masked(cutoff_M(zone, grid)) for op, zone in pieces)
+    return one + two + three
 
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -695,9 +693,9 @@ def _generic_times_vk(A: KernelOperator, halves: tuple,
 
 
 def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
-                          grids: FieldGrids, interval, bound) -> list[dict]:
+                          grids: FieldGrids, interval) -> list[dict]:
     """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to
-    `interval(k)` on the log pair.
+    `interval(k)` on the log pair, each with `bound` None.
 
     The mask is the column mask of A_k V_k's terms, so neither A_k V_k nor
     a masked copy of it or of V_k's block is formed, and `op_norm` takes
@@ -711,7 +709,7 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
                                _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
         M = cutoff_M(interval(k), AV.domain)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
-                     "bound": bound(k)})
+                     "bound": None})
     return rows
 
 
@@ -719,21 +717,17 @@ def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
                       grids: FieldGrids) -> list[dict]:
     """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k."""
     return _compressed_norm_rows(field, plan, ks, grids,
-                                 lambda k: IntervalSpec.abs_ge(plan.Rk(k)),
-                                 lambda k: None)
+                                 lambda k: IntervalSpec.abs_ge(plan.Rk(k)))
 
 
 def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
                      grids: FieldGrids) -> list[dict]:
-    """Norm of the generic operator compressed to |s| <= R_k |lam_k|.
-
-    An "OmegaZero" plan bounds it by R_k sqrt|lam_k|.
-    """
-    zero = plan.regime == "OmegaZero"
+    """Norm of the generic operator compressed to |s| <= R_k |lam_k|, each
+    row with `bound` None: the report reads these rows beside the rate
+    envelope of an "OmegaNonzero" plan, and no verdict reads their size."""
     return _compressed_norm_rows(
         field, plan, ks, grids,
-        lambda k: IntervalSpec.abs_le(plan.Rk(k) * abs(plan.lam(k))),
-        lambda k: plan.Rk(k) * math.sqrt(abs(plan.lam(k))) if zero else None)
+        lambda k: IntervalSpec.abs_le(plan.Rk(k) * abs(plan.lam(k))))
 
 
 def _half_deviation(A: KernelOperator, v: KernelOperator,
@@ -896,9 +890,10 @@ def _line_transform(psi: np.ndarray, taus: np.ndarray, grid: GridSpec) -> np.nda
     return (dtau / (2.0 * math.pi)) * (np.exp(1j * np.outer(d, taus)) @ psi)
 
 
-def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
+def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target: tuple, grid: GridSpec, *,
                  f_d: np.ndarray = None) -> KernelOperator:
-    """Extend a scalar field on the character line to a two-parameter point.
+    """Extend a scalar field on the character line to a two-parameter point;
+    the target is (mu, nu), as `ell_params` gives it for an orbit label.
 
     The kernel is f(u - t) qhat(mu e^t, nu e^(-t)) with f the inverse
     transform of the sampled scalar field and qhat the normalized transform
@@ -911,9 +906,7 @@ def sigma0_apply(psi: np.ndarray, taus: np.ndarray, target, grid: GridSpec, *,
     """
     if f_d is None:
         f_d = _line_transform(psi, taus, grid)
-    if isinstance(target, Character):
-        raise ValueError("target must lie on the two-parameter strata")
-    mu, nu = ell_params(target) if not isinstance(target, tuple) else target
+    mu, nu = target
     t = grid.nodes
     qcol = _qhat(mu * np.exp(t), nu * np.exp(-t))
     # entry (i, j) is f_d[n - 1 + i - j] qcol[j], the Toeplitz of f_d reversed

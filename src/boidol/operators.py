@@ -590,23 +590,6 @@ def _nonzero_block(A: KernelOperator) -> np.ndarray | None:
     return W
 
 
-def _singular_values(A: KernelOperator) -> np.ndarray:
-    """Singular values of A.weighted(), largest first, min(shape) of them.
-
-    The path of `compact_defect`, whose value at rank r is entry r.  The SVD
-    runs on the nonzero block and the result is padded with zeros, so entry
-    r is 0 exactly when the block has rank <= r, and only the rounding of
-    LAPACK on the smaller matrix differs.  A zero matrix gives zeros without
-    running the SVD.
-    """
-    sv = np.zeros(min(A.codomain.n, A.domain.n))
-    block = _nonzero_block(A)
-    if block is not None:
-        s = np.linalg.svd(block, compute_uv=False)
-        sv[:s.size] = s
-    return sv
-
-
 _LANCZOS_STEPS = 64
 _LANCZOS_TOL = 1e-14
 # rows of the Lanczos bases at the start; they double when full, up to
@@ -731,9 +714,19 @@ def op_norm(A: KernelOperator) -> float:
 
 
 def compact_defect(A: KernelOperator, rank: int) -> float:
-    """Distance (in operator norm) to the best rank-`rank` approximation."""
-    sv = _singular_values(A)
-    return float(sv[rank]) if rank < len(sv) else 0.0
+    """Distance (in operator norm) to the best rank-`rank` approximation:
+    singular value `rank` of A.weighted(), largest first.
+
+    The SVD runs on the nonzero block alone, so the value is exactly 0.0
+    when that block has rank <= `rank` by its shape (at most `rank` rows or
+    columns), and otherwise only the rounding of LAPACK on the smaller
+    matrix differs.  A zero operator gives 0.0 without running the SVD.
+    """
+    block = _nonzero_block(A)
+    if block is None:
+        return 0.0
+    sv = np.linalg.svd(block, compute_uv=False)
+    return float(sv[rank]) if rank < sv.size else 0.0
 
 
 @dataclass(frozen=True)

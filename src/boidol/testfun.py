@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureUnderresolved, WindowTooSmall
-from .grids import QuadratureSpec, gauss_legendre_rule, unit_rules
+from .grids import QuadratureSpec, unit_rules
 
 __all__ = [
     "BumpFactor",
@@ -204,15 +204,6 @@ class GridSpec4D:
     yz_half_width: float = 450.0
 
 
-def _inverse_bump_values(bump: BumpFactor, y: np.ndarray) -> np.ndarray:
-    """Inverse transform (1/2pi) * integral of bump(a)*exp(i*a*y) da at nodes y."""
-    lo, hi = bump.support
-    ymax = float(np.max(np.abs(y)))
-    n = int(ymax * bump.width) + 128
-    a, w = gauss_legendre_rule(lo, hi, n)
-    return (np.exp(1j * np.outer(y, a)) @ (w * bump(a))) / (2.0 * math.pi)
-
-
 def _check_boundary_decay(vals: np.ndarray, what: str):
     peak = float(np.max(np.abs(vals)))
     edge = float(max(np.max(np.abs(vals[:5])), np.max(np.abs(vals[-5:]))))
@@ -226,7 +217,10 @@ def l1_norm_F1(f: TestFunction, grid: GridSpec4D = GridSpec4D()) -> float:
     """The norm ||t*F(t,x,y,z)||_{L^1} of the test function weighted by t.
 
     F is recovered per term from hatF34 by inverse Fourier transform in the
-    last two slots on the (y,z) window.  Terms sharing the (b_a, b_b) pair
+    last two slots on the (y,z) window, each bump's inverse transform being
+    the conjugate of its `bump_fourier` over 2 pi, with max(64, 32 ceil(w))
+    nodes for a bump of width w, so no bump is too wide for its rule and no
+    (y, node) table is formed.  Terms sharing the (b_a, b_b) pair
     are grouped so the (y,z) integral factorizes into 1-d integrals; distinct
     pairs fall back to an explicit 2-d sum per (t, x) node, which forms one
     n_yz x n_yz matrix per (t, x) cell: at n_tx = 8 and n_yz = 4096 that took
@@ -253,8 +247,10 @@ def l1_norm_F1(f: TestFunction, grid: GridSpec4D = GridSpec4D()) -> float:
 
     ga_abs_int, gb_abs_int, gvals = {}, {}, {}
     for (ba, bb) in groups:
-        Ga = _inverse_bump_values(ba, ys)
-        Gb = _inverse_bump_values(bb, ys)
+        # (1/2pi) int b(a) e^(iay) da is the conjugate of `bump_fourier`,
+        # every bump being real; 32 nodes per unit of width meet its guard
+        Ga, Gb = (np.conj(bump_fourier(b, ys, QuadratureSpec(max(64, 32 * math.ceil(b.width)))))
+                  / (2.0 * math.pi) for b in (ba, bb))
         _check_boundary_decay(Ga, "b_a")
         _check_boundary_decay(Gb, "b_b")
         gvals[(ba, bb)] = (Ga, Gb)

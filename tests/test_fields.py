@@ -549,6 +549,39 @@ def test_deviation_rows_match_explicit_loops():
     assert all(row["dev_plus"] != row["dev_minus"] for row in rows)
 
 
+def test_a_negative_lambda_plan_exchanges_the_half_lines():
+    """A plan with lambda_k < 0 (eps = -1) runs the eps branches of
+    `_two_points`, `zone_deviation_rows` and `s_k_zero`.  hatF34 of F_ASYM
+    is real, and on it tau(-mu, nu) is the conjugate of tau(mu, nu) and
+    pi(rho, -lam) is pi(rho, lam) with the line reversed, entry for entry:
+    against the lambda_k > 0 plan, the whole-line norms agree to rounding
+    and the two half-line parts are exchanged."""
+    field = fourier_field(F_ASYM)
+    tau = field.tau(0.3, 1.0, GRIDS.plus).entries
+    assert np.array_equal(field.tau(-0.3, 1.0, GRIDS.plus).entries, np.conj(tau))
+    pi = field.pi(2.0, 0.5, GRIDS.lin).entries
+    assert np.array_equal(field.pi(2.0, -0.5, GRIDS.lin).entries, pi[::-1, ::-1])
+
+    def close(a, b):
+        return abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+
+    plans = {regime: tuple(default_plan(regime, rho, PowerSeq(c, -1)) for c in (1, -1))
+             for regime, rho in (("OmegaNonzero", PowerSeq(1, 1)),
+                                 ("OmegaZero", PowerSeq(1, 0.5)))}
+    for regime, (plus, minus) in plans.items():
+        assert (plus.eps, minus.eps) == (1, -1)
+        for check in (deviation_rows, check_small_zone):
+            rows = zip(check(field, plus, CHECK_KS, GRIDS), check(field, minus, CHECK_KS, GRIDS))
+            assert all(close(p["value"], m["value"]) for p, m in rows), (regime, check)
+    rows = zip(*(zone_deviation_rows(field, plan, (4, 64, 1024), GRIDS)
+                 for plan in plans["OmegaZero"]))
+    assert all((p["dev_plus"], p["dev_minus"]) == (m["dev_minus"], m["dev_plus"])
+               for p, m in rows)
+    rows = zip(*(check_rate_envelope(field, plan, CHECK_KS, GRIDS)["rows"]
+                 for plan in plans["OmegaNonzero"]))
+    assert all(close(p["dev_a"], m["dev_b"]) and close(p["dev_b"], m["dev_a"]) for p, m in rows)
+
+
 def _traced_peak(fn):
     """(fn(), the peak of memory traced by tracemalloc during the call, in
     bytes above what was traced when it began)."""
@@ -784,6 +817,30 @@ def small_config(**over):
     "(the FOUND line on 4_adjoint in CHANGES.md)"))
 def test_the_default_field_and_its_adjoint_pass_on_the_small_config():
     assert dstar_report(FIELD, small_config(check_adjoint=True))["passed"]
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: a member fails on the default config. 3c's dev_plus "
+    "falls only from 0.016061 to 0.004468 (ratio 0.278) and dev_minus from "
+    "0.014046 to 0.002885 (0.205), above decay_ratio 0.1, so 3c fails, and "
+    "with it 4_adjoint"))
+def test_the_fourier_field_of_f_asym_is_a_member():
+    """Positive control: F_ASYM is a test function, so its Fourier field is
+    in C*(G).  Run it with `pytest -m slow`."""
+    assert dstar_report(fourier_field(F_ASYM), dstar_config(load_config(None), 1))["passed"]
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6: a member fails on the default config. 2c's deviation "
+    "falls only from 0.011141 to 0.002195 (ratio 0.197), above decay_ratio "
+    "0.1, so 2c fails, and with it 4_adjoint"))
+def test_the_fourier_field_of_two_terms_is_a_member():
+    """Positive control: the Fourier field of TWO_TERMS, which is not
+    flip-invariant, so every mirrored point is measured.  Run it with
+    `pytest -m slow`."""
+    assert dstar_report(fourier_field(TWO_TERMS), dstar_config(load_config(None), 1))["passed"]
 
 
 def test_dstar_report_structure_and_pass():
