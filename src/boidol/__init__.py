@@ -55,14 +55,11 @@ from .testfun import (
     l1_norm_F1,
 )
 from .operators import (
-    IntervalSpec,
     KernelOperator,
     compact_defect,
     cutoff_M,
     flip_S,
-    load_operator,
     op_norm,
-    save_operator,
 )
 from .kernels import (
     character_value,

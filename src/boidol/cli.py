@@ -111,6 +111,25 @@ def _merge(defaults, override, path="config"):
     return override
 
 
+# default's type -> (the types of the values it takes, their name); matched
+# on type(), so a bool is neither an integer nor a number
+_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string"), dict: ((dict,), "an object")}
+
+
+def _check_types(default, value, path: str) -> None:
+    """`value` has the JSON type of `default`, and so has each entry of a
+    `dict` default; a default of another type (null, a list) is not read."""
+    if type(default) not in _TYPES:
+        return
+    types, name = _TYPES[type(default)]
+    if type(value) not in types:
+        raise ConfigError(f"{path}: expected {name}")
+    if isinstance(default, dict):
+        for key, val in default.items():
+            _check_types(val, value.get(key), f"{path}.{key}")
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return dict(DEFAULT_CONFIG)
@@ -129,6 +148,21 @@ def load_config(path: str | None) -> dict:
         if not (isinstance(ks, list) and ks
                 and all(type(k) is int and k > 0 for k in ks)):
             raise ConfigError(f"config.{key}: expected a non-empty list of positive integers")
+    _check_types(DEFAULT_CONFIG, cfg, "config")
+    if not isinstance(cfg["sequences"], list):
+        raise ConfigError("config.sequences: expected a list")
+    for i, doc in enumerate(cfg["sequences"]):
+        where = f"config.sequences[{i}]"
+        # every sequence has the JSON types of the first default one
+        _check_types(DEFAULT_CONFIG["sequences"][0], doc, where)
+        if doc["regime"] not in ("OmegaNonzero", "OmegaZero"):
+            raise ConfigError(f'{where}.regime: expected "OmegaNonzero" or "OmegaZero"')
+    if cfg["test_function"] is not None:
+        try:
+            testfun_from_json(json.dumps(cfg["test_function"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config.test_function: not a test function"
+                              f" ({type(exc).__name__}: {exc})")
     return cfg
 
 

@@ -36,7 +36,6 @@ from .kernels import (
     vk_adjoint,
 )
 from .operators import (
-    IntervalSpec,
     KernelOperator,
     compact_defect,
     cutoff_M,
@@ -359,21 +358,16 @@ class SequencePlan:
         """The unsigned invariant rho_k * |lam_k| (eps * omega_k)."""
         return self.rho(k) * abs(self.lam(k))
 
-    def zones(self, k) -> dict:
-        """The three-zone interval decomposition of the plus half-line, which
-        the minus half reads on the plus grid too (`s_k_zero`)."""
-        lam_r = self.Rk(k) * abs(self.lam(k))
+    def zones(self, k) -> tuple[float, float, float]:
+        """The edges (r, s, t) of the three zones (r, s], (s, t] and (t, inf)
+        of the plus half-line, which the minus half reads on the plus grid
+        too (`s_k_zero`): r = R_k |lam_k|, s = |w_k| S_k and t = |w_k| T_k."""
+        r = self.Rk(k) * abs(self.lam(k))
         aw = abs(self.w_k(k))
-        s_edge, t_edge = aw * self.Sk(k), aw * self.Tk(k)
-        if not (lam_r < s_edge < t_edge):
-            raise ZoneOverlap(
-                f"zone edges out of order at k={k}: "
-                f"{lam_r:.3g}, {s_edge:.3g}, {t_edge:.3g}")
-        return {
-            "J+": IntervalSpec.left_open(lam_r, s_edge),
-            "I2+": IntervalSpec.left_open(s_edge, t_edge),
-            "I3+": IntervalSpec.gt(t_edge),
-        }
+        s, t = aw * self.Sk(k), aw * self.Tk(k)
+        if not (r < s < t):
+            raise ZoneOverlap(f"zone edges out of order at k={k}: {r:.3g}, {s:.3g}, {t:.3g}")
+        return r, s, t
 
     def describe(self) -> dict:
         out = {"regime": self.regime, "eps": self.eps, "omega": self.omega,
@@ -542,7 +536,8 @@ def _two_points(plan: SequencePlan, w: float) -> tuple:
 def _beyond_cutoff(plan: SequencePlan, k: int, grids: FieldGrids) -> np.ndarray:
     """The cutoff to u >= R_k |lam_k| on the plus grid, which is also the
     minus half's cutoff to u <= -R_k |lam_k|, read on the plus grid."""
-    return cutoff_M(IntervalSpec.ge(plan.Rk(k) * abs(plan.lam(k))), grids.plus)
+    r = plan.Rk(k) * abs(plan.lam(k))
+    return cutoff_M(lambda u: u >= r, grids.plus)
 
 
 def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
@@ -593,13 +588,14 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
     if half not in (1, -1):
         raise ValueError("half must be +1 or -1")
     wk, eps = plan.w_k(k), float(plan.eps)
-    zones, grid = plan.zones(k), grids.plus
+    r, s, t = plan.zones(k)
+    grid = grids.plus
     # zone three keeps the unit-displacement realization of the half-line
     # point: it is the one the rescaled generic operators actually approach
     pieces = [
-        (field_on_L.tau(half * wk, 0.0, grid), zones["J+"]),
-        (field_on_L.tau(0.0, 0.0, grid), zones["I2+"]),
-        (field_on_L.tau(0.0, -half * eps, grid), zones["I3+"]),
+        (field_on_L.tau(half * wk, 0.0, grid), lambda u: (u > r) & (u <= s)),
+        (field_on_L.tau(0.0, 0.0, grid), lambda u: (u > s) & (u <= t)),
+        (field_on_L.tau(0.0, -half * eps, grid), lambda u: u > t),
     ]
     one, two, three = (op.masked(cutoff_M(zone, grid)) for op, zone in pieces)
     return one + two + three
@@ -693,9 +689,10 @@ def _generic_times_vk(A: KernelOperator, halves: tuple,
 
 
 def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
-                          grids: FieldGrids, interval) -> list[dict]:
-    """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to
-    `interval(k)` on the log pair, each with `bound` None.
+                          grids: FieldGrids, region) -> list[dict]:
+    """Rows of ||A_k V_k M||, A_k V_k (`_generic_times_vk`) masked to the
+    nodes u of the log pair where `region(k, u)` holds, each with `bound`
+    None.
 
     The mask is the column mask of A_k V_k's terms, so neither A_k V_k nor
     a masked copy of it or of V_k's block is formed, and `op_norm` takes
@@ -707,7 +704,7 @@ def _compressed_norm_rows(field: OperatorField, plan: SequencePlan, ks,
     for k in ks:
         AV = _generic_times_vk(field.pi(plan.rho(k), plan.lam(k), grids.lin),
                                _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
-        M = cutoff_M(interval(k), AV.domain)
+        M = cutoff_M(lambda u: region(k, u), AV.domain)
         rows.append({**_plan_row(plan, k), "value": op_norm(AV.masked(M)),
                      "bound": None})
     return rows
@@ -717,7 +714,7 @@ def check_tail_cutoff(field: OperatorField, plan: SequencePlan, ks,
                       grids: FieldGrids) -> list[dict]:
     """Norm of the generic operator beyond the rescaled tail cutoff |s| >= R_k."""
     return _compressed_norm_rows(field, plan, ks, grids,
-                                 lambda k: IntervalSpec.abs_ge(plan.Rk(k)))
+                                 lambda k, u: np.abs(u) >= plan.Rk(k))
 
 
 def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
@@ -726,8 +723,7 @@ def check_small_zone(field: OperatorField, plan: SequencePlan, ks,
     row with `bound` None: the report reads these rows beside the rate
     envelope of an "OmegaNonzero" plan, and no verdict reads their size."""
     return _compressed_norm_rows(
-        field, plan, ks, grids,
-        lambda k: IntervalSpec.abs_le(plan.Rk(k) * abs(plan.lam(k))))
+        field, plan, ks, grids, lambda k, u: np.abs(u) <= plan.Rk(k) * abs(plan.lam(k)))
 
 
 def _half_deviation(A: KernelOperator, v: KernelOperator,

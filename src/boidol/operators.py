@@ -27,9 +27,10 @@ constructions read the blocks on V_k's log window, and `op_norm`'s SVD
 fallback.
 
 A cutoff (multiplication by the indicator of a region) is kept as its
-boolean indicator vector on the grid's nodes: `cutoff_M` returns it and
-`masked` applies it on the right, A o M, by keeping the columns it selects
-and zeroing the rest.
+boolean indicator vector on the grid's nodes: `cutoff_M` evaluates the
+region's predicate on the node coordinates, and `masked` applies the
+vector on the right, A o M, by keeping the columns it selects and zeroing
+the rest.
 
 Cutoffs, compressions and the rescaling unitaries leave many operators with
 whole rows or columns of exact zeros.  The singular-value routines and the
@@ -55,8 +56,6 @@ keeps the full SVD.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,13 +66,10 @@ from .grids import GridSpec
 
 __all__ = [
     "KernelOperator",
-    "IntervalSpec",
     "op_norm",
     "compact_defect",
     "cutoff_M",
     "flip_S",
-    "save_operator",
-    "load_operator",
 ]
 
 
@@ -729,63 +725,12 @@ def compact_defect(A: KernelOperator, rank: int) -> float:
     return float(sv[rank]) if rank < sv.size else 0.0
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
-    """A cutoff region on the physical coordinate of a grid.
-
-    kinds: 'left_open' (a,b]; 'le' (-inf,b]; 'ge' [a,inf); 'gt' (a,inf);
-    'abs_le' {|u| <= b}; 'abs_ge' {|u| >= a}.  Boundary points belong to
-    the closed side.
-    """
-
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
-
-    @staticmethod
-    def left_open(a, b):
-        return IntervalSpec("left_open", a, b)
-
-    @staticmethod
-    def le(b):
-        return IntervalSpec("le", b=b)
-
-    @staticmethod
-    def ge(a):
-        return IntervalSpec("ge", a=a)
-
-    @staticmethod
-    def gt(a):
-        return IntervalSpec("gt", a=a)
-
-    @staticmethod
-    def abs_le(b):
-        return IntervalSpec("abs_le", b=b)
-
-    @staticmethod
-    def abs_ge(a):
-        return IntervalSpec("abs_ge", a=a)
-
-    def indicator(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "left_open":
-            return (u > self.a) & (u <= self.b)
-        if self.kind == "le":
-            return u <= self.b
-        if self.kind == "ge":
-            return u >= self.a
-        if self.kind == "gt":
-            return u > self.a
-        if self.kind == "abs_le":
-            return np.abs(u) <= self.b
-        if self.kind == "abs_ge":
-            return np.abs(u) >= self.a
-        raise ValueError(f"unknown interval kind {self.kind!r}")
-
-
-def cutoff_M(spec: IntervalSpec, grid: GridSpec) -> np.ndarray:
-    """The cutoff to `spec` on the grid's physical coordinate, as the boolean
-    indicator vector of its nodes; apply it with `KernelOperator.masked`."""
-    return spec.indicator(grid.points)
+def cutoff_M(keep, grid: GridSpec) -> np.ndarray:
+    """The cutoff to the region `keep` (a predicate on arrays of the grid's
+    physical coordinate, written where the region is defined) as the
+    boolean indicator vector of the grid's nodes; apply it with
+    `KernelOperator.masked`."""
+    return keep(grid.points)
 
 
 def flip_S(grid: GridSpec) -> KernelOperator:
@@ -801,48 +746,3 @@ def flip_S(grid: GridSpec) -> KernelOperator:
     ent[i, j] = 1.0 / grid.weights[j]
     return KernelOperator(grid, grid, ent, "S")
 
-
-def _grid_meta(g: GridSpec) -> dict:
-    return {"kind": g.kind, "half_width": g.half_width, "n": g.n, "sigma": g.sigma,
-            "start": g.start}
-
-
-def save_operator(A: KernelOperator, path: str) -> None:
-    """Self-describing dump: JSON header plus binary arrays in one .npz file.
-
-    The header records each grid's `start`, so a block between cell windows
-    (`GridSpec.window`) loads placed at the same cells."""
-    header = json.dumps({
-        "format": "boidol-operator-v1",
-        "label": A.label,
-        "domain": _grid_meta(A.domain),
-        "codomain": _grid_meta(A.codomain),
-        "shape": list(A.entries.shape),
-    }, sort_keys=True)
-    np.savez(path, header=np.array(header),
-             entries=A.entries,
-             domain_nodes=A.domain.nodes, domain_weights=A.domain.weights,
-             codomain_nodes=A.codomain.nodes, codomain_weights=A.codomain.weights)
-
-
-def _rebuild_grid(meta: dict, nodes: np.ndarray, weights: np.ndarray) -> GridSpec:
-    # a header written before windows were saved has no start: a whole grid
-    start = meta.get("start", 0)
-    g = GridSpec(meta["kind"], meta["half_width"], meta["n"], nodes, weights,
-                 sigma=meta["sigma"], start=start)
-    if g.kind == "logpair":
-        half = g.n // 2
-        parts = (GridSpec("log", g.half_width, half, nodes[:half], weights[:half], 1,
-                          start=start),
-                 GridSpec("log", g.half_width, half, nodes[half:], weights[half:], -1,
-                          start=start))
-        object.__setattr__(g, "parts", parts)
-    return g
-
-
-def load_operator(path: str) -> KernelOperator:
-    with np.load(path, allow_pickle=False) as d:
-        header = json.loads(str(d["header"]))
-        dom = _rebuild_grid(header["domain"], d["domain_nodes"], d["domain_weights"])
-        cod = _rebuild_grid(header["codomain"], d["codomain_nodes"], d["codomain_weights"])
-        return KernelOperator(dom, cod, d["entries"], header["label"])

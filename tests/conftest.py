@@ -1,8 +1,8 @@
-"""Reports the run's peak resident memory after the summary, and fails a
-run that otherwise passed when the peak of the session or of its children
-exceeds the Tier-1 memory budget of 1 GiB.  The Tier-1 time budget, 60 s,
-is read from the summary but not enforced: wall time is noisy on a shared
-host."""
+"""Reports the run's peak resident memory after the summary, each figure
+with the test that set it, and fails a run that otherwise passed when the
+peak of the session or of its children exceeds the Tier-1 memory budget of
+1 GiB.  The Tier-1 time budget, 60 s, is read from the summary but not
+enforced: wall time is noisy on a shared host."""
 
 import resource
 import sys
@@ -10,6 +10,11 @@ import sys
 import pytest
 
 MEMORY_BUDGET_MIB = 1024.0
+
+# the peaks after the last test, and what last raised each: a test's node id,
+# or "no test" for a rise outside every test (imports, collection)
+_last = {"self": 0.0, "children": 0.0}
+_setter = {"self": "no test", "children": "no test"}
 
 
 def _peak_mib(who) -> float:
@@ -23,6 +28,20 @@ def _peaks() -> dict:
             "children": _peak_mib(resource.RUSAGE_CHILDREN)}
 
 
+def _note(where: str) -> None:
+    """Credit each peak that rose since the last call to `where`."""
+    for who, peak in _peaks().items():
+        if peak > _last[who]:
+            _last[who], _setter[who] = peak, where
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item):
+    _note("no test")
+    yield
+    _note(item.nodeid)
+
+
 @pytest.hookimpl(trylast=True)
 def pytest_sessionfinish(session):
     if session.exitstatus == pytest.ExitCode.OK \
@@ -32,10 +51,11 @@ def pytest_sessionfinish(session):
 
 @pytest.hookimpl(trylast=True)
 def pytest_terminal_summary(terminalreporter):
+    _note("no test")
     peaks = _peaks()
     terminalreporter.write_line(
-        f"peak RSS: {peaks['self']:.1f} MiB (self), "
-        f"{peaks['children']:.1f} MiB (children)")
+        f"peak RSS: {peaks['self']:.1f} MiB (self, set by {_setter['self']}), "
+        f"{peaks['children']:.1f} MiB (children, set by {_setter['children']})")
     if max(peaks.values()) > MEMORY_BUDGET_MIB:
         terminalreporter.write_line(
             f"peak RSS exceeds the Tier-1 budget of {MEMORY_BUDGET_MIB:.0f} MiB",

@@ -113,6 +113,45 @@ def test_malformed_ks_is_a_usage_error_naming_its_path(tmp_path, capsys, key, va
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"decay_ratio": "x"}, "config.decay_ratio: expected a number"),
+    ({"wiggle": True}, "config.wiggle: expected a number"),
+    ({"grid": {"n": "512"}}, "config.grid.n: expected an integer"),
+    ({"grid": {"n": 512.0}}, "config.grid.n: expected an integer"),
+    ({"sequences": {"name": "a"}}, "config.sequences: expected a list"),
+    ({"sequences": [{"name": "a", "regime": "OmegaNonzero"}]},
+     "config.sequences[0].rho: expected an object"),
+    ({"sequences": [{"name": 1, "regime": "OmegaZero", "rho": {}, "lambda": {}}]},
+     "config.sequences[0].name: expected a string"),
+    ({"sequences": [{"name": "a", "regime": "Omega", "rho": {"coeff": 1, "exponent": 1},
+                     "lambda": {"coeff": 1, "exponent": -1}}]},
+     "config.sequences[0].regime: expected"),
+    ({"sequences": [{"name": "a", "regime": "OmegaZero", "rho": {"coeff": 1, "exponent": 1},
+                     "lambda": {"coeff": 1, "exponent": "-1"}}]},
+     "config.sequences[0].lambda.exponent: expected a number"),
+    ({"test_function": 5}, "config.test_function: not a test function"),
+    ({"test_function": {"terms": [{"coeff": [1, 0], "b_x": [0, 1], "b_a": [0, 1],
+                                   "b_b": [0, 1]}]}},
+     "config.test_function: not a test function (KeyError"),
+    ({"test_function": {"terms": [{"coeff": [1, 0], "b_t": [0, -1], "b_x": [0, 1],
+                                   "b_a": [0, 1], "b_b": [0, 1]}]}},
+     "config.test_function: not a test function (ValueError"),
+], ids=["float-string", "float-bool", "int-string", "int-float", "sequences-object",
+        "sequence-no-rho", "sequence-name", "sequence-regime", "sequence-exponent",
+        "testfun-number", "testfun-no-b_t", "testfun-negative-width"])
+def test_mistyped_config_value_is_a_usage_error_naming_its_path(tmp_path, capsys, doc,
+                                                                path):
+    """A config value of the wrong JSON type exits 2, before any command
+    runs, with a usage error naming its path, and prints no traceback."""
+    cfg_path = write_cfg(tmp_path, doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg_path, "--out", str(tmp_path), "orbits"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert not (tmp_path / "orbits.json").exists()
+
+
 def test_merge_fuzzed_overrides_keep_siblings_and_name_unknown_paths():
     """A random override of known keys, nested ones included, replaces
     exactly those values and keeps every sibling; one unknown key, at the
@@ -138,7 +177,11 @@ def test_merge_fuzzed_overrides_keep_siblings_and_name_unknown_paths():
         assert _merge(DEFAULT_CONFIG, over) == expect(DEFAULT_CONFIG, over)
         nested = data.draw(st.booleans())
         known = DEFAULT_CONFIG["grid"] if nested else DEFAULT_CONFIG
-        name = data.draw(st.text(min_size=1, max_size=8).filter(lambda s: s not in known))
+        # an explicit alphabet, non-ASCII included: without a `.hypothesis`
+        # cache, st.text's default one builds the full Unicode charmap
+        # (some 130 MiB of peak RSS), and `_merge` reads keys as opaque strings
+        name = data.draw(st.text(alphabet="abcXYZ_09.é中", min_size=1, max_size=8)
+                         .filter(lambda s: s not in known))
         (over.setdefault("grid", {}) if nested else over)[name] = data.draw(leaf)
         path = ("config.grid." if nested else "config.") + name
         with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown field")):

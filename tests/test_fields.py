@@ -2,6 +2,7 @@ import collections
 import gc
 import math
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -55,7 +56,6 @@ from boidol.grids import GridSpec
 from boidol.group import Character, OneDim, TwoDim
 from boidol.kernels import kernel_pi_rho_lambda, kernel_tau
 from boidol.operators import (
-    IntervalSpec,
     KernelOperator,
     compact_defect,
     cutoff_M,
@@ -215,19 +215,24 @@ def test_plan_infeasible_names_the_violated_invariant():
 
 
 def test_zones_partition_the_tail_exactly():
-    """The three zones partition u > R_k |lam_k| exactly, edges included,
-    and hold no u < 0: the minus half reads them on the plus grid."""
+    """`SequencePlan.zones` gives the edges R_k |lam_k| < |w_k| S_k <
+    |w_k| T_k, and the three zones of `s_k_zero` partition u > R_k |lam_k|
+    exactly, edges included, and hold no u < 0: the minus half reads them on
+    the plus grid.  Grid nodes never sit on an edge, so the zones are read on
+    a grid whose nodes are the plus grid's points, the edges and their
+    negatives, through the marker field."""
     plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
+    field = _zone_marker_field()
     for k in (4, 8, 64):
-        z = plan.zones(k)
-        assert set(z) == {"J+", "I2+", "I3+"}
         lam_r = plan.Rk(k) * abs(plan.lam(k))
         aw = plan.w_k(k)
         edges = np.array([lam_r, aw * plan.Sk(k), aw * plan.Tk(k)])
-        # grid nodes never sit on an edge, so the edges are added as points
+        assert np.array_equal(plan.zones(k), edges)
         pts = np.concatenate([GRIDS.plus.points, -GRIDS.plus.points, edges, -edges])
-        ind = {name: spec.indicator(pts).astype(int) for name, spec in z.items()}
-        assert np.array_equal(sum(ind.values()), (pts > lam_r).astype(int))
+        grid = GridSpec("linear", 1.0, len(pts), pts, np.ones(len(pts)))
+        marks = s_k_zero(field, k, plan, 1, types.SimpleNamespace(plus=grid)).entries[0]
+        want = np.select([pts <= edges[0], pts <= edges[1], pts <= edges[2]], [0, 1, 2], 4)
+        assert np.array_equal(marks, want)
 
 
 def _zone_marker_field():
@@ -266,9 +271,10 @@ def test_zones_are_disjoint_and_cover_the_tail_over_random_plans():
         grids = FieldGrids.default(n_lin=16, V=data.draw(st.floats(1.0, 12.0)),
                                    n_half=data.draw(st.integers(4, 96)))
         lam_r = plan.Rk(k) * abs(plan.lam(k))
-        zones = plan.zones(k)
-        masks = [cutoff_M(zones[name], grids.plus) for name in ("J+", "I2+", "I3+")]
-        tail = grids.plus.points > lam_r
+        r, s, t = plan.zones(k)
+        u = grids.plus.points
+        masks = [(u > r) & (u <= s), (u > s) & (u <= t), u > t]
+        tail = u > lam_r
         assert np.array_equal(np.sum(masks, axis=0), tail.astype(int))
         want = sum(mark * m for mark, m in zip((1.0, 2.0, 4.0), masks))
         for half in (1, -1):  # the minus half reads the same zones on the plus grid
@@ -299,14 +305,15 @@ def test_sigma_constructions_check_regime():
 def test_s_k_zero_is_its_zone_operators_masked_to_their_zones():
     pz = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
     k, eps = 8, float(pz.eps)
-    wk, zones = pz.w_k(k), pz.zones(k)
+    wk, (r, s, t) = pz.w_k(k), pz.zones(k)
     lam_r = pz.Rk(k) * abs(pz.lam(k))
-    for half, grid, ops in (
-            (1, GRIDS.plus, {"J+": (wk, 0.0), "I2+": (0.0, 0.0), "I3+": (0.0, -eps)}),
-            (-1, GRIDS.plus, {"J+": (-wk, 0.0), "I2+": (0.0, 0.0), "I3+": (0.0, eps)})):
+    zones = (lambda u: (u > r) & (u <= s), lambda u: (u > s) & (u <= t), lambda u: u > t)
+    for half, grid, points in (
+            (1, GRIDS.plus, ((wk, 0.0), (0.0, 0.0), (0.0, -eps))),
+            (-1, GRIDS.plus, ((-wk, 0.0), (0.0, 0.0), (0.0, eps)))):
         got = s_k_zero(FIELD, k, pz, half, GRIDS).entries
-        want = sum(FIELD.tau(mu, nu, grid).masked(cutoff_M(zones[name], grid)).entries
-                   for name, (mu, nu) in ops.items())
+        want = sum(FIELD.tau(mu, nu, grid).masked(cutoff_M(zone, grid)).entries
+                   for zone, (mu, nu) in zip(zones, points))
         assert np.array_equal(got, want)
         inner = np.abs(grid.points) <= lam_r
         assert inner.any() and not np.any(got[:, inner])
@@ -344,20 +351,20 @@ def _reference_check_rows(plan, ks, grids):
         V = vk_dense(rho_k, lam_k, pair, grids.lin)
         AV = A @ V
         tail.append({**base, "bound": None, "value": op_norm(
-            AV.masked(cutoff_M(IntervalSpec.abs_ge(R_k), pair)))})
+            AV.masked(cutoff_M(lambda u: np.abs(u) >= R_k, pair)))})
         small.append({**base, "bound": None, "value": op_norm(
-            AV.masked(cutoff_M(IntervalSpec.abs_le(lam_r), pair)))})
+            AV.masked(cutoff_M(lambda u: np.abs(u) <= lam_r, pair)))})
         t_plus = kernel_tau(F, eps * wk, -eps, grids.plus)
         t_minus = kernel_tau(F, -eps * wk, eps, minus)
         ent_plus = np.zeros((pair.n, pair.n), complex)
         ent_plus[:half, :half] = t_plus.masked(
-            cutoff_M(IntervalSpec.ge(lam_r), grids.plus)).entries
+            cutoff_M(lambda u: u >= lam_r, grids.plus)).entries
         ent_minus = np.zeros((pair.n, pair.n), complex)
         ent_minus[half:, half:] = t_minus.masked(
-            cutoff_M(IntervalSpec.le(-lam_r), minus)).entries
-        dev_a = op_norm(AV.masked(cutoff_M(IntervalSpec.ge(0.0), pair))
+            cutoff_M(lambda u: u <= -lam_r, minus)).entries
+        dev_a = op_norm(AV.masked(cutoff_M(lambda u: u >= 0.0, pair))
                         - V @ KernelOperator(pair, pair, ent_plus))
-        dev_b = op_norm(AV.masked(cutoff_M(IntervalSpec.le(0.0), pair))
+        dev_b = op_norm(AV.masked(cutoff_M(lambda u: u <= 0.0, pair))
                         - V @ KernelOperator(pair, pair, ent_minus))
         rate.append({**base, "dev_a": dev_a, "dev_b": dev_b,
                      "envelope_unit": abs(wk) / (R_k ** 2 * abs(lam_k)) + 1.0 / R_k})
@@ -412,7 +419,7 @@ def _composites(field, plan, k, grids):
     A = field.pi(rho_k, lam_k, grids.lin)
     halves = _vk_halves(rho_k, lam_k, grids)
     AV = _generic_times_vk(A, halves, grids)
-    M = cutoff_M(IntervalSpec.abs_le(plan.Rk(k) * abs(lam_k)), AV.domain)
+    M = cutoff_M(lambda u: np.abs(u) <= plan.Rk(k) * abs(lam_k), AV.domain)
     plus = halves[0]
     b = _two_point_pair(field, plan, k, plan.w_k(k), grids)[0]
     return {"A - sigma": A - sigma(field, k, plan, grids), "A V M": AV.masked(M),
@@ -479,7 +486,7 @@ def test_a_structurally_empty_tail_row_is_exactly_zero():
     k = 4
     A = FIELD.pi(plan.rho(k), plan.lam(k), GRIDS.lin)
     AV = _generic_times_vk(A, _vk_halves(plan.rho(k), plan.lam(k), GRIDS), GRIDS)
-    tail = AV.masked(cutoff_M(IntervalSpec.abs_ge(plan.Rk(k)), AV.domain))
+    tail = AV.masked(cutoff_M(lambda u: np.abs(u) >= plan.Rk(k), AV.domain))
     assert not tail.entries.any()
     assert tail._products(np.ones(GRIDS.lin.n), np.ones(AV.domain.n)) is None
     assert op_norm(tail) == 0.0
@@ -958,11 +965,11 @@ def test_adjoint_negative_control_fails_4_adjoint_only():
     where t_k is nearest t, at the largest ks, so the adjoint's 3c
     deviations rise from 0.0026 at k = 4^7 to 0.0078 at 4^10, and fail."""
     cfg = dstar_config(load_config(None), 1)
-    zone = cfg.plans_zero[0].zones(cfg.ks_tau[-1])["I3+"]
+    t = cfg.plans_zero[0].zones(cfg.ks_tau[-1])[2]
 
     def transform(key, val):
         if key[0] == "tau" and key[1] == 0.0 and abs(key[2]) == 1.0:
-            return val.masked(cutoff_M(zone, key[3]))
+            return val.masked(cutoff_M(lambda u: u > t, key[3]))
         return val
 
     rep = dstar_report(FIELD.tampered(transform), cfg)
