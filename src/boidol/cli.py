@@ -302,7 +302,11 @@ def cmd_converge(args) -> int:
     and the scope is dropped before the next k, so at most one generic
     operator is alive.  `zero` runs 2d and then 3c on `field`, which keeps
     no operator: each generic operator is freed when its 2d row ends, and
-    each half-line value, O(n), is built again where a later row reads it."""
+    each half-line value, O(n), is built again where a later row reads it.
+    Every sigma_k composes only V_k's plus half and places the minus half
+    on the mirrored cells; on a `flip_invariant` field, such as the Fourier
+    field of the default function, it builds no minus-half value and
+    composes once."""
     cfg, out, dcfg, field = _field_setup(args)
     regime = "OmegaNonzero" if args.regime == "omega" else "OmegaZero"
     names = [doc["name"] for doc in cfg["sequences"] if doc["regime"] == regime]

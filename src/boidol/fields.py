@@ -481,48 +481,64 @@ def default_plan(regime: str, rho_seq, lambda_seq) -> SequencePlan:
 # the limit approximations
 
 
+def _vk_plus(rho_k: float, lam_k: float, grids: FieldGrids) -> KernelOperator:
+    """V_k's plus half V+ as its nonzero block: it maps a window of the plus
+    half-line grid's cells into a window of the s > 0 linear cells
+    (`vk_operator`).  It is the adjoint of `vk_adjoint`, which holds
+    `vk_operator`'s own array, so no copy of V_k is made."""
+    return vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
+
+
 def _vk_halves(rho_k: float, lam_k: float,
                grids: FieldGrids) -> tuple[KernelOperator, KernelOperator]:
     """V_k's two sign halves (V+, V-), V_k = [V+ | V-], as their nonzero
     blocks.
 
-    V+ maps a window of the plus half-line grid's cells into a window of
-    the s > 0 linear cells, and V- maps the same window, read as the minus
-    half's cells (`FieldGrids`), into the mirrored s < 0 window (see
-    `vk_operator`).  V+ is the adjoint of `vk_adjoint`, which holds
-    `vk_operator`'s own array, and V- is V+ with its rows reversed, a view:
-    no copy of V_k is made.  Each row that reads V_k builds its own halves,
-    and nothing keeps them after it.
+    V+ is `_vk_plus`.  V- maps the same window of log cells, read as the
+    minus half's cells (`FieldGrids`), into the mirrored s < 0 window, and
+    is V+ with its rows reversed (see `vk_operator`): V+'s own array read
+    through `KernelOperator.reversed_rows`, so each product with V- runs on
+    that array and reverses the vector between the factors, A V- x being
+    A's minus-window columns times reversed(V+ x).  Each row that reads V_k
+    builds its own halves, and nothing keeps them after it.
     """
-    plus = vk_adjoint(rho_k, lam_k, grids.lin, grids.pair).adjoint()
+    plus = _vk_plus(rho_k, lam_k, grids)
     rows, n = plus.codomain, grids.lin.n
-    minus = KernelOperator(plus.domain,
-                           grids.lin.window(n - rows.start - rows.n, n - rows.start),
-                           plus.entries[::-1])
-    return plus, minus
+    return plus, plus.reversed_rows(grids.lin.window(n - rows.start - rows.n, n - rows.start))
 
 
-def _conjugated_to_line(pair, halves: tuple, grids: FieldGrids) -> KernelOperator:
+def _conjugated_to_line(pair, plus: KernelOperator, grids: FieldGrids) -> KernelOperator:
     """V_k (b_plus + b_minus) V_k*, b_plus acting on the plus half-line model
     and b_minus on the minus one (both on the plus grid, `FieldGrids`),
-    (b_plus, b_minus) = pair, as its thin factors, one sign half of V_k at a
-    time (`halves`, from `_vk_halves`).
+    (b_plus, b_minus) = pair, as its thin factors, from V_k's plus half
+    alone (`plus`, from `_vk_plus`).
 
     The block of the two is diagonal in the sign of u, and V_k maps each sign
     of u to the same sign of s, so the result has two diagonal blocks and
     zeros elsewhere: V+ b_plus V+* on the s > 0 rows and columns V+ reaches,
-    and V- b_minus V-* on the mirrored s < 0 ones.  Each is kept as the
-    factors C = V b (`compose` of V_k's nonzero block of that sign with b's
-    block on the log cells the half reaches, at most r x m = 256 x 228 on
-    the default grid) and V itself, read as V* through products
-    (`KernelOperator.product`).  b's other cells, which V_k never reaches,
-    enter no product, of b only that block is made dense, and no n x n
-    array is allocated.
+    and V- b_minus V-* on the mirrored s < 0 ones.  V- = J V+, J the
+    reversal of the line's cells, so the second is J (V+ b_minus V+*) J.
+    Each is kept as the factors C = V+ b (`compose` of V+'s block with b's
+    block on the log cells V+ reaches, at most r x m = 256 x 228 on the
+    default grid) and V+ itself, read as V+* through products
+    (`KernelOperator.product`); the minus one is placed on the mirrored
+    cells in reverse order (descending slices), so no factor is reversed
+    or copied.  When b_minus is b_plus (`_mirrored_once` on a
+    `flip_invariant` field) C is composed once for both.  b's other cells,
+    which V_k never reaches, enter no product, of b only that block is
+    made dense, and no n x n array is allocated.
     """
-    plus, minus = (KernelOperator.product(v @ b.restricted(v.domain, v.domain), v.adjoint(),
-                                          grids.lin, grids.lin)
-                   for v, b in zip(halves, pair))
-    return plus + minus
+    b_plus, b_minus = pair
+    c_plus = plus @ b_plus.restricted(plus.domain, plus.domain)
+    c_minus = (c_plus if b_minus is b_plus
+               else plus @ b_minus.restricted(plus.domain, plus.domain))
+    # the cells n - 1 - i, i in V+'s rows, in that order
+    rows, n = plus.codomain.cells, grids.lin.n
+    top, past = n - 1 - rows.start, n - 1 - rows.stop
+    mirror = slice(top, past if past >= 0 else None, -1)
+    return (KernelOperator.product(c_plus, plus.adjoint(), grids.lin, grids.lin)
+            + KernelOperator.product(c_minus, plus.adjoint(), grids.lin, grids.lin,
+                                     rows=mirror, cols=mirror))
 
 
 def _two_points(plan: SequencePlan, w: float) -> tuple:
@@ -543,10 +559,12 @@ def _beyond_cutoff(plan: SequencePlan, k: int, grids: FieldGrids) -> np.ndarray:
 def _two_point_pair(field: OperatorField, plan: SequencePlan, k: int, w: float,
                     grids: FieldGrids) -> tuple:
     """The half-line pair at invariant w (`_two_points`), both values cut
-    by one mask (`_beyond_cutoff`)."""
+    by one mask (`_beyond_cutoff`).  On a `flip_invariant` field the minus
+    value is the plus one, the same object, and is not built
+    (`_mirrored_once`)."""
     keep = _beyond_cutoff(plan, k, grids)
-    return tuple(field.tau(mu, nu, grids.plus).masked(keep)
-                 for mu, nu, _ in _two_points(plan, w))
+    return tuple(_mirrored_once(field, _two_points(plan, w),
+                                lambda mu, nu, half: field.tau(mu, nu, grids.plus).masked(keep)))
 
 
 def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -556,15 +574,17 @@ def sigma_k_omega(field_on_L: OperatorField, k: int, plan: SequencePlan,
     The field is evaluated at the two limit points of the sequence, each
     masked to the nodes beyond R_k |lam_k| on its half-line
     (`_two_point_pair` at |omega|), and the pair is conjugated back to the
-    line by the rescaling unitary, one sign half of V_k at a time
-    (`_conjugated_to_line`), which reads each limit value only on the
-    block of log cells V_k reaches.
+    line by the rescaling unitary's plus half, the minus half placed on the
+    mirrored cells (`_conjugated_to_line`), which reads each limit value
+    only on the block of log cells V_k reaches.  On a `flip_invariant`
+    field the minus limit value is the plus one, so it is neither built nor
+    composed.
     """
     if plan.regime != "OmegaNonzero":
         raise ValueError("sigma_k_omega needs an OmegaNonzero plan")
     return _conjugated_to_line(
         _two_point_pair(field_on_L, plan, k, abs(plan.omega), grids),
-        _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
+        _vk_plus(plan.rho(k), plan.lam(k), grids), grids)
 
 
 def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
@@ -603,12 +623,16 @@ def s_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
 
 def sigma_k_zero(field_on_L: OperatorField, k: int, plan: SequencePlan,
                  grids: FieldGrids) -> KernelOperator:
-    """Both three-zone halves conjugated back to the line, each by its own
-    sign half of V_k (`_conjugated_to_line`), as thin factors.  Only each
-    half's block on V_k's log window is made dense."""
+    """Both three-zone halves conjugated back to the line by V_k's plus
+    half, the minus one placed on the mirrored cells
+    (`_conjugated_to_line`), as thin factors.  Only each half's block on
+    V_k's log window is made dense.  On a `flip_invariant` field the minus
+    half is the plus one (`_mirrored_once`): none of its zone values is
+    built, and one `compose` serves both halves."""
     return _conjugated_to_line(
-        (s_k_zero(field_on_L, k, plan, 1, grids), s_k_zero(field_on_L, k, plan, -1, grids)),
-        _vk_halves(plan.rho(k), plan.lam(k), grids), grids)
+        tuple(_mirrored_once(field_on_L, ((1,), (-1,)),
+                             lambda half: s_k_zero(field_on_L, k, plan, half, grids))),
+        _vk_plus(plan.rho(k), plan.lam(k), grids), grids)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +702,10 @@ def _generic_times_vk(A: KernelOperator, halves: tuple,
     """A V_k = [A V+ | A V-] on the window of the log pair that V_k's halves
     reach, as factors: each half is A's block of columns on the linear
     cells that half reaches (a view) times its nonzero block (`halves`, from
-    `_vk_halves`), on that half's columns of the window.  V_k's zero
-    columns would only append zero columns, which add nothing to a norm."""
+    `_vk_halves`; V- reads V+'s array with the rows reversed, so A V- x is
+    that block times reversed(V+ x)), on that half's columns of the
+    window.  V_k's zero columns would only append zero columns, which add
+    nothing to a norm."""
     cells = halves[0].domain
     window = grids.pair.window(cells.start, cells.start + cells.n)
     plus, minus = (KernelOperator.product(
@@ -1253,14 +1279,17 @@ def dstar_report(field: OperatorField, cfg: DstarConfig, *, _checks=None) -> dic
     holds only characters.
 
     Every half-line value, of either half, is read on the plus grid, the
-    minus half at the mirrored parameters (`FieldGrids`).  On a
-    `flip_invariant` field, such as the Fourier field of the default test
-    function, 2c's limit scale, 3b, 3c and 3d measure one point of each
+    minus half at the mirrored parameters (`FieldGrids`), and sigma_k (2c,
+    2d) composes only V_k's plus half, its minus half placed on the
+    mirrored cells (`_conjugated_to_line`).  On a `flip_invariant` field,
+    such as the Fourier field of the default test function, 2c's limit
+    scale and sigma_k, 3b, 3c and 3d measure one point of each
     flip-mirrored pair and report its number for the mirror too
-    (`_mirrored_once`): 3c builds no value of the minus half, 3d takes 2
-    of its 4 compact defects and 3b 4 of its 6.  The two points' values
-    have the same entries, so every row, key and number is the one
-    measuring both gives.
+    (`_mirrored_once`): 2c's sigma_k, 2d and 3c build no value of the minus
+    half and each sigma_k does one `compose`, 3d takes 2 of its 4 compact
+    defects and 3b 4 of its 6.  The two points' values have the same
+    entries, so every row, key and number is the one measuring both
+    gives.
 
     Each adjoint run is a nested call restricted to its condition:
     `_checks` is that restriction, run on the given field itself with no

@@ -8,12 +8,13 @@ symmetrically weighted matrix W_cod^(1/2) entries W_dom^(1/2).
 
 `KernelOperator`, the one operator class, keeps its kernel as a signed sum
 of terms, each a part cut by boolean masks on its rows and columns.  A part
-is a dense matrix, which may be read as its adjoint without a copy; a
-near-convolution kernel sum_t coeff_t T(b_t) diag(col_t), T(b) Toeplitz,
-kept as 2n - 1 samples of b and n column factors per term (every ell and
-tau value); or a product L diag(w) R of two dense factors on a block of
-cells (the limit constructions V_k b V_k*, A_k V_k and V b).  An operator
-built from its entries is one dense term that holds them.
+is a dense matrix, which may be read as its adjoint or with its rows
+reversed without a copy; a near-convolution kernel sum_t coeff_t T(b_t)
+diag(col_t), T(b) Toeplitz, kept as 2n - 1 samples of b and n column
+factors per term (every ell and tau value); or a product L diag(w) R of
+two dense factors on a block of cells, in order or in reverse order (the
+limit constructions V_k b V_k*, A_k V_k and V b).  An operator built from
+its entries is one dense term that holds them.
 
 `adjoint`, `masked` and `restricted` map each term, and `+` and `-`
 concatenate the terms, except that two dense operators (each one unmasked
@@ -97,14 +98,50 @@ class _Adjoint:
         return self.matrix.any(axis=1 - axis)
 
 
+class _Reversed:
+    """A matrix with its rows in reverse order, read through products, `any`
+    and slices only: each product runs on the matrix itself and reverses
+    the vector, so no reversed copy is made and no view with a negative
+    stride, which numpy does not pass to BLAS, is multiplied."""
+
+    __array_ufunc__ = None  # y @ reversed with an ndarray y calls __rmatmul__
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.shape = matrix.shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return (self.matrix @ x)[::-1]
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(y[::-1]) @ self.matrix
+
+    def __getitem__(self, key) -> "_Reversed":
+        rows, cols = key
+        m = len(self.matrix)
+        if isinstance(rows, slice):  # rows i of the reversal are m - 1 - i
+            start, stop, _ = rows.indices(m)
+            rows = slice(m - stop, m - start)
+        else:
+            rows = rows[::-1]
+        return _Reversed(self.matrix[rows, cols])
+
+    def any(self, axis: int):
+        reached = self.matrix.any(axis=axis)
+        return reached[::-1] if axis == 1 else reached
+
+
 def _adjoint(a):
     """The conjugate transpose of a matrix, without a copy."""
     return a.matrix if isinstance(a, _Adjoint) else _Adjoint(a)
 
 
 def _dense(a) -> np.ndarray:
-    """A matrix as an array (a conjugate copy for an `_Adjoint`)."""
-    return np.conj(a.matrix).T if isinstance(a, _Adjoint) else a
+    """A matrix as an array (a conjugate copy for an `_Adjoint`, a view for
+    a `_Reversed`)."""
+    if isinstance(a, _Adjoint):
+        return np.conj(_dense(a.matrix)).T
+    return _dense(a.matrix)[::-1] if isinstance(a, _Reversed) else a
 
 
 def _reaches(a, keep) -> np.ndarray:
@@ -114,11 +151,20 @@ def _reaches(a, keep) -> np.ndarray:
 
 
 def _cut(cells: slice, at: int, size: int) -> tuple[slice, slice]:
-    """The cells of `cells` inside the window at, ..., at + size - 1: as
-    cells of that window, and as positions within `cells`."""
-    lo = max(cells.start, at)
-    hi = max(min(cells.stop, at + size), lo)
-    return slice(lo - at, hi - at), slice(lo - cells.start, hi - cells.start)
+    """The cells of `cells`, a slice ascending or descending by one, inside
+    the window at, ..., at + size - 1: as cells of that window, in the
+    order of `cells`, and as positions within `cells`."""
+    if (cells.step or 1) > 0:
+        lo = max(cells.start, at)
+        hi = max(min(cells.stop, at + size), lo)
+        return slice(lo - at, hi - at), slice(lo - cells.start, hi - cells.start)
+    # the cells top, top - 1, ..., past + 1 (a stop of None is past -1)
+    top = min(cells.start, at + size - 1)
+    past = max(-1 if cells.stop is None else cells.stop, at - 1)
+    if past >= top:
+        return slice(0, 0), slice(0, 0)
+    return (slice(top - at, past - at if past >= at else None, -1),
+            slice(cells.start - top, cells.start - past))
 
 
 class _Convolution(NamedTuple):
@@ -181,8 +227,10 @@ class _Convolution(NamedTuple):
 
 class _Product(NamedTuple):
     """left diag(weights) right on the cells `rows` of its operator's
-    codomain and `cols` of its domain: left and right are arrays or
-    `_Adjoint`s, and weights are the middle grid's."""
+    codomain and `cols` of its domain, each a slice ascending or descending
+    by one (a descending one places the block's rows or columns on its
+    cells in reverse order): left and right are arrays, `_Adjoint`s or
+    `_Reversed`s, and weights are the middle grid's."""
 
     left: object
     weights: np.ndarray
@@ -218,14 +266,14 @@ class _Product(NamedTuple):
 
 class _Dense(NamedTuple):
     """A matrix on all of its operator's cells: an array, or an `_Adjoint`
-    of one."""
+    or a `_Reversed` of one."""
 
     matrix: object
     rows = cols = slice(None)
 
     def block(self, codomain: GridSpec, domain: GridSpec) -> np.ndarray:
         m = self.matrix
-        return np.conj(m.matrix).T if isinstance(m, _Adjoint) else np.array(m, complex)
+        return _dense(m) if isinstance(m, _Adjoint) else np.array(_dense(m), complex)
 
     def adjoint(self) -> "_Dense":
         return _Dense(_adjoint(self.matrix))
@@ -292,10 +340,12 @@ class _Products:
 
 
 def _arrays(x) -> list:
-    """The arrays in x, a nest of tuples, arrays and `_Adjoint`s."""
+    """The arrays in x, a nest of tuples, arrays, `_Adjoint`s and
+    `_Reversed`s."""
     if isinstance(x, tuple):
         return [a for y in x for a in _arrays(y)]
-    x = getattr(x, "matrix", x)
+    if isinstance(x, (_Adjoint, _Reversed)):
+        return _arrays(x.matrix)
     return [x] if isinstance(x, np.ndarray) else []
 
 
@@ -312,11 +362,12 @@ class _Term(NamedTuple):
 
 class KernelOperator:
     """A kernel operator from `domain` to `codomain`, kept as a signed sum of
-    `terms` (`_Term`), each part a dense matrix or the adjoint of one
-    (`_Dense`), a near-convolution kernel (`_Convolution`) or a product of
-    two dense factors (`_Product`).  Each part has `rows` and `cols`, the
-    cells it sits on, `block` (its dense block there, a fresh array),
-    `adjoint` and `restricted`, and a `_Product` or `_Dense` `live` and @.
+    `terms` (`_Term`), each part a dense matrix, the adjoint of one or one
+    with its rows reversed (`_Dense`), a near-convolution kernel
+    (`_Convolution`) or a product of two dense factors (`_Product`).  Each
+    part has `rows` and `cols`, the cells it sits on, `block` (its dense
+    block there, a fresh array), `adjoint` and `restricted`, and a
+    `_Product` or `_Dense` `live` and @.
 
     An operator whose one term is an unmasked `+` dense array is dense: its
     `entries` is that array, two dense operators sum to a dense one, and
@@ -355,31 +406,42 @@ class KernelOperator:
 
     @staticmethod
     def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
-                cols: slice = None) -> "KernelOperator":
+                rows: slice = None, cols: slice = None) -> "KernelOperator":
         """left o right, kept as the two factors, between `domain` and
         `codomain` (default: right's domain and left's codomain).  The block
         sits on left's codomain cells and right's domain cells, placed by
-        their `start` within the given grids, or on `cols` when given; the
+        their `start` within the given grids, or on `rows` and `cols` when
+        given, where a descending slice places it in reverse order; the
         middle grid is left's domain.  A factor whose one term is an
-        unmasked `+` dense matrix is that matrix, an array or an `_Adjoint`
-        view (so `v.adjoint()` is read through products), without a copy;
-        any other is made dense here."""
+        unmasked `+` dense matrix is that matrix, an array, an `_Adjoint`
+        view (so `v.adjoint()` is read through products) or a `_Reversed`
+        one, without a copy; any other is made dense here."""
         domain = domain or right.domain
         codomain = codomain or left.codomain
         if left.domain.n != right.codomain.n:
             raise ValueError("grid mismatch in composition")
-        r0 = left.codomain.start - codomain.start
+        if rows is None:
+            r0 = left.codomain.start - codomain.start
+            rows = slice(r0, r0 + left.codomain.n)
         if cols is None:
             c0 = right.domain.start - domain.start
             cols = slice(c0, c0 + right.domain.n)
         lf, rf = (op.entries if op._matrix is None else op._matrix for op in (left, right))
-        part = _Product(lf, left.domain.weights, rf, slice(r0, r0 + left.codomain.n), cols)
+        part = _Product(lf, left.domain.weights, rf, rows, cols)
         return KernelOperator._of(domain, codomain, (_Term(part),))
+
+    def reversed_rows(self, codomain: GridSpec) -> "KernelOperator":
+        """J self on `codomain`, a grid of as many cells, J the reversal of
+        their order: a dense operator's array read through `_Reversed`,
+        without a copy."""
+        if not isinstance(self._matrix, np.ndarray) or codomain.n != self.codomain.n:
+            raise ValueError("reversed_rows needs a dense operator and a codomain of its size")
+        return self._with((_Term(_Dense(_Reversed(self._matrix))),), codomain=codomain)
 
     @property
     def _matrix(self):
-        """The matrix of a lone unmasked `+` dense term (an array or an
-        `_Adjoint`), else None."""
+        """The matrix of a lone unmasked `+` dense term (an array, an
+        `_Adjoint` or a `_Reversed`), else None."""
         if len(self.terms) == 1:
             (part, sign, rows, cols), = self.terms
             if isinstance(part, _Dense) and sign > 0 and rows is None and cols is None:

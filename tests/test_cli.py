@@ -323,8 +323,9 @@ def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypat
 @pytest.mark.parametrize("regime", ["omega", "zero"])
 def test_converge_frees_each_ks_vk_halves_before_the_next_pi(tmp_path, monkeypatch, regime):
     """When `converge omega|zero` builds a generic operator pi_k, no earlier
-    k's V_k halves (the operators `_vk_halves` gave and the plus half's
-    block) are alive, so no two k's blocks are held at once."""
+    k's V_k halves (the plus half `_vk_plus` gave, and its block, which the
+    minus half reads reversed) are alive, so no two k's blocks are held at
+    once."""
     halves, alive_at_build = [], []
 
     def recording_field(f):
@@ -337,17 +338,20 @@ def test_converge_frees_each_ks_vk_halves_before_the_next_pi(tmp_path, monkeypat
 
         return OperatorField(provider, "FourierOf", "recording")
 
-    conjugated_to_line = fields._conjugated_to_line
+    vk_plus = fields._vk_plus
 
-    def recording_conjugated(pair, vk_halves, grids):
-        halves.extend(weakref.ref(x) for x in (*vk_halves, vk_halves[0].entries))
-        return conjugated_to_line(pair, vk_halves, grids)
+    def recording_vk_plus(*args):
+        plus = vk_plus(*args)
+        halves.extend(weakref.ref(x) for x in (plus, plus.entries))
+        return plus
 
     monkeypatch.setattr(cli, "fourier_field", recording_field)
-    monkeypatch.setattr(fields, "_conjugated_to_line", recording_conjugated)
+    monkeypatch.setattr(fields, "_vk_plus", recording_vk_plus)
     cfg_path = write_cfg(tmp_path, SMALL)
     main(["--config", cfg_path, "--out", str(tmp_path), "converge", regime])
-    assert len(halves) == 3 * len(SMALL["ks"])
+    # sigma_k per k, and in `converge omega` the tail, small-zone and rate rows
+    reads = 4 if regime == "omega" else 1
+    assert len(halves) == 2 * reads * len(SMALL["ks"])
     assert alive_at_build == [0] * len(SMALL["ks"])
 
 
@@ -588,13 +592,19 @@ def test_converge_zero_fails_when_the_generic_points_are_perturbed(tmp_path, mon
     assert _halves_decay(perturbed["three_zone_rows"])
 
 
-def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flip", [False, True], ids=["plain", "flip-invariant"])
+def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch, flip):
     """`converge zero` runs 2d and then 3c on the field, which keeps no
     operator: the field's cache is empty at the end, each generic operator and each
     of 3c's running points tau(+-w_k, -+eps) was built exactly once, and
     the k-independent limit points tau(0, -+eps) once per 2d or 3c row and
-    tau(0, 0), which both halves read on the plus grid, twice per row."""
-    builds, made = collections.Counter(), []
+    tau(0, 0), which both halves read on the plus grid, twice per row.
+
+    On a `flip_invariant` field the minus half is the plus half's mirror
+    and none of its values is built: no tau(-w_k, 0) or tau(0, +eps) in 2d,
+    no minus running point in 3c, and tau(0, 0) once per row; and each
+    sigma_k does one `compose` (V+ b for both halves) instead of two."""
+    builds, made, composed = collections.Counter(), [], []
 
     def counting_field(f):
         build = fourier_field(f)._provider  # builds without caching
@@ -603,10 +613,17 @@ def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch
             builds[key] += 1
             return build(key)
 
-        made.append(OperatorField(provider, "FourierOf", "counting"))
+        made.append(OperatorField(provider, "FourierOf", "counting", flip_invariant=flip))
         return made[-1]
 
+    compose = KernelOperator.compose
+
+    def counting_compose(self, other):
+        composed.append(1)
+        return compose(self, other)
+
     monkeypatch.setattr(cli, "fourier_field", counting_field)
+    monkeypatch.setattr(KernelOperator, "compose", counting_compose)
     cfg_path = write_cfg(tmp_path, SMALL)
     assert main(["--config", cfg_path, "--out", str(tmp_path), "converge", "zero"]) == 0
     [field] = made
@@ -614,17 +631,67 @@ def test_converge_zero_keeps_none_of_the_3c_running_points(tmp_path, monkeypatch
     plan = default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))
     eps = float(plan.eps)
     zone_ks = [k for k in cli._CONVERGE_KS_TAU if k >= min(SMALL["ks"])]
-    running = [key for k in zone_ks
-               for key in (("tau", plan.w_k(k), -eps, g.plus),
-                           ("tau", -plan.w_k(k), eps, g.plus))]
+    running = {half: [("tau", half * plan.w_k(k), -half * eps, g.plus) for k in zone_ks]
+               for half in (1, -1)}
     generic = [("pi", plan.rho(k), plan.lam(k), g.lin) for k in SMALL["ks"]]
-    assert len(running) == 10 and not field._cache
-    assert all(builds[key] == 1 for key in running + generic)
+    assert len(running[1]) == len(running[-1]) == 5 and not field._cache
+    assert all(builds[key] == 1 for key in running[1] + generic)
+    assert all(builds[key] == (0 if flip else 1) for key in running[-1])
     rows = len(SMALL["ks"]) + len(zone_ks)
+    halves = 1 if flip else 2
     # both halves read tau(0, 0), on the one half-line grid
-    for key, reads in ((("tau", 0.0, 0.0, g.plus), 2 * rows),
-                       (("tau", 0.0, -eps, g.plus), rows), (("tau", 0.0, eps, g.plus), rows)):
+    for key, reads in ((("tau", 0.0, 0.0, g.plus), halves * rows),
+                       (("tau", 0.0, -eps, g.plus), rows),
+                       (("tau", 0.0, eps, g.plus), 0 if flip else rows)):
         assert builds[key] == reads, key
+    minus_zone_one = [("tau", -plan.w_k(k), 0.0, g.plus) for k in SMALL["ks"]]
+    assert all((builds[key] == 0) == flip for key in minus_zone_one)
+    assert len(composed) == halves * len(SMALL["ks"])
+
+
+def _blas_ready(a: np.ndarray) -> bool:
+    """Whether numpy passes the 2-D array `a` to BLAS: every stride
+    positive and one of them the unit stride."""
+    return min(a.strides) > 0 and a.itemsize in a.strides
+
+
+@pytest.mark.parametrize("argv", [["dstar"], ["converge", "omega"], ["converge", "zero"]],
+                         ids=["dstar", "converge-omega", "converge-zero"])
+def test_no_product_reads_a_factor_that_bypasses_blas(tmp_path, monkeypatch, argv):
+    """Every 2-D array factor met by a product of two factors, an adjoint
+    view or the products `op_norm` reads (their `@` either way) has
+    positive strides with one unit stride, so numpy's matmul passes it to
+    BLAS.  A view with a negative stride, such as V_k's minus half kept as
+    the plus half's array with its rows reversed, would not be."""
+    met = []
+
+    def array(a):
+        while hasattr(a, "matrix"):  # an adjoint or a reversal of a matrix
+            a = a.matrix
+        return a
+
+    def factors_of(obj):
+        if isinstance(obj, operators._Product):
+            return obj.left, obj.right
+        if isinstance(obj, operators._Products):
+            return [core for _, _, core, _, _ in obj.pieces]
+        return (obj.matrix,)
+
+    def recording(method):
+        def wrapped(self, x):
+            met.extend(a for a in map(array, factors_of(self))
+                       if isinstance(a, np.ndarray) and a.ndim == 2 and a.size)
+            return method(self, x)
+        return wrapped
+
+    for cls in (operators._Product, operators._Adjoint, operators._Products):
+        for name in ("__matmul__", "__rmatmul__"):
+            monkeypatch.setattr(cls, name, recording(getattr(cls, name)))
+    cfg_path = write_cfg(tmp_path, SMALL)
+    assert main(["--config", cfg_path, "--out", str(tmp_path), *argv]) == 0
+    assert met
+    bad = {(a.shape, a.strides) for a in met if not _blas_ready(a)}
+    assert not bad, bad
 
 
 def test_converge_zero_never_makes_a_whole_tau_dense(tmp_path, monkeypatch):

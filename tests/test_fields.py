@@ -426,13 +426,49 @@ def _composites(field, plan, k, grids):
             "A V - V b M": _half_deviation(A, plus, b)}
 
 
+def test_sigma_k_minus_half_is_the_same_on_either_path_bit_for_bit(monkeypatch):
+    """sigma_k_omega and sigma_k_zero on the flip-invariant Fourier field,
+    whose minus half reuses the plus half's limit values and their
+    `compose` with V+, have the entries they have on the same provider read
+    as not flip-invariant, which builds and composes the minus values
+    itself: both compose V+ with equal inputs, so bit for bit, on the field
+    and on its adjoint, at k = 4 and 16 (at 64 sigma_k_omega is zero on
+    this grid).  The flip-invariant path composes
+    once per sigma_k, the other twice."""
+    composed = []
+    compose = KernelOperator.compose
+
+    def counting_compose(self, other):
+        composed.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(KernelOperator, "compose", counting_compose)
+    flip = fourier_field(F)
+    plain = OperatorField(flip._provider, "FourierOf", "plain")
+    assert flip.flip_invariant and not plain.flip_invariant
+    plans = ((sigma_k_omega, _omega_plan()),
+             (sigma_k_zero, default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))))
+    for one, other in ((flip, plain), (flip.adjoint(), plain.adjoint())):
+        for sigma, plan in plans:
+            for k in (4, 16):
+                composed.clear()
+                want = sigma(other, k, plan, GRIDS).entries
+                assert len(composed) == 2
+                got = sigma(one, k, plan, GRIDS).entries
+                assert len(composed) == 3
+                assert np.array_equal(got, want), (sigma.__name__, k)
+                assert got.any()
+
+
 def _dense(op):
     return KernelOperator(op.domain, op.codomain, op.entries, op.label)
 
 
 def test_vk_halves_hold_vk_operators_own_array(monkeypatch):
     """V_k's plus half is the array `kernels.vk_operator` returned, and its
-    minus half a row-reversed view of it: no copy of V_k is made."""
+    minus half reads that array with its rows reversed (`_Reversed`), whose
+    entries are the rows of the plus half in reverse order, bit for bit:
+    no copy of V_k is made."""
     built = []
     vk_operator = kernels.vk_operator
 
@@ -445,7 +481,8 @@ def test_vk_halves_hold_vk_operators_own_array(monkeypatch):
     plus, minus = _vk_halves(8.0, 0.125, GRIDS)
     assert len(built) == 1
     assert plus.entries is built[0]
-    assert minus.entries.base is built[0]
+    assert minus._matrix.matrix is built[0]
+    assert np.array_equal(minus.entries, built[0][::-1])
     assert minus.domain is plus.domain  # the minus half is read on the plus grid
 
 
@@ -602,9 +639,10 @@ def _traced_peak(fn):
 
 
 # each construction's peak in n^2 complex entries: its larger reading at
-# k = 4 and 64 (sigma_k_omega 0.70 and 0.41, sigma_k_zero 0.88 and 0.47)
+# k = 4 and 64 (sigma_k_omega 0.48 and 0.27, sigma_k_zero 0.65 and 0.33,
+# on the flip-invariant field, whose minus half composes nothing)
 # plus a margin of n^2 / 16, so no n x n array fits under either cap
-_SIGMA_PEAK_CAP = {"sigma_k_omega": 0.70 + 0.0625, "sigma_k_zero": 0.88 + 0.0625}
+_SIGMA_PEAK_CAP = {"sigma_k_omega": 0.48 + 0.0625, "sigma_k_zero": 0.66 + 0.0625}
 
 
 def test_limit_constructions_and_norms_stay_under_a_memory_cap():
@@ -646,10 +684,10 @@ def test_degeneration_rows_allocate_less_than_the_generic_operator():
     """At n = 512, n_half = 384 and k = 4, with the generic operator and the
     half-line values cached in a scope, one row of `deviation_rows`,
     `check_small_zone` and `check_rate_envelope` peaks below the bytes of
-    A_k itself (0.39-0.88 of them, every row building V_k's halves): no n x n
-    or n x n_half array is formed besides A_k.  So does a row of
+    A_k itself (0.39-0.65 of them, every row building V_k's plus half): no
+    n x n or n x n_half array is formed besides A_k.  So does a row of
     `deviation_rows` on the scope's adjoint, as the adjoint pass of 2c and
-    2d runs it (0.77 and 0.88): A_k* is read without a copy."""
+    2d runs it (0.55 and 0.65): A_k* is read without a copy."""
     grids = FieldGrids.default(n_lin=512, n_half=384)
     pi_bytes = grids.lin.n ** 2 * 16
     k = 4
@@ -1079,7 +1117,8 @@ def test_report_cache_never_exceeds_one_conditions_cache(monkeypatch):
         held.append(_held_bytes(fields))
         return build(key)
 
-    dstar_report(OperatorField(provider, "FourierOf", "recording"), cfg)
+    # flip-invariant, as `fourier_field(F)` is, so both take the same path
+    dstar_report(OperatorField(provider, "FourierOf", "recording", flip_invariant=True), cfg)
     assert max(alone, key=alone.get) == "2d_three_zone_limit"
     assert 0 < max(held) <= max(alone.values()), (max(held), alone)
 

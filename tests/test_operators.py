@@ -296,8 +296,10 @@ def test_op_norm_sees_odd_and_even_top_vectors():
 
 def test_composite_is_its_dense_kernel_under_every_operation():
     """Operators kept as terms (products of factors on windows of the grid,
-    a near-convolution kernel, and their sums with dense operators in either
-    order) hold no n x n array of their own and have the entries, adjoint,
+    placed in order or in reverse order by descending slices, products with
+    a factor read with its rows reversed, a near-convolution kernel, and
+    their sums with dense operators in either order) hold no n x n array of
+    their own and have the entries, adjoint,
     cutoff, window blocks and norm of the dense kernels they stand for, and
     a dense operand of a sum is one term holding its entries without a
     copy.  Two dense operators sum to one dense term holding the difference
@@ -316,6 +318,21 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     want_terms = np.zeros((LIN.n, LIN.n), complex)
     want_terms[rows.cells, rows.cells] += (L @ R.adjoint()).entries
     want_terms[:, cols.cells] -= (P @ Q).entries
+    # the block of L R* on the cells 9, ..., 0 and 49, ..., 40, in that order
+    mirrored = KernelOperator.product(L, R.adjoint(), LIN, LIN,
+                                      rows=slice(9, None, -1), cols=slice(49, 39, -1))
+    want_mirrored = np.zeros((LIN.n, LIN.n), complex)
+    want_mirrored[9::-1, 49:39:-1] = (L @ R.adjoint()).entries
+    # A J M and J M Q, J M the rows of M = L's array in reverse order, on the
+    # cells 14, ..., 23
+    JM = L.reversed_rows(LIN.window(14, 24))
+    JM_dense = KernelOperator(mid, JM.codomain, L.entries[::-1].copy())
+    reversed_rows = (KernelOperator.product(A.restricted(JM.codomain), JM, LIN, LIN,
+                                            cols=slice(20, 32))
+                     - KernelOperator.product(JM, Q, LIN, LIN))
+    want_reversed = np.zeros((LIN.n, LIN.n), complex)
+    want_reversed[:, 20:32] += (A.restricted(JM.codomain) @ JM_dense).entries
+    want_reversed[14:24, cols.cells] -= (JM_dense @ Q).entries
     # two near-convolution terms coeff T(b) diag(col), T(b)[i, j] = b[n - 1 - i + j]
     n = LIN.n
     kernel = [(0.5 - 2.0j, _cplx(rng, 1, 2 * n - 1)[0], _cplx(rng, 1, n)[0]),
@@ -325,6 +342,8 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     want_conv = sum(coeff * b[offsets] * col for coeff, b, col in kernel)
     cases = {
         "products": (terms, want_terms, ()),
+        "mirrored products": (mirrored, want_mirrored, ()),
+        "reversed rows": (reversed_rows, want_reversed, ()),
         "near-convolution": (conv, want_conv, ()),
         "dense - products": (A - terms, A.entries - want_terms, (A,)),
         "products + dense": (terms + B, want_terms + B.entries, (B,)),
@@ -341,7 +360,8 @@ def test_composite_is_its_dense_kernel_under_every_operation():
         assert np.allclose(op.adjoint().entries, np.conj(want).T, rtol=0, atol=1e-12), name
         assert np.allclose(op.masked(keep).entries, np.where(keep, want, 0),
                            rtol=0, atol=1e-12), name
-        for dom, cod in ((cols, rows), (LIN.window(5, 45), cols)):
+        for dom, cod in ((cols, rows), (LIN.window(5, 45), cols),
+                         (LIN.window(45, 60), LIN.window(3, 30))):
             assert np.allclose(op.restricted(dom, cod).entries, want[cod.cells, dom.cells],
                                rtol=0, atol=1e-12), name
         for got, ref in ((op, want), (op.adjoint(), np.conj(want).T),
