@@ -12,8 +12,8 @@ is a dense matrix, which may be read as its adjoint or with its rows
 reversed without a copy; a near-convolution kernel sum_t coeff_t T(b_t)
 diag(col_t), T(b) Toeplitz, kept as 2n - 1 samples of b and n column
 factors per term (every ell and tau value); or a product L diag(w) R of
-two dense factors on a block of cells, in order or in reverse order (the
-limit constructions V_k b V_k*, A_k V_k and V b).  An operator built from
+two such matrices on a block of cells (the limit constructions V_k b V_k*,
+A_k V_k and V b).  An operator built from
 its entries is one dense term that holds them.
 
 `adjoint`, `masked` and `restricted` map each term, and `+` and `-`
@@ -151,20 +151,11 @@ def _reaches(a, keep) -> np.ndarray:
 
 
 def _cut(cells: slice, at: int, size: int) -> tuple[slice, slice]:
-    """The cells of `cells`, a slice ascending or descending by one, inside
-    the window at, ..., at + size - 1: as cells of that window, in the
-    order of `cells`, and as positions within `cells`."""
-    if (cells.step or 1) > 0:
-        lo = max(cells.start, at)
-        hi = max(min(cells.stop, at + size), lo)
-        return slice(lo - at, hi - at), slice(lo - cells.start, hi - cells.start)
-    # the cells top, top - 1, ..., past + 1 (a stop of None is past -1)
-    top = min(cells.start, at + size - 1)
-    past = max(-1 if cells.stop is None else cells.stop, at - 1)
-    if past >= top:
-        return slice(0, 0), slice(0, 0)
-    return (slice(top - at, past - at if past >= at else None, -1),
-            slice(cells.start - top, cells.start - past))
+    """The cells of `cells` inside the window at, ..., at + size - 1: as
+    cells of that window, and as positions within `cells`."""
+    lo = max(cells.start, at)
+    hi = max(min(cells.stop, at + size), lo)
+    return slice(lo - at, hi - at), slice(lo - cells.start, hi - cells.start)
 
 
 class _Convolution(NamedTuple):
@@ -227,10 +218,8 @@ class _Convolution(NamedTuple):
 
 class _Product(NamedTuple):
     """left diag(weights) right on the cells `rows` of its operator's
-    codomain and `cols` of its domain, each a slice ascending or descending
-    by one (a descending one places the block's rows or columns on its
-    cells in reverse order): left and right are arrays, `_Adjoint`s or
-    `_Reversed`s, and weights are the middle grid's."""
+    codomain and `cols` of its domain: left and right are arrays,
+    `_Adjoint`s or `_Reversed`s, and weights are the middle grid's."""
 
     left: object
     weights: np.ndarray
@@ -406,23 +395,21 @@ class KernelOperator:
 
     @staticmethod
     def product(left, right, domain: GridSpec = None, codomain: GridSpec = None, *,
-                rows: slice = None, cols: slice = None) -> "KernelOperator":
+                cols: slice = None) -> "KernelOperator":
         """left o right, kept as the two factors, between `domain` and
         `codomain` (default: right's domain and left's codomain).  The block
         sits on left's codomain cells and right's domain cells, placed by
-        their `start` within the given grids, or on `rows` and `cols` when
-        given, where a descending slice places it in reverse order; the
-        middle grid is left's domain.  A factor whose one term is an
-        unmasked `+` dense matrix is that matrix, an array, an `_Adjoint`
+        their `start` within the given grids, or on the cells `cols` when
+        given; the middle grid is left's domain.  A factor whose one term is
+        an unmasked `+` dense matrix is that matrix, an array, an `_Adjoint`
         view (so `v.adjoint()` is read through products) or a `_Reversed`
         one, without a copy; any other is made dense here."""
         domain = domain or right.domain
         codomain = codomain or left.codomain
         if left.domain.n != right.codomain.n:
             raise ValueError("grid mismatch in composition")
-        if rows is None:
-            r0 = left.codomain.start - codomain.start
-            rows = slice(r0, r0 + left.codomain.n)
+        r0 = left.codomain.start - codomain.start
+        rows = slice(r0, r0 + left.codomain.n)
         if cols is None:
             c0 = right.domain.start - domain.start
             cols = slice(c0, c0 + right.domain.n)

@@ -323,8 +323,8 @@ def test_converge_omega_holds_one_generic_operator_at_a_time(tmp_path, monkeypat
 @pytest.mark.parametrize("regime", ["omega", "zero"])
 def test_converge_frees_each_ks_vk_halves_before_the_next_pi(tmp_path, monkeypatch, regime):
     """When `converge omega|zero` builds a generic operator pi_k, no earlier
-    k's V_k halves (the plus half `_vk_plus` gave, and its block, which the
-    minus half reads reversed) are alive, so no two k's blocks are held at
+    k's V_k halves (V+ and V- as `_vk_halves` gave them, and V+'s block,
+    which V- reads reversed) are alive, so no two k's blocks are held at
     once."""
     halves, alive_at_build = [], []
 
@@ -338,20 +338,20 @@ def test_converge_frees_each_ks_vk_halves_before_the_next_pi(tmp_path, monkeypat
 
         return OperatorField(provider, "FourierOf", "recording")
 
-    vk_plus = fields._vk_plus
+    vk_halves = fields._vk_halves
 
-    def recording_vk_plus(*args):
-        plus = vk_plus(*args)
-        halves.extend(weakref.ref(x) for x in (plus, plus.entries))
-        return plus
+    def recording_vk_halves(*args):
+        plus, minus = vk_halves(*args)
+        halves.extend(weakref.ref(x) for x in (plus, minus, plus.entries))
+        return plus, minus
 
     monkeypatch.setattr(cli, "fourier_field", recording_field)
-    monkeypatch.setattr(fields, "_vk_plus", recording_vk_plus)
+    monkeypatch.setattr(fields, "_vk_halves", recording_vk_halves)
     cfg_path = write_cfg(tmp_path, SMALL)
     main(["--config", cfg_path, "--out", str(tmp_path), "converge", regime])
     # sigma_k per k, and in `converge omega` the tail, small-zone and rate rows
     reads = 4 if regime == "omega" else 1
-    assert len(halves) == 2 * reads * len(SMALL["ks"])
+    assert len(halves) == 3 * reads * len(SMALL["ks"])
     assert alive_at_build == [0] * len(SMALL["ks"])
 
 

@@ -67,7 +67,7 @@ from boidol.testfun import (
     TestFunction,
     default_test_function,
 )
-from test_kernels import TWO_TERMS, vk_dense
+from test_kernels import TWO_TERMS, vk_cell_galerkin_reference, vk_dense
 
 F = default_test_function()
 GRIDS = FieldGrids.default(n_lin=128, n_half=96)
@@ -460,6 +460,50 @@ def test_sigma_k_minus_half_is_the_same_on_either_path_bit_for_bit(monkeypatch):
                 assert got.any()
 
 
+def _sigma_k_oracle(field, sigma, plan, k, grids):
+    """V diag(w) (B+ (+) B-) diag(w) V*, V the dense cell-Galerkin matrix of
+    V_k over the log pair (`vk_cell_galerkin_reference`), w the pair's
+    weights, and B+ and B- the half-line values sigma_k conjugates, read on
+    the plus grid from the field's tau values and plain column cutoffs: the
+    limit values at (eps |omega|, -eps) and (-eps |omega|, eps) cut to
+    u >= R_k |lam_k| (`sigma_k_omega`), or each half's three zone values,
+    each cut to its zone, summed (`sigma_k_zero`)."""
+    plus, eps, u = grids.plus, float(plan.eps), grids.plus.points
+    if sigma is sigma_k_omega:
+        r, w = plan.Rk(k) * abs(plan.lam(k)), abs(plan.omega)
+        halves = [field.tau(h * eps * w, -h * eps, plus).entries * (u >= r) for h in (1, -1)]
+    else:
+        wk, (r, s, t) = plan.w_k(k), plan.zones(k)
+        halves = [field.tau(h * wk, 0.0, plus).entries * ((u > r) & (u <= s))
+                  + field.tau(0.0, 0.0, plus).entries * ((u > s) & (u <= t))
+                  + field.tau(0.0, -h * eps, plus).entries * (u > t) for h in (1, -1)]
+    n = plus.n
+    B = np.zeros((2 * n, 2 * n), complex)
+    B[:n, :n], B[n:, n:] = halves
+    V = vk_cell_galerkin_reference(plan.rho(k), plan.lam(k), grids.pair, grids.lin)
+    w = grids.pair.weights
+    return (V * w) @ B @ (w[:, None] * np.conj(V).T), halves
+
+
+def test_sigma_k_is_the_dense_conjugation_of_its_half_line_values():
+    """sigma_k_omega and sigma_k_zero of the Fourier field of TWO_TERMS,
+    which is not flip-invariant (so B- is not B+ and sigma_k composes C- on
+    its own), have the entries of the dense conjugation `_sigma_k_oracle`,
+    to 1e-13 of the largest, at k = 4 and 16."""
+    field = fourier_field(TWO_TERMS)
+    assert not field.flip_invariant
+    plans = ((sigma_k_omega, _omega_plan()),
+             (sigma_k_zero, default_plan("OmegaZero", PowerSeq(1, 0.5), PowerSeq(1, -1))))
+    for sigma, plan in plans:
+        for k in (4, 16):
+            want, (b_plus, b_minus) = _sigma_k_oracle(field, sigma, plan, k, GRIDS)
+            assert b_plus.any() and not np.allclose(b_plus, b_minus), (sigma.__name__, k)
+            got = sigma(field, k, plan, GRIDS).entries
+            scale = np.abs(want).max()
+            assert scale > 0, (sigma.__name__, k)
+            assert np.abs(got - want).max() <= 1e-13 * scale, (sigma.__name__, k)
+
+
 def _dense(op):
     return KernelOperator(op.domain, op.codomain, op.entries, op.label)
 
@@ -753,6 +797,9 @@ def test_tends_to_zero_rule():
     assert tends_to_zero([1.0, 0.3, 0.32, 0.05], wiggle=1.1)  # small wiggle ok
     assert tends_to_zero([0.0, 0.0, 0.0])                    # identically zero
     assert not tends_to_zero([])
+    nan, inf = float("nan"), float("inf")
+    for seq in ([1.0, nan], [1.0, 0.5, nan], [inf, 0.05], [1.0, inf, 0.01]):
+        assert not tends_to_zero(seq), seq                # a non-finite value fails
 
 
 def test_dek_muk_moment_bound():

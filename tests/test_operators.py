@@ -296,11 +296,12 @@ def test_op_norm_sees_odd_and_even_top_vectors():
 
 def test_composite_is_its_dense_kernel_under_every_operation():
     """Operators kept as terms (products of factors on windows of the grid,
-    placed in order or in reverse order by descending slices, products with
-    a factor read with its rows reversed, a near-convolution kernel, and
-    their sums with dense operators in either order) hold no n x n array of
-    their own and have the entries, adjoint,
-    cutoff, window blocks and norm of the dense kernels they stand for, and
+    products with a factor read with its rows reversed, among them J (L
+    diag(w) R*) J as sigma_k's minus half is kept, a near-convolution
+    kernel, and their sums with dense operators in either order) hold no
+    n x n array of their own and have the entries, adjoint, cutoff, window
+    blocks (some cutting a product's block) and norm of the dense kernels
+    they stand for, and
     a dense operand of a sum is one term holding its entries without a
     copy.  Two dense operators sum to one dense term holding the difference
     of their entries, bit for bit, with the norm of that dense kernel."""
@@ -318,11 +319,16 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     want_terms = np.zeros((LIN.n, LIN.n), complex)
     want_terms[rows.cells, rows.cells] += (L @ R.adjoint()).entries
     want_terms[:, cols.cells] -= (P @ Q).entries
-    # the block of L R* on the cells 9, ..., 0 and 49, ..., 40, in that order
-    mirrored = KernelOperator.product(L, R.adjoint(), LIN, LIN,
-                                      rows=slice(9, None, -1), cols=slice(49, 39, -1))
+    # J (L diag(w) R*) J, J the reversal of the line's cells, as (J L) diag(w)
+    # (J R)*: L and R read with their rows reversed on the mirrored cells
+    # 14, ..., 23 of their cells 40, ..., 49
+    mirror = LIN.window(LIN.n - rows.start - rows.n, LIN.n - rows.start)
+    mirrored = KernelOperator.product(L.reversed_rows(mirror),
+                                      R.reversed_rows(mirror).adjoint(), LIN, LIN)
+    J = np.eye(LIN.n)[::-1]
     want_mirrored = np.zeros((LIN.n, LIN.n), complex)
-    want_mirrored[9::-1, 49:39:-1] = (L @ R.adjoint()).entries
+    want_mirrored[rows.cells, rows.cells] = (L @ R.adjoint()).entries
+    want_mirrored = J @ want_mirrored @ J
     # A J M and J M Q, J M the rows of M = L's array in reverse order, on the
     # cells 14, ..., 23
     JM = L.reversed_rows(LIN.window(14, 24))
@@ -361,7 +367,8 @@ def test_composite_is_its_dense_kernel_under_every_operation():
         assert np.allclose(op.masked(keep).entries, np.where(keep, want, 0),
                            rtol=0, atol=1e-12), name
         for dom, cod in ((cols, rows), (LIN.window(5, 45), cols),
-                         (LIN.window(45, 60), LIN.window(3, 30))):
+                         (LIN.window(45, 60), LIN.window(3, 30)),
+                         (LIN.window(18, 40), LIN.window(10, 20))):
             assert np.allclose(op.restricted(dom, cod).entries, want[cod.cells, dom.cells],
                                rtol=0, atol=1e-12), name
         for got, ref in ((op, want), (op.adjoint(), np.conj(want).T),
@@ -372,6 +379,24 @@ def test_composite_is_its_dense_kernel_under_every_operation():
     assert len(diff.terms) == 1 and diff.terms[0].part.matrix is diff.entries
     assert diff.entries.tobytes() == (A.entries - B.entries).tobytes()
     assert op_norm(diff) == op_norm(KernelOperator(LIN, LIN, A.entries - B.entries))
+
+
+def test_reversed_rows_and_product_reject_what_they_cannot_read():
+    """`reversed_rows` reads only a dense operator's array, onto a codomain
+    of as many cells, and `product` only factors that meet on grids of one
+    size: anything else is a `ValueError`."""
+    rng = np.random.default_rng(7)
+    mid = GridSpec.log_pair(V=3.0, n=12).parts[0]
+    cells = LIN.window(40, 50)
+    M = KernelOperator(mid, cells, _cplx(rng, cells.n, mid.n))
+    with pytest.raises(ValueError, match="reversed_rows"):
+        M.reversed_rows(LIN.window(14, 25))
+    for not_dense in (M.masked(mid.points > 1.0), M - M.reversed_rows(cells),
+                      KernelOperator.product(M, M.adjoint())):
+        with pytest.raises(ValueError, match="reversed_rows"):
+            not_dense.reversed_rows(cells)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        KernelOperator.product(M, KernelOperator(LIN, LIN, _cplx(rng, LIN.n, LIN.n)))
 
 
 def test_composite_with_a_non_finite_factor_raises():
