@@ -20,14 +20,16 @@ run: a usage or configuration error, a package error outside a condition,
 or an internal one, whose traceback goes to stderr.
 
 Every JSON artifact records the effective CLI config (`DEFAULT_CONFIG`
-merged with the config file), its SHA-256 hash, the grid scale and a
-grid-refinement diagnostic; every CSV file starts with the hash.  The
-report's thresholds are constants of `boidol.fields` and are not recorded.
+merged with the config file), its SHA-256 hash, the grid scale, the BLAS
+and its thread count (outside the hash) and a grid-refinement diagnostic;
+every CSV file starts with the hash.  The report's thresholds are
+constants of `boidol.fields` and are not recorded.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -35,6 +37,8 @@ import os
 import sys
 import traceback
 from dataclasses import replace
+
+import numpy as np
 
 from .errors import BoidolError, PlanInfeasible
 from .fields import (
@@ -176,9 +180,10 @@ def _refinement_diagnostic() -> dict:
 
     It builds ell(1,1) on L=10 at n=200 and at n=400 and takes both norms on
     every CLI call, whatever the configured grid.  On a 2-core x86-64 host
-    (OpenBLAS) it took 6-7 ms at the end of `dstar` on the default config,
-    which has built the quadrature rules it needs, 48-55 ms at the end of
-    `converge omega`, and 72-76 ms as the first work of a fresh process.
+    (OpenBLAS, three runs each) it took 4.5-6.4 ms at the end of `dstar` on
+    the default config, which has built the quadrature rules it needs,
+    28-38 ms at the end of `converge omega`, and 35-40 ms as the first work
+    of a fresh process.
     """
     f = default_test_function()
     coarse = op_norm(kernel_pi_ell(f, 1.0, 1.0, GridSpec.linear(10.0, 200)))
@@ -188,9 +193,39 @@ def _refinement_diagnostic() -> dict:
             "coarse": coarse, "fine": fine, "relative_change": rel}
 
 
+def _blas_threads():
+    """The thread count of the OpenBLAS library loaded in this process, or
+    None when none is found (no /proc/self/maps, or another BLAS)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _blas() -> dict:
+    """The BLAS numpy was built with and the thread count it runs: the
+    count moves numbers in their last digits, so each artifact records it."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "threads": _blas_threads()}
+
+
 def _provenance(cfg: dict, scale: int) -> dict:
     return {"config": cfg, "config_hash": config_hash(cfg),
-            "grid_scale": scale,
+            "grid_scale": scale, "blas": _blas(),
             "refinement_diagnostic": _refinement_diagnostic()}
 
 

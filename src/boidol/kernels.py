@@ -42,38 +42,69 @@ def _t_rule(f: TestFunction, osc: float, quad: QuadratureSpec):
     return gauss_legendre_rule(t0, t1, n)
 
 
+# t-nodes whose band bounds are found together: a few dozen keep a block's
+# (nodes x n/2) bound arrays small and share each bound pass among them
+_T_BLOCK = 16
+
+
+def _band_rows(x, tb, xs, cs, lo, hi):
+    """e = e^t u on the rows u > 0 (i >= n/2) of the grid's nodes x, one row
+    per t-node of the block tb, and each row's band: the columns with
+    xs[0] <= e - x <= xs[1] and cs[0] <= x + e <= cs[1], widened by one
+    on each side.  Returns e, the band widths and each row's first column
+    less the band's running position, and widens lo and hi in place."""
+    n = len(x)
+    e = np.array([math.exp(t) for t in tb])[:, None] * x[n // 2:]
+    left = np.maximum(e - xs[1], cs[0] - e)
+    right = np.minimum(e - xs[0], cs[1] - e)
+    start = np.maximum(np.searchsorted(x, left, "left") - 1, 0)
+    stop = np.minimum(np.searchsorted(x, right, "right") + 1, n)
+    width = np.maximum(stop - start, 0)
+    live = width > 0
+    np.minimum(lo, np.where(live, start, n).min(axis=0), out=lo)
+    np.maximum(hi, np.where(live, stop, 0).max(axis=0), out=hi)
+    start -= np.cumsum(width, axis=1) - width
+    return e, width, start
+
+
 def _add_pi_rows(ent, f: TestFunction, rho: float, lam: float,
                  grid: GridSpec, ts, ws, mirror: bool):
     """Add f's kernel rows u > 0 (i >= n/2) into the n x n `ent` at their
     flat indices idx, or with `mirror` at n^2 - 1 - idx, and return each
     row's first written column and one past its last (n and 0 if none)."""
     x, n = grid.nodes, grid.n
-    (x0, x1), (a0, a1) = f.support_box[1:3]
+    xs, (a0, a1) = f.support_box[1:3]
     # x + e with a0 <= -(lam/2)(x + e) <= a1
-    c0, c1 = sorted((-2.0 * a1 / lam, -2.0 * a0 / lam))
+    cs = sorted((-2.0 * a1 / lam, -2.0 * a0 / lam))
     row_at = n * np.arange(n // 2, n)  # each row's first flat index
     lo, hi = np.full(n // 2, n), np.zeros(n // 2, int)
-    for t, w in zip(ts, ws):
-        e = math.exp(t) * x[n // 2:]
-        # columns with x0 <= e - x <= x1 and c0 <= x + e <= c1
-        left = np.maximum(e - x1, c0 - e)
-        right = np.minimum(e - x0, c1 - e)
-        start = np.maximum(np.searchsorted(x, left, "left") - 1, 0)
-        stop = np.minimum(np.searchsorted(x, right, "right") + 1, n)
-        width = np.maximum(stop - start, 0)
-        np.minimum(lo, start, out=lo, where=width > 0)
-        np.maximum(hi, stop, out=hi, where=width > 0)
-        # the band's points row by row: per-row values repeated over the
-        # row's width, plus the running position inside the band
-        shift = start - (np.cumsum(width) - width)
-        pos = np.arange(width.sum())
-        cols = pos + np.repeat(shift, width)
-        er, xc = np.repeat(e, width), x[cols]
-        a = er - xc
-        b = -(lam / 2.0) * (xc + er)
-        idx = pos + np.repeat(row_at + shift, width)
-        ent.reshape(-1)[(n * n - 1) - idx if mirror else idx] += \
-            (w * math.exp(t / 2.0) * np.exp(-1j * rho * t)) * eval_hatF34(f, t, a, b, lam)
+    flat = ent.reshape(-1)
+    for j in range(0, len(ts), _T_BLOCK):
+        tb = ts[j:j + _T_BLOCK]
+        e, width, shift = _band_rows(x, tb, xs, cs, lo, hi)
+        sizes = width.sum(axis=1)
+        pos = np.arange(sizes.max())
+        for t, w, er, wd, sh, size in zip(tb, ws[j:j + _T_BLOCK], e, width,
+                                           shift, sizes):
+            # the band's points row by row: per-row values repeated over
+            # the row's width, plus the running position inside the band
+            cols = np.repeat(sh, wd)
+            cols += pos[:size]
+            idx = np.repeat(row_at + sh, wd)
+            idx += pos[:size]
+            a = np.repeat(er, wd)
+            xc = x[cols]
+            b = xc + a
+            b *= -(lam / 2.0)
+            a -= xc
+            vals = eval_hatF34(f, t, a, b, lam)
+            # the factor first, as in factor * vals: a complex product's
+            # rounding depends on the operand order
+            np.multiply(w * math.exp(t / 2.0) * np.exp(-1j * rho * t), vals, out=vals)
+            if mirror:
+                np.subtract(n * n - 1, idx, out=idx)
+            # unbuffered; a node's indices are distinct, so this is `+=`
+            np.add.at(flat, idx, vals)
     return lo, hi
 
 

@@ -244,6 +244,7 @@ def test_norms_outputs_and_hash(tmp_path):
     strata = {row["stratum"] for row in payload["rows"]}
     assert strata == {"gamma3", "gamma2", "gamma1"}
     assert payload["refinement_diagnostic"]["relative_change"] < 0.01
+    assert set(payload["blas"]) == {"name", "version", "threads"}
 
 
 def test_norms_out_dir_from_environment(tmp_path, monkeypatch):
@@ -452,10 +453,12 @@ def _bench_artifacts():
 def test_verdicts_do_not_depend_on_the_blas_thread_count(tmp_path, command):
     """OpenBLAS reads its thread count when numpy loads, so the command runs
     in two fresh processes on the small config, at OPENBLAS_NUM_THREADS=1
-    and =2, side by side.  The exit codes and every verdict are equal, and
-    every number agrees within the benchmark comparator's rtol 1e-9 and
-    atol 1e-14 (`bench/artifacts.differences`): a BLAS call may round
-    differently with more threads."""
+    and =2, side by side.  Each artifact records its thread count (None
+    without OpenBLAS) in its `blas` block, which the comparison then
+    skips.  The exit codes and every verdict are equal, and every number
+    agrees within the benchmark comparator's rtol 1e-9 and atol 1e-14
+    (`bench/artifacts.differences`): a BLAS call may round differently
+    with more threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     cfg = write_cfg(tmp_path, SMALL)
     argv, artifact = ((["dstar"], "dstar.json") if command == "dstar" else
@@ -473,6 +476,7 @@ def test_verdicts_do_not_depend_on_the_blas_thread_count(tmp_path, command):
     assert procs["1"].returncode in (0, 1), errors["1"]
     assert procs["2"].returncode == procs["1"].returncode, errors["2"]
     one, two = (json.loads((tmp_path / t / artifact).read_text()) for t in procs)
+    assert [doc.pop("blas")["threads"] for doc in (one, two)] in ([1, 2], [None, None])
     assert one["passed"] == two["passed"]
     assert _bench_artifacts().differences(two, one) == []
 

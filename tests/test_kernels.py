@@ -546,18 +546,24 @@ def test_pi_kernel_evaluates_only_rows_u_positive(monkeypatch, f, passes):
         assert u.size and np.all(u > 0)
 
 
-@pytest.mark.parametrize("f", [F, TWO_TERMS], ids=["F", "TWO_TERMS"])
-def test_pi_kernel_builds_without_a_half_size_temporary(f):
+@pytest.mark.parametrize("f, rho, lam", [
+    pytest.param(F, 0.0, 1.0, id="F"),
+    pytest.param(TWO_TERMS, 0.0, 1.0, id="TWO_TERMS"),
+    pytest.param(F, 256.0, 1 / 256, id="F-rho256"),
+])
+def test_pi_kernel_builds_without_a_half_size_temporary(f, rho, lam):
     """At n = 512 the traced peak of one build stays below the kernel plus
     n^2/2 complex entries, on the path that copies f's own rows reversed
     (F) and on the one that adds the reflected function's rows at mirrored
-    indices (TWO_TERMS).  Read: 4.31 and 5.56 MiB against a 6 MiB cap."""
+    indices (TWO_TERMS), and on the bench's longest t-rule, 288 nodes at
+    rho = 256, lam = 1/256, whose band bounds are held one block of t-nodes
+    at a time.  Read: 1.12, 1.29 and 1.30 times the kernel's 4 MiB."""
     grid = GridSpec.linear(L=12.0, n=512)
-    kernel_pi_rho_lambda(f, 0.0, 1.0, grid)  # fills the shared rule cache
+    kernel_pi_rho_lambda(f, rho, lam, grid)  # fills the shared rule cache
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        A = kernel_pi_rho_lambda(f, 0.0, 1.0, grid)
+        A = kernel_pi_rho_lambda(f, rho, lam, grid)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -22,6 +22,8 @@ from boidol.testfun import (
     to_json,
 )
 
+from test_kernels import TWO_TERMS
+
 F = default_test_function()
 
 
@@ -65,6 +67,79 @@ def test_bump_factor_equals_its_masked_formula(bump):
         value = bump(x)
         assert isinstance(value, float) and value == _masked_bump(bump, x)
     assert bump(s.reshape(-1, 1)).shape == (s.size, 1)
+
+
+def _bump_product(f, t, x, a, b):
+    """hatF34 as the sum over terms of coeff times the four `BumpFactor`
+    values, and per point the rounding bound sum of (4 + |E|) eps |term|,
+    E the term's summed exponent -1/max(0, 1 - r^2)."""
+    total, bound = 0j, 0.0
+    for tm in f.terms:
+        bumps = (tm.b_t, tm.b_x, tm.b_a, tm.b_b)
+        term = tm.coeff
+        power = 0.0
+        for bump, s in zip(bumps, (t, x, a, b)):
+            term = term * bump(s)
+            r = (np.asarray(s, dtype=float) - bump.centre) / bump.width
+            with np.errstate(divide="ignore"):
+                power = power - 1.0 / np.fmax(0.0, 1.0 - r * r)
+        total = total + term
+        size = 4.0 + np.abs(np.where(term != 0, power, 0.0))
+        bound = bound + size * np.finfo(float).eps * np.abs(term)
+    return total, bound
+
+
+def test_hatF34_is_zero_off_the_support_and_at_non_finite_slots():
+    """A slot outside the support box, on its edge, NaN or +-inf gives an
+    exact 0, whether that slot is 0-d or an array and the others inside."""
+    inside = (0.1, 0.5, 0.3, 0.4)
+    for f in (F, TWO_TERMS):
+        assert eval_hatF34(f, *inside) != 0
+        for slot, (lo, hi) in enumerate(f.support_box):
+            bad = [lo - 0.5, lo, hi, hi + 0.5, 1e300, np.nan, np.inf, -np.inf]
+            for value in bad:
+                pt = list(inside)
+                pt[slot] = value
+                got = eval_hatF34(f, *pt)
+                assert isinstance(got, complex) and got == 0, (slot, value)
+            pt = list(inside)
+            pt[slot] = np.array(bad)
+            got = eval_hatF34(f, *pt)
+            assert got.shape == (len(bad),) and not np.any(got), slot
+
+
+def test_hatF34_slots_broadcast_like_the_bump_product():
+    """0-d and array slots broadcast to the shape of the product of the
+    four `BumpFactor` values, as a complex array, and 0-d slots alone give
+    a Python complex."""
+    t, u = np.linspace(-0.9, 0.9, 3), np.linspace(-0.8, 0.8, 4)
+    cases = [(0.1, -0.2, 0.3, 0.4), (0.1, u, u, 0.4), (t[:, None], u, 0.3, 0.4),
+             (t[:, None], u[None, :], u[None, :], t[:, None]),
+             (0.1, u.reshape(2, 2), 0.3, np.float64(0.4)), (0.1, u[:0], u[:0], 0.4)]
+    for f in (F, TWO_TERMS):
+        for pt in cases:
+            got, (want, _) = eval_hatF34(f, *pt), _bump_product(f, *pt)
+            if np.ndim(want) == 0:
+                assert type(got) is complex
+            else:
+                assert got.shape == want.shape and got.dtype == np.complex128
+
+
+def test_hatF34_agrees_with_the_bump_product_to_rounding():
+    """On TWO_TERMS, at points drawn in its support box, one exponential
+    of the summed exponents agrees with the product of the four
+    `BumpFactor` values within 2 (4 + |E|) eps of each term's size (plus
+    the smallest normal number, for values that underflow).  Near a bump's
+    edge |E| is large and each form's own rounding is that size.  Largest
+    gap seen: 1.23 (4 + |E|) eps, 1.5e-13 relative."""
+    rng = np.random.default_rng(3)
+    pts = [rng.uniform(lo, hi, 20000) for lo, hi in TWO_TERMS.support_box]
+    for pt in (pts, (pts[0][0], pts[1], pts[2], pts[3][0]),
+               (pts[0][1], pts[1], pts[2], pts[3][1])):
+        want, bound = _bump_product(TWO_TERMS, *pt)
+        got = eval_hatF34(TWO_TERMS, *pt)
+        assert np.count_nonzero(want) > 1000
+        assert np.all(np.abs(got - want) <= 2.0 * bound + np.finfo(float).tiny)
 
 
 def test_linearity():
